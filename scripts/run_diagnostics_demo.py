@@ -56,7 +56,7 @@ def main() -> int:
         ivs = [innov[m * 20:(m + 1) * 20] for m in range(len(innov) // 20)]
         ccms = np.array([np.mean(ivs[m - 1] * ivs[m])
                          for m in range(1, len(ivs))])[10:]
-        polarity = curve_error_polarity([o.gain[0] for o in outs], innov)
+        polarity = curve_error_polarity([o.k_soc for o in outs], innov)
         pols = polarity[np.arange(2, len(ivs) + 1) * 20 - 1][10:]
         # gap = actual minus filter curve = off; both rules predict -sign(gap)
         expect = -np.sign(off)

@@ -18,9 +18,9 @@ from .metrics import compute_metrics
 from .multimodel import run_ammkf
 from .profiles import generate_profile
 from .rls import RlsConfig, identify_stream
-from .scenario import (ScenarioConfig, ScenarioConfigError, load_scenario,
-                       resolve_curves, run_scenario, run_sweep,
-                       scenario_from_mapping, write_corrected_csv,
+from .scenario import (ScenarioConfig, ScenarioConfigError,
+                       coulomb_counted_soc, resolve_curves, run_scenario,
+                       run_sweep, scenario_from_mapping, write_corrected_csv,
                        write_diagnostics_csv, write_manifest, write_soc_csv)
 from .traceio import ingest_trace, read_config, write_trace
 
@@ -61,10 +61,8 @@ def cmd_identify(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     trace = ingest_trace(args.trace, strict=args.strict)
-    soc_fb = None
-    if trace.true_soc is not None:
-        soc_fb = trace.true_soc
-    points = identify_stream(trace, soc_feedback=soc_fb, cfg=RlsConfig())
+    points = identify_stream(trace, soc_feedback=coulomb_counted_soc(cfg, trace),
+                             cfg=RlsConfig())
     path = os.path.join(out, "identified_params.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -92,25 +90,22 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     trace = ingest_trace(args.trace, strict=args.strict)
     _, filter_curve = resolve_curves(cfg)
-    x0 = BatteryState(
-        min(1.0, max(0.0, cfg.initial_soc_true + cfg.initial_soc_error)), 0.0)
-    p0 = np.diag([cfg.p0_soc, cfg.p0_up])
+    x0, p0 = cfg.estimator_start()
     sim = cfg.sim_config()
     params = cfg.ecm_params()
     if args.method == "ekf":
         outs = run_ekf(KfState(x0, p0, cfg.filter_noise(), filter_curve),
                        params, trace, sim)
-        soc = np.array([o.posterior.soc for o in outs])
+        soc = np.array([o.soc for o in outs])
         with open(os.path.join(out, "estimate_ekf.csv"), "w",
                   newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "soc_est", "up_est", "innovation_v",
                         "p00", "p11"])
             for k, o in enumerate(outs):
-                w.writerow([f"{k * trace.dt:.6g}", f"{o.posterior.soc:.9f}",
-                            f"{o.posterior.up:.9f}", f"{o.innovation:.9e}",
-                            f"{o.posterior_p[0, 0]:.9e}",
-                            f"{o.posterior_p[1, 1]:.9e}"])
+                w.writerow([f"{k * trace.dt:.6g}", f"{o.soc:.9f}",
+                            f"{o.up:.9f}", f"{o.innovation:.9e}",
+                            f"{o.p00:.9e}", f"{o.p11:.9e}"])
     else:
         res = run_ammkf(trace, filter_curve, params, x0, p0,
                         cfg.filter_noise(), sim, cfg.bank_config(),
@@ -182,11 +177,9 @@ def cmd_analyze(args) -> int:
         return _analyze_innovation_log(args, cfg, out)
     trace = ingest_trace(args.trace, strict=args.strict)
     _, filter_curve = resolve_curves(cfg)
-    x0 = BatteryState(
-        min(1.0, max(0.0, cfg.initial_soc_true + cfg.initial_soc_error)), 0.0)
-    outs = run_ekf(KfState(x0, np.diag([cfg.p0_soc, cfg.p0_up]),
-                           cfg.filter_noise(), filter_curve),
-                   cfg.ecm_params(), trace, cfg.sim_config())
+    outs = run_ekf(KfState(*cfg.estimator_start(), cfg.filter_noise(),
+                           filter_curve), cfg.ecm_params(), trace,
+                   cfg.sim_config())
     innov = np.array([o.innovation for o in outs])
     L = cfg.interval_len
     n_int = len(innov) // L
@@ -199,11 +192,13 @@ def cmd_analyze(args) -> int:
             vals = innov[m * L:(m + 1) * L]
             last = outs[(m + 1) * L - 1]
             h = np.array([filter_curve.slope(
-                min(max(last.posterior.soc, filter_curve.soc_min),
+                min(max(last.soc, filter_curve.soc_min),
                     filter_curve.soc_max)), -1.0])
-            iv = IntervalInnovations(m, vals, h, last.prior_p, cfg.r)
+            p_minus = np.array([[last.prior_p00, last.prior_p01],
+                                [last.prior_p01, last.prior_p11]])
+            iv = IntervalInnovations(m, vals, h, p_minus, cfg.r)
             acm_emp = innovation.empirical_acm(iv)
-            acm_theo = innovation.theoretical_acm(h, last.prior_p, cfg.r)
+            acm_theo = innovation.theoretical_acm(h, p_minus, cfg.r)
             if prev is not None:
                 ccm = innovation.interval_ccm(prev, iv)
                 verdict = innovation.infer_error_sign(
@@ -245,7 +240,7 @@ def cmd_sweep(args) -> int:
     if key not in ScenarioConfig.__dataclass_fields__:
         raise ScenarioConfigError(f"unknown sweep key: {key!r}")
     overrides = [{key: v} for v in values]
-    results = run_sweep(cfg, overrides, out, parallel=args.parallel)
+    results = run_sweep(cfg, overrides, out)
     failed = 0
     for v, r in zip(values, results):
         m = r.metrics["ammkf"]
@@ -279,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a scenario per swept config value")
     p.add_argument("--key", required=True, help="config field to sweep")
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--parallel", action="store_true")
     return parser
 
 

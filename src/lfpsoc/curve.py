@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,9 @@ class InvalidTransformError(ValueError):
 
 @dataclass(frozen=True)
 class OcvCurve:
-    """Piecewise-linear OCV(SOC) interpolant over strictly increasing knots."""
+    """Piecewise-linear OCV(SOC) interpolant over strictly increasing knots.
+    A float inside the knot domain bisects knot lists cached at construction
+    (`np.interp`'s arithmetic); anything else takes the numpy path."""
 
     knot_soc: np.ndarray
     knot_ocv: np.ndarray
@@ -43,14 +45,17 @@ class OcvCurve:
         # Measured curves can wiggle slightly; only warn.
         if np.any(np.diff(ocv) < 0):
             warnings.warn("OCV curve has non-monotonic dips", stacklevel=2)
+        object.__setattr__(self, "_soc", soc.tolist())
+        object.__setattr__(self, "_ocv", ocv.tolist())
+        object.__setattr__(self, "_seg", self.segment_slopes().tolist())
 
     @property
     def soc_min(self) -> float:
-        return float(self.knot_soc[0])
+        return self._soc[0]
 
     @property
     def soc_max(self) -> float:
-        return float(self.knot_soc[-1])
+        return self._soc[-1]
 
     def _check_domain(self, soc):
         soc = np.asarray(soc, dtype=float)
@@ -64,6 +69,12 @@ class OcvCurve:
 
     def ocv(self, soc):
         """Interpolated OCV at `soc` (scalar or array). No extrapolation."""
+        if isinstance(soc, (int, float)) and \
+                self._soc[0] <= soc <= self._soc[-1]:
+            j = bisect_right(self._soc, soc) - 1
+            if self._soc[j] == soc:
+                return self._ocv[j]
+            return self._seg[j] * (soc - self._soc[j]) + self._ocv[j]
         s = self._check_domain(soc)
         out = np.interp(s, self.knot_soc, self.knot_ocv)
         return float(out) if np.isscalar(soc) or np.ndim(soc) == 0 else out
@@ -74,6 +85,13 @@ class OcvCurve:
     def slope(self, soc):
         """dOCV/dSOC: segment slope inside segments, mean of the two adjacent
         segment slopes at interior knots, one-sided at boundary knots."""
+        if isinstance(soc, (int, float)) and \
+                self._soc[0] <= soc <= self._soc[-1]:
+            seg = self._seg
+            j = bisect_right(self._soc, soc) - 1
+            if self._soc[j] == soc:
+                return 0.5 * (seg[max(j - 1, 0)] + seg[min(j, len(seg) - 1)])
+            return seg[j]
         s = self._check_domain(soc)
         seg = self.segment_slopes()
         scalar = np.isscalar(soc) or np.ndim(soc) == 0

@@ -45,9 +45,6 @@ class BatteryState:
     soc: float
     up: float = 0.0
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.soc, self.up], dtype=float)
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -1,13 +1,19 @@
 """Extended Kalman filter for SOC estimation over an OCV-SOC curve.
 
-The same filter doubles as a bank member: when `slope_override` is set the
-measurement is the affine model anchored at the interval start (state
-`anchor`), with a fixed slope instead of the local curve slope.
+`kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
+update, on Python floats with the 2x2 algebra written out. Filters differ
+only in the measurement row H = [s, -1]. A plain filter reads the OCV and
+its slope s from the curve at the prior SOC, clamped into the knot domain.
+A bank member (`slope_override` set) uses the affine model anchored at the
+interval start (state `anchor`, model value `anchor_ocv`) with a fixed
+slope. `filter_range` steps a plain filter over a range of samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +43,10 @@ class NoiseConfig:
             raise ValueError("q must be positive semidefinite")
         if not self.r > 0:
             raise ValueError("r must be > 0")
+        # the step reads Python floats: (q00, q01, q11, r)
+        object.__setattr__(self, "terms", (
+            float(q[0, 0]), float(0.5 * (q[0, 1] + q[1, 0])), float(q[1, 1]),
+            float(self.r)))
 
     @classmethod
     def default(cls, r: float = 1e-4) -> "NoiseConfig":
@@ -45,7 +55,10 @@ class NoiseConfig:
 
 @dataclass
 class KfState:
-    """One filter: posterior state, covariance, noise, curve and options."""
+    """One filter: start state, covariance, noise, curve and options.
+
+    Validated once, when built. A bank member without `anchor_ocv` gets the
+    curve's value at its anchor SOC (clamped into the knot domain)."""
 
     x: BatteryState
     p: np.ndarray
@@ -56,120 +69,126 @@ class KfState:
     anchor_ocv: float | None = None  # carried-over corrected model value
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.shape != (2, 2):
+        p = self.p = np.asarray(self.p, dtype=float)
+        if p.shape != (2, 2):
             raise ValueError("p must be 2x2")
-        if not np.allclose(self.p, self.p.T, atol=1e-9):
-            raise ValueError("p must be symmetric")
-        if self.slope_override is not None and self.anchor is None:
-            raise ValueError("slope_override requires an anchor state")
+        if not abs(p[0, 1] - p[1, 0]) <= 1e-9 + 1e-5 * abs(p[1, 0]):
+            raise ValueError("p must be symmetric")  # np.isclose, atol 1e-9
+        if self.slope_override is not None:
+            if self.anchor is None:
+                raise ValueError("slope_override requires an anchor state")
+            if self.anchor_ocv is None:
+                self.anchor_ocv = self.curve.ocv(min(max(
+                    self.anchor.soc, self.curve.soc_min), self.curve.soc_max))
+
+    def start(self) -> tuple:
+        """The start posterior as the step's `x`: (soc, up, p00, p01, p11)."""
+        p = self.p
+        return (float(self.x.soc), float(self.x.up), float(p[0, 0]),
+                float(0.5 * (p[0, 1] + p[1, 0])), float(p[1, 1]))
 
 
-@dataclass(frozen=True)
-class StepOutput:
-    prior: BatteryState
-    prior_p: np.ndarray
-    posterior: BatteryState
-    posterior_p: np.ndarray
-    innovation: float
-    innovation_variance: float
-    gain: np.ndarray
-    soc_clamped: bool = False
+class StepOutput(namedtuple("StepOutput", (
+        "soc up p00 p01 p11 innovation innovation_variance k_soc k_up "
+        "soc_clamped prior_soc prior_up prior_p00 prior_p01 prior_p11 slope"))):
+    """One filter step: the posterior state and covariance first (so a step
+    is the next step's `x`), then the innovation, its variance, the gain,
+    the clamp flag, the prior state and covariance, and the measurement
+    slope used."""
+
+    __slots__ = ()
 
 
-def transition_matrices(params: EcmParams, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    decay = np.exp(-cfg.dt / params.tau)
-    f = np.array([[1.0, 0.0], [0.0, decay]])
-    g = np.array([-cfg.dt / cfg.capacity_as, params.rp * (1.0 - decay)])
-    return f, g
+def transition(params: EcmParams, cfg: SimConfig) -> tuple:
+    """(decay, g_soc, g_up, r0): F = diag(1, decay), G = [g_soc, g_up] and
+    the ohmic feedthrough, for one parameter set."""
+    decay = math.exp(-cfg.dt / params.tau)
+    return (decay, -cfg.dt / cfg.capacity_as, params.rp * (1.0 - decay),
+            params.r0)
 
 
-def predict(state: KfState, params: EcmParams, current: float,
-            cfg: SimConfig) -> tuple[BatteryState, np.ndarray]:
-    """Prior state and covariance for the next step, driven by `current`."""
-    f, g = transition_matrices(params, cfg)
-    xv = f @ state.x.as_vector() + g * current
-    p_minus = f @ state.p @ f.T + state.noise.q
-    return BatteryState(float(xv[0]), float(xv[1])), p_minus
+def kalman_step(f: KfState, x, coef: tuple, u_prev: float, y: float,
+                u: float, first: bool, k: int = 0) -> StepOutput:
+    """Predict with `u_prev` (unless `first`), then update on the measured
+    voltage `y` at current `u`.
 
-
-def measurement_jacobian(state: KfState, prior: BatteryState) -> np.ndarray:
-    """H = [dOCV/dSOC at the prior (or the override slope), -1]."""
-    if state.slope_override is not None:
-        s = state.slope_override
-    else:
-        s = state.curve.slope(prior.soc)
-    return np.array([s, -1.0])
-
-
-def predicted_voltage(state: KfState, prior: BatteryState, current: float,
-                      params: EcmParams) -> float:
-    """Measurement prediction h(x-) + D*u; affine about the anchor when a
-    slope override is active."""
-    if state.slope_override is None:
-        h = state.curve.ocv(min(max(prior.soc, state.curve.soc_min),
-                                state.curve.soc_max)) - prior.up
-    else:
-        a = state.anchor
-        if state.anchor_ocv is not None:
-            v0 = state.anchor_ocv
-        else:
-            v0 = state.curve.ocv(min(max(a.soc, state.curve.soc_min),
-                                     state.curve.soc_max))
-        h = v0 + state.slope_override * (prior.soc - a.soc) - prior.up
-    return h - params.r0 * current
-
-
-def update(state: KfState, prior: BatteryState, prior_p: np.ndarray,
-           measured_ut: float, current: float, params: EcmParams) -> StepOutput:
-    """Measurement update; returns the full step record and mutates nothing."""
-    h_row = measurement_jacobian(state, prior)
-    innovation = measured_ut - predicted_voltage(state, prior, current, params)
-    s_var = float(h_row @ prior_p @ h_row) + state.noise.r
+    `f` gives the measurement model and noise; `x` is the previous posterior
+    (soc, up, p00, p01, p11), or the previous step; `coef` is
+    `transition(params, cfg)`. Raises FilterDegeneracyError naming step `k`
+    when the innovation variance is not positive.
+    """
+    soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
+    q00, q01, q11, r = f.noise.terms
+    decay, g_soc, g_up, r0 = coef
+    if not first:
+        # x- = F x + G u_prev; P- = F P F^T + Q
+        soc = soc + g_soc * u_prev
+        up = decay * up + g_up * u_prev
+        p00 = p00 + q00
+        p01 = p01 * decay + q01
+        p11 = decay * p11 * decay + q11
+    s = f.slope_override
+    if s is None:  # the curve at the prior SOC, clamped into its domain
+        c = min(max(soc, f.curve.soc_min), f.curve.soc_max)
+        ocv, s = f.curve.ocv(c), f.curve.slope(c)
+    else:  # affine about the anchor
+        ocv = f.anchor_ocv + s * (soc - f.anchor.soc)
+    e = y - (ocv - up - r0 * u)
+    # H = [s, -1]: P- H^T, S = H P- H^T + r, K = P- H^T / S
+    ph0 = p00 * s - p01
+    ph1 = p01 * s - p11
+    s_var = s * ph0 - ph1 + r
     if s_var <= 0:
-        raise FilterDegeneracyError(f"innovation variance {s_var} <= 0")
-    gain = (prior_p @ h_row) / s_var
-    xv = prior.as_vector() + gain * innovation
-    p_post = (np.eye(2) - np.outer(gain, h_row)) @ prior_p
-    p_post = 0.5 * (p_post + p_post.T)
-    soc = float(xv[0])
-    clamped = soc < 0.0 or soc > 1.0
-    soc = min(1.0, max(0.0, soc))
-    posterior = BatteryState(soc, float(xv[1]))
-    return StepOutput(prior, prior_p, posterior, p_post,
-                      float(innovation), s_var, gain, clamped)
+        raise FilterDegeneracyError(
+            f"step {k}: innovation variance {s_var} <= 0")
+    k0 = ph0 / s_var
+    k1 = ph1 / s_var
+    # (I - K H) P-, symmetrized
+    a00 = 1.0 - k0 * s
+    a11 = 1.0 + k1
+    b01 = a00 * p01 + k0 * p11
+    b10 = -k1 * s * p00 + a11 * p01
+    new_soc = soc + k0 * e
+    clamped = new_soc < 0.0 or new_soc > 1.0
+    return StepOutput(min(1.0, max(0.0, new_soc)), up + k1 * e,
+                      a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
+                      -k1 * s * p01 + a11 * p11,
+                      e, s_var, k0, k1, clamped, soc, up, p00, p01, p11, s)
 
 
-def step(state: KfState, params: EcmParams, prev_current: float,
-         measured_ut: float, current: float, cfg: SimConfig,
-         first: bool = False) -> tuple[KfState, StepOutput]:
-    """Predict (unless `first`) then update; returns the advanced filter."""
-    if first:
-        prior, prior_p = state.x, state.p
-    else:
-        prior, prior_p = predict(state, params, prev_current, cfg)
-    out = update(state, prior, prior_p, measured_ut, current, params)
-    new_state = replace(state, x=out.posterior, p=out.posterior_p)
-    return new_state, out
+def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
+    """Yield (k, coef, u_prev, y, u) for each sample k in [start, stop):
+    `coef` is `transition` of that step's parameters, recomputed only when
+    the parameter object changes. `params` is either a single EcmParams or a
+    per-step sequence."""
+    constant = isinstance(params, EcmParams)
+    volts = trace.voltage_v[start:stop].tolist()
+    amps = trace.current_a[max(start - 1, 0):stop].tolist()
+    if start == 0:
+        amps.insert(0, 0.0)
+    last = coef = None
+    for j, y in enumerate(volts):
+        k = start + j
+        pk = params if constant else params[k]
+        if pk is not last:
+            coef, last = transition(pk, cfg), pk
+        yield k, coef, amps[j], y, amps[j + 1]
+
+
+def filter_range(f: KfState, x, params, trace: Trace, cfg: SimConfig,
+                 start: int, stop: int) -> list[StepOutput]:
+    """Step filter `f` from posterior `x` (`f.start()` or a previous step)
+    over samples [start, stop)."""
+    steps = []
+    for k, coef, u_prev, y, u in samples(params, trace, cfg, start, stop):
+        x = kalman_step(f, x, coef, u_prev, y, u, k == 0, k)
+        steps.append(x)
+    return steps
 
 
 def run_ekf(initial: KfState, params, trace: Trace,
             cfg: SimConfig) -> list[StepOutput]:
-    """Run the filter over a measured trace.
-
-    `params` is either a single EcmParams or a per-step sequence.
-    """
-    n = len(trace)
-    per_step = not isinstance(params, EcmParams)
-    state = initial
-    outputs = []
-    for k in range(n):
-        pk = params[k] if per_step else params
-        prev_i = trace.current_a[k - 1] if k > 0 else 0.0
-        try:
-            state, out = step(state, pk, prev_i, trace.voltage_v[k],
-                              trace.current_a[k], cfg, first=(k == 0))
-        except FilterDegeneracyError as exc:
-            raise FilterDegeneracyError(f"step {k}: {exc}") from exc
-        outputs.append(out)
-    return outputs
+    """Run the filter over a measured trace; one StepOutput per sample.
+    `params` is either a single EcmParams or a per-step sequence."""
+    return filter_range(initial, initial.start(), params, trace, cfg, 0,
+                        len(trace))

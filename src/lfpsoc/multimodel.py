@@ -1,16 +1,19 @@
 """Adaptive multi-model filter bank: per-interval slope sets, Bayesian
-model probabilities, optimal-filter selection, and corrected-curve output."""
+model probabilities, optimal-filter selection, and corrected-curve output.
+
+Phase 1 and the tail step the plain filter with `ekf.filter_range`;
+`run_interval` steps every bank member through `ekf.kalman_step`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ekf, innovation
 from .curve import OcvCurve
-from .ecm import BatteryState, EcmParams, SimConfig, Trace
+from .ecm import BatteryState, SimConfig, Trace
 from .ekf import KfState, NoiseConfig
 from .innovation import (ConvergenceConfig, CcmThresholds, ErrorSignVerdict,
                          IntervalInnovations, INDETERMINATE, NEGATIVE_G,
@@ -101,14 +104,14 @@ class FilterBank:
 
 @dataclass
 class IntervalResult:
+    """The selected filter's steps (its last posterior carries over) and
+    innovations, its corrected-curve points, and the final probabilities."""
+
     interval_index: int
     optimal_index: int
-    soc_trace: np.ndarray
-    up_trace: np.ndarray
+    steps: list
     innovations: IntervalInnovations
     corrected_points: list
-    final_state: BatteryState
-    final_p: np.ndarray
     probabilities: np.ndarray
     final_model_ocv: float | None = None
     underflow: bool = False
@@ -122,9 +125,9 @@ def make_bank(anchor: BatteryState, anchor_p: np.ndarray, noise: NoiseConfig,
     prior probabilities."""
     if len(slopes) == 1:
         # degenerate bank: a single plain filter on the curve itself
-        filters = [KfState(anchor, anchor_p.copy(), noise, curve)]
+        filters = [KfState(anchor, anchor_p, noise, curve)]
     else:
-        filters = [KfState(anchor, anchor_p.copy(), noise, curve,
+        filters = [KfState(anchor, anchor_p, noise, curve,
                            slope_override=float(s), anchor=anchor,
                            anchor_ocv=anchor_ocv)
                    for s in slopes]
@@ -133,73 +136,46 @@ def make_bank(anchor: BatteryState, anchor_p: np.ndarray, noise: NoiseConfig,
 
 
 def run_interval(bank: FilterBank, params, trace: Trace, start: int, length: int,
-                 cfg: SimConfig, bank_cfg: BankConfig,
-                 schedule: str = "sequential") -> IntervalResult:
+                 cfg: SimConfig, bank_cfg: BankConfig) -> IntervalResult:
     """Step every filter through L samples, updating model probabilities per
     step from each filter's predicted-voltage likelihood, then select the
-    most probable filter (ties to the lowest index).
-
-    `schedule` only permutes the per-step filter evaluation order; results
-    must be identical because filters are data-independent.
-    """
-    per_step = not isinstance(params, EcmParams)
-    n = bank.n
+    most probable filter (ties to the lowest index)."""
+    filters = bank.filters
     probs = bank.probabilities.copy()
-    states = list(bank.filters)
-    innovs = [[] for _ in range(n)]
-    socs = [[] for _ in range(n)]
-    ups = [[] for _ in range(n)]
-    last_s_var = [None] * n
-    last_prior_p = [None] * n
+    runs = [[f.start()] for f in filters]  # each filter's start, then steps
     underflow = False
-    order = list(range(n)) if schedule == "sequential" else list(range(n))[::-1]
-    for j, k in enumerate(range(start, start + length)):
-        pk = params[k] if per_step else params
-        prev_i = trace.current_a[k - 1] if k > 0 else 0.0
-        densities = np.empty(n)
-        outs: list = [None] * n
-        for i in order:
-            st, out = ekf.step(states[i], pk, prev_i, trace.voltage_v[k],
-                               trace.current_a[k], cfg, first=(k == 0))
-            states[i] = st
-            outs[i] = out
+    for k, coef, u_prev, y, u in ekf.samples(params, trace, cfg, start,
+                                             start + length):
+        densities = []
+        for f, run in zip(filters, runs):
+            x = ekf.kalman_step(f, run[-1], coef, u_prev, y, u, k == 0, k)
+            run.append(x)
             # mean of the predicted-voltage distribution = measured - innovation
-            densities[i] = likelihood(trace.voltage_v[k],
-                                      trace.voltage_v[k] - out.innovation,
-                                      out.innovation_variance)
-        for i in range(n):
-            innovs[i].append(outs[i].innovation)
-            socs[i].append(outs[i].posterior.soc)
-            ups[i].append(outs[i].posterior.up)
-            last_s_var[i] = outs[i].innovation_variance
-            last_prior_p[i] = outs[i].prior_p
+            densities.append(likelihood(y, y - x.innovation,
+                                        x.innovation_variance))
         probs, uf = update_probabilities(probs, densities, bank_cfg.prob_floor)
         underflow = underflow or uf
     opt = int(np.argmax(probs))  # argmax ties break to lowest index
-    opt_state = states[opt]
-    soc_arr = np.array(socs[opt])
-    if opt_state.slope_override is None:
-        h_used = np.array([opt_state.curve.slope(
-            min(max(soc_arr[-1], opt_state.curve.soc_min),
-                opt_state.curve.soc_max)), -1.0])
+    best, f = runs[opt][1:], filters[opt]
+    if f.slope_override is None:
         corrected = []
     else:
-        h_used = np.array([opt_state.slope_override, -1.0])
-        anchor = opt_state.anchor
-        if opt_state.anchor_ocv is not None:
-            anchor_ocv = opt_state.anchor_ocv
-        else:
-            anchor_ocv = opt_state.curve.ocv(
-                min(max(anchor.soc, opt_state.curve.soc_min), opt_state.curve.soc_max))
-        corrected = [(float(s),
-                      float(anchor_ocv + opt_state.slope_override * (s - anchor.soc)),
-                      bank.interval_index) for s in soc_arr]
-    iv = IntervalInnovations(bank.interval_index, np.array(innovs[opt]),
-                             h_used, last_prior_p[opt], opt_state.noise.r)
+        corrected = [(x.soc,
+                      f.anchor_ocv + f.slope_override * (x.soc - f.anchor.soc),
+                      bank.interval_index) for x in best]
     final_model_ocv = corrected[-1][1] if corrected else None
-    return IntervalResult(bank.interval_index, opt, soc_arr, np.array(ups[opt]),
-                          iv, corrected, opt_state.x, opt_state.p, probs,
-                          final_model_ocv, underflow)
+    return IntervalResult(bank.interval_index, opt, best,
+                          _innovations(bank.interval_index, best, f.noise.r),
+                          corrected, probs, final_model_ocv, underflow)
+
+
+def _innovations(index: int, steps: list, r: float) -> IntervalInnovations:
+    """Innovations plus the last update's measurement row and prior P."""
+    last = steps[-1]
+    p_minus = np.array([[last.prior_p00, last.prior_p01],
+                        [last.prior_p01, last.prior_p11]])
+    return IntervalInnovations(index, np.array([x.innovation for x in steps]),
+                               np.array([last.slope, -1.0]), p_minus, r)
 
 
 @dataclass
@@ -227,7 +203,6 @@ class AmmkfResult:
 def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
               initial: BatteryState, initial_p: np.ndarray, noise: NoiseConfig,
               cfg: SimConfig, bank_cfg: BankConfig = BankConfig(),
-              schedule: str = "sequential",
               bank_noise: NoiseConfig | None = None) -> AmmkfResult:
     """Two-phase estimation over a measured trace.
 
@@ -243,36 +218,30 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     n_steps = len(trace)
     if n_steps < 2 * L:
         raise ValueError(f"trace length {n_steps} < 2*interval_len {2 * L}")
-    per_step = not isinstance(params, EcmParams)
     soc_est = np.empty(n_steps)
     up_est = np.empty(n_steps)
     innov_all = np.empty(n_steps)
+
+    def keep(steps: list, at: int):
+        stop = at + len(steps)
+        soc_est[at:stop] = [x.soc for x in steps]
+        up_est[at:stop] = [x.up for x in steps]
+        innov_all[at:stop] = [x.innovation for x in steps]
+
     corrected_points: list = []
     diagnostics: list = []
     history: list[IntervalInnovations] = []
     # phase 1: plain EKF on the original curve, interval by interval
-    state = KfState(initial, np.asarray(initial_p, dtype=float), noise, original_curve)
+    plain = KfState(initial, initial_p, noise, original_curve)
+    x = plain.start()  # the carried posterior: a filter start, then a step
     k = 0
     interval_index = 0
     converged_at = None
     while k + L <= n_steps and converged_at is None:
-        vals = []
-        last_prior_p = None
-        last_h = None
-        for j in range(L):
-            idx = k + j
-            pk = params[idx] if per_step else params
-            prev_i = trace.current_a[idx - 1] if idx > 0 else 0.0
-            state, out = ekf.step(state, pk, prev_i, trace.voltage_v[idx],
-                                  trace.current_a[idx], cfg, first=(idx == 0))
-            soc_est[idx] = out.posterior.soc
-            up_est[idx] = out.posterior.up
-            innov_all[idx] = out.innovation
-            vals.append(out.innovation)
-            last_prior_p = out.prior_p
-            last_h = ekf.measurement_jacobian(state, out.prior)
-        history.append(IntervalInnovations(interval_index, np.array(vals),
-                                           last_h, last_prior_p, noise.r))
+        steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
+        keep(steps, k)
+        history.append(_innovations(interval_index, steps, noise.r))
+        x = steps[-1]
         k += L
         interval_index += 1
         if innovation.detect_convergence(history, bank_cfg.convergence,
@@ -280,7 +249,6 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
             converged_at = k
     # phase 2: per-interval bank runs; the corrected measurement-model value
     # chains across intervals (only the first anchors on the original curve)
-    anchor, anchor_p = state.x, state.p
     anchor_ocv: float | None = None
     while k + L <= n_steps:
         if len(history) >= 2 and bank_cfg.n > 1:
@@ -295,39 +263,29 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
         else:
             ccm, acm_emp, acm_theo = 0.0, 0.0, noise.r
             verdict = ErrorSignVerdict(INDETERMINATE, 0.0, 1.0)
-        seg_current = trace.current_a[k:k + L]
-        mode = DISCHARGE if float(np.mean(seg_current)) >= 0 else CHARGE
-        anchor_soc = min(max(anchor.soc, original_curve.soc_min), original_curve.soc_max)
+        mode = DISCHARGE if float(np.mean(trace.current_a[k:k + L])) >= 0 \
+            else CHARGE
+        anchor_soc = min(max(x.soc, original_curve.soc_min), original_curve.soc_max)
         base_slope = original_curve.slope(anchor_soc)
         slopes = build_slope_set(base_slope, verdict, mode, bank_cfg)
-        bank = make_bank(anchor, anchor_p, bank_noise, original_curve, slopes,
-                         interval_index, anchor_ocv=anchor_ocv)
-        res = run_interval(bank, params, trace, k, L, cfg, bank_cfg, schedule)
-        soc_est[k:k + L] = res.soc_trace
-        up_est[k:k + L] = res.up_trace
-        innov_all[k:k + L] = res.innovations.values
+        bank = make_bank(BatteryState(x.soc, x.up),
+                         np.array([[x.p00, x.p01], [x.p01, x.p11]]),
+                         bank_noise, original_curve, slopes, interval_index,
+                         anchor_ocv=anchor_ocv)
+        res = run_interval(bank, params, trace, k, L, cfg, bank_cfg)
+        keep(res.steps, k)
         corrected_points.extend(res.corrected_points)
         diagnostics.append(IntervalDiagnostics(
             interval_index, ccm, acm_emp, acm_theo, verdict.sign,
             res.optimal_index, float(res.probabilities.max()), mode))
         history.append(res.innovations)
-        anchor, anchor_p = res.final_state, res.final_p
+        x = res.steps[-1]
         if res.final_model_ocv is not None:
             anchor_ocv = res.final_model_ocv
         k += L
         interval_index += 1
     # tail shorter than one interval: plain filter continuation on the curve
     if k < n_steps:
-        tail_state = KfState(anchor, anchor_p, noise, original_curve)
-        for idx in range(k, n_steps):
-            pk = params[idx] if per_step else params
-            prev_i = trace.current_a[idx - 1] if idx > 0 else 0.0
-            tail_state, out = ekf.step(tail_state, pk, prev_i,
-                                       trace.voltage_v[idx],
-                                       trace.current_a[idx], cfg,
-                                       first=(idx == 0))
-            soc_est[idx] = out.posterior.soc
-            up_est[idx] = out.posterior.up
-            innov_all[idx] = out.innovation
+        keep(ekf.filter_range(plain, x, params, trace, cfg, k, n_steps), k)
     return AmmkfResult(soc_est, up_est, corrected_points, diagnostics,
                        converged_at, innov_all)

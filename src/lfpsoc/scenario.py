@@ -3,19 +3,16 @@ artifacts, a metrics summary, and threshold checks for scripted runs."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
-import math
 import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from .curve import OcvCurve, default_lifepo4_curve, plateau_offset
 from .ecm import BatteryState, EcmParams, SimConfig, Trace, simulate_profile
 from .ekf import KfState, NoiseConfig, run_ekf
-from .innovation import CcmThresholds, ConvergenceConfig
-from .metrics import Metrics, compute_metrics
+from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
 from .profiles import generate_profile
 from .rls import RlsConfig, identify_stream
@@ -83,6 +80,12 @@ class ScenarioConfig:
 
     def bank_noise(self) -> NoiseConfig:
         return NoiseConfig(q=np.diag([self.bank_q00, self.bank_q11]), r=self.r)
+
+    def estimator_start(self) -> tuple[BatteryState, np.ndarray]:
+        """The estimators' initial state (SOC guess clamped into [0, 1])
+        and covariance."""
+        soc0 = min(1.0, max(0.0, self.initial_soc_true + self.initial_soc_error))
+        return BatteryState(soc0, 0.0), np.diag([self.p0_soc, self.p0_up])
 
     def bank_config(self) -> BankConfig:
         return BankConfig(n=self.n, interval_len=self.interval_len,
@@ -174,17 +177,22 @@ class ScenarioResult:
     violations: list
 
 
+def coulomb_counted_soc(cfg: ScenarioConfig, trace: Trace) -> np.ndarray:
+    """SOC from the estimator's initial guess and the measured current. It
+    drives the RLS forgetting factor: the estimator has no access to the
+    true SOC."""
+    soc0 = cfg.estimator_start()[0].soc
+    soc_cc = soc0 - np.cumsum(trace.current_a) * trace.dt / (3600.0 * cfg.capacity_ah)
+    return np.clip(soc_cc, 0.0, 1.0)
+
+
 def _estimator_params(cfg: ScenarioConfig, trace: Trace):
     """Constant ECM params, or a per-step sequence from online RLS
     identification (config values fill the warmup)."""
     if not cfg.identify_online:
         return cfg.ecm_params()
-    soc0 = min(1.0, max(0.0, cfg.initial_soc_true + cfg.initial_soc_error))
-    # coulomb-counted SOC from the measured current drives the forgetting
-    # factor (the estimator has no access to the true SOC)
-    soc_cc = soc0 - np.cumsum(trace.current_a) * cfg.dt / (3600.0 * cfg.capacity_ah)
-    soc_cc = np.clip(soc_cc, 0.0, 1.0)
-    points = identify_stream(trace, soc_feedback=soc_cc, cfg=RlsConfig())
+    points = identify_stream(trace, soc_feedback=coulomb_counted_soc(cfg, trace),
+                             cfg=RlsConfig())
     fallback = cfg.ecm_params()
     seq = [fallback, fallback]
     seq.extend(p.params if p.params is not None else fallback for p in points)
@@ -203,15 +211,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
     truth0 = BatteryState(cfg.initial_soc_true, 0.0)
     trace = simulate_profile(truth0, params, true_curve, profile.samples, sim)
 
-    est_soc0 = min(1.0, max(0.0, cfg.initial_soc_true + cfg.initial_soc_error))
-    x0 = BatteryState(est_soc0, 0.0)
-    p0 = np.diag([cfg.p0_soc, cfg.p0_up])
+    x0, p0 = cfg.estimator_start()
     noise = cfg.filter_noise()
     est_params = _estimator_params(cfg, trace)
 
     ekf_outs = run_ekf(KfState(x0, p0, noise, filter_curve), est_params,
                        trace, sim)
-    soc_ekf = np.array([o.posterior.soc for o in ekf_outs])
+    soc_ekf = np.array([o.soc for o in ekf_outs])
     am = run_ammkf(trace, filter_curve, est_params, x0, p0, noise, sim,
                    cfg.bank_config(), bank_noise=cfg.bank_noise())
 
@@ -301,14 +307,10 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
 
 
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
-              out_dir: str | None = None,
-              parallel: bool = False) -> list[ScenarioResult]:
+              out_dir: str | None = None) -> list[ScenarioResult]:
     """Run one scenario per override mapping; each gets its own seed-derived
     output directory and is fully independent of the others."""
     cfgs = [replace(base_cfg, **ov) for ov in overrides]
     dirs = [os.path.join(out_dir, f"run-{i:03d}") if out_dir else None
             for i in range(len(cfgs))]
-    if parallel:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            return list(pool.map(run_scenario, cfgs, dirs))
     return [run_scenario(c, d) for c, d in zip(cfgs, dirs)]

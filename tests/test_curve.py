@@ -1,5 +1,7 @@
 """OCV-SOC curve: interpolation, slopes, error injection, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +88,55 @@ class TestSlope:
         s2 = curve.soc_min + b * (curve.soc_max - curve.soc_min)
         lhs = abs(curve.ocv(s1) - curve.ocv(s2))
         assert lhs <= curve.max_abs_slope() * abs(s1 - s2) + 1e-12
+
+
+class TestScalarPath:
+    """Float queries bisect cached knot lists; they must equal the numpy
+    path bit for bit and raise the same domain errors."""
+
+    @staticmethod
+    def _same(curve, soc):
+        grid = np.array([soc])
+        assert curve.ocv(soc) == float(np.interp(grid, curve.knot_soc,
+                                                 curve.knot_ocv)[0])
+        assert curve.ocv(soc) == curve.ocv(grid)[0]
+        assert curve.slope(soc) == curve.slope(grid)[0]
+
+    @given(curve=knot_curves(), u=st.lists(st.floats(0.0, 1.0), min_size=1,
+                                            max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_array_path(self, curve, u):
+        lo, hi = curve.soc_min, curve.soc_max
+        for v in u:
+            self._same(curve, min(lo + v * (hi - lo), hi))
+        for knot in curve.knot_soc.tolist():
+            self._same(curve, knot)
+
+    def test_every_knot_of_the_default_curve(self, base_curve):
+        for knot in base_curve.knot_soc.tolist():
+            self._same(base_curve, knot)
+        rng = np.random.default_rng(1)
+        for soc in rng.uniform(0.0, 1.0, 2000).tolist():
+            self._same(base_curve, soc)
+
+    @given(curve=knot_curves(),
+           soc=st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-0.0, 1.0])))
+    @settings(max_examples=200, deadline=None)
+    def test_same_domain_errors(self, curve, soc):
+        for method in (curve.ocv, curve.slope):
+            try:
+                expected = method(np.array([soc]))
+            except CurveDomainError as exc:
+                with pytest.raises(CurveDomainError) as got:
+                    method(soc)
+                assert str(got.value).split(":")[0] == str(exc).split(":")[0]
+            else:
+                assert method(soc) == expected[0]
+
+    def test_nan_follows_the_array_path(self, base_curve):
+        assert math.isnan(base_curve.ocv(math.nan))
+        assert base_curve.slope(math.nan) == base_curve.slope(
+            np.array([math.nan]))[0]
 
 
 class TestCurveError:

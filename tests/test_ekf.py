@@ -1,16 +1,18 @@
-"""Extended Kalman filter: prediction, measurement model, update algebra,
-and closed-loop behavior on simulated traces."""
+"""Extended Kalman filter: the closed-form step (prediction, measurement
+model, update algebra) against a numpy matrix-form reference, and
+closed-loop behavior on simulated traces."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lfpsoc import (BatteryState, EcmParams, KfState, NoiseConfig, OcvCurve,
-                    SimConfig, run_ekf, simulate_profile, step_state)
-from lfpsoc.ekf import (measurement_jacobian, predict, predicted_voltage,
-                        step, transition_matrices, update)
+from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
+                    OcvCurve, ScenarioConfig, SimConfig, default_lifepo4_curve,
+                    run_ammkf, run_ekf, run_scenario, simulate_profile,
+                    step_state)
+from lfpsoc.ekf import FilterDegeneracyError, kalman_step, transition
 from lfpsoc.profiles import generate_profile
 
 
@@ -19,6 +21,67 @@ def _state(curve, soc=0.5, up=0.0, p=None, noise=None, **kw):
                    p=np.diag([1e-4, 1e-4]) if p is None else p,
                    noise=noise or NoiseConfig.default(r=1e-6),
                    curve=curve, **kw)
+
+
+def _update(f, measured, current, params):
+    """The measurement update alone: a first step, which skips prediction."""
+    return kalman_step(f, f.start(), transition(params, SimConfig()), 0.0,
+                       measured, current, first=True)
+
+
+def _predicted(f, params, current=0.0):
+    """Predicted terminal voltage h(x) - R0*I at the filter's start state."""
+    return -_update(f, 0.0, current, params).innovation
+
+
+def _predict(f, params, current, cfg):
+    """A full step from the start state; its prior is the prediction."""
+    return kalman_step(f, f.start(), transition(params, cfg), current, 3.3,
+                       0.0, first=False)
+
+
+def _prior_p(o):
+    return np.array([[o.prior_p00, o.prior_p01], [o.prior_p01, o.prior_p11]])
+
+
+def _posterior_p(o):
+    return np.array([[o.p00, o.p01], [o.p01, o.p11]])
+
+
+def _reference_step(f, params, cfg, u_prev, y, u, first):
+    """Matrix-form step written from the numpy predict/update this module
+    replaced: F P F^T + Q, H = [s, -1], (I - K H) P symmetrized."""
+    decay = np.exp(-cfg.dt / params.tau)
+    fm = np.array([[1.0, 0.0], [0.0, decay]])
+    g = np.array([-cfg.dt / cfg.capacity_as, params.rp * (1.0 - decay)])
+    x, p = np.array([f.x.soc, f.x.up]), f.p
+    if not first:
+        x, p = fm @ x + g * u_prev, fm @ p @ fm.T + f.noise.q
+    if f.slope_override is None:
+        soc = min(max(x[0], f.curve.soc_min), f.curve.soc_max)
+        slope = f.curve.slope(np.array([soc]))[0]
+        h = np.interp(soc, f.curve.knot_soc, f.curve.knot_ocv) - x[1]
+    else:
+        slope = f.slope_override
+        h = f.anchor_ocv + slope * (x[0] - f.anchor.soc) - x[1]
+    h_row = np.array([slope, -1.0])
+    innovation = y - (h - params.r0 * u)
+    s_var = float(h_row @ p @ h_row) + f.noise.r
+    gain = (p @ h_row) / s_var
+    xv = x + gain * innovation
+    p_post = (np.eye(2) - np.outer(gain, h_row)) @ p
+    return dict(prior=x, prior_p=p, soc=xv[0], up=xv[1],
+                posterior_p=0.5 * (p_post + p_post.T), innovation=innovation,
+                s_var=s_var, gain=gain, slope=slope,
+                clamped=bool(xv[0] < 0.0 or xv[0] > 1.0))
+
+
+def _close(value, expected, scale=0.0):
+    """Equal to 1e-12, relative to the larger of the value and the scale of
+    the operands it was computed from."""
+    bound = 1e-12 * max(np.max(np.abs(expected)), scale)
+    assert np.all(np.abs(np.asarray(value) - expected) <= bound), \
+        (value, expected)
 
 
 class TestNoiseConfig:
@@ -39,118 +102,123 @@ class TestNoiseConfig:
 
 class TestTransitionMatrices:
     def test_reference_values(self, params, sim_cfg):
-        f, g = transition_matrices(params, sim_cfg)
-        decay = math.exp(-1.0 / 40.0)  # tau = rp*cp = 40 s, dt = 1 s
-        assert f == pytest.approx(np.diag([1.0, decay]), abs=1e-15)
-        assert g[0] == pytest.approx(-1.0 / (3600.0 * 1.063), rel=1e-12)
-        assert g[1] == pytest.approx(0.04 * (1.0 - decay), rel=1e-12)
+        decay, g_soc, g_up, r0 = transition(params, sim_cfg)
+        expect = math.exp(-1.0 / 40.0)  # tau = rp*cp = 40 s, dt = 1 s
+        assert decay == pytest.approx(expect, abs=1e-15)
+        assert g_soc == pytest.approx(-1.0 / (3600.0 * 1.063), rel=1e-12)
+        assert g_up == pytest.approx(0.04 * (1.0 - expect), rel=1e-12)
+        assert r0 == params.r0
 
     def test_prediction_matches_simulator(self, params, base_curve, sim_cfg):
         # oracle: the noise-free plant step is the same affine map
         st8 = _state(base_curve, soc=0.6, up=0.02)
         for current in (-1.0, 0.0, 0.5, 2.0):
-            prior, _ = predict(st8, params, current, sim_cfg)
+            out = _predict(st8, params, current, sim_cfg)
             plant, _ = step_state(BatteryState(0.6, 0.02), params, current,
                                   sim_cfg)
-            assert prior.soc == pytest.approx(plant.soc, abs=1e-15)
-            assert prior.up == pytest.approx(plant.up, abs=1e-15)
+            assert out.prior_soc == pytest.approx(plant.soc, abs=1e-15)
+            assert out.prior_up == pytest.approx(plant.up, abs=1e-15)
 
     def test_covariance_propagation_with_zero_q(self, params, base_curve,
                                                 sim_cfg):
         noise = NoiseConfig(q=np.zeros((2, 2)), r=1e-6)
         p0 = np.array([[2e-4, 1e-5], [1e-5, 3e-4]])
         st8 = _state(base_curve, p=p0, noise=noise)
-        _, p_minus = predict(st8, params, 0.0, sim_cfg)
-        f, _ = transition_matrices(params, sim_cfg)
+        p_minus = _prior_p(_predict(st8, params, 0.0, sim_cfg))
+        decay = transition(params, sim_cfg)[0]
+        f = np.diag([1.0, decay])
         assert np.allclose(p_minus, f @ p0 @ f.T, atol=1e-18)
 
     def test_q_added_once_per_predict(self, params, base_curve, sim_cfg):
         q = np.diag([1e-7, 1e-6])
         st8 = _state(base_curve, p=np.zeros((2, 2)),
                      noise=NoiseConfig(q=q, r=1e-6))
-        _, p_minus = predict(st8, params, 0.0, sim_cfg)
+        p_minus = _prior_p(_predict(st8, params, 0.0, sim_cfg))
         assert np.allclose(p_minus, q, atol=1e-18)
 
 
 class TestMeasurementModel:
-    def test_jacobian_uses_local_slope(self, two_knot_curve):
+    def test_jacobian_uses_local_slope(self, params, two_knot_curve):
         st8 = _state(two_knot_curve, soc=0.3)
-        h = measurement_jacobian(st8, BatteryState(0.3, 0.0))
-        assert h == pytest.approx([0.5, -1.0], abs=1e-12)
+        assert _update(st8, 3.25, 0.0, params).slope == \
+            pytest.approx(0.5, abs=1e-12)
 
-    def test_jacobian_override(self, two_knot_curve):
-        st8 = _state(two_knot_curve, slope_override=0.07,
+    def test_jacobian_override(self, params, two_knot_curve):
+        st8 = _state(two_knot_curve, soc=0.35, slope_override=0.07,
                      anchor=BatteryState(0.3, 0.0))
-        h = measurement_jacobian(st8, BatteryState(0.35, 0.0))
-        assert h == pytest.approx([0.07, -1.0], abs=1e-12)
+        assert _update(st8, 3.25, 0.0, params).slope == \
+            pytest.approx(0.07, abs=1e-12)
 
     def test_predicted_voltage_plain(self, two_knot_curve):
         p = EcmParams(r0=0.1, rp=0.04, cp=1000.0)
-        st8 = _state(two_knot_curve)
-        v = predicted_voltage(st8, BatteryState(0.4, 0.05), 1.0, p)
-        assert v == pytest.approx(3.30 - 0.05 - 0.1, abs=1e-12)
+        st8 = _state(two_knot_curve, soc=0.4, up=0.05)
+        assert _predicted(st8, p, 1.0) == \
+            pytest.approx(3.30 - 0.05 - 0.1, abs=1e-12)
 
     def test_predicted_voltage_affine_about_anchor(self, two_knot_curve):
         p = EcmParams(r0=0.1, rp=0.04, cp=1000.0)
-        st8 = _state(two_knot_curve, slope_override=0.2,
+        st8 = _state(two_knot_curve, soc=0.35, up=0.01, slope_override=0.2,
                      anchor=BatteryState(0.3, 0.0))
-        v = predicted_voltage(st8, BatteryState(0.35, 0.01), 0.0, p)
         # anchor value 3.25 on the curve, plus 0.2 * 0.05, minus up
-        assert v == pytest.approx(3.25 + 0.2 * 0.05 - 0.01, abs=1e-12)
+        assert st8.anchor_ocv == pytest.approx(3.25, abs=1e-12)
+        assert _predicted(st8, p) == \
+            pytest.approx(3.25 + 0.2 * 0.05 - 0.01, abs=1e-12)
 
     def test_carried_anchor_value_takes_precedence(self, two_knot_curve):
         p = EcmParams(r0=0.1, rp=0.04, cp=1000.0)
-        st8 = _state(two_knot_curve, slope_override=0.2,
+        st8 = _state(two_knot_curve, soc=0.3, slope_override=0.2,
                      anchor=BatteryState(0.3, 0.0), anchor_ocv=3.27)
-        v = predicted_voltage(st8, BatteryState(0.3, 0.0), 0.0, p)
-        assert v == pytest.approx(3.27, abs=1e-12)
+        assert _predicted(st8, p) == pytest.approx(3.27, abs=1e-12)
+
+    def test_slope_read_at_the_clamped_prior(self, params, two_knot_curve):
+        # a prior outside the knot domain reads the curve at its nearest end
+        for soc, ocv in ((0.1, 3.20), (0.5, 3.30)):
+            out = _update(_state(two_knot_curve, soc=soc), 3.0, 0.0, params)
+            assert out.slope == pytest.approx(0.5, abs=1e-12)
+            assert 3.0 - out.innovation == pytest.approx(ocv, abs=1e-12)
 
 
 class TestUpdate:
     def test_huge_r_leaves_prior(self, params, base_curve):
         st8 = _state(base_curve, noise=NoiseConfig(q=np.zeros((2, 2)), r=1e12))
-        prior, prior_p = BatteryState(0.5, 0.0), np.diag([1e-4, 1e-4])
-        out = update(st8, prior, prior_p, 3.9, 0.0, params)
-        assert out.posterior.soc == pytest.approx(prior.soc, abs=1e-12)
-        assert out.posterior.up == pytest.approx(prior.up, abs=1e-12)
-        assert np.allclose(out.posterior_p, prior_p, atol=1e-12)
+        out = _update(st8, 3.9, 0.0, params)
+        assert out.soc == pytest.approx(0.5, abs=1e-12)
+        assert out.up == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(_posterior_p(out), st8.p, atol=1e-12)
 
     def test_zero_innovation_keeps_state(self, params, base_curve):
         st8 = _state(base_curve)
-        prior = BatteryState(0.5, 0.0)
-        measured = predicted_voltage(st8, prior, 0.5, params)
-        out = update(st8, prior, np.diag([1e-4, 1e-4]), measured, 0.5, params)
+        out = _update(st8, _predicted(st8, params, 0.5), 0.5, params)
         assert out.innovation == pytest.approx(0.0, abs=1e-15)
-        assert out.posterior.soc == prior.soc
-        assert out.posterior.up == prior.up
+        assert out.soc == 0.5
+        assert out.up == 0.0
 
     def test_scalar_hand_oracle(self, params, two_knot_curve):
         # diagonal prior, slope 0.5: every quantity has a closed form
         r = 1e-6
         p0, p1 = 4e-4, 1e-4
-        st8 = _state(two_knot_curve, noise=NoiseConfig(q=np.zeros((2, 2)), r=r))
-        prior = BatteryState(0.3, 0.0)
-        prior_p = np.diag([p0, p1])
+        st8 = _state(two_knot_curve, soc=0.3, p=np.diag([p0, p1]),
+                     noise=NoiseConfig(q=np.zeros((2, 2)), r=r))
         measured = 3.25 + 0.002 - 0.0  # +2 mV above the model
-        out = update(st8, prior, prior_p, measured, 0.0, params)
+        out = _update(st8, measured, 0.0, params)
         h = np.array([0.5, -1.0])
-        s = h @ prior_p @ h + r
-        k = prior_p @ h / s
+        s = h @ st8.p @ h + r
+        k = st8.p @ h / s
         assert out.innovation == pytest.approx(0.002, abs=1e-12)
         assert out.innovation_variance == pytest.approx(s, rel=1e-12)
-        assert out.gain == pytest.approx(k, rel=1e-12)
-        assert out.posterior.soc == pytest.approx(0.3 + k[0] * 0.002, rel=1e-12)
-        assert out.posterior.up == pytest.approx(k[1] * 0.002, rel=1e-12)
-        expect_p = (np.eye(2) - np.outer(k, h)) @ prior_p
-        assert np.allclose(out.posterior_p, 0.5 * (expect_p + expect_p.T),
+        assert (out.k_soc, out.k_up) == pytest.approx(k, rel=1e-12)
+        assert out.soc == pytest.approx(0.3 + k[0] * 0.002, rel=1e-12)
+        assert out.up == pytest.approx(k[1] * 0.002, rel=1e-12)
+        expect_p = (np.eye(2) - np.outer(k, h)) @ st8.p
+        assert np.allclose(_posterior_p(out), 0.5 * (expect_p + expect_p.T),
                            atol=1e-15)
 
     def test_soc_clamped_and_flagged(self, params):
         curve = OcvCurve(np.array([0.0, 1.0]), np.array([3.0, 3.4]))
-        st8 = _state(curve, noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-9))
-        out = update(st8, BatteryState(0.99, 0.0), np.diag([1.0, 1e-8]),
-                     5.0, 0.0, params)
-        assert out.posterior.soc == 1.0
+        st8 = _state(curve, soc=0.99, p=np.diag([1.0, 1e-8]),
+                     noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-9))
+        out = _update(st8, 5.0, 0.0, params)
+        assert out.soc == 1.0
         assert out.soc_clamped
 
     @given(p00=st.floats(1e-8, 1e-2), p11=st.floats(1e-8, 1e-2),
@@ -160,17 +228,80 @@ class TestUpdate:
             self, p00, p11, rho, innov):
         params = EcmParams(0.07, 0.04, 1000.0)
         curve = OcvCurve(np.array([0.0, 1.0]), np.array([3.0, 3.4]))
-        st8 = _state(curve, noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-6))
         cov = rho * math.sqrt(p00 * p11)
         prior_p = np.array([[p00, cov], [cov, p11]])
-        prior = BatteryState(0.5, 0.0)
-        measured = predicted_voltage(st8, prior, 0.0, params) + innov
-        out = update(st8, prior, prior_p, measured, 0.0, params)
-        post = out.posterior_p
+        st8 = _state(curve, p=prior_p,
+                     noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-6))
+        out = _update(st8, _predicted(st8, params) + innov, 0.0, params)
+        post = _posterior_p(out)
         assert np.allclose(post, post.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(post) > -1e-15)
         # the update never inflates uncertainty
         assert np.trace(post) <= np.trace(prior_p) + 1e-15
+
+    def test_non_positive_innovation_variance_names_the_step(self, params,
+                                                             base_curve):
+        st8 = _state(base_curve, p=-np.eye(2))
+        with pytest.raises(FilterDegeneracyError, match="step 7"):
+            kalman_step(st8, st8.start(), transition(params, SimConfig()),
+                        0.0, 3.3, 0.0, first=False, k=7)
+
+
+class TestStepAgainstMatrixForm:
+    """The closed-form step equals the matrix-form reference."""
+
+    @given(soc=st.floats(0.0, 1.0), up=st.floats(-0.05, 0.05),
+           p00=st.floats(1e-10, 1e-1), p11=st.floats(1e-10, 1e-2),
+           rho=st.floats(-0.9, 0.9), q00=st.floats(0.0, 1e-6),
+           q11=st.floats(0.0, 1e-6), r=st.floats(1e-8, 1e-2),
+           slope=st.one_of(st.none(), st.floats(1e-4, 60.0)),
+           u_prev=st.floats(-3.0, 3.0), u=st.floats(-3.0, 3.0),
+           innov=st.floats(-0.5, 0.5), first=st.booleans())
+    @example(soc=0.999, up=0.0, p00=1e-1, p11=1e-8, rho=0.0, q00=0.0, q11=0.0,
+             r=1e-8, slope=0.4, u_prev=0.0, u=0.0, innov=0.5, first=True)
+    @example(soc=0.001, up=0.0, p00=1e-1, p11=1e-8, rho=0.0, q00=0.0, q11=0.0,
+             r=1e-8, slope=0.4, u_prev=0.0, u=0.0, innov=-0.5, first=False)
+    @example(soc=0.0, up=0.0, p00=1e-4, p11=1e-4, rho=0.0, q00=1e-7, q11=1e-6,
+             r=1e-6, slope=None, u_prev=3.0, u=3.0, innov=0.0, first=False)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, soc, up, p00, p11, rho, q00, q11, r,
+                               slope, u_prev, u, innov, first):
+        params = EcmParams(0.07, 0.04, 1000.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
+        cov = rho * math.sqrt(p00 * p11)
+        q01 = 0.5 * math.sqrt(q00 * q11)
+        noise = NoiseConfig(q=np.array([[q00, q01], [q01, q11]]), r=r)
+        p = np.array([[p00, cov], [cov, p11]])
+        member = {} if slope is None else dict(
+            slope_override=slope, anchor=BatteryState(0.5, 0.0))
+        f = _state(default_lifepo4_curve(), soc=soc, up=up, p=p, noise=noise,
+                   **member)
+        y = 3.3 + innov
+        ref = _reference_step(f, params, cfg, u_prev, y, u, first)
+        out = kalman_step(f, f.start(), transition(params, cfg), u_prev, y, u,
+                          first)
+        p_scale = float(np.max(np.abs(ref["prior_p"])))
+        _close([out.prior_soc, out.prior_up], ref["prior"], 1.0)
+        _close(_prior_p(out), ref["prior_p"])
+        _close(out.slope, ref["slope"])
+        _close(out.innovation, ref["innovation"], 3.3)
+        _close(out.innovation_variance, ref["s_var"])
+        _close([out.k_soc, out.k_up], ref["gain"],
+               p_scale * (1.0 + ref["slope"]) / ref["s_var"])
+        assert out.soc_clamped == ref["clamped"]
+        _close(out.soc, min(1.0, max(0.0, ref["soc"])), 1.0)
+        _close(out.up, ref["up"], 1.0)
+        _close(_posterior_p(out), ref["posterior_p"], p_scale)
+
+    def test_clamp_flag_on_both_sides(self, params):
+        # the first two examples above: posteriors past 1 and below 0
+        for soc, measured, bound in ((0.999, 3.8, 1.0), (0.001, 2.8, 0.0)):
+            f = _state(default_lifepo4_curve(), soc=soc,
+                       p=np.diag([1e-1, 1e-8]),
+                       noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-8),
+                       slope_override=0.4, anchor=BatteryState(0.5, 0.0))
+            out = _update(f, measured, 0.0, params)
+            assert out.soc_clamped and out.soc == bound
 
 
 class TestRunEkf:
@@ -183,7 +314,7 @@ class TestRunEkf:
         init = _state(base_curve, soc=0.8, up=0.0, p=np.diag([1e-6, 1e-6]),
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=1e-6))
         outs = run_ekf(init, params, trace, cfg)
-        errs = np.array([o.posterior.soc for o in outs]) - trace.true_soc
+        errs = np.array([o.soc for o in outs]) - trace.true_soc
         assert np.max(np.abs(errs)) < 1e-6
 
     def test_initial_error_decays(self, params, base_curve):
@@ -195,7 +326,7 @@ class TestRunEkf:
         init = _state(base_curve, soc=0.7, up=0.0, p=np.diag([1e-2, 1e-4]),
                       noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
         outs = run_ekf(init, params, trace, cfg)
-        errs = np.abs(np.array([o.posterior.soc for o in outs]) - trace.true_soc)
+        errs = np.abs(np.array([o.soc for o in outs]) - trace.true_soc)
         assert np.max(errs[-300:]) < 0.01  # 20 pp initial error forgotten
 
     def test_voltage_offset_biases_soc_upward(self, params, base_curve):
@@ -212,7 +343,7 @@ class TestRunEkf:
         init = _state(base_curve, soc=0.9, up=0.0, p=np.diag([1e-4, 1e-4]),
                       noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
         outs = run_ekf(init, params, biased, cfg)
-        errs = np.array([o.posterior.soc for o in outs]) - trace.true_soc
+        errs = np.array([o.soc for o in outs]) - trace.true_soc
         assert np.mean(errs[500:]) > 0.02
 
     def test_per_step_parameter_sequence(self, params, base_curve):
@@ -227,7 +358,7 @@ class TestRunEkf:
         a = run_ekf(init, params, trace, cfg)
         b = run_ekf(init, seq, trace, cfg)
         for oa, ob in zip(a, b):
-            assert oa.posterior.soc == ob.posterior.soc
+            assert oa.soc == ob.soc
             assert oa.innovation == ob.innovation
 
     def test_near_optimal_innovations_are_white(self, params, base_curve):
@@ -258,9 +389,53 @@ class TestRunEkf:
 class TestStepFirstFlag:
     def test_first_step_skips_prediction(self, params, base_curve, sim_cfg):
         st8 = _state(base_curve, soc=0.5, up=0.03)
-        new, out = step(st8, params, prev_current=2.0,
-                        measured_ut=predicted_voltage(
-                            st8, st8.x, 0.0, params),
-                        current=0.0, cfg=sim_cfg, first=True)
-        assert out.prior.soc == 0.5 and out.prior.up == 0.03
+        out = kalman_step(st8, st8.start(), transition(params, sim_cfg),
+                          u_prev=2.0, y=_predicted(st8, params), u=0.0,
+                          first=True)
+        assert out.prior_soc == 0.5 and out.prior_up == 0.03
         assert out.innovation == pytest.approx(0.0, abs=1e-15)
+
+
+class TestDeepDischarge:
+    """A prior SOC past the ends of the curve's knot domain reads the curve
+    at the nearest end instead of raising CurveDomainError."""
+
+    @pytest.mark.parametrize("soc0", [0.3, 0.2])
+    def test_scenario_runs_to_cutoff(self, soc0):
+        res = run_scenario(ScenarioConfig(initial_soc_true=soc0))
+        assert res.trace.cutoff_index == len(res.trace) - 1
+        for soc in (res.soc_ekf, res.soc_ammkf):
+            assert soc.shape == res.trace.true_soc.shape
+            assert np.all((soc >= 0.0) & (soc <= 1.0))
+        assert np.max(np.abs(res.soc_ekf - res.trace.true_soc)[-50:]) < 0.01
+
+    def test_curve_spanning_part_of_the_soc_range(self, params, base_curve):
+        inner = (base_curve.knot_soc >= 0.01) & (base_curve.knot_soc <= 0.99)
+        partial = OcvCurve(base_curve.knot_soc[inner],
+                           base_curve.knot_ocv[inner])
+        assert (partial.soc_min, partial.soc_max) == (0.01, 0.99)
+        noise = NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6)
+        p0 = np.diag([1e-4, 1e-4])
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001)
+        # low end: the truth discharges to the cut-off below 1% SOC
+        prof = generate_profile("dst-like", 2000, seed=3, amp=1.0,
+                                target_discharge_ah=0.25)
+        trace = simulate_profile(BatteryState(0.2, 0.0), params, base_curve,
+                                 prof.samples, cfg)
+        assert trace.true_soc[-1] < 0.01
+        x0 = BatteryState(0.2, 0.0)
+        soc = np.array([o.soc
+                        for o in run_ekf(KfState(x0, p0, noise, partial),
+                                         params, trace, cfg)])
+        am = run_ammkf(trace, partial, params, x0, p0, noise, cfg,
+                       BankConfig(n=7, interval_len=20, spread=6.0))
+        for est in (soc, am.soc):
+            assert np.all(np.isfinite(est))
+            assert np.all((est >= 0.0) & (est <= 1.0))
+        # high end: a full battery starts above the last knot
+        short = simulate_profile(BatteryState(1.0, 0.0), params, base_curve,
+                                 prof.samples[:200], cfg)
+        outs = run_ekf(KfState(BatteryState(1.0, 0.0), p0, noise, partial),
+                       params, short, cfg)
+        assert len(outs) == len(short)
+        assert outs[0].slope == partial.slope(0.99)

@@ -39,6 +39,11 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
     return trace, run_ekf(init, params, trace, cfg)
 
 
+def _prior_p(o):
+    """A filter step's prior covariance as a 2x2 array."""
+    return np.array([[o.prior_p00, o.prior_p01], [o.prior_p01, o.prior_p11]])
+
+
 def _intervals(outs, length=20):
     """Whole intervals of the filter's innovations, with the last prior
     covariance of each and the measurement variance of `_filter_run`."""
@@ -47,14 +52,14 @@ def _intervals(outs, length=20):
         chunk = outs[k:k + length]
         ivs.append(IntervalInnovations(
             len(ivs), np.array([o.innovation for o in chunk]),
-            np.array([0.0, -1.0]), chunk[-1].prior_p, 0.003**2))
+            np.array([0.0, -1.0]), _prior_p(chunk[-1]), 0.003**2))
     return ivs
 
 
 def _pair_polarities(outs, length=20):
     """Polarity statistic at the end of each adjacent interval pair, from
     interval 10 on."""
-    polarity = curve_error_polarity([o.gain[0] for o in outs],
+    polarity = curve_error_polarity([o.k_soc for o in outs],
                                     [o.innovation for o in outs])
     return [polarity[(m + 2) * length - 1]
             for m in range(10, len(outs) // length - 1)]
@@ -193,7 +198,7 @@ class TestDetectConvergence:
             chunk = outs[k:k + 20]
             hist.append(IntervalInnovations(
                 len(hist), np.array([o.innovation for o in chunk]),
-                np.array([0.0, -1.0]), chunk[-1].prior_p, sigma**2))
+                np.array([0.0, -1.0]), _prior_p(chunk[-1]), sigma**2))
             if detect_convergence(hist, noise_std=sigma):
                 converged_at = len(hist)
                 break
@@ -249,8 +254,8 @@ class TestPipelineSignStatistics:
         dt_over_c = 1.0 / (1.063 * 3600.0)
         open_loop = 0.9 - dt_over_c * np.concatenate(
             ([0.0], np.cumsum(trace.current_a[:-1])))
-        posterior = np.array([o.posterior.soc for o in outs])
-        polarity = curve_error_polarity([o.gain[0] for o in outs],
+        posterior = np.array([o.soc for o in outs])
+        polarity = curve_error_polarity([o.k_soc for o in outs],
                                         [o.innovation for o in outs])
         assert np.allclose(polarity, open_loop - posterior, rtol=0,
                            atol=1e-12)

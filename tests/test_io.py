@@ -353,6 +353,26 @@ class TestCli:
         with open(os.path.join(out2, "identified_params.csv")) as fh:
             assert fh.readline().strip() == "t,r0_ohm,rp_ohm,cp_f,lambda"
 
+    def test_identify_ignores_ground_truth(self, tmp_path):
+        # the forgetting factor follows the coulomb-counted SOC, so the
+        # true-SOC columns of a simulated trace change nothing
+        cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
+        out = str(tmp_path / "sim")
+        assert cli_main(["--config", cfg, "--out", out, "simulate"]) == 0
+        full = ingest_trace(os.path.join(out, "trace.csv"))
+        assert full.true_soc is not None
+        bare = str(tmp_path / "bare.csv")
+        write_trace(Trace(full.t, full.current_a, full.voltage_v), bare)
+        results = []
+        for name, path in (("a", os.path.join(out, "trace.csv")),
+                           ("b", bare)):
+            out2 = str(tmp_path / name)
+            assert cli_main(["--config", cfg, "--out", out2, "identify",
+                             "--trace", path]) == 0
+            with open(os.path.join(out2, "identified_params.csv")) as fh:
+                results.append(fh.read())
+        assert results[0] == results[1]
+
     def test_analyze_trace(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
         out = str(tmp_path / "sim")
