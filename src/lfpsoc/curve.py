@@ -42,12 +42,17 @@ class OcvCurve:
             raise ValueError("knot soc must be strictly increasing")
         if soc[0] < 0.0 or soc[-1] > 1.0:
             raise ValueError("knot soc must lie within [0, 1]")
+        # knots a few ulp apart can make a segment slope overflow
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            seg = self.segment_slopes()
+        if not np.all(np.isfinite(seg)):
+            raise ValueError("knots too close: a segment slope is not finite")
         # Measured curves can wiggle slightly; only warn.
         if np.any(np.diff(ocv) < 0):
             warnings.warn("OCV curve has non-monotonic dips", stacklevel=2)
         object.__setattr__(self, "_soc", soc.tolist())
         object.__setattr__(self, "_ocv", ocv.tolist())
-        object.__setattr__(self, "_seg", self.segment_slopes().tolist())
+        object.__setattr__(self, "_seg", seg.tolist())
 
     @property
     def soc_min(self) -> float:

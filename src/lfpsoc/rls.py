@@ -4,16 +4,25 @@ an SOC-feedback adaptive forgetting factor.
 The regression works on first differences of terminal voltage and current:
 dUt(k) = th1*dUt(k-1) + th2*dIl(k) + th3*dIl(k-1), with
 th1 = exp(-dt/tau), th2 = -R0, th3 = th1*R0 - (1 - th1)*Rp.
+
+`rls_step` is one closed-form update on Python floats, the 3x3 algebra
+written out: q = P a, gain g = q / (lambda + a.q), theta += g (y - a.theta),
+P <- (P - (g q' + q g') / 2) / lambda. A state is the flat tuple
+(th1, th2, th3, p11, p12, p13, p22, p23, p33): theta, then the upper
+triangle of the symmetric P row by row. It is validated once, when
+`initial_state` builds it; a step checks only its sample and lambda.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ecm import EcmParams, Trace
+
+_finite = math.isfinite
 
 
 class NumericalDegeneracyError(RuntimeError):
@@ -22,34 +31,6 @@ class NumericalDegeneracyError(RuntimeError):
 
 class PhysicalityError(ValueError):
     """Extracted circuit parameters are outside the physical region."""
-
-
-@dataclass(frozen=True)
-class RegressorSample:
-    a_row: np.ndarray  # (dUt(k-1), dIl(k), dIl(k-1))
-    y: float           # dUt(k)
-
-    def __post_init__(self):
-        a = np.asarray(self.a_row, dtype=float)
-        object.__setattr__(self, "a_row", a)
-        if a.shape != (3,) or not np.all(np.isfinite(a)) or not math.isfinite(self.y):
-            raise ValueError("sample entries must be finite, a_row of length 3")
-
-
-@dataclass
-class RegressorState:
-    theta: np.ndarray
-    p: np.ndarray
-    a: float = 0.1  # forgetting-factor gain
-    degenerate_input: bool = False
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        if self.theta.shape != (3,) or self.p.shape != (3, 3):
-            raise ValueError("theta must be length 3, p 3x3")
-        if np.max(np.abs(self.p - self.p.T)) > 1e-9:
-            raise ValueError("p must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -67,16 +48,24 @@ class RlsConfig:
     plateau_hi: float = 0.8
 
 
-def initial_state(cfg: RlsConfig = RlsConfig()) -> RegressorState:
-    return RegressorState(np.array(cfg.theta0), cfg.p0_scale * np.eye(3), a=cfg.a)
+def initial_state(cfg: RlsConfig = RlsConfig()) -> tuple:
+    """theta0 and P0 = p0_scale * I. The one place a state is validated:
+    theta0 must be three finite numbers and p0_scale finite and >= 0, so P0
+    is symmetric positive semidefinite."""
+    theta = [float(v) for v in cfg.theta0]
+    scale = float(cfg.p0_scale)
+    if len(theta) != 3 or not all(map(_finite, theta)):
+        raise ValueError(f"theta0 must be 3 finite numbers, got {cfg.theta0}")
+    if not (_finite(scale) and scale >= 0):
+        raise ValueError(f"p0_scale must be finite and >= 0, got {scale}")
+    return (*theta, scale, 0.0, 0.0, scale, 0.0, scale)
 
 
-def build_sample(ut_k, ut_km1, ut_km2, il_k, il_km1, il_km2) -> RegressorSample:
-    """Assemble one difference-equation sample from three consecutive
-    uniformly spaced measurements."""
-    return RegressorSample(
-        a_row=np.array([ut_km1 - ut_km2, il_k - il_km1, il_km1 - il_km2]),
-        y=float(ut_k - ut_km1))
+def build_sample(ut_k, ut_km1, ut_km2, il_k, il_km1, il_km2) -> tuple:
+    """One difference-equation sample (a1, a2, a3, y) from three consecutive
+    uniformly spaced measurements: the regressor row (dUt(k-1), dIl(k),
+    dIl(k-1)) and the target dUt(k)."""
+    return (ut_km1 - ut_km2, il_k - il_km1, il_km1 - il_km2, ut_k - ut_km1)
 
 
 def forgetting_factor(soc_km1: float, soc_km2: float, a: float,
@@ -91,20 +80,30 @@ def forgetting_factor(soc_km1: float, soc_km2: float, a: float,
     return min(1.0, max(cfg.lambda_min, lam)), False
 
 
-def rls_step(state: RegressorState, sample: RegressorSample,
-             lam: float) -> RegressorState:
-    """One gain/covariance/parameter update with forgetting factor `lam`."""
+def rls_step(state: tuple, sample, lam: float) -> tuple:
+    """One gain/covariance/parameter update of `state` on `sample`
+    (a1, a2, a3, y) with forgetting factor `lam`. Raises ValueError for a
+    non-finite sample or lambda outside (0, 1], NumericalDegeneracyError
+    when the gain denominator is below 1e-15."""
+    a1, a2, a3, y = sample
+    if not (_finite(a1) and _finite(a2) and _finite(a3) and _finite(y)):
+        raise ValueError(f"sample entries must be finite, got {tuple(sample)}")
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
-    a_row = sample.a_row
-    denom = lam + float(a_row @ state.p @ a_row)
+    th1, th2, th3, p11, p12, p13, p22, p23, p33 = state
+    q1 = p11 * a1 + p12 * a2 + p13 * a3
+    q2 = p12 * a1 + p22 * a2 + p23 * a3
+    q3 = p13 * a1 + p23 * a2 + p33 * a3
+    denom = lam + (a1 * q1 + a2 * q2 + a3 * q3)
     if denom < 1e-15:
         raise NumericalDegeneracyError(f"gain denominator {denom} ~ 0")
-    gain = (state.p @ a_row) / denom
-    theta = state.theta + gain * (sample.y - float(a_row @ state.theta))
-    p = (np.eye(3) - np.outer(gain, a_row)) @ state.p / lam
-    p = 0.5 * (p + p.T)
-    return RegressorState(theta, p, a=state.a)
+    g1, g2, g3 = q1 / denom, q2 / denom, q3 / denom
+    e = y - (a1 * th1 + a2 * th2 + a3 * th3)
+    return (
+        th1 + g1 * e, th2 + g2 * e, th3 + g3 * e,
+        (p11 - g1 * q1) / lam, (p12 - 0.5 * (g1 * q2 + q1 * g2)) / lam,
+        (p13 - 0.5 * (g1 * q3 + q1 * g3)) / lam, (p22 - g2 * q2) / lam,
+        (p23 - 0.5 * (g2 * q3 + q2 * g3)) / lam, (p33 - g3 * q3) / lam)
 
 
 def circuit_to_theta(params: EcmParams, dt: float) -> np.ndarray:
@@ -116,8 +115,9 @@ def circuit_to_theta(params: EcmParams, dt: float) -> np.ndarray:
 
 
 def theta_to_circuit(theta, dt: float) -> EcmParams:
-    """Inverse map; raises unless 0 < th1 < 1 and the result is physical."""
-    th1, th2, th3 = (float(v) for v in np.asarray(theta, dtype=float))
+    """Inverse map of the three coefficients `theta`; raises unless
+    0 < th1 < 1 and the result is physical."""
+    th1, th2, th3 = map(float, theta)
     if not 0.0 < th1 < 1.0:
         raise PhysicalityError(f"theta1 {th1} outside (0, 1): no valid time constant")
     num = th1 * th2 + th3
@@ -152,29 +152,27 @@ def identify_stream(trace: Trace, soc_feedback=None,
     out: list[IdentifiedPoint] = []
     last_params: EcmParams | None = None
     accepted = 0
-    ut, il, t = trace.voltage_v, trace.current_a, trace.t
+    ut, il, t = (trace.voltage_v.tolist(), trace.current_a.tolist(),
+                 trace.t.tolist())
+    fb = None if soc_feedback is None else \
+        np.asarray(soc_feedback, dtype=float).tolist()
+    plateau_only = cfg.plateau_only_identification and fb is not None
     for k in range(2, len(trace)):
-        if (cfg.plateau_only_identification and soc_feedback is not None
-                and not cfg.plateau_lo <= soc_feedback[k - 1] <= cfg.plateau_hi):
-            out.append(IdentifiedPoint(float(t[k]), last_params, 1.0, False))
+        if plateau_only and not cfg.plateau_lo <= fb[k - 1] <= cfg.plateau_hi:
+            out.append(IdentifiedPoint(t[k], last_params, 1.0, False))
             continue
-        sample = build_sample(ut[k], ut[k - 1], ut[k - 2],
-                              il[k], il[k - 1], il[k - 2])
-        if soc_feedback is not None and k >= 2:
-            lam, lam_degen = forgetting_factor(soc_feedback[k - 1],
-                                               soc_feedback[k - 2], cfg.a, cfg)
-        else:
-            lam, lam_degen = 1.0, False
-        degenerate = lam_degen
+        lam, degenerate = (1.0, False) if fb is None else forgetting_factor(
+            fb[k - 1], fb[k - 2], cfg.a, cfg)
         try:
-            state = rls_step(state, sample, lam)
+            state = rls_step(state, build_sample(
+                ut[k], ut[k - 1], ut[k - 2], il[k], il[k - 1], il[k - 2]), lam)
             accepted += 1
         except NumericalDegeneracyError:
             degenerate = True
         if accepted >= cfg.warmup:
             try:
-                last_params = theta_to_circuit(state.theta, trace.dt)
+                last_params = theta_to_circuit(state[:3], trace.dt)
             except PhysicalityError:
                 pass  # hold the previous physical estimate
-        out.append(IdentifiedPoint(float(t[k]), last_params, lam, degenerate))
+        out.append(IdentifiedPoint(t[k], last_params, lam, degenerate))
     return out

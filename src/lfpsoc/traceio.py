@@ -33,9 +33,10 @@ def write_trace(trace: Trace, path) -> None:
 
 def ingest_trace(path, strict: bool = False, resample_dt: float | None = None) -> Trace:
     """Load a trace CSV. Non-uniform timestamps are zero-order-hold resampled
-    to a uniform grid with a warning, or rejected under strict mode. The true
-    columns are optional."""
-    rows = []
+    to a uniform grid with a warning, or rejected under strict mode. A
+    non-finite t, current or voltage is rejected, naming its line; the true
+    columns are optional and may be empty or NaN."""
+    rows, linenos = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -62,9 +63,15 @@ def ingest_trace(path, strict: bool = False, resample_dt: float | None = None) -
             except (ValueError, IndexError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: malformed row {row}") from exc
             rows.append(vals)
+            linenos.append(lineno)
     if len(rows) < 2:
         raise TraceFormatError(f"{path}: need at least 2 samples")
     data = np.array(rows)
+    finite = np.isfinite(data[:, :3]).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise TraceFormatError(f"{path}:{linenos[i]}: non-finite t, current_a "
+                               f"or voltage_v {data[i, :3].tolist()}")
     t, cur, volt = data[:, 0], data[:, 1], data[:, 2]
     soc = data[:, 3] if not np.all(np.isnan(data[:, 3])) else None
     up = data[:, 4] if soc is not None else None

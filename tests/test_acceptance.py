@@ -17,7 +17,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     run_ammkf, run_ekf, run_scenario, run_sweep,
                     simulate_profile, theta_to_circuit)
 from lfpsoc.ecm import SimConfig
-from lfpsoc.rls import RegressorSample, RlsConfig, identify_stream, initial_state, rls_step
+from lfpsoc.rls import RlsConfig, identify_stream, initial_state, rls_step
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -166,12 +166,12 @@ class TestAcceptance:
         state = initial_state(RlsConfig(p0_scale=1e6, theta0=(0.0, 0.0, 0.0)))
         batch_ok = True
         for n in range(60):
-            state = rls_step(state, RegressorSample(a_rows[n], ys[n]), 1.0)
+            state = rls_step(state, (*a_rows[n], ys[n]), 1.0)
             if n >= 10:
                 batch, *_ = np.linalg.lstsq(a_rows[:n + 1], ys[:n + 1],
                                             rcond=None)
                 batch_ok = batch_ok and bool(
-                    np.all(np.abs(state.theta - batch)
+                    np.all(np.abs(np.array(state[:3]) - batch)
                            <= 1e-6 * np.maximum(np.abs(batch), 1e-8)))
         ok = rec_ok and batch_ok
         detail = "no physical estimate" if final is None else (

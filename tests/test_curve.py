@@ -11,14 +11,26 @@ from lfpsoc import (CurveTransform, OcvCurve, apply_transform, curve_error,
 from lfpsoc.curve import CurveDomainError, InvalidTransformError
 
 
+def _curve_or_none(soc, ocv):
+    """The curve, or None when its knots are so close that a segment slope
+    overflows."""
+    try:
+        return OcvCurve(soc, ocv)
+    except ValueError as exc:
+        if "segment slope" not in str(exc):
+            raise
+        return None
+
+
 def knot_curves():
     """Random valid monotone curves as a hypothesis strategy."""
     return st.integers(3, 12).flatmap(lambda n: st.tuples(
         st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n, unique=True),
         st.lists(st.floats(0.0, 0.2), min_size=n - 1, max_size=n - 1),
-    )).map(lambda t: OcvCurve(
+    )).map(lambda t: _curve_or_none(
         np.sort(np.array(t[0])),
-        2.5 + np.concatenate(([0.0], np.cumsum(np.array(t[1]))))))
+        2.5 + np.concatenate(([0.0], np.cumsum(np.array(t[1])))))
+    ).filter(lambda c: c is not None)
 
 
 class TestOcv:
@@ -51,6 +63,16 @@ class TestOcv:
             OcvCurve(np.array([0.2, 1.2]), np.array([3.0, 3.1]))
         with pytest.warns(UserWarning):
             OcvCurve(np.array([0.0, 0.5, 1.0]), np.array([3.0, 2.99, 3.2]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("soc, ocv", [
+        ([0.0, 5e-324], [3.0, 3.1]),         # subnormal gap: slope overflows
+        ([0.0, 1e-310, 1.0], [3.0, 3.1, 3.2]),
+        ([0.0, 0.5], [-1.5e308, 1.5e308]),   # ocv difference overflows
+    ])
+    def test_rejects_non_finite_segment_slope(self, soc, ocv):
+        with pytest.raises(ValueError, match="segment slope"):
+            OcvCurve(np.array(soc), np.array(ocv))
 
 
 class TestSlope:

@@ -142,6 +142,22 @@ class TestTraceIo:
         with pytest.raises(TraceFormatError, match="3"):
             ingest_trace(p)
 
+    @pytest.mark.parametrize("row", ["2,1.0,nan", "2,inf,3.28",
+                                     "nan,1.0,3.28", "2,1.0,-Infinity"])
+    def test_non_finite_sample_reports_line(self, tmp_path, row):
+        p = tmp_path / "trace.csv"
+        p.write_text(f"t,current_a,voltage_v\n0,1.0,3.3\n1,1.0,3.29\n{row}\n"
+                     "3,1.0,3.27\n")
+        with pytest.raises(TraceFormatError, match=r"csv:4: non-finite"):
+            ingest_trace(p)
+
+    def test_nan_truth_columns_allowed(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        p.write_text("t,current_a,voltage_v,true_soc,true_up_v\n"
+                     "0,1.0,3.3,nan,nan\n1,1.0,3.29,,\n2,1.0,3.28,0.5,0.0\n")
+        back = ingest_trace(p)
+        assert len(back) == 3 and back.true_soc[2] == 0.5
+
     def test_non_monotone_time_rejected(self, tmp_path):
         p = tmp_path / "trace.csv"
         p.write_text("t,current_a,voltage_v\n0,1,3.3\n2,1,3.29\n1,1,3.28\n")
@@ -400,6 +416,26 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m", "ccm", "acm_emp", "acm_theo", "verdict"]
         assert len(rows) - 1 == 3
+
+    @pytest.mark.parametrize("command", [["identify"],
+                                         ["estimate", "--method", "ekf"],
+                                         ["analyze"]])
+    def test_non_finite_trace_sample_exits_2(self, tmp_path, capsys, command):
+        cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
+        out = str(tmp_path / "sim")
+        assert cli_main(["--config", cfg, "--out", out, "simulate"]) == 0
+        path = os.path.join(out, "trace.csv")
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[300].split(",")
+        cells[2] = "nan"  # voltage_v of the sample on line 301
+        lines[300] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["--config", cfg, "--out", str(tmp_path / "o"),
+                         command[0], "--trace", path, *command[1:]]) == 2
+        assert "trace.csv:301: non-finite" in capsys.readouterr().err
 
     def test_scenario_exit_codes(self, tmp_path):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",

@@ -3,26 +3,36 @@ parameter extraction, and end-to-end identification."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lfpsoc import (BatteryState, EcmParams, OcvCurve, RlsConfig, SimConfig,
-                    build_sample, circuit_to_theta, forgetting_factor,
+                    Trace, build_sample, circuit_to_theta, forgetting_factor,
                     generate_profile, identify_stream, rls_step,
                     simulate_profile, theta_to_circuit)
 from lfpsoc.rls import (NumericalDegeneracyError, PhysicalityError,
-                        RegressorSample, initial_state)
+                        initial_state)
+
+
+def _theta(state):
+    return np.array(state[:3])
+
+
+def _p(state):
+    """The symmetric 3x3 covariance from the state's upper triangle."""
+    _, _, _, p11, p12, p13, p22, p23, p33 = state
+    return np.array([[p11, p12, p13], [p12, p22, p23], [p13, p23, p33]])
 
 
 class TestBuildSample:
     def test_constants_give_zero(self):
         s = build_sample(3.3, 3.3, 3.3, 1.0, 1.0, 1.0)
-        assert np.array_equal(s.a_row, np.zeros(3))
-        assert s.y == 0.0
+        assert np.array_equal(s[:3], np.zeros(3))
+        assert s[3] == 0.0
 
     def test_arithmetic_example(self):
         s = build_sample(3.30, 3.29, 3.28, 0.0, 1.0, 1.0)
-        assert s.y == pytest.approx(3.30 - 3.29, abs=1e-12)
-        assert s.a_row == pytest.approx([3.29 - 3.28, 0.0 - 1.0, 1.0 - 1.0])
+        assert s[3] == pytest.approx(3.30 - 3.29, abs=1e-12)
+        assert s[:3] == pytest.approx([3.29 - 3.28, 0.0 - 1.0, 1.0 - 1.0])
 
     def test_noise_free_flat_region_satisfies_difference_model(self):
         # oracle: the simulator on a flat curve segment; differences must
@@ -39,11 +49,12 @@ class TestBuildSample:
             s = build_sample(trace.voltage_v[k], trace.voltage_v[k - 1],
                              trace.voltage_v[k - 2], trace.current_a[k],
                              trace.current_a[k - 1], trace.current_a[k - 2])
-            assert s.y - float(s.a_row @ theta) == pytest.approx(0.0, abs=1e-9)
+            assert s[3] - float(np.array(s[:3]) @ theta) == \
+                pytest.approx(0.0, abs=1e-9)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            RegressorSample(np.array([np.nan, 0.0, 0.0]), 0.0)
+            rls_step(initial_state(), (np.nan, 0.0, 0.0, 0.0), 1.0)
 
 
 class TestForgettingFactor:
@@ -75,15 +86,15 @@ class TestRlsStep:
     def test_zero_residual_keeps_theta(self):
         state = initial_state()
         a_row = np.array([0.5, -0.3, 0.1])
-        sample = RegressorSample(a_row, float(a_row @ state.theta))
+        sample = (*a_row, float(a_row @ _theta(state)))
         out = rls_step(state, sample, 1.0)
-        assert out.theta == pytest.approx(state.theta, abs=1e-12)
+        assert _theta(out) == pytest.approx(_theta(state), abs=1e-12)
 
     def test_zero_covariance_ignores_data(self):
-        state = initial_state()
-        state.p = np.zeros((3, 3))
-        out = rls_step(state, RegressorSample(np.array([1.0, 2.0, 3.0]), 5.0), 1.0)
-        assert np.array_equal(out.theta, state.theta)
+        state = initial_state(RlsConfig(p0_scale=0.0))
+        assert np.array_equal(_p(state), np.zeros((3, 3)))
+        out = rls_step(state, (1.0, 2.0, 3.0, 5.0), 1.0)
+        assert np.array_equal(_theta(out), _theta(state))
 
     def test_matches_batch_least_squares(self):
         # classical equivalence: lambda = 1 and large P0 reproduce the
@@ -94,25 +105,25 @@ class TestRlsStep:
         ys = a_rows @ theta_true + 0.01 * rng.normal(size=80)
         state = initial_state(RlsConfig(p0_scale=1e6, theta0=(0.0, 0.0, 0.0)))
         for n in range(80):
-            state = rls_step(state, RegressorSample(a_rows[n], ys[n]), 1.0)
+            state = rls_step(state, (*a_rows[n], ys[n]), 1.0)
             if n >= 10:
                 batch, *_ = np.linalg.lstsq(a_rows[:n + 1], ys[:n + 1],
                                             rcond=None)
-                assert state.theta == pytest.approx(batch, rel=1e-6, abs=1e-8)
+                assert _theta(state) == pytest.approx(batch, rel=1e-6, abs=1e-8)
 
     def test_covariance_stays_symmetric_pd(self):
         rng = np.random.default_rng(11)
         state = initial_state()
         for _ in range(300):
-            sample = RegressorSample(rng.normal(size=3), rng.normal())
+            sample = (*rng.normal(size=3), rng.normal())
             state = rls_step(state, sample, 0.98)
-            assert np.max(np.abs(state.p - state.p.T)) < 1e-9
-            assert np.all(np.linalg.eigvalsh(state.p) > 0)
+            assert np.max(np.abs(_p(state) - _p(state).T)) < 1e-9
+            assert np.all(np.linalg.eigvalsh(_p(state)) > 0)
 
     def test_invalid_lambda_rejected(self):
         state = initial_state()
         with pytest.raises(ValueError):
-            rls_step(state, RegressorSample(np.ones(3), 1.0), 0.0)
+            rls_step(state, (1.0, 1.0, 1.0, 1.0), 0.0)
 
 
 class TestThetaCircuitMaps:
@@ -184,7 +195,7 @@ class TestIdentifyStream:
                              trace.voltage_v[k - 2], trace.current_a[k],
                              trace.current_a[k - 1], trace.current_a[k - 2])
             state = rls_step(state, s, 1.0)
-            traces_p.append(np.trace(state.p))
+            traces_p.append(np.trace(_p(state)))
         # constant current: once the relaxation transient has died out the
         # differences vanish and the covariance essentially stops shrinking
         late = traces_p[-100] - traces_p[-1]
@@ -219,7 +230,7 @@ class TestIdentifyStream:
                                  joined.voltage_v[k - 2], joined.current_a[k],
                                  joined.current_a[k - 1], joined.current_a[k - 2])
                 state = rls_step(state, s, lam_const)
-                if k > 2100 and abs(-state.theta[1] - p2.r0) < 0.5 * (p2.r0 - p1.r0):
+                if k > 2100 and abs(-state[1] - p2.r0) < 0.5 * (p2.r0 - p1.r0):
                     return k
             return len(joined)
 
@@ -241,3 +252,198 @@ class TestIdentifyStream:
                                  np.zeros(300), cfg)
         points = identify_stream(trace)
         assert len(points) == len(trace) - 2
+
+
+def _matrix_step(theta, p, sample, lam):
+    """The numpy matrix-form step the closed form replaced, with the sample
+    check its RegressorSample made. Returns (theta, p, gain)."""
+    a_row, y = np.array(sample[:3], dtype=float), float(sample[3])
+    if not np.all(np.isfinite(a_row)) or not np.isfinite(y):
+        raise ValueError("sample entries must be finite")
+    if not 0 < lam <= 1:
+        raise ValueError(f"lambda must be in (0, 1], got {lam}")
+    denom = lam + float(a_row @ p @ a_row)
+    if denom < 1e-15:
+        raise NumericalDegeneracyError(f"gain denominator {denom} ~ 0")
+    gain = (p @ a_row) / denom
+    theta = theta + gain * (y - float(a_row @ theta))
+    p = (np.eye(3) - np.outer(gain, a_row)) @ p / lam
+    return theta, 0.5 * (p + p.T), gain
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, NumericalDegeneracyError) as exc:
+        return type(exc)
+
+
+def _state_of(theta, p):
+    return (*theta, p[0, 0], p[0, 1], p[0, 2], p[1, 1], p[1, 2], p[2, 2])
+
+
+_entries = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-6, 1e-6))
+
+
+class TestStepAgainstMatrixForm:
+    """The closed-form step equals the matrix-form reference, errors
+    included."""
+
+    @given(theta=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+           b=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           log_scale=st.floats(-18.0, 4.0),
+           a_row=st.lists(_entries, min_size=3, max_size=3), y=_entries,
+           lam=st.one_of(st.just(1.0), st.floats(0.5, 1.0),
+                         st.floats(1e-16, 1e-13)))
+    @example(theta=[0.99, -0.05, 0.04], b=[0.0] * 9, log_scale=-30.0,
+             a_row=[0.01, 0.5, -0.2], y=0.01, lam=2e-15)  # denom just above
+    @example(theta=[0.99, -0.05, 0.04], b=[0.0] * 9, log_scale=-30.0,
+             a_row=[0.01, 0.5, -0.2], y=0.01, lam=5e-16)  # and just below
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, theta, b, log_scale, a_row, y, lam):
+        # P = s (B B' + I): symmetric, eigenvalues in [s, 10 s]
+        bm = np.array(b).reshape(3, 3)
+        p = 10.0 ** log_scale * (bm @ bm.T + np.eye(3))
+        theta = np.array(theta)
+        sample = (*a_row, y)
+        ref = _outcome(_matrix_step, theta, p, sample, lam)
+        out = _outcome(rls_step, _state_of(theta, p), sample, lam)
+        if isinstance(ref, type) or isinstance(out, type):
+            assert out == ref
+            return
+        ref_theta, ref_p, gain = ref
+        a = np.abs(np.array(a_row))
+        g = float(np.max(np.abs(gain)))
+        theta_scale = np.max(np.abs(theta)) + g * (abs(y) + a @ np.abs(theta))
+        p_scale = (np.max(np.abs(p)) + g * np.max(a @ np.abs(p))) / lam
+        assert np.all(np.abs(_theta(out) - ref_theta) <= 1e-12 * theta_scale)
+        assert np.all(np.abs(_p(out) - ref_p) <= 1e-12 * p_scale)
+
+    @pytest.mark.parametrize("sample, lam, error", [
+        ((np.nan, 0.0, 0.0, 0.0), 1.0, ValueError),
+        ((0.0, np.inf, 0.0, 0.0), 1.0, ValueError),
+        ((0.0, 0.0, 0.0, -np.inf), 0.99, ValueError),
+        ((0.1, 0.2, 0.3, 0.4), 0.0, ValueError),
+        ((0.1, 0.2, 0.3, 0.4), -0.5, ValueError),
+        ((0.1, 0.2, 0.3, 0.4), 1.5, ValueError),
+        ((0.1, 0.2, 0.3, 0.4), np.nan, ValueError),
+        ((0.1, 0.2, 0.3, 0.4), 5e-16, NumericalDegeneracyError),
+    ])
+    def test_errors_match_reference(self, sample, lam, error):
+        state = initial_state(RlsConfig(p0_scale=0.0))
+        theta, p = _theta(state), _p(state)
+        assert _outcome(_matrix_step, theta, p, sample, lam) is error
+        assert _outcome(rls_step, state, sample, lam) is error
+
+    @pytest.mark.parametrize("theta", [(1.2, -0.1, 0.05), (0.0, -0.1, 0.05),
+                                       (0.5, -0.1, 0.05), (0.9, 0.1, 0.05)])
+    def test_unphysical_theta_raises_for_floats_and_arrays(self, theta):
+        # th1 outside (0, 1), th1*th2 + th3 == 0, r0 < 0
+        for form in (theta, list(theta), np.array(theta)):
+            with pytest.raises(PhysicalityError):
+                theta_to_circuit(form, dt=1.0)
+
+    def test_circuit_fields_are_floats_for_any_sequence(self):
+        theta = circuit_to_theta(EcmParams(r0=0.07, rp=0.04, cp=1000.0), 1.0)
+        for form in (theta, tuple(theta.tolist())):
+            p = theta_to_circuit(form, dt=1.0)
+            assert all(type(v) is float for v in (p.r0, p.rp, p.cp))
+        assert theta_to_circuit(theta, 1.0) == \
+            theta_to_circuit(tuple(theta.tolist()), 1.0)
+
+
+def _matrix_stream(trace, soc_feedback, cfg):
+    """identify_stream's loop on the matrix-form step and numpy arrays."""
+    theta, p = np.array(cfg.theta0, dtype=float), cfg.p0_scale * np.eye(3)
+    out, last, accepted = [], None, 0
+    ut, il = trace.voltage_v, trace.current_a
+    for k in range(2, len(trace)):
+        if (cfg.plateau_only_identification and soc_feedback is not None and
+                not cfg.plateau_lo <= soc_feedback[k - 1] <= cfg.plateau_hi):
+            out.append((last, 1.0, False))
+            continue
+        if soc_feedback is None:
+            lam, degenerate = 1.0, False
+        else:
+            lam, degenerate = forgetting_factor(
+                soc_feedback[k - 1], soc_feedback[k - 2], cfg.a, cfg)
+        sample = (ut[k - 1] - ut[k - 2], il[k] - il[k - 1],
+                  il[k - 1] - il[k - 2], ut[k] - ut[k - 1])
+        try:
+            theta, p, _ = _matrix_step(theta, p, sample, lam)
+            accepted += 1
+        except NumericalDegeneracyError:
+            degenerate = True
+        if accepted >= cfg.warmup:
+            try:
+                last = theta_to_circuit(theta, trace.dt)
+            except PhysicalityError:
+                pass
+        out.append((last, lam, degenerate))
+    return out
+
+
+class TestStreamAgainstMatrixForm:
+    @pytest.fixture(scope="class")
+    def low_soc_trace(self):
+        """3000 noisy samples discharging from 0.35 to empty: plateau, the
+        steep low tail and a coulomb-counted SOC that reaches zero."""
+        from lfpsoc import ScenarioConfig, default_lifepo4_curve
+        from lfpsoc.scenario import coulomb_counted_soc
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001,
+                        rng_seed=4, cutoff_low_v=0.0)
+        prof = generate_profile("dst-like", 3000, seed=8, amp=1.0,
+                                target_discharge_ah=0.42)
+        trace = simulate_profile(BatteryState(0.35, 0.0),
+                                 EcmParams(r0=0.07, rp=0.04, cp=1000.0),
+                                 default_lifepo4_curve(), prof.samples, cfg)
+        feedback = coulomb_counted_soc(
+            ScenarioConfig(initial_soc_true=0.35, initial_soc_error=0.05),
+            trace)
+        return trace, feedback
+
+    @pytest.mark.parametrize("feedback, cfg", [
+        (True, RlsConfig()),
+        (True, RlsConfig(plateau_only_identification=True)),
+        (False, RlsConfig(warmup=10)),
+    ])
+    def test_points_match_reference(self, low_soc_trace, feedback, cfg):
+        trace, soc = low_soc_trace
+        soc = soc if feedback else None
+        points = identify_stream(trace, soc_feedback=soc, cfg=cfg)
+        ref = _matrix_stream(trace, soc, cfg)
+        assert len(points) == len(ref) == len(trace) - 2
+        assert [p.params is None for p in points] == \
+            [r[0] is None for r in ref]
+        assert [p.lam for p in points] == [r[1] for r in ref]
+        assert [p.degenerate for p in points] == [r[2] for r in ref]
+        identified = [(p.params, r[0]) for p, r in zip(points, ref)
+                      if r[0] is not None]
+        assert identified  # the comparison below is not vacuous
+        for got, want in identified:
+            for name in ("r0", "rp", "cp"):
+                assert getattr(got, name) == pytest.approx(
+                    getattr(want, name), rel=1e-9, abs=0)
+        if feedback and not cfg.plateau_only_identification:
+            assert any(p.degenerate for p in points)  # SOC reaches eps_soc
+
+    def test_degenerate_gain_rows_flagged(self, params, base_curve):
+        # zero current on a rested cell makes every regressor row zero, and a
+        # forgetting factor clamped to 1e-16 leaves the gain denominator
+        # below 1e-15: each step is skipped and flagged
+        trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
+                                 np.zeros(50), SimConfig(cutoff_low_v=0.0))
+        cfg = RlsConfig(a=10.0, lambda_min=1e-16)
+        soc = np.full(len(trace), 0.9)
+        points = identify_stream(trace, soc_feedback=soc, cfg=cfg)
+        ref = _matrix_stream(trace, soc, cfg)
+        assert [(p.params, p.lam, p.degenerate) for p in points] == ref
+        assert all(p.degenerate for p in points)
+
+    def test_nan_voltage_in_memory_trace_raises(self, low_soc_trace):
+        trace, soc = low_soc_trace
+        volts = trace.voltage_v.copy()
+        volts[1500] = np.nan
+        bad = Trace(trace.t, trace.current_a, volts, dt=trace.dt)
+        with pytest.raises(ValueError):
+            identify_stream(bad, soc_feedback=soc)
