@@ -13,15 +13,16 @@ import numpy as np
 from . import innovation
 from .ecm import BatteryState, simulate_profile
 from .ekf import KfState, run_ekf
-from .innovation import IntervalInnovations
+from .innovation import CcmThresholds, IntervalInnovations
 from .metrics import compute_metrics
-from .multimodel import run_ammkf
+from .multimodel import interval_innovations, run_ammkf
 from .profiles import generate_profile
 from .rls import RlsConfig, identify_stream
 from .scenario import (ScenarioConfig, ScenarioConfigError,
-                       coulomb_counted_soc, resolve_curves, run_scenario,
-                       run_sweep, scenario_from_mapping, write_corrected_csv,
-                       write_diagnostics_csv, write_manifest, write_soc_csv)
+                       coulomb_counted_soc, estimator_inputs, resolve_curves,
+                       run_scenario, run_sweep, scenario_from_mapping,
+                       write_corrected_csv, write_diagnostics_csv,
+                       write_manifest, write_soc_csv)
 from .traceio import ingest_trace, read_config, write_trace
 
 
@@ -91,8 +92,7 @@ def cmd_estimate(args) -> int:
     trace = ingest_trace(args.trace, strict=args.strict)
     _, filter_curve = resolve_curves(cfg)
     x0, p0 = cfg.estimator_start()
-    sim = cfg.sim_config()
-    params = cfg.ecm_params()
+    params, sim = estimator_inputs(cfg, trace)
     if args.method == "ekf":
         outs = run_ekf(KfState(x0, p0, cfg.filter_noise(), filter_curve),
                        params, trace, sim)
@@ -129,40 +129,20 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _analyze_innovation_log(args, cfg: ScenarioConfig, out: str) -> int:
-    """Interval statistics from a pre-recorded innovation log
-    (`interval,step,innovation_v`). Without covariance information the
-    theoretical auto-correlation is approximated by the configured
-    measurement variance."""
+def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
+    """Intervals of an innovation log (`interval,step,innovation_v`). It
+    carries no covariance, so each interval gets H = [0, -1] and P- = 0:
+    its theoretical auto-correlation is the measurement variance `r`."""
     groups: dict[int, list[float]] = {}
-    with open(args.trace, newline="") as fh:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
             if row:
                 groups.setdefault(int(row[0]), []).append(float(row[2]))
-    path = os.path.join(out, "analysis.csv")
-    h = np.array([0.0, -1.0])
-    p_zero = np.zeros((2, 2))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "ccm", "acm_emp", "acm_theo", "verdict"])
-        prev = None
-        for m in sorted(groups):
-            iv = IntervalInnovations(m, np.array(groups[m]), h, p_zero, cfg.r)
-            acm_emp = innovation.empirical_acm(iv)
-            acm_theo = cfg.r
-            if prev is not None and len(prev.values) == len(iv.values):
-                ccm = innovation.interval_ccm(prev, iv)
-                verdict = innovation.infer_error_sign(
-                    ccm, acm_emp / acm_theo, acm_emp=acm_emp).sign
-            else:
-                ccm, verdict = 0.0, "indeterminate"
-            w.writerow([m, f"{ccm:.9e}", f"{acm_emp:.9e}",
-                        f"{acm_theo:.9e}", verdict])
-            prev = iv
-    print(f"{len(groups)} intervals -> {path}")
-    return 0
+    h, p_zero = np.array([0.0, -1.0]), np.zeros((2, 2))
+    return [IntervalInnovations(m, np.array(groups[m]), h, p_zero, r)
+            for m in sorted(groups)]
 
 
 def cmd_analyze(args) -> int:
@@ -174,48 +154,38 @@ def cmd_analyze(args) -> int:
     with open(args.trace, newline="") as fh:
         header = fh.readline().strip()
     if header.startswith("interval,step,innovation_v"):
-        return _analyze_innovation_log(args, cfg, out)
-    trace = ingest_trace(args.trace, strict=args.strict)
-    _, filter_curve = resolve_curves(cfg)
-    outs = run_ekf(KfState(*cfg.estimator_start(), cfg.filter_noise(),
-                           filter_curve), cfg.ecm_params(), trace,
-                   cfg.sim_config())
-    innov = np.array([o.innovation for o in outs])
-    L = cfg.interval_len
-    n_int = len(innov) // L
+        label, note = "m", ""
+        intervals = _logged_intervals(args.trace, cfg.r)
+    else:
+        trace = ingest_trace(args.trace, strict=args.strict)
+        _, filter_curve = resolve_curves(cfg)
+        params, sim = estimator_inputs(cfg, trace)
+        outs = run_ekf(KfState(*cfg.estimator_start(), cfg.filter_noise(),
+                               filter_curve), params, trace, sim)
+        L = cfg.interval_len
+        label = "interval"
+        intervals = [interval_innovations(m, outs[m * L:(m + 1) * L], cfg.r)
+                     for m in range(len(outs) // L)]
+        v = np.array([o.innovation for o in outs[len(outs) // 2:]])
+        v = v - v.mean()
+        denom = float(np.sum(v * v))
+        band = 2.0 / np.sqrt(len(v))
+        inside = sum(abs(float(np.sum(v[:-k] * v[k:])) / denom) <= band
+                     for k in range(1, 21))
+        note = (f"; second-half whiteness: {inside}/20 autocorrelation lags "
+                f"inside +-{band:.4f}")
     path = os.path.join(out, "analysis.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["interval", "ccm", "acm_emp", "acm_theo", "verdict"])
+        w.writerow([label, "ccm", "acm_emp", "acm_theo", "verdict"])
         prev = None
-        for m in range(n_int):
-            vals = innov[m * L:(m + 1) * L]
-            last = outs[(m + 1) * L - 1]
-            h = np.array([filter_curve.slope(
-                min(max(last.soc, filter_curve.soc_min),
-                    filter_curve.soc_max)), -1.0])
-            p_minus = np.array([[last.prior_p00, last.prior_p01],
-                                [last.prior_p01, last.prior_p11]])
-            iv = IntervalInnovations(m, vals, h, p_minus, cfg.r)
-            acm_emp = innovation.empirical_acm(iv)
-            acm_theo = innovation.theoretical_acm(h, p_minus, cfg.r)
-            if prev is not None:
-                ccm = innovation.interval_ccm(prev, iv)
-                verdict = innovation.infer_error_sign(
-                    ccm, acm_emp / acm_theo, acm_emp=acm_emp).sign
-            else:
-                ccm, verdict = 0.0, "indeterminate"
-            w.writerow([m, f"{ccm:.9e}", f"{acm_emp:.9e}",
-                        f"{acm_theo:.9e}", verdict])
+        for iv in intervals:
+            ccm, acm_emp, acm_theo, verdict = innovation.interval_statistics(
+                prev, iv, CcmThresholds())
+            w.writerow([iv.interval_index, f"{ccm:.9e}", f"{acm_emp:.9e}",
+                        f"{acm_theo:.9e}", verdict.sign])
             prev = iv
-    v = innov[len(innov) // 2:]
-    v = v - v.mean()
-    denom = float(np.sum(v * v))
-    band = 2.0 / np.sqrt(len(v))
-    inside = sum(abs(float(np.sum(v[:-k] * v[k:])) / denom) <= band
-                 for k in range(1, 21))
-    print(f"{n_int} intervals -> {path}; second-half whiteness: "
-          f"{inside}/20 autocorrelation lags inside +-{band:.4f}")
+    print(f"{len(intervals)} intervals -> {path}{note}")
     return 0
 
 

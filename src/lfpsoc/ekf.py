@@ -160,10 +160,18 @@ def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
     """Yield (k, coef, u_prev, y, u) for each sample k in [start, stop):
     `coef` is `transition` of that step's parameters, recomputed only when
     the parameter object changes. `params` is either a single EcmParams or a
-    per-step sequence."""
+    per-step sequence. Raises ValueError naming the first sample read whose
+    current or voltage is not finite."""
     constant = isinstance(params, EcmParams)
+    lo = max(start - 1, 0)
+    finite = np.isfinite(trace.current_a[lo:stop])
+    finite[start - lo:] &= np.isfinite(trace.voltage_v[start:stop])
+    if not finite.all():
+        k = lo + int(np.argmin(finite))
+        raise ValueError(f"sample {k}: non-finite current or voltage "
+                         f"({trace.current_a[k]}, {trace.voltage_v[k]})")
     volts = trace.voltage_v[start:stop].tolist()
-    amps = trace.current_a[max(start - 1, 0):stop].tolist()
+    amps = trace.current_a[lo:stop].tolist()
     if start == 0:
         amps.insert(0, 0.0)
     last = coef = None

@@ -97,6 +97,25 @@ def infer_error_sign(ccm: float, acm_ratio: float,
     return ErrorSignVerdict(sign, ccm, acm_ratio)
 
 
+def interval_statistics(prev: IntervalInnovations | None,
+                        curr: IntervalInnovations,
+                        thresholds: CcmThresholds) -> tuple:
+    """(ccm, acm_emp, acm_theo, verdict) of interval `curr` after `prev`.
+
+    The theoretical ACM is H P- H^T + r from `curr`'s last update. Without a
+    previous interval of the same length there is no CCM: it is 0.0 and the
+    verdict is INDETERMINATE."""
+    acm_emp = empirical_acm(curr)
+    acm_theo = theoretical_acm(curr.h_used, curr.p_minus_last, curr.r)
+    ratio = acm_emp / acm_theo if acm_theo > 0 else float("inf")
+    if prev is None or len(prev.values) != len(curr.values):
+        return 0.0, acm_emp, acm_theo, ErrorSignVerdict(INDETERMINATE, 0.0,
+                                                        ratio)
+    ccm = interval_ccm(prev, curr)
+    return ccm, acm_emp, acm_theo, infer_error_sign(ccm, ratio, thresholds,
+                                                    acm_emp)
+
+
 @dataclass(frozen=True)
 class PolarityVerdict:
     sign: str

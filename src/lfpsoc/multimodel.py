@@ -165,12 +165,15 @@ def run_interval(bank: FilterBank, params, trace: Trace, start: int, length: int
                       bank.interval_index) for x in best]
     final_model_ocv = corrected[-1][1] if corrected else None
     return IntervalResult(bank.interval_index, opt, best,
-                          _innovations(bank.interval_index, best, f.noise.r),
+                          interval_innovations(bank.interval_index, best,
+                                               f.noise.r),
                           corrected, probs, final_model_ocv, underflow)
 
 
-def _innovations(index: int, steps: list, r: float) -> IntervalInnovations:
-    """Innovations plus the last update's measurement row and prior P."""
+def interval_innovations(index: int, steps: list,
+                         r: float) -> IntervalInnovations:
+    """One interval's innovations from its filter steps, with the row
+    H = [s, -1] and prior P- that the last update used."""
     last = steps[-1]
     p_minus = np.array([[last.prior_p00, last.prior_p01],
                         [last.prior_p01, last.prior_p11]])
@@ -240,7 +243,7 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     while k + L <= n_steps and converged_at is None:
         steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
         keep(steps, k)
-        history.append(_innovations(interval_index, steps, noise.r))
+        history.append(interval_innovations(interval_index, steps, noise.r))
         x = steps[-1]
         k += L
         interval_index += 1
@@ -251,18 +254,9 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     # chains across intervals (only the first anchors on the original curve)
     anchor_ocv: float | None = None
     while k + L <= n_steps:
-        if len(history) >= 2 and bank_cfg.n > 1:
-            ccm = innovation.interval_ccm(history[-2], history[-1])
-            acm_emp = innovation.empirical_acm(history[-1])
-            acm_theo = innovation.theoretical_acm(history[-1].h_used,
-                                                 history[-1].p_minus_last,
-                                                 history[-1].r)
-            ratio = acm_emp / acm_theo if acm_theo > 0 else float("inf")
-            verdict = innovation.infer_error_sign(ccm, ratio,
-                                                  bank_cfg.ccm_thresholds, acm_emp)
-        else:
-            ccm, acm_emp, acm_theo = 0.0, 0.0, noise.r
-            verdict = ErrorSignVerdict(INDETERMINATE, 0.0, 1.0)
+        # phase 1 has run at least two intervals: convergence needs two
+        ccm, acm_emp, acm_theo, verdict = innovation.interval_statistics(
+            history[-2], history[-1], bank_cfg.ccm_thresholds)
         mode = DISCHARGE if float(np.mean(trace.current_a[k:k + L])) >= 0 \
             else CHARGE
         anchor_soc = min(max(x.soc, original_curve.soc_min), original_curve.soc_max)

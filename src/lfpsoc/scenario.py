@@ -186,39 +186,42 @@ def coulomb_counted_soc(cfg: ScenarioConfig, trace: Trace) -> np.ndarray:
     return np.clip(soc_cc, 0.0, 1.0)
 
 
-def _estimator_params(cfg: ScenarioConfig, trace: Trace):
-    """Constant ECM params, or a per-step sequence from online RLS
-    identification (config values fill the warmup)."""
+def estimator_inputs(cfg: ScenarioConfig, trace: Trace) -> tuple:
+    """(params, sim): the ECM params the estimators step with, and their
+    SimConfig at the trace's own sample spacing.
+
+    The params are constant, or under `identify_online` a per-step sequence
+    from online RLS identification (config values fill the warmup)."""
+    sim = replace(cfg.sim_config(), dt=trace.dt)
+    fallback = cfg.ecm_params()
     if not cfg.identify_online:
-        return cfg.ecm_params()
+        return fallback, sim
     points = identify_stream(trace, soc_feedback=coulomb_counted_soc(cfg, trace),
                              cfg=RlsConfig())
-    fallback = cfg.ecm_params()
     seq = [fallback, fallback]
     seq.extend(p.params if p.params is not None else fallback for p in points)
-    return seq
+    return seq, sim
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
     """Simulate truth, run the baseline filter and the multi-model filter
     against the (possibly wrong) filter curve, and collect metrics."""
     true_curve, filter_curve = resolve_curves(cfg)
-    params = cfg.ecm_params()
-    sim = cfg.sim_config()
     profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
                                seed=cfg.seed, amp=cfg.profile_amp,
                                target_discharge_ah=cfg.profile_target_ah)
     truth0 = BatteryState(cfg.initial_soc_true, 0.0)
-    trace = simulate_profile(truth0, params, true_curve, profile.samples, sim)
+    trace = simulate_profile(truth0, cfg.ecm_params(), true_curve,
+                             profile.samples, cfg.sim_config())
 
     x0, p0 = cfg.estimator_start()
     noise = cfg.filter_noise()
-    est_params = _estimator_params(cfg, trace)
+    params, sim = estimator_inputs(cfg, trace)
 
-    ekf_outs = run_ekf(KfState(x0, p0, noise, filter_curve), est_params,
-                       trace, sim)
+    ekf_outs = run_ekf(KfState(x0, p0, noise, filter_curve), params, trace,
+                       sim)
     soc_ekf = np.array([o.soc for o in ekf_outs])
-    am = run_ammkf(trace, filter_curve, est_params, x0, p0, noise, sim,
+    am = run_ammkf(trace, filter_curve, params, x0, p0, noise, sim,
                    cfg.bank_config(), bank_noise=cfg.bank_noise())
 
     metrics = {

@@ -31,11 +31,11 @@ def write_trace(trace: Trace, path) -> None:
             w.writerow(row)
 
 
-def ingest_trace(path, strict: bool = False, resample_dt: float | None = None) -> Trace:
+def ingest_trace(path, strict: bool = False) -> Trace:
     """Load a trace CSV. Non-uniform timestamps are zero-order-hold resampled
-    to a uniform grid with a warning, or rejected under strict mode. A
-    non-finite t, current or voltage is rejected, naming its line; the true
-    columns are optional and may be empty or NaN."""
+    to the smallest spacing with a warning, or rejected under strict mode.
+    A non-finite t, current or voltage is rejected, naming its line; the
+    true columns are optional and may be empty or NaN."""
     rows, linenos = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -80,10 +80,10 @@ def ingest_trace(path, strict: bool = False, resample_dt: float | None = None) -
         raise TraceFormatError(f"{path}: timestamps must be strictly increasing")
     dt = float(diffs[0])
     uniform = np.allclose(diffs, dt, rtol=1e-9, atol=1e-9)
-    if not uniform or (resample_dt is not None and not np.isclose(dt, resample_dt)):
+    if not uniform:
         if strict:
             raise TraceFormatError(f"{path}: non-uniform sampling under --strict")
-        new_dt = resample_dt if resample_dt is not None else float(np.min(diffs))
+        new_dt = float(np.min(diffs))
         warnings.warn(f"resampling {path} to uniform dt={new_dt}s by zero-order hold",
                       stacklevel=2)
         new_t = np.arange(t[0], t[-1] + 0.5 * new_dt, new_dt)

@@ -361,6 +361,24 @@ class TestRunEkf:
             assert oa.soc == ob.soc
             assert oa.innovation == ob.innovation
 
+    @pytest.mark.parametrize("bad, first", [
+        ({"voltage_v": [250]}, 250),
+        ({"voltage_v": [0]}, 0),
+        ({"current_a": [399]}, 399),
+        ({"voltage_v": [300], "current_a": [120]}, 120)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_the_first(self, params, base_curve, bad,
+                                               first, value):
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
+                                target_discharge_ah=0.1)
+        trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
+                                 prof.samples, cfg)
+        for column, ks in bad.items():
+            getattr(trace, column)[ks] = value
+        with pytest.raises(ValueError, match=f"^sample {first}: non-finite"):
+            run_ekf(_state(base_curve, soc=0.8), params, trace, cfg)
+
     def test_near_optimal_innovations_are_white(self, params, base_curve):
         # with the true model and matched noise, the normalized innovation
         # sequence should look like unit-variance white noise

@@ -13,7 +13,8 @@ from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     infer_error_sign, interval_ccm, plateau_offset, run_ekf,
                     simulate_profile, theoretical_acm)
 from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
-                               CcmThresholds, ConvergenceConfig)
+                               CcmThresholds, ConvergenceConfig,
+                               interval_statistics)
 from lfpsoc.profiles import generate_profile
 
 
@@ -156,6 +157,33 @@ class TestErrorSignInference:
     def test_polarity_shape_mismatch(self):
         with pytest.raises(ValueError):
             curve_error_polarity([0.5, 1.0], [1.0])
+
+
+class TestIntervalStatistics:
+    def test_adjacent_intervals(self):
+        prev, curr = _iv([1e-3, 2e-3, 1e-3]), _iv([2e-3, 1e-3, 1e-3])
+        ccm, acm_emp, acm_theo, verdict = interval_statistics(
+            prev, curr, CcmThresholds())
+        assert ccm == interval_ccm(prev, curr)
+        assert acm_emp == empirical_acm(curr)
+        assert acm_theo == theoretical_acm(curr.h_used, curr.p_minus_last,
+                                           curr.r)
+        assert verdict == infer_error_sign(ccm, acm_emp / acm_theo,
+                                           CcmThresholds(), acm_emp)
+        assert verdict.sign == NEGATIVE_G
+        # the thresholds are the caller's
+        assert interval_statistics(prev, curr, CcmThresholds(floor=1e-5))[3] \
+            .sign == INDETERMINATE
+
+    @pytest.mark.parametrize("prev", [None, _iv([1e-3, 2e-3])])
+    def test_no_ccm_without_a_matching_previous_interval(self, prev):
+        curr = _iv([2e-3, 1e-3, 1e-3])
+        ccm, acm_emp, acm_theo, verdict = interval_statistics(
+            prev, curr, CcmThresholds())
+        assert ccm == 0.0 and verdict.sign == INDETERMINATE
+        assert acm_emp == empirical_acm(curr)
+        assert acm_theo == theoretical_acm(curr.h_used, curr.p_minus_last,
+                                           curr.r)
 
 
 class TestDetectConvergence:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfpsoc import (BatteryState, OcvCurve, ScenarioConfig, compute_metrics,
-                    curve_error, default_lifepo4_curve, generate_profile,
-                    load_scenario, resolve_curves, run_scenario, run_sweep,
-                    simulate_profile)
+from lfpsoc import (BatteryState, KfState, OcvCurve, ScenarioConfig,
+                    compute_metrics, curve_error, default_lifepo4_curve,
+                    generate_profile, load_scenario, resolve_curves, run_ekf,
+                    run_scenario, run_sweep, simulate_profile,
+                    theoretical_acm)
 from lfpsoc.cli import main as cli_main
 from lfpsoc.ecm import SimConfig, Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
@@ -416,6 +417,88 @@ class TestCli:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m", "ccm", "acm_emp", "acm_theo", "verdict"]
         assert len(rows) - 1 == 3
+        with open(log) as fh:
+            logged = [float(row[2]) for row in list(csv.reader(fh))[1:]]
+        vals = [np.array(logged[m * 20:(m + 1) * 20]) for m in range(3)]
+        assert rows[1][1] == "0.000000000e+00"
+        assert rows[1][4] == "indeterminate"
+        for m, row in enumerate(rows[1:]):
+            if m:
+                assert float(row[1]) == pytest.approx(
+                    np.mean(vals[m - 1] * vals[m]), rel=1e-9)
+            assert float(row[2]) == pytest.approx(np.mean(vals[m] ** 2),
+                                                  rel=1e-9)
+            assert float(row[3]) == ScenarioConfig().r
+
+    def test_analyze_acm_theo_uses_the_updates_row(self, tmp_path):
+        # H P- H^T + r must use the row H = [s, -1] of each interval's last
+        # update. On this trace (the trace benchmark's, seed 42) interval 609
+        # ends with its prior and posterior SOC on two sides of a knot, so
+        # the slope at the posterior is not the slope the update used.
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=14400,
+                         profile_target_ah=1.0)
+        sim = str(tmp_path / "sim")
+        assert cli_main(["--config", cfg, "--out", sim, "simulate"]) == 0
+        path = os.path.join(sim, "trace.csv")
+        out = str(tmp_path / "an")
+        assert cli_main(["--config", cfg, "--out", out, "analyze",
+                         "--trace", path]) == 0
+        with open(os.path.join(out, "analysis.csv")) as fh:
+            rows = list(csv.reader(fh))[1:]
+        sc = load_scenario(cfg)
+        _, curve = resolve_curves(sc)
+        outs = run_ekf(KfState(*sc.estimator_start(), sc.filter_noise(),
+                               curve), sc.ecm_params(), ingest_trace(path),
+                       sc.sim_config())
+        L = sc.interval_len
+        assert len(rows) == len(outs) // L
+        straddling = []
+        for m, row in enumerate(rows):
+            last = outs[(m + 1) * L - 1]
+            p_minus = np.array([[last.prior_p00, last.prior_p01],
+                                [last.prior_p01, last.prior_p11]])
+            expected = theoretical_acm(np.array([last.slope, -1.0]), p_minus,
+                                       sc.r)
+            assert float(row[3]) == pytest.approx(expected, rel=1e-9), m
+            posterior = min(max(last.soc, curve.soc_min), curve.soc_max)
+            if curve.slope(posterior) != last.slope:
+                straddling.append(m)
+        assert 609 in straddling
+
+    def test_estimate_steps_with_the_traces_dt(self, tmp_path):
+        # a config without `dt` estimates a 2 s trace as one that says 2 s
+        with_dt = _write_cfg(tmp_path / "with.txt", dt=2.0)
+        without_dt = _write_cfg(tmp_path / "without.txt")
+        sim = str(tmp_path / "sim")
+        assert cli_main(["--config", with_dt, "--out", sim, "simulate"]) == 0
+        path = os.path.join(sim, "trace.csv")
+        assert ingest_trace(path).dt == 2.0
+        for method in ("ekf", "ammkf"):
+            written = []
+            for name, cfg in (("with", with_dt), ("without", without_dt)):
+                out = tmp_path / f"{method}-{name}"
+                assert cli_main(["--config", cfg, "--out", str(out),
+                                 "estimate", "--trace", path,
+                                 "--method", method]) == 0
+                written.append((out / f"soc_{method}.csv").read_bytes())
+            assert written[0] == written[1]
+
+    @pytest.mark.parametrize("online", ["false", "true"])
+    def test_estimate_reproduces_the_scenario(self, tmp_path, online):
+        cfg = _write_cfg(tmp_path / "cfg.txt", identify_online=online)
+        scen = tmp_path / "scen"
+        assert cli_main(["--config", cfg, "--out", str(scen),
+                         "scenario"]) == 0
+        for method, names in (("ekf", ["soc_ekf.csv"]),
+                              ("ammkf", ["soc_ammkf.csv", "diagnostics.csv",
+                                         "corrected_osc.csv"])):
+            out = tmp_path / method
+            assert cli_main(["--config", cfg, "--out", str(out), "estimate",
+                             "--trace", str(scen / "trace.csv"),
+                             "--method", method]) == 0
+            for name in names:
+                assert (out / name).read_bytes() == \
+                    (scen / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", [["identify"],
                                          ["estimate", "--method", "ekf"],

@@ -235,6 +235,20 @@ class TestRunAmmkf:
                       np.diag([1e-4, 1e-4]), self._noise, cfg,
                       BankConfig(interval_len=20))
 
+    @pytest.mark.parametrize("column, k", [
+        ("voltage_v", 5),        # phase 1
+        ("current_a", 700),      # a bank interval
+        ("voltage_v", 1005)])    # the tail after the last whole interval
+    def test_non_finite_sample_names_its_index(self, params, base_curve,
+                                               column, k):
+        trace, cfg = self._trace(params, base_curve, n=1010)
+        getattr(trace, column)[k] = np.nan
+        with pytest.raises(ValueError, match=f"^sample {k}: non-finite"):
+            run_ammkf(trace, base_curve, params, BatteryState(0.95, 0.0),
+                      np.diag([1e-4, 1e-4]), self._noise, cfg,
+                      BankConfig(n=7, interval_len=20, spread=6.0),
+                      bank_noise=self._bank_noise)
+
     def test_single_filter_bank_equals_plain_ekf(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
         init = BatteryState(0.95, 0.0)
