@@ -10,7 +10,7 @@ from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
 from .innovation import (ErrorSignVerdict, IntervalInnovations, PolarityVerdict,
                          curve_error_polarity, detect_convergence,
                          empirical_acm, infer_error_polarity, infer_error_sign,
-                         interval_ccm, theoretical_acm)
+                         interval_ccm)
 from .metrics import Metrics, compute_metrics
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
 from .profiles import DriveProfile, generate_profile

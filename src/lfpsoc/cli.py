@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -23,7 +24,8 @@ from .scenario import (ScenarioConfig, ScenarioConfigError,
                        run_scenario, run_sweep, scenario_from_mapping,
                        write_corrected_csv, write_diagnostics_csv,
                        write_manifest, write_soc_csv)
-from .traceio import ingest_trace, read_config, write_trace
+from .traceio import (TraceFormatError, ingest_trace, read_config,
+                      write_trace)
 
 
 def _load_cfg(args) -> ScenarioConfig:
@@ -131,17 +133,25 @@ def cmd_estimate(args) -> int:
 
 def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
     """Intervals of an innovation log (`interval,step,innovation_v`). It
-    carries no covariance, so each interval gets H = [0, -1] and P- = 0:
-    its theoretical auto-correlation is the measurement variance `r`."""
+    carries no covariance, so each interval's theoretical auto-correlation
+    is the measurement variance `r`. A row that is short, not numeric or
+    not finite is rejected, naming its line."""
     groups: dict[int, list[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            if row:
-                groups.setdefault(int(row[0]), []).append(float(row[2]))
-    h, p_zero = np.array([0.0, -1.0]), np.zeros((2, 2))
-    return [IntervalInnovations(m, np.array(groups[m]), h, p_zero, r)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                m, value = int(row[0]), float(row[2])
+                ok = math.isfinite(value)
+            except (ValueError, IndexError):
+                ok = False
+            if not ok:
+                raise TraceFormatError(f"{path}:{lineno}: malformed row {row}")
+            groups.setdefault(m, []).append(value)
+    return [IntervalInnovations(m, np.array(groups[m]), r)
             for m in sorted(groups)]
 
 
@@ -164,7 +174,7 @@ def cmd_analyze(args) -> int:
                                filter_curve), params, trace, sim)
         L = cfg.interval_len
         label = "interval"
-        intervals = [interval_innovations(m, outs[m * L:(m + 1) * L], cfg.r)
+        intervals = [interval_innovations(m, outs[m * L:(m + 1) * L])
                      for m in range(len(outs) // L)]
         v = np.array([o.innovation for o in outs[len(outs) // 2:]])
         v = v - v.mean()

@@ -114,9 +114,6 @@ class OcvCurve:
             out[on_knot] = 0.5 * (left + right)
         return float(out[0]) if scalar else out
 
-    def max_abs_slope(self) -> float:
-        return float(np.max(np.abs(self.segment_slopes())))
-
     # -- I/O --------------------------------------------------------------
 
     @classmethod

@@ -6,7 +6,10 @@ only in the measurement row H = [s, -1]. A plain filter reads the OCV and
 its slope s from the curve at the prior SOC, clamped into the knot domain.
 A bank member (`slope_override` set) uses the affine model anchored at the
 interval start (state `anchor`, model value `anchor_ocv`) with a fixed
-slope. `filter_range` steps a plain filter over a range of samples.
+slope. Each step returns a `StepOutput`: its posterior, the innovation e
+and its variance S, which the bank's model weights and the interval
+statistics read as they are. `filter_range` steps a plain filter over a
+range of samples.
 """
 
 from __future__ import annotations
@@ -89,12 +92,12 @@ class KfState:
 
 
 class StepOutput(namedtuple("StepOutput", (
-        "soc up p00 p01 p11 innovation innovation_variance k_soc k_up "
-        "soc_clamped prior_soc prior_up prior_p00 prior_p01 prior_p11 slope"))):
+        "soc up p00 p01 p11 innovation innovation_variance k_soc "
+        "soc_clamped"))):
     """One filter step: the posterior state and covariance first (so a step
-    is the next step's `x`), then the innovation, its variance, the gain,
-    the clamp flag, the prior state and covariance, and the measurement
-    slope used."""
+    is the next step's `x`), then the innovation e, its variance
+    S = H P- H^T + r (the bank's likelihood and the interval's theoretical
+    ACM read it), the SOC gain and the clamp flag."""
 
     __slots__ = ()
 
@@ -153,7 +156,7 @@ def kalman_step(f: KfState, x, coef: tuple, u_prev: float, y: float,
     return StepOutput(min(1.0, max(0.0, new_soc)), up + k1 * e,
                       a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
                       -k1 * s * p01 + a11 * p11,
-                      e, s_var, k0, k1, clamped, soc, up, p00, p01, p11, s)
+                      e, s_var, k0, clamped)
 
 
 def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):

@@ -3,7 +3,7 @@ detection and polarity inference, and convergence detection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,14 +14,12 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class IntervalInnovations:
-    """Innovation vector of one interval plus the filter context that
-    produced it (measurement row, last prior covariance, meas. variance)."""
+    """Innovation vector of one interval and its theoretical ACM: the
+    innovation variance S = H P- H^T + r of the interval's last update."""
 
     interval_index: int
     values: np.ndarray
-    h_used: np.ndarray
-    p_minus_last: np.ndarray
-    r: float
+    acm_theo: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -60,13 +58,6 @@ def empirical_acm(curr: IntervalInnovations) -> float:
     return float(np.mean(curr.values ** 2))
 
 
-def theoretical_acm(h: np.ndarray, p_minus: np.ndarray, r: float) -> float:
-    out = float(np.asarray(h) @ np.asarray(p_minus) @ np.asarray(h)) + r
-    if out < 0:
-        raise ValueError(f"negative theoretical ACM {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class CcmThresholds:
     floor: float = 1e-8
@@ -102,11 +93,11 @@ def interval_statistics(prev: IntervalInnovations | None,
                         thresholds: CcmThresholds) -> tuple:
     """(ccm, acm_emp, acm_theo, verdict) of interval `curr` after `prev`.
 
-    The theoretical ACM is H P- H^T + r from `curr`'s last update. Without a
-    previous interval of the same length there is no CCM: it is 0.0 and the
-    verdict is INDETERMINATE."""
+    The theoretical ACM is `curr.acm_theo`. Without a previous interval of
+    the same length there is no CCM: it is 0.0 and the verdict is
+    INDETERMINATE."""
     acm_emp = empirical_acm(curr)
-    acm_theo = theoretical_acm(curr.h_used, curr.p_minus_last, curr.r)
+    acm_theo = curr.acm_theo
     ratio = acm_emp / acm_theo if acm_theo > 0 else float("inf")
     if prev is None or len(prev.values) != len(curr.values):
         return 0.0, acm_emp, acm_theo, ErrorSignVerdict(INDETERMINATE, 0.0,

@@ -1,8 +1,10 @@
 """Adaptive multi-model filter bank: per-interval slope sets, Bayesian
-model probabilities, optimal-filter selection, and corrected-curve output.
+model weights, optimal-filter selection, and corrected-curve output.
 
 Phase 1 and the tail step the plain filter with `ekf.filter_range`;
-`run_interval` steps every bank member through `ekf.kalman_step`."""
+`run_interval` steps every bank member through `ekf.kalman_step` and
+weighs the members by the innovation e and variance S each step returns.
+An interval's theoretical ACM is its last step's S."""
 
 from __future__ import annotations
 
@@ -67,118 +69,74 @@ def build_slope_set(base_slope: float, verdict: ErrorSignVerdict | None,
     return np.maximum(slopes, cfg.slope_floor)
 
 
-def likelihood(y: float, mean: float, s: float) -> float:
-    """Gaussian density of the measured voltage under one filter's
-    predicted-voltage distribution."""
-    if s <= 0:
-        raise ValueError(f"variance must be > 0, got {s}")
-    return math.exp(-((y - mean) ** 2) / (2.0 * s)) / math.sqrt(2.0 * math.pi * s)
+def model_weights(weights: list[float], log_likelihoods: list[float],
+                  floor: float) -> list[float]:
+    """Bayes update of the model weights on Python floats.
 
-
-def update_probabilities(probs: np.ndarray, densities: np.ndarray,
-                         floor: float = 1e-6) -> tuple[np.ndarray, bool]:
-    """Bayes update: elementwise product, renormalized, floored. Returns the
-    new simplex vector and an underflow flag (reset to uniform)."""
-    probs = np.asarray(probs, dtype=float)
-    densities = np.asarray(densities, dtype=float)
-    post = probs * densities
-    total = post.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        n = len(probs)
-        return np.full(n, 1.0 / n), True
-    post = post / total
-    post = np.maximum(post, floor)
-    return post / post.sum(), False
-
-
-@dataclass
-class FilterBank:
-    filters: list[KfState]
-    probabilities: np.ndarray
-    interval_index: int = 0
-
-    @property
-    def n(self) -> int:
-        return len(self.filters)
+    `log_likelihoods` are the filters' predicted-voltage log-densities
+    -(e^2/S + ln S)/2 (the 2*pi term cancels). Each weight is multiplied by
+    exp(ll - max ll), so the best filter's factor is exactly 1 and the total
+    stays positive. The result is normalised, floored at `floor` and
+    renormalised."""
+    top = max(log_likelihoods)
+    post = [w * math.exp(ll - top) for w, ll in zip(weights, log_likelihoods)]
+    total = sum(post)
+    post = [max(p / total, floor) for p in post]
+    total = sum(post)
+    return [p / total for p in post]
 
 
 @dataclass
 class IntervalResult:
     """The selected filter's steps (its last posterior carries over) and
-    innovations, its corrected-curve points, and the final probabilities."""
+    innovations, its corrected-curve points, and the final weights."""
 
-    interval_index: int
     optimal_index: int
     steps: list
     innovations: IntervalInnovations
     corrected_points: list
-    probabilities: np.ndarray
-    final_model_ocv: float | None = None
-    underflow: bool = False
+    probabilities: list
+    final_model_ocv: float | None
 
 
-def make_bank(anchor: BatteryState, anchor_p: np.ndarray, noise: NoiseConfig,
-              curve: OcvCurve, slopes: np.ndarray, interval_index: int,
-              anchor_ocv: float | None = None) -> FilterBank:
-    """All filters share the interval-start state/covariance, curve and
-    anchored model value, and differ only in measurement slope; uniform
-    prior probabilities."""
-    if len(slopes) == 1:
-        # degenerate bank: a single plain filter on the curve itself
-        filters = [KfState(anchor, anchor_p, noise, curve)]
-    else:
-        filters = [KfState(anchor, anchor_p, noise, curve,
-                           slope_override=float(s), anchor=anchor,
-                           anchor_ocv=anchor_ocv)
-                   for s in slopes]
-    n = len(filters)
-    return FilterBank(filters, np.full(n, 1.0 / n), interval_index)
-
-
-def run_interval(bank: FilterBank, params, trace: Trace, start: int, length: int,
-                 cfg: SimConfig, bank_cfg: BankConfig) -> IntervalResult:
-    """Step every filter through L samples, updating model probabilities per
-    step from each filter's predicted-voltage likelihood, then select the
-    most probable filter (ties to the lowest index)."""
-    filters = bank.filters
-    probs = bank.probabilities.copy()
-    runs = [[f.start()] for f in filters]  # each filter's start, then steps
-    underflow = False
+def run_interval(members: list[KfState], x, params, trace: Trace, start: int,
+                 length: int, cfg: SimConfig, floor: float,
+                 index: int) -> IntervalResult:
+    """Step every member from the posterior `x` through `length` samples,
+    updating the model weights (uniform at the start) per step from each
+    member's innovation and its variance, then select the heaviest member
+    (ties to the lowest index). `index` numbers the interval."""
+    n = len(members)
+    weights = [1.0 / n] * n
+    runs = [[x] for _ in members]  # the shared start, then each member's steps
     for k, coef, u_prev, y, u in ekf.samples(params, trace, cfg, start,
                                              start + length):
-        densities = []
-        for f, run in zip(filters, runs):
-            x = ekf.kalman_step(f, run[-1], coef, u_prev, y, u, k == 0, k)
-            run.append(x)
-            # mean of the predicted-voltage distribution = measured - innovation
-            densities.append(likelihood(y, y - x.innovation,
-                                        x.innovation_variance))
-        probs, uf = update_probabilities(probs, densities, bank_cfg.prob_floor)
-        underflow = underflow or uf
-    opt = int(np.argmax(probs))  # argmax ties break to lowest index
-    best, f = runs[opt][1:], filters[opt]
+        log_likelihoods = []
+        for f, run in zip(members, runs):
+            step = ekf.kalman_step(f, run[-1], coef, u_prev, y, u, k == 0, k)
+            run.append(step)
+            s = step.innovation_variance
+            log_likelihoods.append(-0.5 * (step.innovation ** 2 / s
+                                           + math.log(s)))
+        weights = model_weights(weights, log_likelihoods, floor)
+    opt = weights.index(max(weights))
+    best, f = runs[opt][1:], members[opt]
     if f.slope_override is None:
         corrected = []
     else:
-        corrected = [(x.soc,
-                      f.anchor_ocv + f.slope_override * (x.soc - f.anchor.soc),
-                      bank.interval_index) for x in best]
+        corrected = [(step.soc, f.anchor_ocv
+                      + f.slope_override * (step.soc - f.anchor.soc), index)
+                     for step in best]
     final_model_ocv = corrected[-1][1] if corrected else None
-    return IntervalResult(bank.interval_index, opt, best,
-                          interval_innovations(bank.interval_index, best,
-                                               f.noise.r),
-                          corrected, probs, final_model_ocv, underflow)
+    return IntervalResult(opt, best, interval_innovations(index, best),
+                          corrected, weights, final_model_ocv)
 
 
-def interval_innovations(index: int, steps: list,
-                         r: float) -> IntervalInnovations:
-    """One interval's innovations from its filter steps, with the row
-    H = [s, -1] and prior P- that the last update used."""
-    last = steps[-1]
-    p_minus = np.array([[last.prior_p00, last.prior_p01],
-                        [last.prior_p01, last.prior_p11]])
+def interval_innovations(index: int, steps: list) -> IntervalInnovations:
+    """One interval's innovations from its filter steps; the theoretical ACM
+    is the last step's innovation variance."""
     return IntervalInnovations(index, np.array([x.innovation for x in steps]),
-                               np.array([last.slope, -1.0]), p_minus, r)
+                               steps[-1].innovation_variance)
 
 
 @dataclass
@@ -243,7 +201,7 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     while k + L <= n_steps and converged_at is None:
         steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
         keep(steps, k)
-        history.append(interval_innovations(interval_index, steps, noise.r))
+        history.append(interval_innovations(interval_index, steps))
         x = steps[-1]
         k += L
         interval_index += 1
@@ -262,16 +220,23 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
         anchor_soc = min(max(x.soc, original_curve.soc_min), original_curve.soc_max)
         base_slope = original_curve.slope(anchor_soc)
         slopes = build_slope_set(base_slope, verdict, mode, bank_cfg)
-        bank = make_bank(BatteryState(x.soc, x.up),
-                         np.array([[x.p00, x.p01], [x.p01, x.p11]]),
-                         bank_noise, original_curve, slopes, interval_index,
-                         anchor_ocv=anchor_ocv)
-        res = run_interval(bank, params, trace, k, L, cfg, bank_cfg)
+        # the members start from the carried posterior and differ only in
+        # slope; a one-filter bank is a plain filter on the curve itself
+        anchor = BatteryState(x.soc, x.up)
+        p = np.array([[x.p00, x.p01], [x.p01, x.p11]])
+        if len(slopes) == 1:
+            members = [KfState(anchor, p, bank_noise, original_curve)]
+        else:
+            members = [KfState(anchor, p, bank_noise, original_curve,
+                               slope_override=float(s), anchor=anchor,
+                               anchor_ocv=anchor_ocv) for s in slopes]
+        res = run_interval(members, x, params, trace, k, L, cfg,
+                           bank_cfg.prob_floor, interval_index)
         keep(res.steps, k)
         corrected_points.extend(res.corrected_points)
         diagnostics.append(IntervalDiagnostics(
             interval_index, ccm, acm_emp, acm_theo, verdict.sign,
-            res.optimal_index, float(res.probabilities.max()), mode))
+            res.optimal_index, max(res.probabilities), mode))
         history.append(res.innovations)
         x = res.steps[-1]
         if res.final_model_ocv is not None:

@@ -25,9 +25,6 @@ class DriveProfile:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def net_discharge_ah(self, dt: float = 1.0) -> float:
-        return float(np.sum(self.samples) * dt / 3600.0)
-
 
 # One dynamic-stress block: mixed charge/discharge pulses (relative levels)
 # with a net-discharge bias, loosely shaped like standard cycling tests.

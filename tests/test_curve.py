@@ -109,7 +109,8 @@ class TestSlope:
         s1 = curve.soc_min + a * (curve.soc_max - curve.soc_min)
         s2 = curve.soc_min + b * (curve.soc_max - curve.soc_min)
         lhs = abs(curve.ocv(s1) - curve.ocv(s2))
-        assert lhs <= curve.max_abs_slope() * abs(s1 - s2) + 1e-12
+        steepest = float(np.max(np.abs(curve.segment_slopes())))
+        assert lhs <= steepest * abs(s1 - s2) + 1e-12
 
 
 class TestScalarPath:

@@ -34,14 +34,31 @@ def _predicted(f, params, current=0.0):
     return -_update(f, 0.0, current, params).innovation
 
 
-def _predict(f, params, current, cfg):
-    """A full step from the start state; its prior is the prediction."""
-    return kalman_step(f, f.start(), transition(params, cfg), current, 3.3,
-                       0.0, first=False)
+def _prior(f, params, current, cfg):
+    """The prior (soc, up) and covariance of a full step from `f`'s start,
+    read from the steps of two bank members with slopes 0 and 1 anchored at
+    SOC 0 and OCV 3.3. Measured at 3.3 V, slope 0 gives e = up and S = p11 + r
+    with K_soc * S = -p01; slope 1 gives e = up - soc and
+    S = p00 - 2 p01 + p11 + r."""
+    e, s_var, k = [], [], []
+    for slope in (0.0, 1.0):
+        member = KfState(f.x, f.p, f.noise, f.curve, slope_override=slope,
+                         anchor=BatteryState(0.0, 0.0), anchor_ocv=3.3)
+        out = kalman_step(member, member.start(), transition(params, cfg),
+                          current, 3.3, 0.0, first=False)
+        e.append(out.innovation)
+        s_var.append(out.innovation_variance - f.noise.r)
+        k.append(out.k_soc * out.innovation_variance)
+    p01 = -k[0]
+    p_minus = np.array([[s_var[1] + 2 * p01 - s_var[0], p01],
+                        [p01, s_var[0]]])
+    return e[0] - e[1], e[0], p_minus
 
 
-def _prior_p(o):
-    return np.array([[o.prior_p00, o.prior_p01], [o.prior_p01, o.prior_p11]])
+def _slope(out, f):
+    """The slope s of the row H = [s, -1] that a first step from `f`'s
+    diagonal covariance used: K_soc = p00 * s / S."""
+    return out.k_soc * out.innovation_variance / f.p[0, 0]
 
 
 def _posterior_p(o):
@@ -113,18 +130,18 @@ class TestTransitionMatrices:
         # oracle: the noise-free plant step is the same affine map
         st8 = _state(base_curve, soc=0.6, up=0.02)
         for current in (-1.0, 0.0, 0.5, 2.0):
-            out = _predict(st8, params, current, sim_cfg)
+            soc, up, _ = _prior(st8, params, current, sim_cfg)
             plant, _ = step_state(BatteryState(0.6, 0.02), params, current,
                                   sim_cfg)
-            assert out.prior_soc == pytest.approx(plant.soc, abs=1e-15)
-            assert out.prior_up == pytest.approx(plant.up, abs=1e-15)
+            assert soc == pytest.approx(plant.soc, abs=1e-15)
+            assert up == pytest.approx(plant.up, abs=1e-15)
 
     def test_covariance_propagation_with_zero_q(self, params, base_curve,
                                                 sim_cfg):
         noise = NoiseConfig(q=np.zeros((2, 2)), r=1e-6)
         p0 = np.array([[2e-4, 1e-5], [1e-5, 3e-4]])
         st8 = _state(base_curve, p=p0, noise=noise)
-        p_minus = _prior_p(_predict(st8, params, 0.0, sim_cfg))
+        _, _, p_minus = _prior(st8, params, 0.0, sim_cfg)
         decay = transition(params, sim_cfg)[0]
         f = np.diag([1.0, decay])
         assert np.allclose(p_minus, f @ p0 @ f.T, atol=1e-18)
@@ -133,20 +150,20 @@ class TestTransitionMatrices:
         q = np.diag([1e-7, 1e-6])
         st8 = _state(base_curve, p=np.zeros((2, 2)),
                      noise=NoiseConfig(q=q, r=1e-6))
-        p_minus = _prior_p(_predict(st8, params, 0.0, sim_cfg))
+        _, _, p_minus = _prior(st8, params, 0.0, sim_cfg)
         assert np.allclose(p_minus, q, atol=1e-18)
 
 
 class TestMeasurementModel:
     def test_jacobian_uses_local_slope(self, params, two_knot_curve):
         st8 = _state(two_knot_curve, soc=0.3)
-        assert _update(st8, 3.25, 0.0, params).slope == \
+        assert _slope(_update(st8, 3.25, 0.0, params), st8) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_jacobian_override(self, params, two_knot_curve):
         st8 = _state(two_knot_curve, soc=0.35, slope_override=0.07,
                      anchor=BatteryState(0.3, 0.0))
-        assert _update(st8, 3.25, 0.0, params).slope == \
+        assert _slope(_update(st8, 3.25, 0.0, params), st8) == \
             pytest.approx(0.07, abs=1e-12)
 
     def test_predicted_voltage_plain(self, two_knot_curve):
@@ -173,8 +190,9 @@ class TestMeasurementModel:
     def test_slope_read_at_the_clamped_prior(self, params, two_knot_curve):
         # a prior outside the knot domain reads the curve at its nearest end
         for soc, ocv in ((0.1, 3.20), (0.5, 3.30)):
-            out = _update(_state(two_knot_curve, soc=soc), 3.0, 0.0, params)
-            assert out.slope == pytest.approx(0.5, abs=1e-12)
+            st8 = _state(two_knot_curve, soc=soc)
+            out = _update(st8, 3.0, 0.0, params)
+            assert _slope(out, st8) == pytest.approx(0.5, abs=1e-12)
             assert 3.0 - out.innovation == pytest.approx(ocv, abs=1e-12)
 
 
@@ -206,7 +224,7 @@ class TestUpdate:
         k = st8.p @ h / s
         assert out.innovation == pytest.approx(0.002, abs=1e-12)
         assert out.innovation_variance == pytest.approx(s, rel=1e-12)
-        assert (out.k_soc, out.k_up) == pytest.approx(k, rel=1e-12)
+        assert out.k_soc == pytest.approx(k[0], rel=1e-12)
         assert out.soc == pytest.approx(0.3 + k[0] * 0.002, rel=1e-12)
         assert out.up == pytest.approx(k[1] * 0.002, rel=1e-12)
         expect_p = (np.eye(2) - np.outer(k, h)) @ st8.p
@@ -281,12 +299,9 @@ class TestStepAgainstMatrixForm:
         out = kalman_step(f, f.start(), transition(params, cfg), u_prev, y, u,
                           first)
         p_scale = float(np.max(np.abs(ref["prior_p"])))
-        _close([out.prior_soc, out.prior_up], ref["prior"], 1.0)
-        _close(_prior_p(out), ref["prior_p"])
-        _close(out.slope, ref["slope"])
         _close(out.innovation, ref["innovation"], 3.3)
         _close(out.innovation_variance, ref["s_var"])
-        _close([out.k_soc, out.k_up], ref["gain"],
+        _close(out.k_soc, ref["gain"][0],
                p_scale * (1.0 + ref["slope"]) / ref["s_var"])
         assert out.soc_clamped == ref["clamped"]
         _close(out.soc, min(1.0, max(0.0, ref["soc"])), 1.0)
@@ -410,8 +425,9 @@ class TestStepFirstFlag:
         out = kalman_step(st8, st8.start(), transition(params, sim_cfg),
                           u_prev=2.0, y=_predicted(st8, params), u=0.0,
                           first=True)
-        assert out.prior_soc == 0.5 and out.prior_up == 0.03
-        assert out.innovation == pytest.approx(0.0, abs=1e-15)
+        # no prediction and a zero innovation: the posterior is the start
+        assert out.innovation == 0.0
+        assert out.soc == 0.5 and out.up == 0.03
 
 
 class TestDeepDischarge:
@@ -453,7 +469,8 @@ class TestDeepDischarge:
         # high end: a full battery starts above the last knot
         short = simulate_profile(BatteryState(1.0, 0.0), params, base_curve,
                                  prof.samples[:200], cfg)
-        outs = run_ekf(KfState(BatteryState(1.0, 0.0), p0, noise, partial),
-                       params, short, cfg)
+        full = KfState(BatteryState(1.0, 0.0), p0, noise, partial)
+        outs = run_ekf(full, params, short, cfg)
         assert len(outs) == len(short)
-        assert outs[0].slope == partial.slope(0.99)
+        assert _slope(outs[0], full) == pytest.approx(partial.slope(0.99),
+                                                      rel=1e-12)

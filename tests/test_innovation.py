@@ -11,16 +11,18 @@ from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     NoiseConfig, SimConfig, curve_error_polarity,
                     detect_convergence, empirical_acm, infer_error_polarity,
                     infer_error_sign, interval_ccm, plateau_offset, run_ekf,
-                    simulate_profile, theoretical_acm)
+                    simulate_profile)
+from lfpsoc.ekf import kalman_step, transition
 from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
                                CcmThresholds, ConvergenceConfig,
                                interval_statistics)
+from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
 
 
-def _iv(values, idx=0, r=1e-6):
-    return IntervalInnovations(idx, np.asarray(values, dtype=float),
-                               np.array([0.1, -1.0]), np.diag([1e-4, 1e-4]), r)
+def _iv(values, idx=0):
+    # theoretical ACM of H = [0.1, -1], P- = 1e-4 I, r = 1e-6
+    return IntervalInnovations(idx, np.asarray(values, dtype=float), 1.02e-4)
 
 
 def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
@@ -40,21 +42,11 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
     return trace, run_ekf(init, params, trace, cfg)
 
 
-def _prior_p(o):
-    """A filter step's prior covariance as a 2x2 array."""
-    return np.array([[o.prior_p00, o.prior_p01], [o.prior_p01, o.prior_p11]])
-
-
 def _intervals(outs, length=20):
-    """Whole intervals of the filter's innovations, with the last prior
-    covariance of each and the measurement variance of `_filter_run`."""
-    ivs = []
-    for k in range(0, len(outs) - length + 1, length):
-        chunk = outs[k:k + length]
-        ivs.append(IntervalInnovations(
-            len(ivs), np.array([o.innovation for o in chunk]),
-            np.array([0.0, -1.0]), _prior_p(chunk[-1]), 0.003**2))
-    return ivs
+    """Whole intervals of the filter's innovations, as the bank records
+    them."""
+    return [interval_innovations(m, outs[k:k + length])
+            for m, k in enumerate(range(0, len(outs) - length + 1, length))]
 
 
 def _pair_polarities(outs, length=20):
@@ -79,11 +71,19 @@ class TestCorrelationMeasures:
     def test_acm_is_mean_square(self):
         assert empirical_acm(_iv([3.0, 4.0])) == pytest.approx(12.5)
 
-    def test_theoretical_acm_quadratic_form(self):
-        h = np.array([0.5, -1.0])
+    def test_theoretical_acm_quadratic_form(self, params, base_curve):
+        # an interval's theoretical ACM is H P- H^T + r of its last update:
+        # here a first step (no prediction, so P- = P) with H = [0.5, -1]
+        x = BatteryState(0.5, 0.0)
         p = np.array([[4e-4, 1e-5], [1e-5, 1e-4]])
+        f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve,
+                    slope_override=0.5, anchor=x)
+        step = kalman_step(f, f.start(), transition(params, SimConfig()), 0.0,
+                           3.3, 0.0, first=True)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6
-        assert theoretical_acm(h, p, 1e-6) == pytest.approx(expect, rel=1e-12)
+        _, _, acm_theo, _ = interval_statistics(
+            None, interval_innovations(0, [step, step]), CcmThresholds())
+        assert acm_theo == pytest.approx(expect, rel=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -166,8 +166,7 @@ class TestIntervalStatistics:
             prev, curr, CcmThresholds())
         assert ccm == interval_ccm(prev, curr)
         assert acm_emp == empirical_acm(curr)
-        assert acm_theo == theoretical_acm(curr.h_used, curr.p_minus_last,
-                                           curr.r)
+        assert acm_theo == curr.acm_theo
         assert verdict == infer_error_sign(ccm, acm_emp / acm_theo,
                                            CcmThresholds(), acm_emp)
         assert verdict.sign == NEGATIVE_G
@@ -182,8 +181,7 @@ class TestIntervalStatistics:
             prev, curr, CcmThresholds())
         assert ccm == 0.0 and verdict.sign == INDETERMINATE
         assert acm_emp == empirical_acm(curr)
-        assert acm_theo == theoretical_acm(curr.h_used, curr.p_minus_last,
-                                           curr.r)
+        assert acm_theo == curr.acm_theo
 
 
 class TestDetectConvergence:
@@ -222,11 +220,8 @@ class TestDetectConvergence:
                               (1e-10, 1e-9), n=400, discharge_ah=0.05)
         hist = []
         converged_at = None
-        for k in range(0, len(outs) - 20 + 1, 20):
-            chunk = outs[k:k + 20]
-            hist.append(IntervalInnovations(
-                len(hist), np.array([o.innovation for o in chunk]),
-                np.array([0.0, -1.0]), _prior_p(chunk[-1]), sigma**2))
+        for iv in _intervals(outs):
+            hist.append(iv)
             if detect_convergence(hist, noise_std=sigma):
                 converged_at = len(hist)
                 break
@@ -256,8 +251,8 @@ class TestPipelineSignStatistics:
         verdicts = []
         for a, b in zip(ivs[10:-1], ivs[11:]):
             acm = empirical_acm(b)
-            theo = theoretical_acm(b.h_used, b.p_minus_last, b.r)
-            verdicts.append(infer_error_sign(interval_ccm(a, b), acm / theo,
+            verdicts.append(infer_error_sign(interval_ccm(a, b),
+                                             acm / b.acm_theo,
                                              acm_emp=acm).sign)
         # per-pair verdicts fluctuate with the noise, but neither sign
         # dominates the way it does under a genuine curve mismatch
@@ -266,9 +261,7 @@ class TestPipelineSignStatistics:
         assert 0.2 <= frac_negative_g <= 0.8
         assert 0.2 <= frac_positive_g <= 0.8
         # and the ACM ratio stays near unity for a consistent filter
-        ratios = [empirical_acm(iv) /
-                  theoretical_acm(iv.h_used, iv.p_minus_last, iv.r)
-                  for iv in ivs[10:]]
+        ratios = [empirical_acm(iv) / iv.acm_theo for iv in ivs[10:]]
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.25)
 
     def test_polarity_is_accumulated_soc_correction(self, params, base_curve):

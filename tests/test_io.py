@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from lfpsoc import (BatteryState, KfState, OcvCurve, ScenarioConfig,
                     compute_metrics, curve_error, default_lifepo4_curve,
                     generate_profile, load_scenario, resolve_curves, run_ekf,
-                    run_scenario, run_sweep, simulate_profile,
-                    theoretical_acm)
+                    run_scenario, run_sweep, simulate_profile)
+from lfpsoc.ekf import transition
 from lfpsoc.cli import main as cli_main
 from lfpsoc.ecm import SimConfig, Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
@@ -23,11 +23,15 @@ from lfpsoc.traceio import (TraceFormatError, ingest_trace, read_config,
                             write_config, write_trace)
 
 
+def _net_discharge_ah(profile, dt=1.0):
+    return float(np.sum(profile.samples) * dt / 3600.0)
+
+
 class TestProfiles:
     def test_constant(self):
         p = generate_profile("constant", 50, amp=1.5)
         assert np.all(p.samples == 1.5)
-        assert p.net_discharge_ah() == pytest.approx(1.5 * 50 / 3600.0)
+        assert _net_discharge_ah(p) == pytest.approx(1.5 * 50 / 3600.0)
 
     def test_pulse_alternates_with_rest(self):
         p = generate_profile("pulse", 120, amp=2.0)
@@ -37,12 +41,12 @@ class TestProfiles:
     def test_dst_like_hits_discharge_target(self):
         p = generate_profile("dst-like", 7200, dt=1.0, amp=1.0,
                              target_discharge_ah=1.063)
-        assert p.net_discharge_ah(1.0) == pytest.approx(1.063, rel=1e-9)
+        assert _net_discharge_ah(p) == pytest.approx(1.063, rel=1e-9)
         assert np.any(p.samples < 0)  # contains regenerative pulses
 
     def test_dst_like_partial_block_still_scaled(self):
         p = generate_profile("dst-like", 500, dt=1.0, target_discharge_ah=0.1)
-        assert p.net_discharge_ah(1.0) == pytest.approx(0.1, rel=1e-9)
+        assert _net_discharge_ah(p) == pytest.approx(0.1, rel=1e-9)
 
     def test_random_walk_deterministic_per_seed(self):
         a = generate_profile("random-walk", 300, seed=5)
@@ -430,11 +434,29 @@ class TestCli:
                                                   rel=1e-9)
             assert float(row[3]) == ScenarioConfig().r
 
+    @pytest.mark.parametrize("bad", [
+        ["1", "3", ""], ["1", "3"], ["1", "3", "x"], ["x", "3", "1e-3"],
+        ["1", "3", "nan"], ["1", "3", "inf"]],
+        ids=["empty", "short", "text", "interval", "nan", "inf"])
+    def test_analyze_innovation_log_names_a_bad_row(self, tmp_path, capsys,
+                                                    bad):
+        log = tmp_path / "innov.csv"
+        with open(log, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["interval", "step", "innovation_v"])
+            for s in range(20):
+                w.writerow([0, s, "1e-3"])
+            w.writerow(bad)
+        out = str(tmp_path / "an")
+        assert cli_main(["--out", out, "analyze", "--trace", str(log)]) == 2
+        assert f"{log}:22: malformed row {bad}" in capsys.readouterr().err
+
     def test_analyze_acm_theo_uses_the_updates_row(self, tmp_path):
         # H P- H^T + r must use the row H = [s, -1] of each interval's last
-        # update. On this trace (the trace benchmark's, seed 42) interval 609
-        # ends with its prior and posterior SOC on two sides of a knot, so
-        # the slope at the posterior is not the slope the update used.
+        # update, with s read at that update's prior SOC. On this trace (the
+        # trace benchmark's, seed 42) interval 609 ends with its prior and
+        # posterior SOC on two sides of a knot, so the slope at the posterior
+        # is not the slope the update used.
         cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=14400,
                          profile_target_ah=1.0)
         sim = str(tmp_path / "sim")
@@ -447,21 +469,29 @@ class TestCli:
             rows = list(csv.reader(fh))[1:]
         sc = load_scenario(cfg)
         _, curve = resolve_curves(sc)
+        trace = ingest_trace(path)
         outs = run_ekf(KfState(*sc.estimator_start(), sc.filter_noise(),
-                               curve), sc.ecm_params(), ingest_trace(path),
+                               curve), sc.ecm_params(), trace,
                        sc.sim_config())
+        decay, g_soc, _, _ = transition(sc.ecm_params(), sc.sim_config())
+        q00, q01, q11, r = sc.filter_noise().terms
         L = sc.interval_len
         assert len(rows) == len(outs) // L
         straddling = []
         for m, row in enumerate(rows):
-            last = outs[(m + 1) * L - 1]
-            p_minus = np.array([[last.prior_p00, last.prior_p01],
-                                [last.prior_p01, last.prior_p11]])
-            expected = theoretical_acm(np.array([last.slope, -1.0]), p_minus,
-                                       sc.r)
+            # the last update's prior, predicted from the step before it
+            k = (m + 1) * L - 1
+            prev = outs[k - 1]
+            prior_soc = prev.soc + g_soc * trace.current_a[k - 1]
+            p_minus = np.array([[prev.p00 + q00, prev.p01 * decay + q01],
+                                [prev.p01 * decay + q01,
+                                 decay * prev.p11 * decay + q11]])
+            s = curve.slope(min(max(prior_soc, curve.soc_min), curve.soc_max))
+            h = np.array([s, -1.0])
+            expected = float(h @ p_minus @ h) + r
             assert float(row[3]) == pytest.approx(expected, rel=1e-9), m
-            posterior = min(max(last.soc, curve.soc_min), curve.soc_max)
-            if curve.slope(posterior) != last.slope:
+            posterior = min(max(outs[k].soc, curve.soc_min), curve.soc_max)
+            if curve.slope(posterior) != s:
                 straddling.append(m)
         assert 609 in straddling
 

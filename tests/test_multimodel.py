@@ -1,5 +1,5 @@
 """Multi-model filter bank: slope-set construction, Bayesian model
-probabilities, interval selection, and the two-phase estimator."""
+weights, interval selection, and the two-phase estimator."""
 
 import math
 
@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfpsoc import (BankConfig, BatteryState, KfState, NoiseConfig, OcvCurve,
-                    SimConfig, build_slope_set, plateau_offset, run_ammkf,
-                    run_ekf, simulate_profile)
+from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
+                    OcvCurve, SimConfig, build_slope_set,
+                    default_lifepo4_curve, plateau_offset, run_ammkf, run_ekf,
+                    simulate_profile)
 from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
                                ErrorSignVerdict)
 from lfpsoc import multimodel
-from lfpsoc.multimodel import (CHARGE, DISCHARGE, likelihood, make_bank,
-                               run_interval, update_probabilities, FilterBank)
+from lfpsoc.ekf import FilterDegeneracyError
+from lfpsoc.multimodel import CHARGE, DISCHARGE, model_weights, run_interval
 from lfpsoc.profiles import generate_profile
 
 
@@ -92,64 +93,88 @@ class TestBuildSlopeSet:
             assert ratios == pytest.approx(np.full(n - 1, ratios[0]), rel=1e-9)
 
 
+def _log_likelihood(e, s):
+    return -0.5 * (e * e / s + math.log(s))
+
+
 class TestLikelihood:
-    def test_peak_value(self):
-        s = 1e-6
-        assert likelihood(3.3, 3.3, s) == \
-            pytest.approx(1.0 / math.sqrt(2 * math.pi * s), rel=1e-12)
+    def test_nonpositive_variance_rejected(self, params, base_curve):
+        # a member whose innovation variance is not positive stops the
+        # interval at that step, before any weight is computed
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
+                                 np.full(40, 0.5), cfg)
+        anchor = BatteryState(0.6, 0.0)
+        members = _members(anchor, -np.eye(2), NoiseConfig.default(r=1e-6),
+                           base_curve, [0.05, 0.1, 0.2])
+        with pytest.raises(FilterDegeneracyError, match="step 21"):
+            run_interval(members, members[0].start(), params, trace, 21, 5,
+                         cfg, 1e-6, 0)
 
-    def test_symmetric_in_residual(self):
-        assert likelihood(3.3, 3.29, 1e-4) == \
-            pytest.approx(likelihood(3.29, 3.3, 1e-4), rel=1e-12)
 
-    def test_one_sigma_ratio(self):
-        s = 4e-6
-        ratio = likelihood(3.3 + math.sqrt(s), 3.3, s) / likelihood(3.3, 3.3, s)
-        assert ratio == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(ValueError):
-            likelihood(3.3, 3.3, 0.0)
+_weights = st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n),
+    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
 
 
 class TestUpdateProbabilities:
     def test_bayes_arithmetic(self):
-        post, uf = update_probabilities(np.array([0.5, 0.5]),
-                                        np.array([3.0, 1.0]))
-        assert not uf
-        assert post == pytest.approx([0.75, 0.25], rel=1e-9)
+        # innovations 0 and 1 mV, both with S = 1e-6: the likelihood ratio is
+        # exp(-1/2), and the shared ln S and 2*pi terms cancel
+        lls = [_log_likelihood(0.0, 1e-6), _log_likelihood(1e-3, 1e-6)]
+        post = model_weights([0.25, 0.75], lls, 0.0)
+        b = 3.0 * math.exp(-0.5)
+        assert post == pytest.approx([1.0 / (1.0 + b), b / (1.0 + b)],
+                                     rel=1e-12)
 
-    def test_scaling_invariance(self):
-        p = np.array([0.2, 0.3, 0.5])
-        d = np.array([1.0, 2.0, 0.5])
-        a, _ = update_probabilities(p, d)
-        b, _ = update_probabilities(p, 1e6 * d)
-        assert a == pytest.approx(b, rel=1e-12)
+    @given(_weights, st.floats(-1e3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_invariance(self, case, c):
+        # a constant added to every log-likelihood scales every density alike
+        probs, lls = case
+        w = [p / sum(probs) for p in probs]
+        assert model_weights(w, [ll + c for ll in lls], 1e-6) == \
+            pytest.approx(model_weights(w, lls, 1e-6), rel=1e-9, abs=1e-15)
 
-    def test_underflow_resets_uniform(self):
-        post, uf = update_probabilities(np.array([0.5, 0.5]),
-                                        np.array([0.0, 0.0]))
-        assert uf
-        assert post == pytest.approx([0.5, 0.5])
+    def test_underflow_never_resets(self):
+        # every linear density exp(-e^2 / 2S) is 0.0 here, which reset the
+        # weights to uniform; the best filter (smallest e^2/S + ln S) wins
+        s, es = 1e-6, [0.2, 0.05, 0.1, 0.15]
+        assert all(math.exp(-e * e / (2 * s)) == 0.0 for e in es)
+        post = model_weights([0.25] * 4, [_log_likelihood(e, s) for e in es],
+                             1e-6)
+        assert post.index(max(post)) == 1
+        assert post[1] == pytest.approx(1.0, abs=1e-5)
 
-    def test_floor_keeps_all_models_alive(self):
-        post, _ = update_probabilities(np.array([0.5, 0.5]),
-                                       np.array([1.0, 1e-300]), floor=1e-6)
-        assert post[1] >= 1e-7  # floored then renormalized
-        assert post.sum() == pytest.approx(1.0, abs=1e-12)
+    @given(_weights, st.floats(1e-9, 1e-3))
+    @settings(max_examples=100, deadline=None)
+    def test_floor_keeps_all_models_alive(self, case, floor):
+        probs, lls = case
+        n = len(probs)
+        post = model_weights([p / sum(probs) for p in probs], lls, floor)
+        assert min(post) >= floor / (1.0 + n * floor) * (1.0 - 1e-12)
 
-    @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=9),
-           st.lists(st.floats(0.0, 1e3), min_size=2, max_size=9))
-    @settings(max_examples=200, deadline=None)
-    def test_always_a_simplex(self, probs, dens):
-        n = min(len(probs), len(dens))
-        p = np.array(probs[:n]) / np.sum(probs[:n])
-        post, _ = update_probabilities(p, np.array(dens[:n]))
-        assert post.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(post >= 0.0)
+    @given(_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_always_a_simplex(self, case):
+        probs, lls = case
+        post = model_weights([p / sum(probs) for p in probs], lls, 1e-6)
+        assert len(post) == len(probs)
+        assert sum(post) == pytest.approx(1.0, abs=1e-12)
+        assert all(0.0 <= p <= 1.0 for p in post)
+
+
+def _members(anchor, p, noise, curve, slopes, anchor_ocv=None):
+    """Bank members that share the start state and covariance, and differ
+    only in slope."""
+    return [KfState(anchor, p, noise, curve, slope_override=s, anchor=anchor,
+                    anchor_ocv=anchor_ocv) for s in slopes]
 
 
 class TestMakeBankAndInterval:
+    """How `run_ammkf` makes each interval's bank, and how `run_interval`
+    weighs and selects its members."""
+
     def _trace(self, params, curve, n=200, seed=2, start=0.6):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
@@ -157,17 +182,39 @@ class TestMakeBankAndInterval:
         return simulate_profile(BatteryState(start, 0.0), params, curve,
                                 prof.samples, cfg), cfg
 
-    def test_bank_shares_anchor_uniform_prior(self, base_curve):
-        noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
-        anchor = BatteryState(0.6, 0.01)
-        bank = make_bank(anchor, np.diag([1e-4, 1e-4]), noise, base_curve,
-                         np.array([0.05, 0.1, 0.2]), 3, anchor_ocv=3.30)
-        assert bank.n == 3
-        assert bank.probabilities == pytest.approx([1 / 3] * 3)
-        for f, s in zip(bank.filters, [0.05, 0.1, 0.2]):
-            assert f.x == anchor
-            assert f.slope_override == s
-            assert f.anchor_ocv == 3.30
+    def test_bank_shares_anchor_uniform_prior(self, params, base_curve,
+                                              monkeypatch):
+        trace, cfg = self._trace(params, base_curve, start=0.9)
+        bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+        calls = []
+        real = multimodel.run_interval
+
+        def spy(members, x, *args):
+            calls.append((members, x, real(members, x, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(multimodel, "run_interval", spy)
+        run_ammkf(trace, base_curve, params, BatteryState(0.9, 0.0),
+                  np.diag([1e-6, 1e-6]), NoiseConfig.default(r=1e-6), cfg,
+                  BankConfig(n=3), bank_noise=bank_noise)
+        assert len(calls) >= 2
+        model_ocv = base_curve.ocv(calls[0][1][0])  # the first anchors here
+        for members, x, res in calls:
+            # every member starts from the carried posterior and anchors on
+            # it and on the previous interval's corrected model value
+            anchor = BatteryState(x.soc, x.up)
+            for f in members:
+                assert f.start() == tuple(x[:5])
+                assert f.x == f.anchor == anchor
+                assert f.noise is bank_noise and f.curve is base_curve
+                assert f.anchor_ocv == model_ocv
+            slopes = [f.slope_override for f in members]
+            assert slopes == sorted(set(slopes))
+            model_ocv = res.final_model_ocv
+        # the weights start uniform: identical members keep them so
+        members, x, _ = calls[0]
+        same = real([members[1]] * 3, x, params, trace, 41, 20, cfg, 1e-6, 2)
+        assert same.probabilities == [1 / 3] * 3
 
     def test_identical_filters_tie_to_lowest_index(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve)
@@ -175,9 +222,10 @@ class TestMakeBankAndInterval:
         anchor = BatteryState(float(trace.true_soc[20]),
                               float(trace.true_up_v[20]))
         slope = base_curve.slope(anchor.soc)
-        bank = make_bank(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
-                         np.array([slope, slope, slope]), 0)
-        res = run_interval(bank, params, trace, 21, 20, cfg, BankConfig(n=3))
+        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
+                           [slope, slope, slope])
+        res = run_interval(members, members[0].start(), params, trace, 21, 20,
+                           cfg, 1e-6, 0)
         assert res.optimal_index == 0
         assert res.probabilities == pytest.approx([1 / 3] * 3, rel=1e-9)
 
@@ -188,12 +236,11 @@ class TestMakeBankAndInterval:
         anchor = BatteryState(float(trace.true_soc[k0]),
                               float(trace.true_up_v[k0]))
         true_slope = base_curve.slope(anchor.soc)
-        slopes = np.array([true_slope / 8, true_slope, true_slope * 8])
-        bank = make_bank(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
-                         slopes, 0,
-                         anchor_ocv=base_curve.ocv(anchor.soc))
-        res = run_interval(bank, params, trace, k0 + 1, 40, cfg,
-                           BankConfig(n=3, interval_len=40))
+        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
+                           [true_slope / 8, true_slope, true_slope * 8],
+                           anchor_ocv=base_curve.ocv(anchor.soc))
+        res = run_interval(members, members[0].start(), params, trace, k0 + 1,
+                           40, cfg, 1e-6, 0)
         assert res.optimal_index == 1
         assert res.probabilities[1] > max(res.probabilities[0],
                                           res.probabilities[2])
@@ -204,9 +251,10 @@ class TestMakeBankAndInterval:
         noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
         anchor = BatteryState(float(trace.true_soc[30]),
                               float(trace.true_up_v[30]))
-        bank = make_bank(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
-                         np.array([0.05, 0.1, 0.2]), 2, anchor_ocv=3.31)
-        res = run_interval(bank, params, trace, 31, 20, cfg, BankConfig(n=3))
+        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
+                           [0.05, 0.1, 0.2], anchor_ocv=3.31)
+        res = run_interval(members, members[0].start(), params, trace, 31, 20,
+                           cfg, 1e-6, 2)
         s_op = [0.05, 0.1, 0.2][res.optimal_index]
         for soc, v, idx in res.corrected_points:
             assert idx == 2
@@ -332,6 +380,39 @@ class TestRunAmmkf:
         assert np.array_equal(a.soc, c.soc)
         assert [4 - d.optimal_index for d in a.diagnostics] == \
             [d.optimal_index for d in c.diagnostics]
+
+    @given(kind=st.sampled_from(["random-walk", "charge", "discharge"]),
+           amp=st.floats(0.1, 3.0), start=st.floats(0.05, 0.95),
+           error=st.floats(-0.1, 0.1), lo=st.floats(0.0, 0.3),
+           hi=st.floats(0.7, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_any_profile_start_and_partial_curve(self, kind, amp, start, error,
+                                                 lo, hi, seed):
+        # the truth runs on the full curve and may clamp at 0 or 1; the
+        # filters read a copy whose knots span only [lo, hi]
+        params = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
+        base = default_lifepo4_curve()
+        inner = (base.knot_soc >= lo) & (base.knot_soc <= hi)
+        partial = OcvCurve(base.knot_soc[inner], base.knot_ocv[inner])
+        if kind == "random-walk":
+            current = generate_profile(kind, 240, seed=seed, amp=amp,
+                                       step_sigma=0.2).samples
+        else:
+            current = np.full(240, amp if kind == "discharge" else -amp)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
+                        cutoff_high_v=10.0, voltage_noise_sigma=0.001,
+                        rng_seed=seed)
+        trace = simulate_profile(BatteryState(start, 0.0), params, base,
+                                 current, cfg)
+        bank = BankConfig(n=7, interval_len=20, spread=6.0)
+        res = run_ammkf(trace, partial, params,
+                        BatteryState(min(max(start + error, 0.0), 1.0), 0.0),
+                        np.diag([1e-2, 1e-4]), self._noise, cfg, bank,
+                        bank_noise=self._bank_noise)
+        assert np.all(np.isfinite(res.soc))
+        assert np.all((res.soc >= 0.0) & (res.soc <= 1.0))
+        for d in res.diagnostics:
+            assert 1 / bank.n - 1e-12 <= d.prob_max <= 1.0
 
     def test_diagnostics_cover_phase_two_intervals(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from lfpsoc import BatteryState, EcmParams, SimConfig, simulate_profile
+from lfpsoc import (BankConfig, BatteryState, EcmParams, NoiseConfig, SimConfig,
+                    ekf, multimodel, run_ammkf, simulate_profile)
+from lfpsoc.profiles import generate_profile
 from lfpsoc.rls import identify_stream
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -45,3 +47,41 @@ def test_rls_counter_reads_identify_stream_points(base_curve):
     counts = _spans().count_rls(identify_stream, (trace,), {}, points)
     assert counts == {"samples": 198, "degenerate": 198,
                       "unidentified": sum(p.params is None for p in points)}
+
+
+def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
+    # the counts must equal what the run did: every filter step, every
+    # bank interval and every pick at an end of the slope grid
+    params = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
+    cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.001, rng_seed=3)
+    current = generate_profile("dst-like", 410, seed=3,
+                               target_discharge_ah=0.05).samples
+    trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
+                             current, cfg)
+    steps, picks = [], []
+    step, interval = ekf.kalman_step, multimodel.run_interval
+
+    def counted_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    def counted_interval(*args):
+        res = interval(*args)
+        picks.append(res.optimal_index)
+        return res
+
+    monkeypatch.setattr(ekf, "kalman_step", counted_step)
+    monkeypatch.setattr(multimodel, "run_interval", counted_interval)
+    bank = BankConfig(n=7, interval_len=20, spread=6.0)
+    args = (trace, base_curve, params, BatteryState(0.9, 0.0),
+            np.diag([1e-4, 1e-4]), NoiseConfig(q=np.diag([1e-7, 1e-6]),
+                                               r=1e-6), cfg)
+    kwargs = {"bank_cfg": bank,
+              "bank_noise": NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)}
+    result = run_ammkf(*args, **kwargs)
+    counts = _spans().count_ammkf(run_ammkf, args, kwargs, result)
+    assert picks and len(trace) % bank.interval_len  # a bank and a tail
+    assert counts["filter_steps"] == len(steps)
+    assert counts["intervals"] == len(picks) == len(result.diagnostics)
+    assert counts["edge_picks"] == sum(p in (0, bank.n - 1) for p in picks)
+    assert counts["convergence_step"] == result.convergence_step
