@@ -23,9 +23,9 @@ from .scenario import (ScenarioConfig, ScenarioConfigError,
                        coulomb_counted_soc, estimator_inputs, resolve_curves,
                        run_scenario, run_sweep, scenario_from_mapping,
                        write_corrected_csv, write_diagnostics_csv,
-                       write_manifest, write_soc_csv)
+                       write_estimate_csv, write_manifest, write_soc_csv)
 from .traceio import (TraceFormatError, ingest_trace, read_config,
-                      write_trace)
+                      write_lines, write_trace)
 
 
 def _load_cfg(args) -> ScenarioConfig:
@@ -67,16 +67,10 @@ def cmd_identify(args) -> int:
     points = identify_stream(trace, soc_feedback=coulomb_counted_soc(cfg, trace),
                              cfg=RlsConfig())
     path = os.path.join(out, "identified_params.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "r0_ohm", "rp_ohm", "cp_f", "lambda"])
-        for p in points:
-            if p.params is None:
-                w.writerow([f"{p.t:.6g}", "", "", "", f"{p.lam:.6f}"])
-            else:
-                w.writerow([f"{p.t:.6g}", f"{p.params.r0:.8g}",
-                            f"{p.params.rp:.8g}", f"{p.params.cp:.8g}",
-                            f"{p.lam:.6f}"])
+    write_lines(path, ["t", "r0_ohm", "rp_ohm", "cp_f", "lambda"],
+                (f"{p.t:.6g},,,,{p.lam:.6f}" if p.params is None
+                 else f"{p.t:.6g},{p.params.r0:.8g},{p.params.rp:.8g},"
+                      f"{p.params.cp:.8g},{p.lam:.6f}" for p in points))
     write_manifest(os.path.join(out, "run-manifest.txt"), cfg)
     final = next((p.params for p in reversed(points) if p.params is not None),
                  None)
@@ -99,15 +93,8 @@ def cmd_estimate(args) -> int:
         outs = run_ekf(KfState(x0, p0, cfg.filter_noise(), filter_curve),
                        params, trace, sim)
         soc = np.array([o.soc for o in outs])
-        with open(os.path.join(out, "estimate_ekf.csv"), "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "soc_est", "up_est", "innovation_v",
-                        "p00", "p11"])
-            for k, o in enumerate(outs):
-                w.writerow([f"{k * trace.dt:.6g}", f"{o.soc:.9f}",
-                            f"{o.up:.9f}", f"{o.innovation:.9e}",
-                            f"{o.p00:.9e}", f"{o.p11:.9e}"])
+        write_estimate_csv(os.path.join(out, "estimate_ekf.csv"), trace.dt,
+                           outs)
     else:
         res = run_ammkf(trace, filter_curve, params, x0, p0,
                         cfg.filter_noise(), sim, cfg.bank_config(),
@@ -135,8 +122,10 @@ def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
     """Intervals of an innovation log (`interval,step,innovation_v`). It
     carries no covariance, so each interval's theoretical auto-correlation
     is the measurement variance `r`. A row that is short, not numeric or
-    not finite is rejected, naming its line."""
+    not finite is rejected, naming its line, and so is the only row of an
+    interval, which needs at least 2 innovations."""
     groups: dict[int, list[float]] = {}
+    last: dict[int, tuple[int, list[str]]] = {}  # (line, row) per interval
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -151,6 +140,13 @@ def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
             if not ok:
                 raise TraceFormatError(f"{path}:{lineno}: malformed row {row}")
             groups.setdefault(m, []).append(value)
+            last[m] = (lineno, row)
+    for m in sorted(groups):
+        if len(groups[m]) < 2:
+            lineno, row = last[m]
+            raise TraceFormatError(
+                f"{path}:{lineno}: malformed row {row}: the only row of "
+                f"interval {m}, which needs at least 2 innovations")
     return [IntervalInnovations(m, np.array(groups[m]), r)
             for m in sorted(groups)]
 
@@ -185,16 +181,16 @@ def cmd_analyze(args) -> int:
         note = (f"; second-half whiteness: {inside}/20 autocorrelation lags "
                 f"inside +-{band:.4f}")
     path = os.path.join(out, "analysis.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([label, "ccm", "acm_emp", "acm_theo", "verdict"])
-        prev = None
-        for iv in intervals:
+
+    def lines():
+        for prev, iv in zip([None, *intervals], intervals):
             ccm, acm_emp, acm_theo, verdict = innovation.interval_statistics(
                 prev, iv, CcmThresholds())
-            w.writerow([iv.interval_index, f"{ccm:.9e}", f"{acm_emp:.9e}",
-                        f"{acm_theo:.9e}", verdict.sign])
-            prev = iv
+            yield (f"{iv.interval_index},{ccm:.9e},{acm_emp:.9e},"
+                   f"{acm_theo:.9e},{verdict.sign}")
+
+    write_lines(path, [label, "ccm", "acm_emp", "acm_theo", "verdict"],
+                lines())
     print(f"{len(intervals)} intervals -> {path}{note}")
     return 0
 

@@ -3,7 +3,6 @@ artifacts, a metrics summary, and threshold checks for scripted runs."""
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, asdict, replace
 
@@ -16,7 +15,7 @@ from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
 from .profiles import generate_profile
 from .rls import RlsConfig, identify_stream
-from .traceio import read_config, write_config, write_trace
+from .traceio import read_config, write_config, write_lines, write_trace
 
 
 class ScenarioConfigError(ValueError):
@@ -246,44 +245,43 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
 
 
 def write_soc_csv(path: str, dt: float, est: np.ndarray, truth: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "soc", "true_soc", "error"])
-        for k, (e, s) in enumerate(zip(est, truth)):
-            w.writerow([f"{k * dt:.6g}", f"{e:.9f}", f"{s:.9f}",
-                        f"{e - s:.9f}"])
+    write_lines(path, ["t", "soc", "true_soc", "error"],
+                (f"{k * dt:.6g},{e:.9f},{s:.9f},{e - s:.9f}"
+                 for k, (e, s) in enumerate(zip(est.tolist(),
+                                                truth.tolist()))))
+
+
+def write_estimate_csv(path: str, dt: float, outs: list):
+    """The baseline filter's per-step posterior, innovation and variances."""
+    write_lines(path, ["t", "soc_est", "up_est", "innovation_v", "p00", "p11"],
+                (f"{k * dt:.6g},{o.soc:.9f},{o.up:.9f},{o.innovation:.9e},"
+                 f"{o.p00:.9e},{o.p11:.9e}" for k, o in enumerate(outs)))
 
 
 def write_corrected_csv(path: str, points: list):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["soc", "ocv_v", "interval"])
-        for soc, ocv, interval in points:
-            w.writerow([f"{soc:.9f}", f"{ocv:.9f}", interval])
+    write_lines(path, ["soc", "ocv_v", "interval"],
+                (f"{soc:.9f},{ocv:.9f},{interval}"
+                 for soc, ocv, interval in points))
 
 
 def write_diagnostics_csv(path: str, diagnostics: list):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "ccm", "acm_emp", "acm_theo", "verdict",
-                    "optimal_index", "prob_max", "mode"])
-        for d in diagnostics:
-            w.writerow([d.interval_index, f"{d.ccm:.9e}", f"{d.acm_emp:.9e}",
-                        f"{d.acm_theo:.9e}", d.verdict, d.optimal_index,
-                        f"{d.prob_max:.6f}", d.mode])
+    write_lines(path, ["interval", "ccm", "acm_emp", "acm_theo", "verdict",
+                       "optimal_index", "prob_max", "mode"],
+                (f"{d.interval_index},{d.ccm:.9e},{d.acm_emp:.9e},"
+                 f"{d.acm_theo:.9e},{d.verdict},{d.optimal_index},"
+                 f"{d.prob_max:.6f},{d.mode}" for d in diagnostics))
 
 
 def write_metrics_csv(path: str, metrics: dict):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "rmse", "mae", "max_abs_error",
-                    "convergence_time_s", "final_quarter_rmse"])
-        for method, m in metrics.items():
-            conv = "" if m.convergence_time_s is None \
-                else f"{m.convergence_time_s:.6g}"
-            w.writerow([method, f"{m.rmse:.6f}", f"{m.mae:.6f}",
-                        f"{m.max_abs_error:.6f}", conv,
-                        f"{m.final_quarter_rmse:.6f}"])
+    def line(method, m) -> str:
+        conv = "" if m.convergence_time_s is None \
+            else f"{m.convergence_time_s:.6g}"
+        return (f"{method},{m.rmse:.6f},{m.mae:.6f},{m.max_abs_error:.6f},"
+                f"{conv},{m.final_quarter_rmse:.6f}")
+
+    write_lines(path, ["method", "rmse", "mae", "max_abs_error",
+                       "convergence_time_s", "final_quarter_rmse"],
+                (line(method, m) for method, m in metrics.items()))
 
 
 def write_manifest(path: str, cfg: ScenarioConfig):

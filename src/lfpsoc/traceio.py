@@ -17,36 +17,80 @@ class TraceFormatError(ValueError):
     pass
 
 
+# Bytes that numpy's float parse strips as spaces and float() rejects; a file
+# holding any of them is left to the row loop.
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def write_lines(path, header: list[str], lines) -> None:
+    """Write a CSV from its header cells and its comma-joined lines, each
+    ending in "\\r\\n" as `csv.writer` ends them. The lines stream to the
+    file: no string of the whole file is built. Cells are written as given,
+    so they must hold no comma, quote or line break."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{line}\r\n" for line in lines)
+
+
 def write_trace(trace: Trace, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRACE_HEADER)
-        has_truth = trace.true_soc is not None
-        for i in range(len(trace)):
-            row = [repr(float(trace.t[i])), repr(float(trace.current_a[i])),
-                   repr(float(trace.voltage_v[i]))]
-            if has_truth:
-                row += [repr(float(trace.true_soc[i])),
-                        repr(float(trace.true_up_v[i]))]
-            w.writerow(row)
+    cols = [trace.t, trace.current_a, trace.voltage_v]
+    if trace.true_soc is not None:
+        cols += [trace.true_soc, trace.true_up_v]
+    write_lines(path, TRACE_HEADER,
+                map(",".join, zip(*(map(repr, c.tolist()) for c in cols))))
 
 
-def ingest_trace(path, strict: bool = False) -> Trace:
-    """Load a trace CSV. Non-uniform timestamps are zero-order-hold resampled
-    to the smallest spacing with a warning, or rejected under strict mode.
-    A non-finite t, current or voltage is rejected, naming its line; the
-    true columns are optional and may be empty or NaN."""
+def _columns(path, reader) -> dict:
+    """Column index by name from the header row, with the required ones
+    checked."""
+    header = next(reader, None)
+    if header is None:
+        raise TraceFormatError(f"{path}: empty file")
+    cols = [c.strip() for c in header]
+    for need in TRACE_HEADER[:3]:
+        if need not in cols:
+            raise TraceFormatError(f"{path}: missing column '{need}'")
+    return {c: cols.index(c) for c in cols}
+
+
+def _holds_loadtxt_only_spaces(path) -> bool:
+    with open(path, "rb") as fb:
+        return any(c in block for block in iter(lambda: fb.read(1 << 16), b"")
+                   for c in _LOADTXT_ONLY_SPACES)
+
+
+def _parse_columns(path) -> np.ndarray | None:
+    """The samples (t, current_a, voltage_v, and both true columns when the
+    header has them) from one C-level parse of the whole file, or None
+    where `_parse_rows` must decide: a cell the parse rejects, fewer than 2
+    rows, or a non-finite required cell."""
+    if _holds_loadtxt_only_spaces(path):
+        return None
+    with open(path, newline="") as f:
+        idx = _columns(path, csv.reader(f))
+        names = TRACE_HEADER if "true_soc" in idx and "true_up_v" in idx \
+            else TRACE_HEADER[:3]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(f, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2,
+                                  usecols=[idx[c] for c in names])
+        except ValueError:
+            return None
+    if len(data) < 2 or not np.isfinite(data[:, :3]).all():
+        return None
+    return data
+
+
+def _parse_rows(path) -> np.ndarray:
+    """The samples, row by row: the definition of what a trace CSV may
+    hold. Truth cells that are short or empty read as NaN; every rejected
+    row is named by its line."""
     rows, linenos = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise TraceFormatError(f"{path}: empty file")
-        cols = [c.strip() for c in header]
-        for need in TRACE_HEADER[:3]:
-            if need not in cols:
-                raise TraceFormatError(f"{path}: missing column '{need}'")
-        idx = {c: cols.index(c) for c in cols}
+        idx = _columns(path, reader)
         has_truth = "true_soc" in idx and "true_up_v" in idx
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -72,8 +116,23 @@ def ingest_trace(path, strict: bool = False) -> Trace:
         i = int(np.argmin(finite))
         raise TraceFormatError(f"{path}:{linenos[i]}: non-finite t, current_a "
                                f"or voltage_v {data[i, :3].tolist()}")
+    return data
+
+
+def ingest_trace(path, strict: bool = False) -> Trace:
+    """Load a trace CSV. Non-uniform timestamps are zero-order-hold resampled
+    to the smallest spacing with a warning, or rejected under strict mode.
+    A non-finite t, current or voltage is rejected, naming its line; the
+    true columns are optional and may be empty or NaN.
+
+    A well-formed file is parsed by whole columns; any other goes through
+    the row loop, which gives the same arrays or names the bad line."""
+    data = _parse_columns(path)
+    if data is None:
+        data = _parse_rows(path)
     t, cur, volt = data[:, 0], data[:, 1], data[:, 2]
-    soc = data[:, 3] if not np.all(np.isnan(data[:, 3])) else None
+    has_truth = data.shape[1] > 3 and not np.all(np.isnan(data[:, 3]))
+    soc = data[:, 3] if has_truth else None
     up = data[:, 4] if soc is not None else None
     diffs = np.diff(t)
     if np.any(diffs <= 0):

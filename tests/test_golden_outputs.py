@@ -1,0 +1,89 @@
+"""Byte-identity guard for every CSV the CLI writes.
+
+A 400-step config is run through `simulate`, `identify`, `estimate` with
+both methods, `analyze` and `scenario`, and each CSV is compared by SHA-256
+with the digest the same commands gave before the trace-path I/O rewrite
+(parsed columns in, streamed lines out). A change to how a CSV is read or
+written that moves a single byte fails here by file name. A change that
+means to alter an output must say why and update the digest.
+"""
+
+import hashlib
+
+import pytest
+
+from lfpsoc.cli import main as cli_main
+
+CONFIG = "profile_steps=400\nprofile_target_ah=0.06\nseed=42\n"
+
+GOLDEN = {
+    "sim/trace.csv":
+        "8f137e639b5c0fb032b3b931137034e218bb01b0bb4a86b16779d3c0d561b46e",
+    "sim/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+    "id/identified_params.csv":
+        "877f1a887c109cf0cf85f5d6adfcf4e06ce41d833e420aa277831e535cac22bb",
+    "ekf/estimate_ekf.csv":
+        "95b231e16479e932af01d4caddc809fe801721fc8c405d863dff6e3aedfff984",
+    "ekf/soc_ekf.csv":
+        "e1777abb3114caa815e3bfc0e58f6cd8930fb38dd5d71b8eca200a160142f135",
+    "ammkf/soc_ammkf.csv":
+        "b2e80f5dbdb19b55889435251883350c93883a0bfa46d041c62ac2785e297c4c",
+    "ammkf/corrected_osc.csv":
+        "9acec274f56b03ead972c35de9f4765ce106a0d1ba3e245a1dc15202c04da0d8",
+    "ammkf/diagnostics.csv":
+        "1be5d5075a38ff95b938a85aa02d3a591c25af4d5b94fa0a889538473980ff59",
+    "an/analysis.csv":
+        "149289e8aab7e7c22563a79560d2bee8cacf4b31fb8d4c89d93a2c6ae948a449",
+    "scen/trace.csv":
+        "8f137e639b5c0fb032b3b931137034e218bb01b0bb4a86b16779d3c0d561b46e",
+    "scen/soc_ekf.csv":
+        "e1777abb3114caa815e3bfc0e58f6cd8930fb38dd5d71b8eca200a160142f135",
+    "scen/soc_ammkf.csv":
+        "b2e80f5dbdb19b55889435251883350c93883a0bfa46d041c62ac2785e297c4c",
+    "scen/corrected_osc.csv":
+        "9acec274f56b03ead972c35de9f4765ce106a0d1ba3e245a1dc15202c04da0d8",
+    "scen/diagnostics.csv":
+        "1be5d5075a38ff95b938a85aa02d3a591c25af4d5b94fa0a889538473980ff59",
+    "scen/metrics.csv":
+        "a03906f269b76293c905e8a5769d2c4bf0ed976520f320f55bbd2f58eaa34b34",
+    "scen/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+    "scen/filter_curve.csv":
+        "a3f3c4101cd5b3d92f1fc89658c4c4ce0be666f19260739d9ab9e84340e7df89",
+}
+
+
+def run_commands(root) -> dict:
+    """Run every CSV-writing command once under `root` and return the
+    SHA-256 of each CSV, keyed by its path relative to `root`."""
+    cfg = root / "cfg.txt"
+    cfg.write_text(CONFIG)
+    trace = str(root / "sim" / "trace.csv")
+    commands = [("sim", ["simulate"]),
+                ("id", ["identify", "--trace", trace]),
+                ("ekf", ["estimate", "--trace", trace, "--method", "ekf"]),
+                ("ammkf", ["estimate", "--trace", trace, "--method", "ammkf"]),
+                ("an", ["analyze", "--trace", trace]),
+                ("scen", ["scenario"])]
+    for out, args in commands:
+        code = cli_main(["--config", str(cfg), "--out", str(root / out),
+                         *args])
+        assert code == 0, (out, code)
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.glob("*/*.csv"))}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_csv_is_covered(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_bytes_unchanged(digests, name):
+    assert digests.get(name) == GOLDEN[name]

@@ -2,7 +2,9 @@
 and the command-line interface."""
 
 import csv
+import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,15 +14,17 @@ from lfpsoc import (BatteryState, KfState, OcvCurve, ScenarioConfig,
                     compute_metrics, curve_error, default_lifepo4_curve,
                     generate_profile, load_scenario, resolve_curves, run_ekf,
                     run_scenario, run_sweep, simulate_profile)
-from lfpsoc.ekf import transition
+from lfpsoc.ekf import StepOutput, transition
 from lfpsoc.cli import main as cli_main
 from lfpsoc.ecm import SimConfig, Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
 from lfpsoc.profiles import ProfileConfigError
 from lfpsoc.scenario import (ScenarioConfigError, scenario_from_mapping,
-                             write_artifacts)
+                             write_artifacts, write_estimate_csv,
+                             write_soc_csv)
+from lfpsoc import traceio
 from lfpsoc.traceio import (TraceFormatError, ingest_trace, read_config,
-                            write_config, write_trace)
+                            write_config, write_lines, write_trace)
 
 
 def _net_discharge_ah(profile, dt=1.0):
@@ -115,7 +119,142 @@ def _small_trace(params, curve, n=120, sigma=0.0):
                             prof.samples, cfg)
 
 
+_H = "t,current_a,voltage_v"
+_HT = _H + ",true_soc,true_up_v"
+_NAN = float("nan")
+
+# trace CSV text -> what ingest_trace gives: (t, current_a, voltage_v,
+# true_soc, true_up_v), or the TraceFormatError text with {path} for the file
+INGEST_CASES = {
+    "blank-lines": (f"{_H}\n\n0,1.0,3.3\n\n1,1.5,3.29\n\n",
+                    ([0.0, 1.0], [1.0, 1.5], [3.3, 3.29], None, None)),
+    "whitespace-line": (f"{_H}\n0,1.0,3.3\n   \n1,1.5,3.29\n",
+                        "{path}:3: malformed row ['   ']"),
+    "empty-truth-cells": (f"{_HT}\n0,1.0,3.3,0.5,0.01\n1,1.0,3.29,,\n"
+                          "2,1.0,3.28,0.49,0.02\n",
+                          ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0],
+                           [3.3, 3.29, 3.28], [0.5, _NAN, 0.49],
+                           [0.01, _NAN, 0.02])),
+    "short-truth-rows": (f"{_HT}\n0,1.0,3.3,0.5,0.01\n1,1.0,3.29\n"
+                         "2,1.0,3.28,0.49\n",
+                         ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0],
+                          [3.3, 3.29, 3.28], [0.5, _NAN, _NAN],
+                          [0.01, _NAN, _NAN])),
+    "all-nan-truth": (f"{_HT}\n0,1.0,3.3,nan,nan\n1,1.0,3.29,nan,0.1\n",
+                      ([0.0, 1.0], [1.0, 1.0], [3.3, 3.29], None, None)),
+    "reordered-extra-columns": (
+        "voltage_v,note,t,true_up_v,current_a,true_soc,extra\n"
+        "3.3,7,0,0.01,1.0,0.5,x\n3.29,8,1,0.02,-1.5,0.49,y\n",
+        ([0.0, 1.0], [1.0, -1.5], [3.3, 3.29], [0.5, 0.49], [0.01, 0.02])),
+    "spaced-header": (" t , current_a ,voltage_v \n0,1,3.3\n1,1,3.29\n",
+                      ([0.0, 1.0], [1.0, 1.0], [3.3, 3.29], None, None)),
+    "quoted-cells": (f'{_HT}\n"0","1.0",3.3,"0.5",0.01\n'
+                     f'1,1.0,"3.29",0.49,"0.02"\n',
+                     ([0.0, 1.0], [1.0, 1.0], [3.3, 3.29], [0.5, 0.49],
+                      [0.01, 0.02])),
+    "bad-cell-after-blank": (f"{_H}\n0,1,3.3\n\n1,x,3.29\n",
+                             "{path}:4: malformed row ['1', 'x', '3.29']"),
+    "non-finite-after-blank": (
+        f"{_H}\n0,1,3.3\n\n1,inf,3.29\n2,1,3.28\n",
+        "{path}:4: non-finite t, current_a or voltage_v [1.0, inf, 3.29]"),
+    # numpy's float parse strips a trailing \x1f, float() does not
+    "unit-separator": (f"{_H}\n0,1,3.3\x1f\n1,1,3.29\n",
+                       "{path}:2: malformed row ['0', '1', '3.3\\x1f']"),
+    "header-only": (f"{_HT}\n", "{path}: need at least 2 samples"),
+}
+
+
+def _bits(values) -> bytes | None:
+    return None if values is None else np.asarray(values, float).tobytes()
+
+
 class TestTraceIo:
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("case", sorted(INGEST_CASES))
+    def test_ingest_outcome_is_pinned(self, tmp_path, case, eol):
+        text, expected = INGEST_CASES[case]
+        p = tmp_path / "trace.csv"
+        with open(p, "w", newline="") as fh:
+            fh.write(text.replace("\n", eol))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(TraceFormatError) as exc:
+                    ingest_trace(p)
+                assert str(exc.value) == expected.format(path=p)
+                return
+            back = ingest_trace(p)
+        got = (back.t, back.current_a, back.voltage_v, back.true_soc,
+               back.true_up_v)
+        assert [_bits(g) for g in got] == [_bits(w) for w in expected]
+
+    def test_well_formed_file_skips_the_row_loop(self, params, base_curve,
+                                                 tmp_path, monkeypatch):
+        p = tmp_path / "trace.csv"
+        write_trace(_small_trace(params, base_curve), p)
+        rows = ingest_trace(p)
+
+        def no_row_loop(path):
+            raise AssertionError("row loop ran")
+
+        monkeypatch.setattr(traceio, "_parse_rows", no_row_loop)
+        cols = ingest_trace(p)
+        for name in ("t", "current_a", "voltage_v", "true_soc", "true_up_v"):
+            assert _bits(getattr(cols, name)) == _bits(getattr(rows, name))
+
+    @given(header=st.sampled_from(
+               [_H, _HT, "voltage_v,x,t,true_up_v,current_a,true_soc"]),
+           eol=st.sampled_from(["\n", "\r\n", "\r"]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_column_parse_agrees_with_the_row_loop(self, tmp_path_factory,
+                                                   header, eol, data):
+        # the row loop is the reference: whatever the column parse accepts,
+        # the loop accepts with the same bits. Rows of float cells, with a
+        # few cells swapped for odd ones (None drops the cell)
+        n = header.count(",") + 1
+        rows = data.draw(st.lists(st.lists(st.floats().map(repr), min_size=n,
+                                           max_size=n), max_size=6))
+        odd = st.sampled_from([None, "", " ", "x", "1_0", '"2.5"', " 3 ",
+                               "1e999", "-0.0", "\x1f4", "\xa05", "٥"])
+        for r, c, cell in data.draw(st.lists(st.tuples(
+                st.integers(0, 5), st.integers(0, n), odd), max_size=2)):
+            if r < len(rows):
+                rows[r][c:c + 1] = [] if cell is None else [cell]
+        p = tmp_path_factory.mktemp("parity") / "trace.csv"
+        with open(p, "w", newline="") as fh:
+            fh.write(eol.join([header, *map(",".join, rows)]) + eol)
+        cols = traceio._parse_columns(p)
+        if cols is not None:
+            ref = traceio._parse_rows(p)
+            assert _bits(cols) == _bits(ref[:, :cols.shape[1]])
+
+    @given(n=st.integers(2, 25), t0=st.floats(-1e5, 1e5),
+           dt=st.floats(1e-2, 1e3), truth=st.booleans(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_write_ingest_roundtrip_is_bit_identical(self, tmp_path_factory,
+                                                     n, t0, dt, truth, data):
+        edge = st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e308, -1e308])
+        finite = st.one_of(edge, st.floats(allow_nan=False,
+                                           allow_infinity=False))
+        column = st.lists(finite, min_size=n, max_size=n)
+        maybe_nan = st.lists(st.one_of(finite, st.just(_NAN)), min_size=n,
+                             max_size=n)
+        trace = Trace(t0 + dt * np.arange(n), np.array(data.draw(column)),
+                      np.array(data.draw(column)), dt=dt)
+        if truth:
+            trace.true_soc = np.array(data.draw(maybe_nan))
+            trace.true_up_v = np.array(data.draw(maybe_nan))
+        p = tmp_path_factory.mktemp("roundtrip") / "trace.csv"
+        write_trace(trace, p)
+        back = ingest_trace(p)
+        for name in ("t", "current_a", "voltage_v"):
+            assert _bits(getattr(back, name)) == _bits(getattr(trace, name))
+        if not truth or np.all(np.isnan(trace.true_soc)):
+            assert back.true_soc is None and back.true_up_v is None
+        else:
+            assert _bits(back.true_soc) == _bits(trace.true_soc)
+            assert _bits(back.true_up_v) == _bits(trace.true_up_v)
+
     def test_roundtrip_with_truth(self, params, base_curve, tmp_path):
         trace = _small_trace(params, base_curve)
         p = tmp_path / "trace.csv"
@@ -187,6 +326,56 @@ class TestTraceIo:
                      "0,1.0,3.30\n1,2.0,3.29\n6,3.0,3.28\n")
         with pytest.raises(TraceFormatError, match="strict"):
             ingest_trace(p, strict=True)
+
+    @given(rows=st.lists(st.lists(st.text(st.characters(
+        blacklist_characters=',"\r\n', blacklist_categories=("Cs",))),
+        min_size=2, max_size=5), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_write_lines_matches_csv_writer(self, tmp_path_factory, rows):
+        header = ["a", "b"]
+        p = tmp_path_factory.mktemp("lines") / "out.csv"
+        write_lines(p, header, (",".join(row) for row in rows))
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        assert p.read_bytes() == buf.getvalue().encode()
+
+    @given(est=st.lists(st.floats(-1e300, 1e300), max_size=30),
+           dt=st.floats(1e-3, 1e3), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_soc_csv_matches_csv_writer(self, tmp_path_factory, est, dt,
+                                        data):
+        truth = data.draw(st.lists(st.one_of(st.floats(-1e300, 1e300),
+                                             st.just(_NAN)),
+                                   min_size=len(est), max_size=len(est)))
+        est, truth = np.array(est), np.array(truth)
+        p = tmp_path_factory.mktemp("soc") / "soc.csv"
+        write_soc_csv(p, dt, est, truth)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["t", "soc", "true_soc", "error"])
+        for k, (e, s) in enumerate(zip(est, truth)):
+            w.writerow([f"{k * dt:.6g}", f"{e:.9f}", f"{s:.9f}",
+                        f"{e - s:.9f}"])
+        assert p.read_bytes() == buf.getvalue().encode()
+
+    @given(steps=st.lists(st.tuples(*[st.floats()] * 5), max_size=30),
+           dt=st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_csv_matches_csv_writer(self, tmp_path_factory, steps,
+                                             dt):
+        outs = [StepOutput(soc, up, p00, 0.0, p11, innovation, 1.0, 0.0,
+                           False)
+                for soc, up, p00, p11, innovation in steps]
+        p = tmp_path_factory.mktemp("est") / "estimate_ekf.csv"
+        write_estimate_csv(p, dt, outs)
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["t", "soc_est", "up_est", "innovation_v", "p00", "p11"])
+        for k, o in enumerate(outs):
+            w.writerow([f"{k * dt:.6g}", f"{o.soc:.9f}", f"{o.up:.9f}",
+                        f"{o.innovation:.9e}", f"{o.p00:.9e}",
+                        f"{o.p11:.9e}"])
+        assert p.read_bytes() == buf.getvalue().encode()
 
     def test_config_roundtrip(self, tmp_path):
         p = tmp_path / "cfg.txt"
@@ -436,8 +625,8 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [
         ["1", "3", ""], ["1", "3"], ["1", "3", "x"], ["x", "3", "1e-3"],
-        ["1", "3", "nan"], ["1", "3", "inf"]],
-        ids=["empty", "short", "text", "interval", "nan", "inf"])
+        ["1", "3", "nan"], ["1", "3", "inf"], ["1", "3", "1e-3"]],
+        ids=["empty", "short", "text", "interval", "nan", "inf", "single"])
     def test_analyze_innovation_log_names_a_bad_row(self, tmp_path, capsys,
                                                     bad):
         log = tmp_path / "innov.csv"
@@ -450,6 +639,17 @@ class TestCli:
         out = str(tmp_path / "an")
         assert cli_main(["--out", out, "analyze", "--trace", str(log)]) == 2
         assert f"{log}:22: malformed row {bad}" in capsys.readouterr().err
+
+    def test_analyze_innovation_log_names_a_single_row_interval(
+            self, tmp_path, capsys):
+        log = tmp_path / "innov.csv"
+        log.write_text("interval,step,innovation_v\n0,0,1e-3\n0,1,-2e-3\n"
+                       "1,0,1e-3\n")
+        out = str(tmp_path / "an")
+        assert cli_main(["--out", out, "analyze", "--trace", str(log)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}:4: malformed row ['1', '0', '1e-3']: the only row "
+            "of interval 1, which needs at least 2 innovations\n")
 
     def test_analyze_acm_theo_uses_the_updates_row(self, tmp_path):
         # H P- H^T + r must use the row H = [s, -1] of each interval's last
