@@ -2,7 +2,7 @@
 OCV-SOC curve error: ECM simulator, adaptive RLS identification, EKF
 baseline, innovation diagnostics, and a multi-model filter bank."""
 
-from .curve import (CurveTransform, OcvCurve, apply_transform, curve_error,
+from .curve import (OcvCurve, apply_transform, curve_error,
                     default_lifepo4_curve, plateau_offset)
 from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
                   step_state, terminal_voltage)

@@ -163,12 +163,12 @@ def cmd_analyze(args) -> int:
         label, note = "m", ""
         intervals = _logged_intervals(args.trace, cfg.r)
     else:
+        L = cfg.bank_config().interval_len
         trace = ingest_trace(args.trace, strict=args.strict)
         _, filter_curve = resolve_curves(cfg)
         params, sim = estimator_inputs(cfg, trace)
         outs = run_ekf(KfState(*cfg.estimator_start(), cfg.filter_noise(),
                                filter_curve), params, trace, sim)
-        L = cfg.interval_len
         label = "interval"
         intervals = [interval_innovations(m, outs[m * L:(m + 1) * L])
                      for m in range(len(outs) // L)]

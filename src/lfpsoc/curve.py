@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ class CurveDomainError(ValueError):
 
 
 class InvalidTransformError(ValueError):
-    """Transform would produce a curve violating knot invariants."""
+    """Curve spec that is malformed or derives no valid curve."""
 
 
 @dataclass(frozen=True)
@@ -145,77 +146,81 @@ class OcvCurve:
                 w.writerow([repr(float(s)), repr(float(v))])
 
 
-@dataclass(frozen=True)
-class CurveTransform:
-    """Controlled curve perturbation for error-injection experiments.
-
-    kinds: 'voltage-offset' (volts), 'soc-shift' (fraction),
-    'slope-scale' (dimensionless, about the curve mean),
-    'blend-toward' (convex combination with `other` at `weight`).
-    """
-
-    kind: str
-    magnitude: float = 0.0
-    other: OcvCurve | None = None
-    weight: float = 0.0
-
-    def __post_init__(self):
-        kinds = {"voltage-offset", "soc-shift", "slope-scale", "blend-toward"}
-        if self.kind not in kinds:
-            raise InvalidTransformError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "blend-toward":
-            if self.other is None:
-                raise InvalidTransformError("blend-toward requires another curve")
-            if not 0.0 <= self.weight <= 1.0:
-                raise InvalidTransformError("blend weight must be in [0, 1]")
-
-
 def curve_error(actual: OcvCurve, original: OcvCurve, soc) -> float:
     """Measurement-model gap at `soc`: actual OCV minus original OCV."""
     return actual.ocv(soc) - original.ocv(soc)
-
-
-def apply_transform(curve: OcvCurve, t: CurveTransform) -> OcvCurve:
-    if t.kind == "voltage-offset":
-        return OcvCurve(curve.knot_soc.copy(), curve.knot_ocv + t.magnitude)
-    if t.kind == "slope-scale":
-        mean = float(np.mean(curve.knot_ocv))
-        return OcvCurve(curve.knot_soc.copy(), mean + t.magnitude * (curve.knot_ocv - mean))
-    if t.kind == "soc-shift":
-        shifted = curve.knot_soc + t.magnitude
-        lo = max(0.0, float(shifted[0]))
-        hi = min(1.0, float(shifted[-1]))
-        if hi - lo <= 0:
-            raise InvalidTransformError("soc-shift pushes curve outside [0, 1]")
-        keep = (shifted > lo) & (shifted < hi)
-        new_soc = np.concatenate(([lo], shifted[keep], [hi]))
-        new_ocv = np.interp(new_soc, shifted, curve.knot_ocv)
-        return OcvCurve(new_soc, new_ocv)
-    # blend-toward: pointwise convex combination on the union knot grid
-    other = t.other
-    lo = max(curve.soc_min, other.soc_min)
-    hi = min(curve.soc_max, other.soc_max)
-    if hi <= lo:
-        raise InvalidTransformError("blend curves have disjoint domains")
-    grid = np.union1d(curve.knot_soc, other.knot_soc)
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid[0] > lo:
-        grid = np.concatenate(([lo], grid))
-    if grid[-1] < hi:
-        grid = np.concatenate((grid, [hi]))
-    blended = (1.0 - t.weight) * curve.ocv(grid) + t.weight * other.ocv(grid)
-    return OcvCurve(grid, blended)
 
 
 def plateau_offset(curve: OcvCurve, offset_v: float,
                    lo: float = 0.2, hi: float = 0.8, ramp: float = 0.1) -> OcvCurve:
     """Add a voltage offset confined to the plateau, with linear tapers of
     width `ramp` on each side so the curve stays continuous."""
+    if not (0.0 <= lo < hi <= 1.0 and ramp > 0):
+        raise ValueError("plateau needs 0 <= lo < hi <= 1 and ramp > 0")
     grid = np.union1d(curve.knot_soc,
                       np.clip([lo - ramp, lo, hi, hi + ramp], curve.soc_min, curve.soc_max))
     grid = grid[(grid >= curve.soc_min) & (grid <= curve.soc_max)]
     w = np.clip(np.minimum((grid - (lo - ramp)) / ramp, ((hi + ramp) - grid) / ramp), 0.0, 1.0)
     return OcvCurve(grid, curve.ocv(grid) + offset_v * w)
+
+
+def _volts(curve: OcvCurve, offset_v: float) -> OcvCurve:
+    return OcvCurve(curve.knot_soc.copy(), curve.knot_ocv + offset_v)
+
+
+def _shift(curve: OcvCurve, delta: float) -> OcvCurve:
+    shifted = curve.knot_soc + delta
+    lo = max(0.0, float(shifted[0]))
+    hi = min(1.0, float(shifted[-1]))
+    if hi - lo <= 0:
+        raise ValueError("shift pushes the curve outside [0, 1]")
+    keep = (shifted > lo) & (shifted < hi)
+    new_soc = np.concatenate(([lo], shifted[keep], [hi]))
+    return OcvCurve(new_soc, np.interp(new_soc, shifted, curve.knot_ocv))
+
+
+def _scale(curve: OcvCurve, factor: float) -> OcvCurve:
+    if not factor > 0:
+        raise ValueError("scale factor must be > 0")
+    mean = float(np.mean(curve.knot_ocv))
+    return OcvCurve(curve.knot_soc.copy(), mean + factor * (curve.knot_ocv - mean))
+
+
+# kind -> (transform, accepted counts of numbers after the kind)
+_TRANSFORMS = {"offset": (plateau_offset, (1, 4)), "volts": (_volts, (1,)),
+               "shift": (_shift, (1,)), "scale": (_scale, (1,))}
+
+
+def is_transform(spec: str) -> bool:
+    """Whether `spec` is a transform: a known kind before its first ':'."""
+    kind, colon, _ = spec.partition(":")
+    return bool(colon) and kind in _TRANSFORMS
+
+
+def apply_transform(curve: OcvCurve, spec: str) -> OcvCurve:
+    """The curve a spec derives from `curve`, for error injection:
+
+    offset:<v>[:<lo>:<hi>:<ramp>]  `plateau_offset` (lo, hi, ramp default
+                                   to 0.2, 0.8, 0.1)
+    volts:<v>                      v volts added at every knot
+    shift:<soc>                    knots moved by soc, clipped to [0, 1]
+    scale:<factor>                 OCV spread about the knot mean scaled
+
+    A malformed spec raises InvalidTransformError naming it."""
+    kind, _, args = spec.partition(":")
+    try:
+        if kind not in _TRANSFORMS:
+            raise ValueError(f"kind must be one of {', '.join(_TRANSFORMS)}")
+        transform, counts = _TRANSFORMS[kind]
+        vals = [float(a) for a in args.split(":")]
+        if len(vals) not in counts:
+            raise ValueError(f"{kind} takes "
+                             f"{' or '.join(map(str, counts))} number(s)")
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("numbers must be finite")
+        return transform(curve, *vals)
+    except ValueError as exc:
+        raise InvalidTransformError(f"bad curve spec {spec!r}: {exc}") from exc
 
 
 def default_lifepo4_curve() -> OcvCurve:

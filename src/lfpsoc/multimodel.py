@@ -9,7 +9,7 @@ An interval's theoretical ACM is its last step's S."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ class BankConfig:
     spread: float = 2.0
     slope_floor: float = 1e-4
     prob_floor: float = 1e-6
-    ccm_thresholds: CcmThresholds = field(default_factory=CcmThresholds)
-    convergence: ConvergenceConfig = field(default_factory=ConvergenceConfig)
 
     def __post_init__(self):
         if self.n < 1 or (self.n > 1 and self.n % 2 == 0):
@@ -205,7 +203,7 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
         x = steps[-1]
         k += L
         interval_index += 1
-        if innovation.detect_convergence(history, bank_cfg.convergence,
+        if innovation.detect_convergence(history, ConvergenceConfig(),
                                          noise_std=math.sqrt(noise.r)):
             converged_at = k
     # phase 2: per-interval bank runs; the corrected measurement-model value
@@ -214,7 +212,7 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     while k + L <= n_steps:
         # phase 1 has run at least two intervals: convergence needs two
         ccm, acm_emp, acm_theo, verdict = innovation.interval_statistics(
-            history[-2], history[-1], bank_cfg.ccm_thresholds)
+            history[-2], history[-1], CcmThresholds())
         mode = DISCHARGE if float(np.mean(trace.current_a[k:k + L])) >= 0 \
             else CHARGE
         anchor_soc = min(max(x.soc, original_curve.soc_min), original_curve.soc_max)

@@ -8,7 +8,8 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .curve import OcvCurve, default_lifepo4_curve, plateau_offset
+from .curve import (InvalidTransformError, OcvCurve, apply_transform,
+                    default_lifepo4_curve, is_transform)
 from .ecm import BatteryState, EcmParams, SimConfig, Trace, simulate_profile
 from .ekf import KfState, NoiseConfig, run_ekf
 from .metrics import compute_metrics
@@ -26,8 +27,10 @@ class ScenarioConfigError(ValueError):
 class ScenarioConfig:
     """Everything one experiment needs; every field has a flat-file key."""
 
-    # curves: a path, "default", or "offset:<volts>[:<lo>:<hi>:<ramp>]"
-    # (the offset form transforms the other curve; only one side may use it)
+    # curves: a CSV path, "default", or a transform of the other side's
+    # curve (only one side may be one): "offset:<volts>[:<lo>:<hi>:<ramp>]"
+    # plateau offset, "volts:<volts>" everywhere, "shift:<soc>" along SOC,
+    # "scale:<factor>" about the mean (`curve.apply_transform`)
     true_curve: str = "offset:0.02:0.2:0.8:0.15"
     filter_curve: str = "default"
     # drive profile
@@ -122,46 +125,28 @@ def load_scenario(path: str) -> ScenarioConfig:
     return scenario_from_mapping(read_config(path))
 
 
-def _parse_offset_spec(spec: str) -> tuple[float, float, float, float]:
-    parts = spec.split(":")[1:]
-    if not parts:
-        raise ScenarioConfigError(f"bad offset spec: {spec!r}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ScenarioConfigError(f"bad offset spec: {spec!r}") from exc
-    offset = vals[0]
-    lo, hi, ramp = 0.2, 0.8, 0.1
-    if len(vals) >= 4:
-        lo, hi, ramp = vals[1], vals[2], vals[3]
-    elif len(vals) != 1:
-        raise ScenarioConfigError(
-            f"offset spec needs 1 or 4 numbers: {spec!r}")
-    return offset, lo, hi, ramp
+def _load_curve(spec: str) -> OcvCurve:
+    return default_lifepo4_curve() if spec == "default" else OcvCurve.from_csv(spec)
 
 
 def resolve_curves(cfg: ScenarioConfig) -> tuple[OcvCurve, OcvCurve]:
-    """Return (true_curve, filter_curve); at most one side may be an
-    offset transform of the other."""
-    def load(spec: str) -> OcvCurve | None:
-        if spec.startswith("offset:"):
-            return None
-        if spec == "default":
-            return default_lifepo4_curve()
-        return OcvCurve.from_csv(spec)
-
-    true_c = load(cfg.true_curve)
-    filt_c = load(cfg.filter_curve)
-    if true_c is None and filt_c is None:
+    """Return (true_curve, filter_curve); at most one side may be a
+    transform spec (`curve.apply_transform`), applied to the other side."""
+    true_spec, filt_spec = cfg.true_curve, cfg.filter_curve
+    if is_transform(true_spec) and is_transform(filt_spec):
         raise ScenarioConfigError(
-            "true_curve and filter_curve cannot both be offset transforms")
-    if true_c is None:
-        off, lo, hi, ramp = _parse_offset_spec(cfg.true_curve)
-        true_c = plateau_offset(filt_c, off, lo=lo, hi=hi, ramp=ramp)
-    if filt_c is None:
-        off, lo, hi, ramp = _parse_offset_spec(cfg.filter_curve)
-        filt_c = plateau_offset(true_c, off, lo=lo, hi=hi, ramp=ramp)
-    return true_c, filt_c
+            "true_curve and filter_curve cannot both be transforms: "
+            f"{true_spec!r}, {filt_spec!r}")
+    try:
+        if is_transform(true_spec):
+            filt_c = _load_curve(filt_spec)
+            return apply_transform(filt_c, true_spec), filt_c
+        true_c = _load_curve(true_spec)
+        if is_transform(filt_spec):
+            return true_c, apply_transform(true_c, filt_spec)
+        return true_c, _load_curve(filt_spec)
+    except InvalidTransformError as exc:
+        raise ScenarioConfigError(str(exc)) from exc
 
 
 @dataclass

@@ -36,7 +36,7 @@ def write_trace(trace: Trace, path) -> None:
     cols = [trace.t, trace.current_a, trace.voltage_v]
     if trace.true_soc is not None:
         cols += [trace.true_soc, trace.true_up_v]
-    write_lines(path, TRACE_HEADER,
+    write_lines(path, TRACE_HEADER[:len(cols)],
                 map(",".join, zip(*(map(repr, c.tolist()) for c in cols))))
 
 

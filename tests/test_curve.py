@@ -1,13 +1,14 @@
 """OCV-SOC curve: interpolation, slopes, error injection, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfpsoc import (CurveTransform, OcvCurve, apply_transform, curve_error,
-                    default_lifepo4_curve, plateau_offset)
+from lfpsoc import (OcvCurve, ScenarioConfig, apply_transform, curve_error,
+                    default_lifepo4_curve, plateau_offset, resolve_curves)
 from lfpsoc.curve import CurveDomainError, InvalidTransformError
 
 
@@ -168,8 +169,7 @@ class TestCurveError:
             assert curve_error(base_curve, base_curve, float(s)) == 0.0
 
     def test_constant_offset(self, base_curve):
-        shifted = apply_transform(base_curve,
-                                  CurveTransform("voltage-offset", 0.020))
+        shifted = apply_transform(base_curve, "volts:0.020")
         for s in np.linspace(0, 1, 11):
             assert curve_error(shifted, base_curve, float(s)) == \
                 pytest.approx(0.020, abs=1e-12)
@@ -193,39 +193,45 @@ class TestCurveError:
 
 class TestTransforms:
     def test_zero_offset_identity(self, base_curve):
-        out = apply_transform(base_curve, CurveTransform("voltage-offset", 0.0))
+        out = apply_transform(base_curve, "volts:0.0")
         assert np.array_equal(out.knot_ocv, base_curve.knot_ocv)
         assert np.array_equal(out.knot_soc, base_curve.knot_soc)
 
-    def test_blend_weight_one_equals_other(self, base_curve):
-        other = apply_transform(base_curve, CurveTransform("voltage-offset", 0.05))
-        out = apply_transform(base_curve,
-                              CurveTransform("blend-toward", other=other, weight=1.0))
-        probe = np.linspace(0, 1, 101)
-        assert np.allclose(out.ocv(probe), other.ocv(probe), atol=1e-12)
-
-    def test_blend_half_is_average(self, base_curve):
-        other = plateau_offset(base_curve, 0.03)
-        out = apply_transform(base_curve,
-                              CurveTransform("blend-toward", other=other, weight=0.5))
-        probe = np.linspace(0, 1, 101)
-        assert np.allclose(out.ocv(probe),
-                           0.5 * (base_curve.ocv(probe) + other.ocv(probe)),
-                           atol=1e-12)
-
     def test_soc_shift(self, base_curve):
-        out = apply_transform(base_curve, CurveTransform("soc-shift", 0.05))
+        out = apply_transform(base_curve, "shift:0.05")
         assert out.soc_min == pytest.approx(0.05)
         assert out.soc_max == 1.0
         assert out.ocv(0.55) == pytest.approx(base_curve.ocv(0.5), abs=1e-9)
 
     def test_invalid_transform_rejected(self, base_curve):
-        with pytest.raises(InvalidTransformError):
-            CurveTransform("unknown-kind")
-        with pytest.raises(InvalidTransformError):
-            CurveTransform("blend-toward", weight=0.5)  # no other curve
-        with pytest.raises(InvalidTransformError):
-            apply_transform(base_curve, CurveTransform("soc-shift", 2.0))
+        for spec in ("unknown-kind:1", "shift:2.0", "volts:", "volts:0.01:2",
+                     "shift:x", "scale:0", "scale:-1", "scale:nan"):
+            with pytest.raises(InvalidTransformError, match=re.escape(spec)):
+                apply_transform(base_curve, spec)
+
+    @pytest.mark.parametrize("spec", ["volts:0.01", "volts:-0.01",
+                                      "shift:0.05", "shift:-0.05",
+                                      "scale:0.8", "scale:1.3"])
+    def test_resolved_forms_match_their_formulas(self, base_curve, spec):
+        # either side's spec transforms the other, default, side
+        kind, m = spec.split(":")
+        m = float(m)
+        soc, ocv = base_curve.knot_soc, base_curve.knot_ocv
+        if kind == "volts":
+            want_soc, want_ocv = soc, ocv + m
+        elif kind == "scale":
+            mean = float(np.mean(ocv))
+            want_soc, want_ocv = soc, mean + m * (ocv - mean)
+        else:  # knots moved by m, those past an end of [0, 1] dropped
+            want_soc = np.unique(np.clip(soc + m, 0.0, 1.0))
+            want_ocv = np.interp(want_soc, soc + m, ocv)
+        true_c, filt_c = resolve_curves(ScenarioConfig(true_curve=spec))
+        _, filt_side = resolve_curves(ScenarioConfig(true_curve="default",
+                                                     filter_curve=spec))
+        assert np.array_equal(filt_c.knot_ocv, ocv)
+        for got in (true_c, filt_side):
+            assert got.knot_soc.tobytes() == want_soc.tobytes()
+            assert got.knot_ocv.tobytes() == want_ocv.tobytes()
 
     def test_plateau_offset_localized(self, base_curve):
         out = plateau_offset(base_curve, 0.02, lo=0.2, hi=0.8, ramp=0.1)

@@ -4,6 +4,7 @@ and the command-line interface."""
 import csv
 import io
 import os
+import re
 import warnings
 
 import numpy as np
@@ -201,6 +202,23 @@ class TestTraceIo:
         cols = ingest_trace(p)
         for name in ("t", "current_a", "voltage_v", "true_soc", "true_up_v"):
             assert _bits(getattr(cols, name)) == _bits(getattr(rows, name))
+
+    def test_truthless_trace_round_trips_by_columns(self, params, base_curve,
+                                                     tmp_path, monkeypatch):
+        full = _small_trace(params, base_curve)
+        p = tmp_path / "trace.csv"
+        write_trace(Trace(full.t, full.current_a, full.voltage_v), p)
+        with open(p, newline="") as fh:
+            assert fh.readline() == _H + "\r\n"
+
+        def no_row_loop(path):
+            raise AssertionError("row loop ran")
+
+        monkeypatch.setattr(traceio, "_parse_rows", no_row_loop)
+        back = ingest_trace(p)
+        for name in ("t", "current_a", "voltage_v"):
+            assert _bits(getattr(back, name)) == _bits(getattr(full, name))
+        assert back.true_soc is None and back.true_up_v is None
 
     @given(header=st.sampled_from(
                [_H, _HT, "voltage_v,x,t,true_up_v,current_a,true_soc"]),
@@ -441,10 +459,22 @@ class TestScenarioConfig:
         true_c, filt_c = resolve_curves(cfg)
         assert np.array_equal(true_c.knot_ocv, filt_c.knot_ocv)
 
-    def test_bad_offset_spec(self):
-        cfg = ScenarioConfig(true_curve="offset:x", filter_curve="default")
-        with pytest.raises(ScenarioConfigError):
-            resolve_curves(cfg)
+    def test_bad_offset_spec(self, tmp_path, capsys):
+        # extra numbers, lo >= hi, ramp <= 0 and non-finite numbers are
+        # named in the error, and the CLI exits 2 without writing a trace
+        for spec in ("offset:x", "offset:0.02:0.2:0.8:0.15:9",
+                     "offset:0.02:0.8:0.2:0.1", "offset:0.02:0.2:0.8:0",
+                     "offset:0.02:0.2:0.8:-0.1", "offset:inf", "offset:nan",
+                     "offset:0.02:0.2:0.8"):
+            cfg = ScenarioConfig(true_curve=spec, filter_curve="default")
+            with pytest.raises(ScenarioConfigError, match=re.escape(spec)):
+                resolve_curves(cfg)
+            path = _write_cfg(tmp_path / "cfg.txt", true_curve=spec)
+            out = tmp_path / "sim"
+            assert cli_main(["--config", path, "--out", str(out),
+                             "simulate"]) == 2
+            assert repr(spec) in capsys.readouterr().err
+            assert not (out / "trace.csv").exists()
 
 
 _FAST = dict(profile_steps=1500, profile_target_ah=0.25, sigma_v=0.001)
@@ -650,6 +680,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {log}:4: malformed row ['1', '0', '1e-3']: the only row "
             "of interval 1, which needs at least 2 innovations\n")
+
+    def test_analyze_rejects_a_short_interval_up_front(self, tmp_path,
+                                                      capsys):
+        cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
+        sim = str(tmp_path / "sim")
+        assert cli_main(["--config", cfg, "--out", sim, "simulate"]) == 0
+        capsys.readouterr()
+        bad = _write_cfg(tmp_path / "bad.txt", true_curve="default",
+                         interval_len=1)
+        out = tmp_path / "an"
+        assert cli_main(["--config", bad, "--out", str(out), "analyze",
+                         "--trace", os.path.join(sim, "trace.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: interval_len must be >= 5\n"
+        assert not (out / "analysis.csv").exists()
 
     def test_analyze_acm_theo_uses_the_updates_row(self, tmp_path):
         # H P- H^T + r must use the row H = [s, -1] of each interval's last

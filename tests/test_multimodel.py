@@ -2,6 +2,7 @@
 weights, interval selection, and the two-phase estimator."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -405,10 +406,18 @@ class TestRunAmmkf:
         trace = simulate_profile(BatteryState(start, 0.0), params, base,
                                  current, cfg)
         bank = BankConfig(n=7, interval_len=20, spread=6.0)
-        res = run_ammkf(trace, partial, params,
-                        BatteryState(min(max(start + error, 0.0), 1.0), 0.0),
-                        np.diag([1e-2, 1e-4]), self._noise, cfg, bank,
-                        bank_noise=self._bank_noise)
+        # every interval starts from the carried posterior x: its covariance
+        # must stay finite
+        with mock.patch.object(multimodel, "run_interval",
+                               wraps=multimodel.run_interval) as spy:
+            res = run_ammkf(trace, partial, params,
+                            BatteryState(min(max(start + error, 0.0), 1.0),
+                                         0.0),
+                            np.diag([1e-2, 1e-4]), self._noise, cfg, bank,
+                            bank_noise=self._bank_noise)
+        for call in spy.call_args_list:
+            x = call.args[1]
+            assert all(map(math.isfinite, (x.p00, x.p01, x.p11)))
         assert np.all(np.isfinite(res.soc))
         assert np.all((res.soc >= 0.0) & (res.soc <= 1.0))
         for d in res.diagnostics:
