@@ -84,7 +84,10 @@ def _reference_step(f, params, cfg, u_prev, y, u, first):
     h_row = np.array([slope, -1.0])
     innovation = y - (h - params.r0 * u)
     s_var = float(h_row @ p @ h_row) + f.noise.r
-    gain = (p @ h_row) / s_var
+    # P- H^T by unfused products: a BLAS matvec may fuse the multiply-add,
+    # which turns an exact 0 gain into a 1e-22 one and flips the clamp flag
+    # of a posterior that sits on a bound
+    gain = (p * h_row).sum(axis=1) / s_var
     xv = x + gain * innovation
     p_post = (np.eye(2) - np.outer(gain, h_row)) @ p
     return dict(prior=x, prior_p=p, soc=xv[0], up=xv[1],
@@ -281,6 +284,10 @@ class TestStepAgainstMatrixForm:
              r=1e-8, slope=0.4, u_prev=0.0, u=0.0, innov=-0.5, first=False)
     @example(soc=0.0, up=0.0, p00=1e-4, p11=1e-4, rho=0.0, q00=1e-7, q11=1e-6,
              r=1e-6, slope=None, u_prev=3.0, u=3.0, innov=0.0, first=False)
+    @example(soc=0.0, up=0.0, p00=0.00984734056294418,
+             p11=0.00984734056294418, rho=0.00984734056294418, q00=0.0,
+             q11=0.0, r=0.0078125, slope=0.00984734056294418, u_prev=0.0,
+             u=0.0, innov=0.0, first=True)
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, soc, up, p00, p11, rho, q00, q11, r,
                                slope, u_prev, u, innov, first):
