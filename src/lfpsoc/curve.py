@@ -77,13 +77,23 @@ class OcvCurve:
         """Interpolated OCV at `soc` (scalar or array). No extrapolation."""
         if isinstance(soc, (int, float)) and \
                 self._soc[0] <= soc <= self._soc[-1]:
-            j = bisect_right(self._soc, soc) - 1
-            if self._soc[j] == soc:
-                return self._ocv[j]
-            return self._seg[j] * (soc - self._soc[j]) + self._ocv[j]
+            return self.ocv_slope(soc)[0]
         s = self._check_domain(soc)
         out = np.interp(s, self.knot_soc, self.knot_ocv)
         return float(out) if np.isscalar(soc) or np.ndim(soc) == 0 else out
+
+    def ocv_slope(self, soc: float) -> tuple[float, float]:
+        """`(ocv(soc), slope(soc))` of a scalar `soc`, from one bisection of
+        the knots when it lies in the knot domain."""
+        knots = self._soc
+        if not knots[0] <= soc <= knots[-1]:
+            return self.ocv(soc), self.slope(soc)
+        seg = self._seg
+        j = bisect_right(knots, soc) - 1
+        if knots[j] == soc:
+            return self._ocv[j], 0.5 * (seg[max(j - 1, 0)]
+                                        + seg[min(j, len(seg) - 1)])
+        return seg[j] * (soc - knots[j]) + self._ocv[j], seg[j]
 
     def segment_slopes(self) -> np.ndarray:
         return np.diff(self.knot_ocv) / np.diff(self.knot_soc)
@@ -93,11 +103,7 @@ class OcvCurve:
         segment slopes at interior knots, one-sided at boundary knots."""
         if isinstance(soc, (int, float)) and \
                 self._soc[0] <= soc <= self._soc[-1]:
-            seg = self._seg
-            j = bisect_right(self._soc, soc) - 1
-            if self._soc[j] == soc:
-                return 0.5 * (seg[max(j - 1, 0)] + seg[min(j, len(seg) - 1)])
-            return seg[j]
+            return self.ocv_slope(soc)[1]
         s = self._check_domain(soc)
         seg = self.segment_slopes()
         scalar = np.isscalar(soc) or np.ndim(soc) == 0

@@ -121,33 +121,31 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
         raise InvalidInputError("profile must be non-empty")
     if not np.all(np.isfinite(profile)):
         raise InvalidInputError("profile must be finite")
-    rng = np.random.default_rng(cfg.rng_seed)
     n = profile.size
-    t = np.arange(n) * cfg.dt
-    v_meas = np.empty(n)
-    i_meas = np.empty(n)
-    soc = np.empty(n)
-    up = np.empty(n)
-    clamp_steps = []
+    # every draw at once: row k holds sample k's voltage then current draw,
+    # the order of a per-sample loop of scalar draws
+    sigmas = [v for v in (cfg.voltage_noise_sigma, cfg.current_noise_sigma)
+              if v > 0]
+    draws = np.random.default_rng(cfg.rng_seed).normal(
+        0.0, sigmas, (n, len(sigmas))).T.tolist()
+    v_noise = draws.pop(0) if cfg.voltage_noise_sigma > 0 else [0.0] * n
+    i_noise = draws.pop(0) if cfg.current_noise_sigma > 0 else [0.0] * n
+    v_meas, i_meas, soc, up, clamp_steps = [], [], [], [], []
     cutoff_index = None
     state = initial
-    count = 0
-    for k in range(n):
-        i_k = profile[k]
+    for k, i_k in enumerate(profile.tolist()):
         v_clean = terminal_voltage(state, params, i_k, curve)
-        soc[k] = state.soc
-        up[k] = state.up
-        v_meas[k] = v_clean + (rng.normal(0.0, cfg.voltage_noise_sigma)
-                              if cfg.voltage_noise_sigma > 0 else 0.0)
-        i_meas[k] = i_k + (rng.normal(0.0, cfg.current_noise_sigma)
-                          if cfg.current_noise_sigma > 0 else 0.0)
-        count = k + 1
+        soc.append(state.soc)
+        up.append(state.up)
+        v_meas.append(v_clean + v_noise[k])
+        i_meas.append(i_k + i_noise[k])
         if v_clean < cfg.cutoff_low_v or v_clean > cfg.cutoff_high_v:
             cutoff_index = k
             break
         state, clamped = step_state(state, params, i_k, cfg)
         if clamped:
             clamp_steps.append(k + 1)
-    c = count
-    return Trace(t[:c], i_meas[:c], v_meas[:c], soc[:c], up[:c],
-                 dt=cfg.dt, cutoff_index=cutoff_index, clamp_steps=clamp_steps)
+    return Trace(np.arange(len(soc)) * cfg.dt, np.array(i_meas, dtype=float),
+                 np.array(v_meas, dtype=float), np.array(soc, dtype=float),
+                 np.array(up, dtype=float), dt=cfg.dt,
+                 cutoff_index=cutoff_index, clamp_steps=clamp_steps)

@@ -1,15 +1,19 @@
 """Extended Kalman filter for SOC estimation over an OCV-SOC curve.
 
 `kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
-update, on Python floats with the 2x2 algebra written out. Filters differ
-only in the measurement row H = [s, -1]. A plain filter reads the OCV and
-its slope s from the curve at the prior SOC, clamped into the knot domain.
-A bank member (`slope_override` set) uses the affine model anchored at the
-interval start (state `anchor`, model value `anchor_ocv`) with a fixed
-slope. Each step returns a `StepOutput`: its posterior, the innovation e
-and its variance S, which the bank's model weights and the interval
-statistics read as they are. `filter_range` steps a plain filter over a
-range of samples.
+update, on Python floats with the 2x2 algebra written out. It steps one
+filter set per call: members that share noise, curve, anchor and anchor
+OCV, each from its own posterior, on the same sample. Members differ only
+in the measurement row H = [s, -1]. A plain filter, a set of one, reads the
+OCV and its slope s from the curve at the prior SOC, clamped into the knot
+domain. A bank member (`slope_override` set) uses the affine model anchored
+at the interval start (state `anchor`, model value `anchor_ocv`) with a
+fixed slope; a bank is its n slopes. Each member's step is a plain tuple in
+`StepOutput`'s field order: its posterior, the innovation e, its variance
+S, the SOC gain, the clamp flag and the log-density of e, which the bank's
+model weights and the interval statistics read as they are. `filter_range`
+steps a plain filter over a range of samples and keeps each step as a
+`StepOutput`.
 """
 
 from __future__ import annotations
@@ -93,11 +97,13 @@ class KfState:
 
 class StepOutput(namedtuple("StepOutput", (
         "soc up p00 p01 p11 innovation innovation_variance k_soc "
-        "soc_clamped"))):
+        "soc_clamped log_likelihood"))):
     """One filter step: the posterior state and covariance first (so a step
     is the next step's `x`), then the innovation e, its variance
-    S = H P- H^T + r (the bank's likelihood and the interval's theoretical
-    ACM read it), the SOC gain and the clamp flag."""
+    S = H P- H^T + r (the interval's theoretical ACM reads it), the SOC
+    gain, the clamp flag and the predicted-voltage log-density
+    -(e^2/S + ln S)/2 that the bank's model weights read (the 2*pi term
+    cancels there)."""
 
     __slots__ = ()
 
@@ -110,53 +116,64 @@ def transition(params: EcmParams, cfg: SimConfig) -> tuple:
             params.r0)
 
 
-def kalman_step(f: KfState, x, coef: tuple, u_prev: float, y: float,
-                u: float, first: bool, k: int = 0) -> StepOutput:
-    """Predict with `u_prev` (unless `first`), then update on the measured
-    voltage `y` at current `u`.
+def kalman_step(fs: list[KfState], xs, coef: tuple, u_prev: float,
+                y: float, u: float, first: bool, k: int = 0) -> list[tuple]:
+    """Step each member of the filter set `fs` from its posterior in `xs`:
+    predict with `u_prev` (unless `first`), then update on the measured
+    voltage `y` at current `u`. One tuple per member, in `StepOutput`'s
+    field order.
 
-    `f` gives the measurement model and noise; `x` is the previous posterior
-    (soc, up, p00, p01, p11), or the previous step; `coef` is
-    `transition(params, cfg)`. Raises FilterDegeneracyError naming step `k`
-    when the innovation variance is not positive.
+    The members must share noise, curve, anchor and anchor OCV, which are
+    read from `fs[0]`. Each posterior is (soc, up, p00, p01, p11, ...): a
+    filter start or a previous step. `coef` is `transition(params, cfg)`.
+    Raises FilterDegeneracyError naming step `k` when a member's innovation
+    variance is not positive.
     """
-    soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
+    f = fs[0]
     q00, q01, q11, r = f.noise.terms
     decay, g_soc, g_up, r0 = coef
-    if not first:
-        # x- = F x + G u_prev; P- = F P F^T + Q
-        soc = soc + g_soc * u_prev
-        up = decay * up + g_up * u_prev
-        p00 = p00 + q00
-        p01 = p01 * decay + q01
-        p11 = decay * p11 * decay + q11
-    s = f.slope_override
-    if s is None:  # the curve at the prior SOC, clamped into its domain
-        c = min(max(soc, f.curve.soc_min), f.curve.soc_max)
-        ocv, s = f.curve.ocv(c), f.curve.slope(c)
-    else:  # affine about the anchor
-        ocv = f.anchor_ocv + s * (soc - f.anchor.soc)
-    e = y - (ocv - up - r0 * u)
-    # H = [s, -1]: P- H^T, S = H P- H^T + r, K = P- H^T / S
-    ph0 = p00 * s - p01
-    ph1 = p01 * s - p11
-    s_var = s * ph0 - ph1 + r
-    if s_var <= 0:
-        raise FilterDegeneracyError(
-            f"step {k}: innovation variance {s_var} <= 0")
-    k0 = ph0 / s_var
-    k1 = ph1 / s_var
-    # (I - K H) P-, symmetrized
-    a00 = 1.0 - k0 * s
-    a11 = 1.0 + k1
-    b01 = a00 * p01 + k0 * p11
-    b10 = -k1 * s * p00 + a11 * p01
-    new_soc = soc + k0 * e
-    clamped = new_soc < 0.0 or new_soc > 1.0
-    return StepOutput(min(1.0, max(0.0, new_soc)), up + k1 * e,
-                      a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
-                      -k1 * s * p01 + a11 * p11,
-                      e, s_var, k0, clamped)
+    curve, anchor_ocv = f.curve, f.anchor_ocv
+    anchor_soc = None if f.anchor is None else f.anchor.soc
+    lo, hi = curve.soc_min, curve.soc_max
+    out = []
+    for m, x in zip(fs, xs):
+        soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
+        if not first:
+            # x- = F x + G u_prev; P- = F P F^T + Q
+            soc = soc + g_soc * u_prev
+            up = decay * up + g_up * u_prev
+            p00 = p00 + q00
+            p01 = p01 * decay + q01
+            p11 = decay * p11 * decay + q11
+        s = m.slope_override
+        if s is None:  # the curve at the prior SOC, clamped into its domain
+            ocv, s = curve.ocv_slope(min(max(soc, lo), hi))
+        else:  # affine about the anchor
+            ocv = anchor_ocv + s * (soc - anchor_soc)
+        e = y - (ocv - up - r0 * u)
+        # H = [s, -1]: P- H^T, S = H P- H^T + r, K = P- H^T / S
+        ph0 = p00 * s - p01
+        ph1 = p01 * s - p11
+        s_var = s * ph0 - ph1 + r
+        if s_var <= 0:
+            raise FilterDegeneracyError(
+                f"step {k}: innovation variance {s_var} <= 0")
+        k0 = ph0 / s_var
+        k1 = ph1 / s_var
+        # (I - K H) P-, symmetrized
+        a00 = 1.0 - k0 * s
+        a11 = 1.0 + k1
+        b01 = a00 * p01 + k0 * p11
+        b10 = -k1 * s * p00 + a11 * p01
+        soc = soc + k0 * e
+        clamped = soc < 0.0 or soc > 1.0
+        if not 0.0 < soc < 1.0:  # min(1, max(0, soc)): NaN and -0.0 give 0.0
+            soc = 1.0 if soc >= 1.0 else 0.0
+        out.append((soc, up + k1 * e, a00 * p00 + k0 * p01,
+                    0.5 * (b01 + b10), -k1 * s * p01 + a11 * p11,
+                    e, s_var, k0, clamped,
+                    -0.5 * (e ** 2 / s_var + math.log(s_var))))
+    return out
 
 
 def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
@@ -190,9 +207,10 @@ def filter_range(f: KfState, x, params, trace: Trace, cfg: SimConfig,
                  start: int, stop: int) -> list[StepOutput]:
     """Step filter `f` from posterior `x` (`f.start()` or a previous step)
     over samples [start, stop)."""
-    steps = []
+    fs, steps = [f], []
     for k, coef, u_prev, y, u in samples(params, trace, cfg, start, stop):
-        x = kalman_step(f, x, coef, u_prev, y, u, k == 0, k)
+        x = StepOutput._make(
+            kalman_step(fs, [x], coef, u_prev, y, u, k == 0, k)[0])
         steps.append(x)
     return steps
 

@@ -2,9 +2,10 @@
 model weights, optimal-filter selection, and corrected-curve output.
 
 Phase 1 and the tail step the plain filter with `ekf.filter_range`;
-`run_interval` steps every bank member through `ekf.kalman_step` and
-weighs the members by the innovation e and variance S each step returns.
-An interval's theoretical ACM is its last step's S."""
+`run_interval` steps the whole bank in one `ekf.kalman_step` call per
+sample and weighs the members by the log-density of the innovation each
+member's step returns. An interval's theoretical ACM is its last step's
+innovation variance S."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import ekf, innovation
 from .curve import OcvCurve
 from .ecm import BatteryState, SimConfig, Trace
-from .ekf import KfState, NoiseConfig
+from .ekf import KfState, NoiseConfig, StepOutput
 from .innovation import (ConvergenceConfig, CcmThresholds, ErrorSignVerdict,
                          IntervalInnovations, INDETERMINATE, NEGATIVE_G,
                          POSITIVE_G)
@@ -79,7 +80,8 @@ def model_weights(weights: list[float], log_likelihoods: list[float],
     top = max(log_likelihoods)
     post = [w * math.exp(ll - top) for w, ll in zip(weights, log_likelihoods)]
     total = sum(post)
-    post = [max(p / total, floor) for p in post]
+    # max(p / total, floor), without a call per weight
+    post = [floor if floor > q else q for q in [p / total for p in post]]
     total = sum(post)
     return [p / total for p in post]
 
@@ -102,23 +104,27 @@ def run_interval(members: list[KfState], x, params, trace: Trace, start: int,
                  index: int) -> IntervalResult:
     """Step every member from the posterior `x` through `length` samples,
     updating the model weights (uniform at the start) per step from each
-    member's innovation and its variance, then select the heaviest member
-    (ties to the lowest index). `index` numbers the interval."""
+    member's innovation log-density, then select the heaviest member (ties
+    to the lowest index). `index` numbers the interval. Raises ValueError
+    when the members do not share noise, curve, anchor and anchor OCV."""
+    f = members[0]
+    shared = (f.noise.terms, f.anchor, f.anchor_ocv)
+    if any(m.curve is not f.curve or (m.noise.terms, m.anchor, m.anchor_ocv)
+           != shared for m in members):
+        raise ValueError(f"interval {index}: the bank members must share "
+                         "noise, curve, anchor and anchor OCV")
     n = len(members)
     weights = [1.0 / n] * n
-    runs = [[x] for _ in members]  # the shared start, then each member's steps
+    xs = [x] * n
+    rows = []  # per sample, every member's step
     for k, coef, u_prev, y, u in ekf.samples(params, trace, cfg, start,
                                              start + length):
-        log_likelihoods = []
-        for f, run in zip(members, runs):
-            step = ekf.kalman_step(f, run[-1], coef, u_prev, y, u, k == 0, k)
-            run.append(step)
-            s = step.innovation_variance
-            log_likelihoods.append(-0.5 * (step.innovation ** 2 / s
-                                           + math.log(s)))
-        weights = model_weights(weights, log_likelihoods, floor)
+        xs = ekf.kalman_step(members, xs, coef, u_prev, y, u, k == 0, k)
+        rows.append(xs)
+        # a step's last field is its log-density
+        weights = model_weights(weights, [m[-1] for m in xs], floor)
     opt = weights.index(max(weights))
-    best, f = runs[opt][1:], members[opt]
+    best, f = [StepOutput._make(row[opt]) for row in rows], members[opt]
     if f.slope_override is None:
         corrected = []
     else:

@@ -10,7 +10,8 @@ import numpy as np
 
 from .curve import (InvalidTransformError, OcvCurve, apply_transform,
                     default_lifepo4_curve, is_transform)
-from .ecm import BatteryState, EcmParams, SimConfig, Trace, simulate_profile
+from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
+                  terminal_voltage)
 from .ekf import KfState, NoiseConfig, run_ekf
 from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
@@ -197,6 +198,20 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
     truth0 = BatteryState(cfg.initial_soc_true, 0.0)
     trace = simulate_profile(truth0, cfg.ecm_params(), true_curve,
                              profile.samples, cfg.sim_config())
+    stop = trace.cutoff_index
+    if stop is not None and len(trace) < 2 * cfg.interval_len:
+        sim = cfg.sim_config()
+        v = terminal_voltage(
+            BatteryState(trace.true_soc[stop], trace.true_up_v[stop]),
+            cfg.ecm_params(), profile.samples[stop], true_curve)
+        crossed = (f"cutoff_low_v {sim.cutoff_low_v}"
+                   if v < sim.cutoff_low_v
+                   else f"cutoff_high_v {sim.cutoff_high_v}")
+        raise ScenarioConfigError(
+            f"the simulated trace stops at the voltage cutoff: at "
+            f"Trace.cutoff_index {stop} the terminal voltage {v:.4g} V "
+            f"crossed {crossed} V, leaving {len(trace)} samples where the "
+            f"bank needs {2 * cfg.interval_len} (2*interval_len)")
 
     x0, p0 = cfg.estimator_start()
     noise = cfg.filter_noise()
@@ -294,8 +309,9 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
 
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
               out_dir: str | None = None) -> list[ScenarioResult]:
-    """Run one scenario per override mapping; each gets its own seed-derived
-    output directory and is fully independent of the others."""
+    """Run one scenario per override mapping; each gets its own output
+    directory, `run-000`, `run-001`, ... in override order, and is fully
+    independent of the others."""
     cfgs = [replace(base_cfg, **ov) for ov in overrides]
     dirs = [os.path.join(out_dir, f"run-{i:03d}") if out_dir else None
             for i in range(len(cfgs))]

@@ -125,6 +125,8 @@ class TestScalarPath:
                                                  curve.knot_ocv)[0])
         assert curve.ocv(soc) == curve.ocv(grid)[0]
         assert curve.slope(soc) == curve.slope(grid)[0]
+        assert curve.ocv_slope(soc) == (curve.ocv(grid)[0],
+                                        curve.slope(grid)[0])
 
     @given(curve=knot_curves(), u=st.lists(st.floats(0.0, 1.0), min_size=1,
                                             max_size=20))
@@ -161,6 +163,8 @@ class TestScalarPath:
         assert math.isnan(base_curve.ocv(math.nan))
         assert base_curve.slope(math.nan) == base_curve.slope(
             np.array([math.nan]))[0]
+        ocv, slope = base_curve.ocv_slope(math.nan)
+        assert math.isnan(ocv) and slope == base_curve.slope(math.nan)
 
 
 class TestCurveError:

@@ -9,7 +9,40 @@ from hypothesis import given, settings, strategies as st
 from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig,
                     default_lifepo4_curve, simulate_profile, step_state,
                     terminal_voltage)
-from lfpsoc.ecm import InvalidInputError
+from lfpsoc.ecm import InvalidInputError, Trace
+
+
+def _reference_simulate(initial, params, curve, profile, cfg) -> Trace:
+    """The per-sample simulator loop that `simulate_profile` replaced: one
+    scalar `rng.normal` draw per noisy channel and sample, voltage first."""
+    profile = np.asarray(profile, dtype=float)
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = profile.size
+    t = np.arange(n) * cfg.dt
+    v_meas, i_meas, soc, up = (np.empty(n) for _ in range(4))
+    clamp_steps = []
+    cutoff_index = None
+    state = initial
+    count = 0
+    for k in range(n):
+        i_k = profile[k]
+        v_clean = terminal_voltage(state, params, i_k, curve)
+        soc[k] = state.soc
+        up[k] = state.up
+        v_meas[k] = v_clean + (rng.normal(0.0, cfg.voltage_noise_sigma)
+                              if cfg.voltage_noise_sigma > 0 else 0.0)
+        i_meas[k] = i_k + (rng.normal(0.0, cfg.current_noise_sigma)
+                          if cfg.current_noise_sigma > 0 else 0.0)
+        count = k + 1
+        if v_clean < cfg.cutoff_low_v or v_clean > cfg.cutoff_high_v:
+            cutoff_index = k
+            break
+        state, clamped = step_state(state, params, i_k, cfg)
+        if clamped:
+            clamp_steps.append(k + 1)
+    c = count
+    return Trace(t[:c], i_meas[:c], v_meas[:c], soc[:c], up[:c], dt=cfg.dt,
+                 cutoff_index=cutoff_index, clamp_steps=clamp_steps)
 
 
 class TestEcmParams:
@@ -161,6 +194,37 @@ class TestSimulateProfile:
         with pytest.raises(InvalidInputError):
             simulate_profile(BatteryState(0.5, 0.0), params, base_curve,
                              [], sim_cfg)
+
+    @pytest.mark.parametrize("soc0, current, kw", [
+        (0.6, "sine", dict(voltage_noise_sigma=0.001)),
+        (0.6, "sine", dict(voltage_noise_sigma=0.001,
+                           current_noise_sigma=0.01)),
+        (0.6, "sine", dict(current_noise_sigma=0.01)),
+        (0.6, "sine", {}),
+        (0.06, 2.0, dict(voltage_noise_sigma=0.001,
+                         current_noise_sigma=0.01)),
+        (0.002, 2.0, dict(voltage_noise_sigma=0.001, cutoff_low_v=0.0,
+                          cutoff_high_v=10.0)),
+    ], ids=["voltage-noise", "both-noises", "current-noise", "no-noise",
+            "cutoff", "soc-clamp"])
+    def test_matches_the_per_sample_loop(self, params, base_curve, soc0,
+                                         current, kw):
+        # bit for bit: every array, the cutoff index and the clamp steps
+        prof = np.sin(np.linspace(0, 10, 500)) if current == "sine" \
+            else np.full(4000, current)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, rng_seed=7, **kw)
+        got = simulate_profile(BatteryState(soc0, 0.0), params, base_curve,
+                               prof, cfg)
+        ref = _reference_simulate(BatteryState(soc0, 0.0), params,
+                                  base_curve, prof, cfg)
+        for name in ("t", "current_a", "voltage_v", "true_soc", "true_up_v"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (got.dt, got.cutoff_index, got.clamp_steps) == \
+            (ref.dt, ref.cutoff_index, ref.clamp_steps)
+        if current != "sine":  # the cases are what their ids say
+            assert (got.cutoff_index is not None) == (soc0 == 0.06)
+            assert bool(got.clamp_steps) == (soc0 == 0.002)
 
     def test_clamp_annotated(self, params, base_curve):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,

@@ -12,7 +12,8 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     OcvCurve, ScenarioConfig, SimConfig, default_lifepo4_curve,
                     run_ammkf, run_ekf, run_scenario, simulate_profile,
                     step_state)
-from lfpsoc.ekf import FilterDegeneracyError, kalman_step, transition
+from lfpsoc.ekf import (FilterDegeneracyError, StepOutput, kalman_step,
+                        transition)
 from lfpsoc.profiles import generate_profile
 
 
@@ -23,10 +24,16 @@ def _state(curve, soc=0.5, up=0.0, p=None, noise=None, **kw):
                    curve=curve, **kw)
 
 
+def _step(f, *args, **kwargs):
+    """One step of filter `f` alone (a set of one) from its start."""
+    [out] = kalman_step([f], [f.start()], *args, **kwargs)
+    return StepOutput._make(out)
+
+
 def _update(f, measured, current, params):
     """The measurement update alone: a first step, which skips prediction."""
-    return kalman_step(f, f.start(), transition(params, SimConfig()), 0.0,
-                       measured, current, first=True)
+    return _step(f, transition(params, SimConfig()), 0.0, measured, current,
+                 first=True)
 
 
 def _predicted(f, params, current=0.0):
@@ -44,8 +51,8 @@ def _prior(f, params, current, cfg):
     for slope in (0.0, 1.0):
         member = KfState(f.x, f.p, f.noise, f.curve, slope_override=slope,
                          anchor=BatteryState(0.0, 0.0), anchor_ocv=3.3)
-        out = kalman_step(member, member.start(), transition(params, cfg),
-                          current, 3.3, 0.0, first=False)
+        out = _step(member, transition(params, cfg), current, 3.3, 0.0,
+                    first=False)
         e.append(out.innovation)
         s_var.append(out.innovation_variance - f.noise.r)
         k.append(out.k_soc * out.innovation_variance)
@@ -94,6 +101,22 @@ def _reference_step(f, params, cfg, u_prev, y, u, first):
                 posterior_p=0.5 * (p_post + p_post.T), innovation=innovation,
                 s_var=s_var, gain=gain, slope=slope,
                 clamped=bool(xv[0] < 0.0 or xv[0] > 1.0))
+
+
+def _assert_matches_reference(out, ref):
+    """A step equals the matrix-form reference (to `_close`), and its
+    log-density is -(e^2/S + ln S)/2 of its own e and S, exactly."""
+    p_scale = float(np.max(np.abs(ref["prior_p"])))
+    _close(out.innovation, ref["innovation"], 3.3)
+    _close(out.innovation_variance, ref["s_var"])
+    _close(out.k_soc, ref["gain"][0],
+           p_scale * (1.0 + ref["slope"]) / ref["s_var"])
+    assert out.soc_clamped == ref["clamped"]
+    _close(out.soc, min(1.0, max(0.0, ref["soc"])), 1.0)
+    _close(out.up, ref["up"], 1.0)
+    _close(_posterior_p(out), ref["posterior_p"], p_scale)
+    e, s_var = out.innovation, out.innovation_variance
+    assert out.log_likelihood == -0.5 * (e ** 2 / s_var + math.log(s_var))
 
 
 def _close(value, expected, scale=0.0):
@@ -264,8 +287,8 @@ class TestUpdate:
                                                              base_curve):
         st8 = _state(base_curve, p=-np.eye(2))
         with pytest.raises(FilterDegeneracyError, match="step 7"):
-            kalman_step(st8, st8.start(), transition(params, SimConfig()),
-                        0.0, 3.3, 0.0, first=False, k=7)
+            _step(st8, transition(params, SimConfig()), 0.0, 3.3, 0.0,
+                  first=False, k=7)
 
 
 class TestStepAgainstMatrixForm:
@@ -302,18 +325,9 @@ class TestStepAgainstMatrixForm:
         f = _state(default_lifepo4_curve(), soc=soc, up=up, p=p, noise=noise,
                    **member)
         y = 3.3 + innov
-        ref = _reference_step(f, params, cfg, u_prev, y, u, first)
-        out = kalman_step(f, f.start(), transition(params, cfg), u_prev, y, u,
-                          first)
-        p_scale = float(np.max(np.abs(ref["prior_p"])))
-        _close(out.innovation, ref["innovation"], 3.3)
-        _close(out.innovation_variance, ref["s_var"])
-        _close(out.k_soc, ref["gain"][0],
-               p_scale * (1.0 + ref["slope"]) / ref["s_var"])
-        assert out.soc_clamped == ref["clamped"]
-        _close(out.soc, min(1.0, max(0.0, ref["soc"])), 1.0)
-        _close(out.up, ref["up"], 1.0)
-        _close(_posterior_p(out), ref["posterior_p"], p_scale)
+        _assert_matches_reference(
+            _step(f, transition(params, cfg), u_prev, y, u, first),
+            _reference_step(f, params, cfg, u_prev, y, u, first))
 
     def test_clamp_flag_on_both_sides(self, params):
         # the first two examples above: posteriors past 1 and below 0
@@ -324,6 +338,68 @@ class TestStepAgainstMatrixForm:
                        slope_override=0.4, anchor=BatteryState(0.5, 0.0))
             out = _update(f, measured, 0.0, params)
             assert out.soc_clamped and out.soc == bound
+
+
+
+_member = st.tuples(st.floats(0.0, 1.0), st.floats(-0.05, 0.05),
+                    st.floats(1e-10, 1e-1), st.floats(1e-10, 1e-2),
+                    st.floats(-0.9, 0.9), st.floats(1e-4, 60.0))
+
+
+class TestFilterSetStep:
+    """One `kalman_step` call over a filter set steps each member exactly as
+    a call over that member alone, and as the matrix-form reference."""
+
+    @given(members=st.lists(_member, min_size=1, max_size=9),
+           plain=st.booleans(), anchor_soc=st.floats(0.0, 1.0),
+           anchor_ocv=st.floats(3.0, 3.5), q00=st.floats(0.0, 1e-6),
+           q11=st.floats(0.0, 1e-6), r=st.floats(1e-8, 1e-2),
+           u_prev=st.floats(-3.0, 3.0), u=st.floats(-3.0, 3.0),
+           innov=st.floats(-0.5, 0.5), first=st.booleans())
+    @example(members=[(-0.0, 0.0, 1e-4, 1e-2, 0.9, 1e-4)], plain=False,
+             anchor_soc=0.0, anchor_ocv=3.3, q00=0.0, q11=0.0, r=1e-6,
+             u_prev=0.0, u=0.0, innov=0.0, first=True)
+    @settings(max_examples=200, deadline=None)
+    def test_each_member_as_if_alone(self, members, plain, anchor_soc,
+                                     anchor_ocv, q00, q11, r, u_prev, u,
+                                     innov, first):
+        params = EcmParams(0.07, 0.04, 1000.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
+        q01 = 0.5 * math.sqrt(q00 * q11)
+        noise = NoiseConfig(q=np.array([[q00, q01], [q01, q11]]), r=r)
+        curve, anchor = default_lifepo4_curve(), BatteryState(anchor_soc, 0.0)
+        fs = []
+        for soc, up, p00, p11, rho, slope in members:
+            cov = rho * math.sqrt(p00 * p11)
+            bank = {} if plain else dict(slope_override=slope, anchor=anchor,
+                                         anchor_ocv=anchor_ocv)
+            fs.append(_state(curve, soc=soc, up=up,
+                             p=np.array([[p00, cov], [cov, p11]]),
+                             noise=noise, **bank))
+        xs = [f.start() for f in fs]
+        coef, y = transition(params, cfg), 3.3 + innov
+        steps = kalman_step(fs, xs, coef, u_prev, y, u, first, 5)
+        assert len(steps) == len(fs)
+        for f, x, step in zip(fs, xs, steps):
+            [alone] = kalman_step([f], [x], coef, u_prev, y, u, first, 5)
+            assert repr(step) == repr(alone)  # bit for bit, -0.0 and NaN too
+            _assert_matches_reference(
+                StepOutput._make(step),
+                _reference_step(f, params, cfg, u_prev, y, u, first))
+        # min(1, max(0, soc)) turns a -0.0 posterior SOC into 0.0
+        assert all(math.copysign(1.0, step[0]) == 1.0 for step in steps)
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_any_non_positive_variance_names_the_step(self, params,
+                                                      base_curve, bad):
+        anchor = BatteryState(0.5, 0.0)
+        fs = [_state(base_curve, p=-np.eye(2) if j == bad else None,
+                     slope_override=0.1 * (j + 1), anchor=anchor)
+              for j in range(5)]
+        with pytest.raises(FilterDegeneracyError, match="step 9"):
+            kalman_step(fs, [f.start() for f in fs],
+                        transition(params, SimConfig()), 0.0, 3.3, 0.0,
+                        first=False, k=9)
 
 
 class TestRunEkf:
@@ -429,9 +505,8 @@ class TestRunEkf:
 class TestStepFirstFlag:
     def test_first_step_skips_prediction(self, params, base_curve, sim_cfg):
         st8 = _state(base_curve, soc=0.5, up=0.03)
-        out = kalman_step(st8, st8.start(), transition(params, sim_cfg),
-                          u_prev=2.0, y=_predicted(st8, params), u=0.0,
-                          first=True)
+        out = _step(st8, transition(params, sim_cfg), u_prev=2.0,
+                    y=_predicted(st8, params), u=0.0, first=True)
         # no prediction and a zero innovation: the posterior is the start
         assert out.innovation == 0.0
         assert out.soc == 0.5 and out.up == 0.03

@@ -3,7 +3,10 @@
 A 400-step config is run through `simulate`, `identify`, `estimate` with
 both methods, `analyze` and `scenario`, and each CSV is compared by SHA-256
 with the digest the same commands gave before the trace-path I/O rewrite
-(parsed columns in, streamed lines out). A change to how a CSV is read or
+(parsed columns in, streamed lines out). The same config with current
+noise (`sigma_i`) is run through `simulate` and `scenario`, which pins the
+interleaved voltage and current draws of the simulator; its digests are
+those of the per-sample simulator loop. A change to how a CSV is read or
 written that moves a single byte fails here by file name. A change that
 means to alter an output must say why and update the digest.
 """
@@ -15,6 +18,7 @@ import pytest
 from lfpsoc.cli import main as cli_main
 
 CONFIG = "profile_steps=400\nprofile_target_ah=0.06\nseed=42\n"
+CURRENT_NOISE_CONFIG = CONFIG + "sigma_i=0.01\n"
 
 GOLDEN = {
     "sim/trace.csv":
@@ -53,12 +57,36 @@ GOLDEN = {
         "a3f3c4101cd5b3d92f1fc89658c4c4ce0be666f19260739d9ab9e84340e7df89",
 }
 
+GOLDEN_CURRENT_NOISE = {
+    "sim/trace.csv":
+        "42586d50b26e43150ec16cdc5d09e7b770faa42033907b4b65faf160ac2506df",
+    "sim/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+    "scen/trace.csv":
+        "42586d50b26e43150ec16cdc5d09e7b770faa42033907b4b65faf160ac2506df",
+    "scen/soc_ekf.csv":
+        "90fd3a25d58fbb7b8a6b251ab4a71ddffd768409752beafc8a97047447e950b2",
+    "scen/soc_ammkf.csv":
+        "1445e9e01b7c9e12dd55ec709859b6ae698945ce30efd7a01da065fd0c1377a7",
+    "scen/corrected_osc.csv":
+        "d0c56e7ad2986c5c6c95a045c898d41ad092ef7c2e3333b1c1aefb8cab08ac2e",
+    "scen/diagnostics.csv":
+        "15c75cc0bb392681d53592aaa1806769857177595708f1453654b9e9c7bcf136",
+    "scen/metrics.csv":
+        "bb732b597c050c49157c23322fdb3894c22c25693207a394ad01ca6908f58862",
+    "scen/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+    "scen/filter_curve.csv":
+        "a3f3c4101cd5b3d92f1fc89658c4c4ce0be666f19260739d9ab9e84340e7df89",
+}
 
-def run_commands(root) -> dict:
-    """Run every CSV-writing command once under `root` and return the
-    SHA-256 of each CSV, keyed by its path relative to `root`."""
+
+def run_commands(root, config=CONFIG, names=None) -> dict:
+    """Run every CSV-writing command (or those whose output directory is in
+    `names`) once under `root` with `config` and return the SHA-256 of each
+    CSV, keyed by its path relative to `root`."""
     cfg = root / "cfg.txt"
-    cfg.write_text(CONFIG)
+    cfg.write_text(config)
     trace = str(root / "sim" / "trace.csv")
     commands = [("sim", ["simulate"]),
                 ("id", ["identify", "--trace", trace]),
@@ -67,6 +95,8 @@ def run_commands(root) -> dict:
                 ("an", ["analyze", "--trace", trace]),
                 ("scen", ["scenario"])]
     for out, args in commands:
+        if names is not None and out not in names:
+            continue
         code = cli_main(["--config", str(cfg), "--out", str(root / out),
                          *args])
         assert code == 0, (out, code)
@@ -80,10 +110,22 @@ def digests(tmp_path_factory):
     return run_commands(tmp_path_factory.mktemp("golden"))
 
 
-def test_every_csv_is_covered(digests):
+@pytest.fixture(scope="module")
+def current_noise_digests(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("golden-sigma-i"),
+                        CURRENT_NOISE_CONFIG, ("sim", "scen"))
+
+
+def test_every_csv_is_covered(digests, current_noise_digests):
     assert sorted(digests) == sorted(GOLDEN)
+    assert sorted(current_noise_digests) == sorted(GOLDEN_CURRENT_NOISE)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_bytes_unchanged(digests, name):
     assert digests.get(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CURRENT_NOISE))
+def test_csv_bytes_unchanged_with_current_noise(current_noise_digests, name):
+    assert current_noise_digests.get(name) == GOLDEN_CURRENT_NOISE[name]

@@ -12,7 +12,7 @@ from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     detect_convergence, empirical_acm, infer_error_polarity,
                     infer_error_sign, interval_ccm, plateau_offset, run_ekf,
                     simulate_profile)
-from lfpsoc.ekf import kalman_step, transition
+from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
                                CcmThresholds, ConvergenceConfig,
                                interval_statistics)
@@ -78,8 +78,9 @@ class TestCorrelationMeasures:
         p = np.array([[4e-4, 1e-5], [1e-5, 1e-4]])
         f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve,
                     slope_override=0.5, anchor=x)
-        step = kalman_step(f, f.start(), transition(params, SimConfig()), 0.0,
-                           3.3, 0.0, first=True)
+        [step] = kalman_step([f], [f.start()], transition(params, SimConfig()),
+                             0.0, 3.3, 0.0, first=True)
+        step = StepOutput._make(step)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6
         _, _, acm_theo, _ = interval_statistics(
             None, interval_innovations(0, [step, step]), CcmThresholds())

@@ -382,7 +382,7 @@ class TestTraceIo:
     def test_estimate_csv_matches_csv_writer(self, tmp_path_factory, steps,
                                              dt):
         outs = [StepOutput(soc, up, p00, 0.0, p11, innovation, 1.0, 0.0,
-                           False)
+                           False, 0.0)
                 for soc, up, p00, p11, innovation in steps]
         p = tmp_path_factory.mktemp("est") / "estimate_ekf.csv"
         write_estimate_csv(p, dt, outs)
@@ -556,6 +556,18 @@ def _write_cfg(path, **kv):
 
 
 class TestCli:
+    def test_scenario_stopped_at_cutoff_names_it(self, tmp_path, capsys):
+        # 1 Ah in 30 s draws about 120 A: the clean terminal voltage is below
+        # the 2.0 V cutoff at the first sample, so the trace has 1 sample
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=30,
+                         profile_target_ah=1.0)
+        assert cli_main(["--config", cfg, "--out", str(tmp_path / "scen"),
+                         "scenario"]) == 2
+        err = capsys.readouterr().err
+        assert "Trace.cutoff_index 0" in err
+        assert "crossed cutoff_low_v 2.0 V" in err
+        assert "leaving 1 samples where the bank needs 40" in err
+
     def test_simulate_then_estimate_ekf(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
         out = str(tmp_path / "sim")

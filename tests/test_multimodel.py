@@ -137,6 +137,26 @@ class TestUpdateProbabilities:
         assert model_weights(w, [ll + c for ll in lls], 1e-6) == \
             pytest.approx(model_weights(w, lls, 1e-6), rel=1e-9, abs=1e-15)
 
+    @given(_weights, st.sampled_from([0.0, -0.0, 1e-6]),
+           st.lists(st.sampled_from([0.0, -0.0]), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_clamp_is_the_builtin_max(self, case, floor, zeros):
+        # bit for bit, signed zeros included, against the update written
+        # with max(); zero weights (never the best filter's, so the total
+        # stays positive) make the clamp see 0.0 and -0.0
+        probs, lls = case
+        w = [p / sum(probs) for p in probs]
+        top = max(lls)
+        others = [j for j, ll in enumerate(lls) if j != lls.index(top)]
+        for j, z in zip(others, zeros):
+            w[j] = z
+        post = [p * math.exp(ll - top) for p, ll in zip(w, lls)]
+        total = sum(post)
+        post = [max(p / total, floor) for p in post]
+        total = sum(post)
+        expected = [p / total for p in post]
+        assert repr(model_weights(w, lls, floor)) == repr(expected)
+
     def test_underflow_never_resets(self):
         # every linear density exp(-e^2 / 2S) is 0.0 here, which reset the
         # weights to uniform; the best filter (smallest e^2/S + ln S) wins
@@ -216,6 +236,25 @@ class TestMakeBankAndInterval:
         members, x, _ = calls[0]
         same = real([members[1]] * 3, x, params, trace, 41, 20, cfg, 1e-6, 2)
         assert same.probabilities == [1 / 3] * 3
+
+    @pytest.mark.parametrize("differs", ["noise", "curve", "anchor",
+                                         "anchor_ocv"])
+    def test_members_must_share_the_step_inputs(self, params, base_curve,
+                                                differs):
+        trace, cfg = self._trace(params, base_curve)
+        anchor = BatteryState(0.6, 0.0)
+        noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
+                           [0.05, 0.1, 0.2])
+        odd = {"noise": dict(noise=NoiseConfig(q=np.diag([1e-11, 1e-6]),
+                                               r=2e-6)),
+               "curve": dict(curve=default_lifepo4_curve()),
+               "anchor": dict(anchor=BatteryState(0.61, 0.0)),
+               "anchor_ocv": dict(anchor_ocv=3.31)}[differs]
+        members[2] = KfState(**{**vars(members[2]), **odd})
+        with pytest.raises(ValueError, match="interval 4: .* must share"):
+            run_interval(members, members[0].start(), params, trace, 21, 20,
+                         cfg, 1e-6, 4)
 
     def test_identical_filters_tie_to_lowest_index(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve)
