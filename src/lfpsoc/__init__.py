@@ -7,7 +7,7 @@ from .curve import (OcvCurve, apply_transform, curve_error,
 from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
                   step_state, terminal_voltage)
 from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
-from .innovation import (ErrorSignVerdict, IntervalInnovations, PolarityVerdict,
+from .innovation import (IntervalInnovations, PolarityVerdict,
                          curve_error_polarity, detect_convergence,
                          empirical_acm, infer_error_polarity, infer_error_sign,
                          interval_ccm)

@@ -14,12 +14,12 @@ import numpy as np
 from . import innovation
 from .ecm import BatteryState, simulate_profile
 from .ekf import KfState, run_ekf
-from .innovation import CcmThresholds, IntervalInnovations
+from .innovation import IntervalInnovations
 from .metrics import compute_metrics
 from .multimodel import interval_innovations, run_ammkf
 from .profiles import generate_profile
 from .rls import RlsConfig, identify_stream
-from .scenario import (ScenarioConfig, ScenarioConfigError,
+from .scenario import (ScenarioConfig, ScenarioConfigError, config_value,
                        coulomb_counted_soc, estimator_inputs, resolve_curves,
                        run_scenario, run_sweep, scenario_from_mapping,
                        write_corrected_csv, write_diagnostics_csv,
@@ -184,10 +184,10 @@ def cmd_analyze(args) -> int:
 
     def lines():
         for prev, iv in zip([None, *intervals], intervals):
-            ccm, acm_emp, acm_theo, verdict = innovation.interval_statistics(
-                prev, iv, CcmThresholds())
+            ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
+                prev, iv)
             yield (f"{iv.interval_index},{ccm:.9e},{acm_emp:.9e},"
-                   f"{acm_theo:.9e},{verdict.sign}")
+                   f"{acm_theo:.9e},{sign}")
 
     write_lines(path, [label, "ccm", "acm_emp", "acm_theo", "verdict"],
                 lines())
@@ -211,10 +211,8 @@ def cmd_scenario(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    values = [float(v) for v in args.values.split(",")]
     key = args.key
-    if key not in ScenarioConfig.__dataclass_fields__:
-        raise ScenarioConfigError(f"unknown sweep key: {key!r}")
+    values = [config_value(key, v) for v in args.values.split(",")]
     overrides = [{key: v} for v in values]
     results = run_sweep(cfg, overrides, out)
     failed = 0

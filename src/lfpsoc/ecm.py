@@ -64,7 +64,8 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if not 0 < self.coulombic_efficiency <= 1:
             raise ValueError("coulombic_efficiency must be in (0, 1]")
-        if self.voltage_noise_sigma < 0 or self.current_noise_sigma < 0:
+        if not (self.voltage_noise_sigma >= 0
+                and self.current_noise_sigma >= 0):  # NaN too
             raise ValueError("noise sigmas must be >= 0")
 
     @property

@@ -2,18 +2,17 @@
 
 `kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
 update, on Python floats with the 2x2 algebra written out. It steps one
-filter set per call: members that share noise, curve, anchor and anchor
-OCV, each from its own posterior, on the same sample. Members differ only
-in the measurement row H = [s, -1]. A plain filter, a set of one, reads the
-OCV and its slope s from the curve at the prior SOC, clamped into the knot
-domain. A bank member (`slope_override` set) uses the affine model anchored
-at the interval start (state `anchor`, model value `anchor_ocv`) with a
-fixed slope; a bank is its n slopes. Each member's step is a plain tuple in
-`StepOutput`'s field order: its posterior, the innovation e, its variance
-S, the SOC gain, the clamp flag and the log-density of e, which the bank's
-model weights and the interval statistics read as they are. `filter_range`
-steps a plain filter over a range of samples and keeps each step as a
-`StepOutput`.
+filter set per call: one filter (noise and curve), one anchor and a list of
+slopes, with one posterior per slope, all on the same sample. Members differ
+only in the measurement row H = [s, -1]. A slope of None reads the OCV and
+its slope s from the curve at the prior SOC, clamped into the knot domain: a
+plain filter is the one-member set `[None]`. A bank member's slope s gives
+the affine model anchored at the interval start (anchor SOC, model OCV); a
+bank is its n slopes. Each member's step is a plain tuple in `StepOutput`'s
+field order: its posterior, the innovation e, its variance S, the SOC gain,
+the clamp flag and the log-density of e, which the bank's model weights and
+the interval statistics read as they are. `filter_range` steps a plain
+filter over a range of samples and keeps each step as a `StepOutput`.
 """
 
 from __future__ import annotations
@@ -62,18 +61,13 @@ class NoiseConfig:
 
 @dataclass
 class KfState:
-    """One filter: start state, covariance, noise, curve and options.
-
-    Validated once, when built. A bank member without `anchor_ocv` gets the
-    curve's value at its anchor SOC (clamped into the knot domain)."""
+    """One filter: start state, covariance, noise and curve, validated once,
+    when built."""
 
     x: BatteryState
     p: np.ndarray
     noise: NoiseConfig
     curve: OcvCurve
-    slope_override: float | None = None
-    anchor: BatteryState | None = None
-    anchor_ocv: float | None = None  # carried-over corrected model value
 
     def __post_init__(self):
         p = self.p = np.asarray(self.p, dtype=float)
@@ -81,12 +75,6 @@ class KfState:
             raise ValueError("p must be 2x2")
         if not abs(p[0, 1] - p[1, 0]) <= 1e-9 + 1e-5 * abs(p[1, 0]):
             raise ValueError("p must be symmetric")  # np.isclose, atol 1e-9
-        if self.slope_override is not None:
-            if self.anchor is None:
-                raise ValueError("slope_override requires an anchor state")
-            if self.anchor_ocv is None:
-                self.anchor_ocv = self.curve.ocv(min(max(
-                    self.anchor.soc, self.curve.soc_min), self.curve.soc_max))
 
     def start(self) -> tuple:
         """The start posterior as the step's `x`: (soc, up, p00, p01, p11)."""
@@ -108,6 +96,9 @@ class StepOutput(namedtuple("StepOutput", (
     __slots__ = ()
 
 
+PLAIN = (None,)  # the slopes of a plain filter: one member on the curve
+
+
 def transition(params: EcmParams, cfg: SimConfig) -> tuple:
     """(decay, g_soc, g_up, r0): F = diag(1, decay), G = [g_soc, g_up] and
     the ohmic feedthrough, for one parameter set."""
@@ -116,27 +107,28 @@ def transition(params: EcmParams, cfg: SimConfig) -> tuple:
             params.r0)
 
 
-def kalman_step(fs: list[KfState], xs, coef: tuple, u_prev: float,
-                y: float, u: float, first: bool, k: int = 0) -> list[tuple]:
-    """Step each member of the filter set `fs` from its posterior in `xs`:
-    predict with `u_prev` (unless `first`), then update on the measured
-    voltage `y` at current `u`. One tuple per member, in `StepOutput`'s
-    field order.
+def kalman_step(f: KfState, anchor: tuple | None, slopes, xs, coef: tuple,
+                u_prev: float, y: float, u: float, first: bool,
+                k: int = 0) -> list[tuple]:
+    """Step the member of each slope in `slopes` from its posterior in `xs`
+    with the noise and curve of filter `f`: predict with `u_prev` (unless
+    `first`), then update on the measured voltage `y` at current `u`. One
+    tuple per member, in `StepOutput`'s field order.
 
-    The members must share noise, curve, anchor and anchor OCV, which are
-    read from `fs[0]`. Each posterior is (soc, up, p00, p01, p11, ...): a
-    filter start or a previous step. `coef` is `transition(params, cfg)`.
-    Raises FilterDegeneracyError naming step `k` when a member's innovation
+    A slope of None reads the curve; a slope s reads the affine model
+    through `anchor`, (anchor SOC, model OCV), which only such members need.
+    Each posterior is (soc, up, p00, p01, p11, ...): a filter start or a
+    previous step. `coef` is `transition(params, cfg)`. Raises
+    FilterDegeneracyError naming step `k` when a member's innovation
     variance is not positive.
     """
-    f = fs[0]
     q00, q01, q11, r = f.noise.terms
     decay, g_soc, g_up, r0 = coef
-    curve, anchor_ocv = f.curve, f.anchor_ocv
-    anchor_soc = None if f.anchor is None else f.anchor.soc
+    curve = f.curve
+    anchor_soc, anchor_ocv = anchor or (None, None)
     lo, hi = curve.soc_min, curve.soc_max
     out = []
-    for m, x in zip(fs, xs):
+    for s, x in zip(slopes, xs):
         soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
         if not first:
             # x- = F x + G u_prev; P- = F P F^T + Q
@@ -145,7 +137,6 @@ def kalman_step(fs: list[KfState], xs, coef: tuple, u_prev: float,
             p00 = p00 + q00
             p01 = p01 * decay + q01
             p11 = decay * p11 * decay + q11
-        s = m.slope_override
         if s is None:  # the curve at the prior SOC, clamped into its domain
             ocv, s = curve.ocv_slope(min(max(soc, lo), hi))
         else:  # affine about the anchor
@@ -207,10 +198,11 @@ def filter_range(f: KfState, x, params, trace: Trace, cfg: SimConfig,
                  start: int, stop: int) -> list[StepOutput]:
     """Step filter `f` from posterior `x` (`f.start()` or a previous step)
     over samples [start, stop)."""
-    fs, steps = [f], []
+    steps = []
     for k, coef, u_prev, y, u in samples(params, trace, cfg, start, stop):
         x = StepOutput._make(
-            kalman_step(fs, [x], coef, u_prev, y, u, k == 0, k)[0])
+            kalman_step(f, None, PLAIN, [x], coef, u_prev, y, u, k == 0,
+                        k)[0])
         steps.append(x)
     return steps
 

@@ -31,13 +31,6 @@ class IntervalInnovations:
         return float(np.sqrt(np.mean(self.values ** 2)))
 
 
-@dataclass(frozen=True)
-class ErrorSignVerdict:
-    sign: str
-    ccm_value: float
-    acm_ratio: float
-
-
 def interval_ccm(prev: IntervalInnovations, curr: IntervalInnovations) -> float:
     """Mean product of matching-offset innovations of two adjacent intervals,
     estimating the lag-L cross-correlation at the interval ends.
@@ -58,53 +51,40 @@ def empirical_acm(curr: IntervalInnovations) -> float:
     return float(np.mean(curr.values ** 2))
 
 
-@dataclass(frozen=True)
-class CcmThresholds:
-    floor: float = 1e-8
-    acm_fraction: float = 0.05
-
-    def threshold(self, acm_emp: float) -> float:
-        return max(self.floor, self.acm_fraction * acm_emp)
+# |CCM| at or below max(CCM_FLOOR, CCM_ACM_FRACTION * empirical ACM) is noise
+CCM_FLOOR = 1e-8
+CCM_ACM_FRACTION = 0.05
 
 
-def infer_error_sign(ccm: float, acm_ratio: float,
-                     thresholds: CcmThresholds = CcmThresholds(),
-                     acm_emp: float = 0.0) -> ErrorSignVerdict:
-    """Map the CCM onto the bank's slope-set verdict: positive CCM gives
+def infer_error_sign(ccm: float, acm_emp: float) -> str:
+    """Map the CCM onto the bank's slope-set sign: positive CCM gives
     NEGATIVE_G (filter curve above the actual one), negative CCM
-    POSITIVE_G, small |CCM| INDETERMINATE.
+    POSITIVE_G, |CCM| within the noise threshold INDETERMINATE.
 
     The CCM is positive under either polarity of a curve error, so a
-    NEGATIVE_G verdict means that an error is present, not that the filter
+    NEGATIVE_G sign means that an error is present, not that the filter
     curve is above the truth, and the POSITIVE_G branch fires only on
     noise. `infer_error_polarity` reads the polarity."""
-    tau = thresholds.threshold(acm_emp)
+    tau = max(CCM_FLOOR, CCM_ACM_FRACTION * acm_emp)
     if ccm > tau:
-        sign = NEGATIVE_G
-    elif ccm < -tau:
-        sign = POSITIVE_G
-    else:
-        sign = INDETERMINATE
-    return ErrorSignVerdict(sign, ccm, acm_ratio)
+        return NEGATIVE_G
+    if ccm < -tau:
+        return POSITIVE_G
+    return INDETERMINATE
 
 
 def interval_statistics(prev: IntervalInnovations | None,
-                        curr: IntervalInnovations,
-                        thresholds: CcmThresholds) -> tuple:
-    """(ccm, acm_emp, acm_theo, verdict) of interval `curr` after `prev`.
+                        curr: IntervalInnovations) -> tuple:
+    """(ccm, acm_emp, acm_theo, sign) of interval `curr` after `prev`.
 
     The theoretical ACM is `curr.acm_theo`. Without a previous interval of
-    the same length there is no CCM: it is 0.0 and the verdict is
+    the same length there is no CCM: it is 0.0 and the sign is
     INDETERMINATE."""
     acm_emp = empirical_acm(curr)
-    acm_theo = curr.acm_theo
-    ratio = acm_emp / acm_theo if acm_theo > 0 else float("inf")
     if prev is None or len(prev.values) != len(curr.values):
-        return 0.0, acm_emp, acm_theo, ErrorSignVerdict(INDETERMINATE, 0.0,
-                                                        ratio)
+        return 0.0, acm_emp, curr.acm_theo, INDETERMINATE
     ccm = interval_ccm(prev, curr)
-    return ccm, acm_emp, acm_theo, infer_error_sign(ccm, ratio, thresholds,
-                                                    acm_emp)
+    return ccm, acm_emp, curr.acm_theo, infer_error_sign(ccm, acm_emp)
 
 
 @dataclass(frozen=True)
@@ -150,30 +130,28 @@ def infer_error_polarity(value: float, p0_soc: float) -> PolarityVerdict:
     return PolarityVerdict(sign, value, tau)
 
 
-@dataclass(frozen=True)
-class ConvergenceConfig:
-    window: int = 3
-    rms_ratio: float = 0.2
-    flat_tol: float = 0.1
-    noise_floor_mult: float = 1.5
+# convergence: the trailing window of interval RMS values, its drop from the
+# first interval's, its relative spread, and the noise-floor multiple
+CONVERGENCE_WINDOW = 3
+RMS_RATIO = 0.2
+FLAT_TOL = 0.1
+NOISE_FLOOR_MULT = 1.5
 
 
-def detect_convergence(history, cfg: ConvergenceConfig = ConvergenceConfig(),
-                       noise_std: float | None = None) -> bool:
-    """True once the rolling interval-RMS has either dropped below rms_ratio
-    times its initial value while flat (relative spread < flat_tol) over the
-    trailing window, or reached the measurement-noise floor (a run that
-    starts converged never crosses the ratio threshold)."""
+def detect_convergence(history, noise_std: float | None = None) -> bool:
+    """True once the rolling interval-RMS has either dropped below RMS_RATIO
+    times its initial value while flat (relative spread < FLAT_TOL) over the
+    trailing window, or reached NOISE_FLOOR_MULT times the measurement-noise
+    floor (a run that starts converged never crosses the ratio threshold)."""
     if len(history) < 2:
         return False
     rms = np.array([iv.rms() for iv in history])
-    w = min(cfg.window, len(rms))
-    recent = rms[-w:]
+    recent = rms[-CONVERGENCE_WINDOW:]
     mean = float(np.mean(recent))
-    if noise_std is not None and mean <= cfg.noise_floor_mult * noise_std:
+    if noise_std is not None and mean <= NOISE_FLOOR_MULT * noise_std:
         return True
     if mean == 0.0:
         return True
-    if mean >= cfg.rms_ratio * rms[0]:
+    if mean >= RMS_RATIO * rms[0]:
         return False
-    return float((np.max(recent) - np.min(recent)) / mean) < cfg.flat_tol
+    return float((np.max(recent) - np.min(recent)) / mean) < FLAT_TOL

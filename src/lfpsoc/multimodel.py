@@ -17,9 +17,8 @@ import numpy as np
 from . import ekf, innovation
 from .curve import OcvCurve
 from .ecm import BatteryState, SimConfig, Trace
-from .ekf import KfState, NoiseConfig, StepOutput
-from .innovation import (ConvergenceConfig, CcmThresholds, ErrorSignVerdict,
-                         IntervalInnovations, INDETERMINATE, NEGATIVE_G,
+from .ekf import PLAIN, KfState, NoiseConfig, StepOutput
+from .innovation import (IntervalInnovations, INDETERMINATE, NEGATIVE_G,
                          POSITIVE_G)
 
 DISCHARGE = "discharge"
@@ -43,19 +42,23 @@ class BankConfig:
             raise ValueError("spread must be > 1")
         if not self.slope_floor > 0:
             raise ValueError("slope_floor must be > 0")
+        # at 1/n every weight is floored and the pick is always index 0
+        if not 0 < self.prob_floor < 1 / self.n:
+            raise ValueError(f"prob_floor must be in (0, 1/n) = (0, "
+                             f"{1 / self.n:.6g}), got {self.prob_floor}")
 
 
-def build_slope_set(base_slope: float, verdict: ErrorSignVerdict | None,
-                    mode: str, cfg: BankConfig) -> np.ndarray:
+def build_slope_set(base_slope: float, sign: str, mode: str,
+                    cfg: BankConfig) -> np.ndarray:
     """Geometrically spaced candidate measurement slopes around the base.
 
-    Discharge with a negative curve gap wants larger slopes, a positive gap
-    smaller ones; charge mirrors this. Indeterminate spans both sides. The
-    base slope is always a member; everything is floored at slope_floor.
+    Discharge with a negative curve gap (`sign`) wants larger slopes, a
+    positive gap smaller ones; charge mirrors this. Indeterminate spans both
+    sides. The base slope is always a member; everything is floored at
+    slope_floor.
     """
     if cfg.n == 1:
         return np.array([max(base_slope, cfg.slope_floor)])
-    sign = INDETERMINATE if verdict is None else verdict.sign
     if sign != INDETERMINATE and mode == CHARGE:
         sign = POSITIVE_G if sign == NEGATIVE_G else NEGATIVE_G
     if sign == NEGATIVE_G:
@@ -99,38 +102,34 @@ class IntervalResult:
     final_model_ocv: float | None
 
 
-def run_interval(members: list[KfState], x, params, trace: Trace, start: int,
-                 length: int, cfg: SimConfig, floor: float,
-                 index: int) -> IntervalResult:
-    """Step every member from the posterior `x` through `length` samples,
-    updating the model weights (uniform at the start) per step from each
-    member's innovation log-density, then select the heaviest member (ties
-    to the lowest index). `index` numbers the interval. Raises ValueError
-    when the members do not share noise, curve, anchor and anchor OCV."""
-    f = members[0]
-    shared = (f.noise.terms, f.anchor, f.anchor_ocv)
-    if any(m.curve is not f.curve or (m.noise.terms, m.anchor, m.anchor_ocv)
-           != shared for m in members):
-        raise ValueError(f"interval {index}: the bank members must share "
-                         "noise, curve, anchor and anchor OCV")
-    n = len(members)
+def run_interval(f: KfState, anchor: tuple, slopes, x, params,
+                 trace: Trace, start: int, length: int, cfg: SimConfig,
+                 floor: float, index: int) -> IntervalResult:
+    """Step the member of every slope from the posterior `x` through
+    `length` samples with the noise and curve of `f` and the affine models
+    through `anchor` (anchor SOC, model OCV), updating the model weights
+    (uniform at the start) per step from each member's innovation
+    log-density, then select the heaviest member (ties to the lowest index).
+    `index` numbers the interval."""
+    n = len(slopes)
     weights = [1.0 / n] * n
     xs = [x] * n
     rows = []  # per sample, every member's step
     for k, coef, u_prev, y, u in ekf.samples(params, trace, cfg, start,
                                              start + length):
-        xs = ekf.kalman_step(members, xs, coef, u_prev, y, u, k == 0, k)
+        xs = ekf.kalman_step(f, anchor, slopes, xs, coef, u_prev, y, u,
+                             k == 0, k)
         rows.append(xs)
         # a step's last field is its log-density
         weights = model_weights(weights, [m[-1] for m in xs], floor)
     opt = weights.index(max(weights))
-    best, f = [StepOutput._make(row[opt]) for row in rows], members[opt]
-    if f.slope_override is None:
+    best, s = [StepOutput._make(row[opt]) for row in rows], slopes[opt]
+    if s is None:
         corrected = []
     else:
-        corrected = [(step.soc, f.anchor_ocv
-                      + f.slope_override * (step.soc - f.anchor.soc), index)
-                     for step in best]
+        anchor_soc, anchor_ocv = anchor
+        corrected = [(step.soc, anchor_ocv + s * (step.soc - anchor_soc),
+                      index) for step in best]
     final_model_ocv = corrected[-1][1] if corrected else None
     return IntervalResult(opt, best, interval_innovations(index, best),
                           corrected, weights, final_model_ocv)
@@ -209,38 +208,36 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
         x = steps[-1]
         k += L
         interval_index += 1
-        if innovation.detect_convergence(history, ConvergenceConfig(),
+        if innovation.detect_convergence(history,
                                          noise_std=math.sqrt(noise.r)):
             converged_at = k
-    # phase 2: per-interval bank runs; the corrected measurement-model value
-    # chains across intervals (only the first anchors on the original curve)
-    anchor_ocv: float | None = None
+    # phase 2: per interval, a bank of slopes stepped from the carried
+    # posterior; the anchor's model value chains across intervals (only the
+    # first anchors on the original curve)
+    bank = KfState(initial, initial_p, bank_noise, original_curve)
+    lo, hi = original_curve.soc_min, original_curve.soc_max
+    anchor_ocv = None
     while k + L <= n_steps:
         # phase 1 has run at least two intervals: convergence needs two
-        ccm, acm_emp, acm_theo, verdict = innovation.interval_statistics(
-            history[-2], history[-1], CcmThresholds())
+        ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
+            history[-2], history[-1])
         mode = DISCHARGE if float(np.mean(trace.current_a[k:k + L])) >= 0 \
             else CHARGE
-        anchor_soc = min(max(x.soc, original_curve.soc_min), original_curve.soc_max)
-        base_slope = original_curve.slope(anchor_soc)
-        slopes = build_slope_set(base_slope, verdict, mode, bank_cfg)
-        # the members start from the carried posterior and differ only in
-        # slope; a one-filter bank is a plain filter on the curve itself
-        anchor = BatteryState(x.soc, x.up)
-        p = np.array([[x.p00, x.p01], [x.p01, x.p11]])
-        if len(slopes) == 1:
-            members = [KfState(anchor, p, bank_noise, original_curve)]
-        else:
-            members = [KfState(anchor, p, bank_noise, original_curve,
-                               slope_override=float(s), anchor=anchor,
-                               anchor_ocv=anchor_ocv) for s in slopes]
-        res = run_interval(members, x, params, trace, k, L, cfg,
-                           bank_cfg.prob_floor, interval_index)
+        anchor_soc = min(max(x.soc, lo), hi)
+        if anchor_ocv is None:
+            anchor_ocv = original_curve.ocv(anchor_soc)
+        slopes = build_slope_set(original_curve.slope(anchor_soc), sign, mode,
+                                 bank_cfg)
+        # a one-filter bank is a plain filter on the curve itself
+        slopes = PLAIN if len(slopes) == 1 else [float(s) for s in slopes]
+        res = run_interval(bank, (x.soc, anchor_ocv), slopes, x, params,
+                           trace, k, L, cfg, bank_cfg.prob_floor,
+                           interval_index)
         keep(res.steps, k)
         corrected_points.extend(res.corrected_points)
         diagnostics.append(IntervalDiagnostics(
-            interval_index, ccm, acm_emp, acm_theo, verdict.sign,
-            res.optimal_index, max(res.probabilities), mode))
+            interval_index, ccm, acm_emp, acm_theo, sign, res.optimal_index,
+            max(res.probabilities), mode))
         history.append(res.innovations)
         x = res.steps[-1]
         if res.final_model_ocv is not None:

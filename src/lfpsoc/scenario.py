@@ -3,6 +3,7 @@ artifacts, a metrics summary, and threshold checks for scripted runs."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, asdict, replace
 
@@ -69,6 +70,12 @@ class ScenarioConfig:
     max_ammkf_rmse: float = -1.0
     require_ordering: bool = False
 
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioConfigError(f"{key}: not a finite number: "
+                                          f"{value!r}")
+
     def ecm_params(self) -> EcmParams:
         return EcmParams(r0=self.r0, rp=self.rp, cp=self.cp)
 
@@ -96,30 +103,34 @@ class ScenarioConfig:
                           prob_floor=self.prob_floor)
 
 
-_BOOL_KEYS = {"identify_online", "require_ordering"}
-_STR_KEYS = {"true_curve", "filter_curve", "profile_kind"}
-_INT_KEYS = {"profile_steps", "n", "interval_len", "seed"}
+def config_value(key: str, raw):
+    """The value of config key `key` parsed from its text `raw` as the type
+    of the key's default: "true"/"false"/"1"/"0"/"yes"/"no" for a boolean,
+    the text itself for a string, else an int or a float. Unknown keys and
+    unparsable text raise ScenarioConfigError naming the key."""
+    field = ScenarioConfig.__dataclass_fields__.get(key)
+    if field is None:
+        raise ScenarioConfigError(f"unknown config key: {key!r}")
+    kind, text = type(field.default), str(raw)
+    if kind is bool:
+        text = text.strip().lower()
+        if text not in ("true", "false", "1", "0", "yes", "no"):
+            raise ScenarioConfigError(f"{key}: not a boolean: {raw!r}")
+        return text in ("true", "1", "yes")
+    if kind is str:
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ScenarioConfigError(
+            f"{key}: not {'an integer' if kind is int else 'a number'}: "
+            f"{raw!r}") from None
 
 
 def scenario_from_mapping(mapping: dict) -> ScenarioConfig:
     """Build a config from flat string key=value pairs; unknown keys error."""
-    kwargs = {}
-    valid = ScenarioConfig.__dataclass_fields__
-    for key, raw in mapping.items():
-        if key not in valid:
-            raise ScenarioConfigError(f"unknown config key: {key!r}")
-        if key in _STR_KEYS:
-            kwargs[key] = str(raw)
-        elif key in _BOOL_KEYS:
-            text = str(raw).strip().lower()
-            if text not in ("true", "false", "1", "0", "yes", "no"):
-                raise ScenarioConfigError(f"{key}: not a boolean: {raw!r}")
-            kwargs[key] = text in ("true", "1", "yes")
-        elif key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        else:
-            kwargs[key] = float(raw)
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{key: config_value(key, raw)
+                             for key, raw in mapping.items()})
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -60,6 +60,16 @@ class TestEcmParams:
             EcmParams(**kwargs)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("kwargs", [
+        dict(voltage_noise_sigma=-0.001), dict(current_noise_sigma=-0.01),
+        dict(voltage_noise_sigma=math.nan), dict(current_noise_sigma=math.nan)])
+    def test_rejects_negative_or_nan_noise_sigma(self, kwargs):
+        # a NaN sigma once simulated a noise-free trace without a word
+        with pytest.raises(ValueError, match="noise sigmas"):
+            SimConfig(**kwargs)
+
+
 class TestStepState:
     def test_zero_input_equilibrium(self, params, sim_cfg):
         state, clamped = step_state(BatteryState(0.5, 0.0), params, 0.0, sim_cfg)

@@ -17,28 +17,30 @@ from lfpsoc.ekf import (FilterDegeneracyError, StepOutput, kalman_step,
 from lfpsoc.profiles import generate_profile
 
 
-def _state(curve, soc=0.5, up=0.0, p=None, noise=None, **kw):
+def _state(curve, soc=0.5, up=0.0, p=None, noise=None):
     return KfState(x=BatteryState(soc, up),
                    p=np.diag([1e-4, 1e-4]) if p is None else p,
                    noise=noise or NoiseConfig.default(r=1e-6),
-                   curve=curve, **kw)
+                   curve=curve)
 
 
-def _step(f, *args, **kwargs):
-    """One step of filter `f` alone (a set of one) from its start."""
-    [out] = kalman_step([f], [f.start()], *args, **kwargs)
+def _step(f, *args, slope=None, anchor=None, **kwargs):
+    """One step of filter `f` alone (a set of one) from its start: on its
+    curve, or with `slope` on the affine model through `anchor`, (anchor
+    SOC, model OCV)."""
+    [out] = kalman_step(f, anchor, [slope], [f.start()], *args, **kwargs)
     return StepOutput._make(out)
 
 
-def _update(f, measured, current, params):
+def _update(f, measured, current, params, **member):
     """The measurement update alone: a first step, which skips prediction."""
     return _step(f, transition(params, SimConfig()), 0.0, measured, current,
-                 first=True)
+                 first=True, **member)
 
 
-def _predicted(f, params, current=0.0):
+def _predicted(f, params, current=0.0, **member):
     """Predicted terminal voltage h(x) - R0*I at the filter's start state."""
-    return -_update(f, 0.0, current, params).innovation
+    return -_update(f, 0.0, current, params, **member).innovation
 
 
 def _prior(f, params, current, cfg):
@@ -49,10 +51,8 @@ def _prior(f, params, current, cfg):
     S = p00 - 2 p01 + p11 + r."""
     e, s_var, k = [], [], []
     for slope in (0.0, 1.0):
-        member = KfState(f.x, f.p, f.noise, f.curve, slope_override=slope,
-                         anchor=BatteryState(0.0, 0.0), anchor_ocv=3.3)
-        out = _step(member, transition(params, cfg), current, 3.3, 0.0,
-                    first=False)
+        out = _step(f, transition(params, cfg), current, 3.3, 0.0,
+                    first=False, slope=slope, anchor=(0.0, 3.3))
         e.append(out.innovation)
         s_var.append(out.innovation_variance - f.noise.r)
         k.append(out.k_soc * out.innovation_variance)
@@ -72,22 +72,24 @@ def _posterior_p(o):
     return np.array([[o.p00, o.p01], [o.p01, o.p11]])
 
 
-def _reference_step(f, params, cfg, u_prev, y, u, first):
-    """Matrix-form step written from the numpy predict/update this module
-    replaced: F P F^T + Q, H = [s, -1], (I - K H) P symmetrized."""
+def _reference_step(f, slope, anchor, params, cfg, u_prev, y, u, first):
+    """Matrix-form step from `f`'s start, written from the numpy
+    predict/update this module replaced: F P F^T + Q, H = [s, -1],
+    (I - K H) P symmetrized. A `slope` of None reads the curve; a slope
+    reads the affine model through `anchor`, (anchor SOC, model OCV)."""
     decay = np.exp(-cfg.dt / params.tau)
     fm = np.array([[1.0, 0.0], [0.0, decay]])
     g = np.array([-cfg.dt / cfg.capacity_as, params.rp * (1.0 - decay)])
     x, p = np.array([f.x.soc, f.x.up]), f.p
     if not first:
         x, p = fm @ x + g * u_prev, fm @ p @ fm.T + f.noise.q
-    if f.slope_override is None:
+    if slope is None:
         soc = min(max(x[0], f.curve.soc_min), f.curve.soc_max)
         slope = f.curve.slope(np.array([soc]))[0]
         h = np.interp(soc, f.curve.knot_soc, f.curve.knot_ocv) - x[1]
     else:
-        slope = f.slope_override
-        h = f.anchor_ocv + slope * (x[0] - f.anchor.soc) - x[1]
+        anchor_soc, anchor_ocv = anchor
+        h = anchor_ocv + slope * (x[0] - anchor_soc) - x[1]
     h_row = np.array([slope, -1.0])
     innovation = y - (h - params.r0 * u)
     s_var = float(h_row @ p @ h_row) + f.noise.r
@@ -138,9 +140,11 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(q=np.eye(2), r=0.0)
 
-    def test_override_without_anchor_rejected(self, base_curve):
-        with pytest.raises(ValueError):
-            _state(base_curve, slope_override=0.1)
+    def test_override_without_anchor_rejected(self, params, base_curve):
+        # a slope reads the affine model through the anchor: without one
+        # the step raises instead of stepping
+        with pytest.raises(TypeError):
+            _update(_state(base_curve), 3.3, 0.0, params, slope=0.1)
 
 
 class TestTransitionMatrices:
@@ -187,10 +191,9 @@ class TestMeasurementModel:
             pytest.approx(0.5, abs=1e-12)
 
     def test_jacobian_override(self, params, two_knot_curve):
-        st8 = _state(two_knot_curve, soc=0.35, slope_override=0.07,
-                     anchor=BatteryState(0.3, 0.0))
-        assert _slope(_update(st8, 3.25, 0.0, params), st8) == \
-            pytest.approx(0.07, abs=1e-12)
+        st8 = _state(two_knot_curve, soc=0.35)
+        out = _update(st8, 3.25, 0.0, params, slope=0.07, anchor=(0.3, 3.25))
+        assert _slope(out, st8) == pytest.approx(0.07, abs=1e-12)
 
     def test_predicted_voltage_plain(self, two_knot_curve):
         p = EcmParams(r0=0.1, rp=0.04, cp=1000.0)
@@ -200,18 +203,19 @@ class TestMeasurementModel:
 
     def test_predicted_voltage_affine_about_anchor(self, two_knot_curve):
         p = EcmParams(r0=0.1, rp=0.04, cp=1000.0)
-        st8 = _state(two_knot_curve, soc=0.35, up=0.01, slope_override=0.2,
-                     anchor=BatteryState(0.3, 0.0))
+        st8 = _state(two_knot_curve, soc=0.35, up=0.01)
         # anchor value 3.25 on the curve, plus 0.2 * 0.05, minus up
-        assert st8.anchor_ocv == pytest.approx(3.25, abs=1e-12)
-        assert _predicted(st8, p) == \
+        anchor = (0.3, two_knot_curve.ocv(0.3))
+        assert anchor[1] == pytest.approx(3.25, abs=1e-12)
+        assert _predicted(st8, p, slope=0.2, anchor=anchor) == \
             pytest.approx(3.25 + 0.2 * 0.05 - 0.01, abs=1e-12)
 
     def test_carried_anchor_value_takes_precedence(self, two_knot_curve):
         p = EcmParams(r0=0.1, rp=0.04, cp=1000.0)
-        st8 = _state(two_knot_curve, soc=0.3, slope_override=0.2,
-                     anchor=BatteryState(0.3, 0.0), anchor_ocv=3.27)
-        assert _predicted(st8, p) == pytest.approx(3.27, abs=1e-12)
+        # a carried model value, off the curve's 3.25 at the anchor SOC
+        st8 = _state(two_knot_curve, soc=0.3)
+        assert _predicted(st8, p, slope=0.2, anchor=(0.3, 3.27)) == \
+            pytest.approx(3.27, abs=1e-12)
 
     def test_slope_read_at_the_clamped_prior(self, params, two_knot_curve):
         # a prior outside the knot domain reads the curve at its nearest end
@@ -320,23 +324,24 @@ class TestStepAgainstMatrixForm:
         q01 = 0.5 * math.sqrt(q00 * q11)
         noise = NoiseConfig(q=np.array([[q00, q01], [q01, q11]]), r=r)
         p = np.array([[p00, cov], [cov, p11]])
-        member = {} if slope is None else dict(
-            slope_override=slope, anchor=BatteryState(0.5, 0.0))
-        f = _state(default_lifepo4_curve(), soc=soc, up=up, p=p, noise=noise,
-                   **member)
+        curve = default_lifepo4_curve()
+        anchor = None if slope is None else (0.5, curve.ocv(0.5))
+        f = _state(curve, soc=soc, up=up, p=p, noise=noise)
         y = 3.3 + innov
         _assert_matches_reference(
-            _step(f, transition(params, cfg), u_prev, y, u, first),
-            _reference_step(f, params, cfg, u_prev, y, u, first))
+            _step(f, transition(params, cfg), u_prev, y, u, first,
+                  slope=slope, anchor=anchor),
+            _reference_step(f, slope, anchor, params, cfg, u_prev, y, u,
+                            first))
 
     def test_clamp_flag_on_both_sides(self, params):
         # the first two examples above: posteriors past 1 and below 0
         for soc, measured, bound in ((0.999, 3.8, 1.0), (0.001, 2.8, 0.0)):
-            f = _state(default_lifepo4_curve(), soc=soc,
-                       p=np.diag([1e-1, 1e-8]),
-                       noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-8),
-                       slope_override=0.4, anchor=BatteryState(0.5, 0.0))
-            out = _update(f, measured, 0.0, params)
+            curve = default_lifepo4_curve()
+            f = _state(curve, soc=soc, p=np.diag([1e-1, 1e-8]),
+                       noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-8))
+            out = _update(f, measured, 0.0, params, slope=0.4,
+                          anchor=(0.5, curve.ocv(0.5)))
             assert out.soc_clamped and out.soc == bound
 
 
@@ -367,37 +372,41 @@ class TestFilterSetStep:
         cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         q01 = 0.5 * math.sqrt(q00 * q11)
         noise = NoiseConfig(q=np.array([[q00, q01], [q01, q11]]), r=r)
-        curve, anchor = default_lifepo4_curve(), BatteryState(anchor_soc, 0.0)
-        fs = []
+        # each member's start as a filter of its own; the set step reads
+        # only the shared noise and curve from the first
+        curve, anchor = default_lifepo4_curve(), (anchor_soc, anchor_ocv)
+        fs, slopes = [], []
         for soc, up, p00, p11, rho, slope in members:
             cov = rho * math.sqrt(p00 * p11)
-            bank = {} if plain else dict(slope_override=slope, anchor=anchor,
-                                         anchor_ocv=anchor_ocv)
             fs.append(_state(curve, soc=soc, up=up,
                              p=np.array([[p00, cov], [cov, p11]]),
-                             noise=noise, **bank))
+                             noise=noise))
+            slopes.append(None if plain else slope)
         xs = [f.start() for f in fs]
         coef, y = transition(params, cfg), 3.3 + innov
-        steps = kalman_step(fs, xs, coef, u_prev, y, u, first, 5)
+        steps = kalman_step(fs[0], anchor, slopes, xs, coef, u_prev, y, u,
+                            first, 5)
         assert len(steps) == len(fs)
-        for f, x, step in zip(fs, xs, steps):
-            [alone] = kalman_step([f], [x], coef, u_prev, y, u, first, 5)
+        for f, s, x, step in zip(fs, slopes, xs, steps):
+            [alone] = kalman_step(f, anchor, [s], [x], coef, u_prev, y, u,
+                                  first, 5)
             assert repr(step) == repr(alone)  # bit for bit, -0.0 and NaN too
             _assert_matches_reference(
                 StepOutput._make(step),
-                _reference_step(f, params, cfg, u_prev, y, u, first))
+                _reference_step(f, s, anchor, params, cfg, u_prev, y, u,
+                                first))
         # min(1, max(0, soc)) turns a -0.0 posterior SOC into 0.0
         assert all(math.copysign(1.0, step[0]) == 1.0 for step in steps)
 
     @pytest.mark.parametrize("bad", [0, 2, 4])
     def test_any_non_positive_variance_names_the_step(self, params,
                                                       base_curve, bad):
-        anchor = BatteryState(0.5, 0.0)
-        fs = [_state(base_curve, p=-np.eye(2) if j == bad else None,
-                     slope_override=0.1 * (j + 1), anchor=anchor)
+        fs = [_state(base_curve, p=-np.eye(2) if j == bad else None)
               for j in range(5)]
         with pytest.raises(FilterDegeneracyError, match="step 9"):
-            kalman_step(fs, [f.start() for f in fs],
+            kalman_step(fs[0], (0.5, base_curve.ocv(0.5)),
+                        [0.1 * (j + 1) for j in range(5)],
+                        [f.start() for f in fs],
                         transition(params, SimConfig()), 0.0, 3.3, 0.0,
                         first=False, k=9)
 

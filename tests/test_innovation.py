@@ -14,7 +14,6 @@ from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     simulate_profile)
 from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
-                               CcmThresholds, ConvergenceConfig,
                                interval_statistics)
 from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
@@ -76,14 +75,14 @@ class TestCorrelationMeasures:
         # here a first step (no prediction, so P- = P) with H = [0.5, -1]
         x = BatteryState(0.5, 0.0)
         p = np.array([[4e-4, 1e-5], [1e-5, 1e-4]])
-        f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve,
-                    slope_override=0.5, anchor=x)
-        [step] = kalman_step([f], [f.start()], transition(params, SimConfig()),
-                             0.0, 3.3, 0.0, first=True)
+        f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve)
+        [step] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5], [f.start()],
+                             transition(params, SimConfig()), 0.0, 3.3, 0.0,
+                             first=True)
         step = StepOutput._make(step)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6
         _, _, acm_theo, _ = interval_statistics(
-            None, interval_innovations(0, [step, step]), CcmThresholds())
+            None, interval_innovations(0, [step, step]))
         assert acm_theo == pytest.approx(expect, rel=1e-12)
 
     def test_non_finite_rejected(self):
@@ -112,26 +111,23 @@ class TestCorrelationMeasures:
 
 class TestErrorSignInference:
     def test_positive_ccm_means_negative_gap(self):
-        v = infer_error_sign(1e-4, 1.0, acm_emp=1e-6)
-        assert v.sign == NEGATIVE_G
+        assert infer_error_sign(1e-4, 1e-6) == NEGATIVE_G
 
     def test_negative_ccm_means_positive_gap(self):
-        v = infer_error_sign(-1e-4, 1.0, acm_emp=1e-6)
-        assert v.sign == POSITIVE_G
+        assert infer_error_sign(-1e-4, 1e-6) == POSITIVE_G
 
     def test_small_ccm_indeterminate(self):
         # |ccm| below 5% of the empirical ACM is treated as noise
-        v = infer_error_sign(1e-9, 1.0, acm_emp=1e-6)
-        assert v.sign == INDETERMINATE
+        assert infer_error_sign(1e-9, 1e-6) == INDETERMINATE
+        assert infer_error_sign(4.9e-8, 1e-6) == INDETERMINATE
+        assert infer_error_sign(5.1e-8, 1e-6) == NEGATIVE_G
 
     def test_floor_dominates_tiny_acm(self):
-        thresholds = CcmThresholds(floor=1e-8, acm_fraction=0.05)
-        v = infer_error_sign(5e-9, 1.0, thresholds, acm_emp=0.0)
-        assert v.sign == INDETERMINATE
-
-    def test_verdict_carries_inputs(self):
-        v = infer_error_sign(2e-4, 0.8, acm_emp=1e-6)
-        assert v.ccm_value == 2e-4 and v.acm_ratio == 0.8
+        # below 2e-7 empirical ACM the 1e-8 floor is the threshold
+        assert infer_error_sign(5e-9, 0.0) == INDETERMINATE
+        assert infer_error_sign(-5e-9, 1e-7) == INDETERMINATE
+        assert infer_error_sign(1.1e-8, 1e-7) == NEGATIVE_G
+        assert infer_error_sign(-1.1e-8, 0.0) == POSITIVE_G
 
     def test_polarity_sign_convention_and_threshold(self):
         # positive: filter curve above the truth (negative gap); within one
@@ -163,24 +159,17 @@ class TestErrorSignInference:
 class TestIntervalStatistics:
     def test_adjacent_intervals(self):
         prev, curr = _iv([1e-3, 2e-3, 1e-3]), _iv([2e-3, 1e-3, 1e-3])
-        ccm, acm_emp, acm_theo, verdict = interval_statistics(
-            prev, curr, CcmThresholds())
+        ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
         assert ccm == interval_ccm(prev, curr)
         assert acm_emp == empirical_acm(curr)
         assert acm_theo == curr.acm_theo
-        assert verdict == infer_error_sign(ccm, acm_emp / acm_theo,
-                                           CcmThresholds(), acm_emp)
-        assert verdict.sign == NEGATIVE_G
-        # the thresholds are the caller's
-        assert interval_statistics(prev, curr, CcmThresholds(floor=1e-5))[3] \
-            .sign == INDETERMINATE
+        assert sign == infer_error_sign(ccm, acm_emp) == NEGATIVE_G
 
     @pytest.mark.parametrize("prev", [None, _iv([1e-3, 2e-3])])
     def test_no_ccm_without_a_matching_previous_interval(self, prev):
         curr = _iv([2e-3, 1e-3, 1e-3])
-        ccm, acm_emp, acm_theo, verdict = interval_statistics(
-            prev, curr, CcmThresholds())
-        assert ccm == 0.0 and verdict.sign == INDETERMINATE
+        ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
+        assert ccm == 0.0 and sign == INDETERMINATE
         assert acm_emp == empirical_acm(curr)
         assert acm_theo == curr.acm_theo
 
@@ -251,10 +240,8 @@ class TestPipelineSignStatistics:
         ivs = _intervals(outs)
         verdicts = []
         for a, b in zip(ivs[10:-1], ivs[11:]):
-            acm = empirical_acm(b)
             verdicts.append(infer_error_sign(interval_ccm(a, b),
-                                             acm / b.acm_theo,
-                                             acm_emp=acm).sign)
+                                             empirical_acm(b)))
         # per-pair verdicts fluctuate with the noise, but neither sign
         # dominates the way it does under a genuine curve mismatch
         frac_negative_g = np.mean([v == NEGATIVE_G for v in verdicts])

@@ -6,6 +6,7 @@ import io
 import os
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from lfpsoc.cli import main as cli_main
 from lfpsoc.ecm import SimConfig, Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
 from lfpsoc.profiles import ProfileConfigError
-from lfpsoc.scenario import (ScenarioConfigError, scenario_from_mapping,
+from lfpsoc.scenario import (ScenarioConfigError, config_value,
+                             scenario_from_mapping,
                              write_artifacts, write_estimate_csv,
                              write_soc_csv)
 from lfpsoc import traceio
@@ -427,6 +429,45 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioConfigError, match="boolean"):
             scenario_from_mapping({"identify_online": "maybe"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("initial_soc_error", np.nan), ("capacity_ah", np.inf),
+        ("sigma_v", np.nan), ("sigma_i", np.nan), ("q00", -np.inf),
+        ("max_ammkf_rmse", np.nan)])
+    def test_non_finite_number_rejected(self, key, value):
+        # initial_soc_error=nan once started both estimators at SOC 0, and
+        # capacity_ah=inf froze the SOC
+        with pytest.raises(ScenarioConfigError,
+                           match=f"^{key}: not a finite number"):
+            ScenarioConfig(**{key: value})
+        with pytest.raises(ScenarioConfigError, match=f"^{key}: "):
+            scenario_from_mapping({key: str(value)})
+
+    def test_non_finite_config_line_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "cfg.txt", sigma_v="nan")
+        out = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(out), "simulate"]) == 2
+        assert capsys.readouterr().err == \
+            "error: sigma_v: not a finite number: nan\n"
+        assert not (out / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key, raw, value", [
+        ("n", "3", 3), ("seed", " 7", 7), ("interval_len", "25", 25),
+        ("profile_kind", "random-walk", "random-walk"),
+        ("identify_online", "1", True), ("require_ordering", "No", False),
+        ("sigma_v", "0.003", 0.003), ("r0", "1e-2", 0.01)])
+    def test_config_value_types_from_the_default(self, key, raw, value):
+        parsed = config_value(key, raw)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("n", "3.0", "n: not an integer: '3.0'"),
+        ("sigma_v", "x", "sigma_v: not a number: 'x'"),
+        ("identify_online", "1.0", "identify_online: not a boolean: '1.0'"),
+        ("nope", "1", "unknown config key: 'nope'")])
+    def test_config_value_names_the_key(self, key, raw, message):
+        with pytest.raises(ScenarioConfigError, match=f"^{re.escape(message)}$"):
+            config_value(key, raw)
+
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text("profile_steps=500\nseed=7\n")
@@ -825,6 +866,44 @@ class TestCli:
         assert cli_main(["--config", cfg, "--out", out, "sweep",
                          "--key", "sigma_v", "--values", "0.001,0.003"]) == 0
         assert os.path.exists(os.path.join(out, "run-000", "metrics.csv"))
+
+    @pytest.mark.parametrize("key, values, parsed", [
+        ("n", "1,3", [1, 3]),
+        ("seed", "5,6", [5, 6]),
+        ("interval_len", "20,25", [20, 25]),
+        ("profile_kind", "dst-like,random-walk", ["dst-like", "random-walk"]),
+        ("identify_online", "0,1", [False, True])])
+    def test_sweep_parses_values_as_the_config_does(self, tmp_path, capsys,
+                                                    key, values, parsed):
+        # int, str and bool keys sweep, and each run's manifest loads back
+        # as the config it ran
+        cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default",
+                         filter_curve="default", profile_steps=200,
+                         profile_target_ah=0.02)
+        out = tmp_path / "sw"
+        assert cli_main(["--config", cfg, "--out", str(out), "sweep",
+                         "--key", key, "--values", values]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        for i, value in enumerate(parsed):
+            manifest = out / f"run-{i:03d}" / "run-manifest.txt"
+            loaded = load_scenario(manifest)
+            assert getattr(loaded, key) == value
+            assert loaded == replace(load_scenario(cfg), **{key: value})
+            assert printed[i].startswith(f"{key}={value}: ammkf rmse=")
+
+    def test_sweep_bad_value_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "cfg.txt")
+        for key, values, message in (
+                ("n", "3,5.5", "n: not an integer: '5.5'"),
+                ("identify_online", "0,1.0",
+                 "identify_online: not a boolean: '1.0'"),
+                ("nope", "1", "unknown config key: 'nope'"),
+                ("sigma_v", "0.001,nan", "sigma_v: not a finite number: nan")):
+            out = tmp_path / key
+            assert cli_main(["--config", cfg, "--out", str(out), "sweep",
+                             "--key", key, "--values", values]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (out / "run-000").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default",

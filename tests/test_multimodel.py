@@ -12,16 +12,11 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     OcvCurve, SimConfig, build_slope_set,
                     default_lifepo4_curve, plateau_offset, run_ammkf, run_ekf,
                     simulate_profile)
-from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
-                               ErrorSignVerdict)
+from lfpsoc.innovation import INDETERMINATE, NEGATIVE_G, POSITIVE_G
 from lfpsoc import multimodel
 from lfpsoc.ekf import FilterDegeneracyError
 from lfpsoc.multimodel import CHARGE, DISCHARGE, model_weights, run_interval
 from lfpsoc.profiles import generate_profile
-
-
-def _verdict(sign):
-    return ErrorSignVerdict(sign, 1e-4, 1.0)
 
 
 class TestBankConfig:
@@ -40,34 +35,48 @@ class TestBankConfig:
         with pytest.raises(ValueError):
             BankConfig(spread=1.0)
 
+    @pytest.mark.parametrize("n, floor", [
+        (7, 0.0), (7, -1e-6), (7, math.nan), (7, 1 / 7), (7, 0.5),
+        (3, 0.34), (1, 1.0)])
+    def test_prob_floor_outside_zero_to_one_over_n_rejected(self, n, floor):
+        # at 1/n or above every weight is floored, the weights stay uniform
+        # and every pick is index 0; at 0, below or NaN the floor is off
+        with pytest.raises(ValueError, match="prob_floor"):
+            BankConfig(n=n, prob_floor=floor)
+
+    @pytest.mark.parametrize("n, floor", [(7, 1e-300), (7, 0.142857),
+                                          (3, 0.33), (1, 0.99)])
+    def test_prob_floor_inside_zero_to_one_over_n_accepted(self, n, floor):
+        assert BankConfig(n=n, prob_floor=floor).prob_floor == floor
+
 
 class TestBuildSlopeSet:
     def test_negative_gap_discharge_grows_slopes(self):
         cfg = BankConfig(n=3, spread=2.0)
-        s = build_slope_set(0.1, _verdict(NEGATIVE_G), DISCHARGE, cfg)
+        s = build_slope_set(0.1, NEGATIVE_G, DISCHARGE, cfg)
         assert s == pytest.approx([0.1, 0.1 * math.sqrt(2.0), 0.2], rel=1e-12)
 
     def test_positive_gap_discharge_shrinks_slopes(self):
         cfg = BankConfig(n=3, spread=2.0)
-        s = build_slope_set(0.1, _verdict(POSITIVE_G), DISCHARGE, cfg)
+        s = build_slope_set(0.1, POSITIVE_G, DISCHARGE, cfg)
         assert s == pytest.approx([0.05, 0.1 / math.sqrt(2.0), 0.1], rel=1e-12)
 
     def test_indeterminate_symmetric(self):
         cfg = BankConfig(n=3, spread=2.0)
-        s = build_slope_set(0.1, _verdict(INDETERMINATE), DISCHARGE, cfg)
+        s = build_slope_set(0.1, INDETERMINATE, DISCHARGE, cfg)
         assert s == pytest.approx([0.05, 0.1, 0.2], rel=1e-12)
 
     def test_charge_mirrors_the_verdict(self):
         cfg = BankConfig(n=3, spread=2.0)
-        dis = build_slope_set(0.1, _verdict(NEGATIVE_G), DISCHARGE, cfg)
-        chg = build_slope_set(0.1, _verdict(NEGATIVE_G), CHARGE, cfg)
-        mirror = build_slope_set(0.1, _verdict(POSITIVE_G), DISCHARGE, cfg)
+        dis = build_slope_set(0.1, NEGATIVE_G, DISCHARGE, cfg)
+        chg = build_slope_set(0.1, NEGATIVE_G, CHARGE, cfg)
+        mirror = build_slope_set(0.1, POSITIVE_G, DISCHARGE, cfg)
         assert chg == pytest.approx(mirror, rel=1e-12)
         assert not np.allclose(chg, dis)
 
     def test_floor_applies(self):
         cfg = BankConfig(n=5, spread=10.0, slope_floor=1e-4)
-        s = build_slope_set(1e-5, _verdict(POSITIVE_G), DISCHARGE, cfg)
+        s = build_slope_set(1e-5, POSITIVE_G, DISCHARGE, cfg)
         assert np.all(s >= 1e-4)
 
     def test_single_filter_returns_base(self):
@@ -83,7 +92,7 @@ class TestBuildSlopeSet:
     def test_base_membership_ordering_and_ratios(self, base, spread, n,
                                                  sign, mode):
         cfg = BankConfig(n=n, spread=spread)
-        s = build_slope_set(base, _verdict(sign), mode, cfg)
+        s = build_slope_set(base, sign, mode, cfg)
         assert len(s) == n
         assert np.all(np.diff(s) >= 0)  # non-decreasing (flat where floored)
         assert np.min(np.abs(s - base)) < 1e-9 * base  # base is a member
@@ -105,12 +114,11 @@ class TestLikelihood:
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
                                  np.full(40, 0.5), cfg)
-        anchor = BatteryState(0.6, 0.0)
-        members = _members(anchor, -np.eye(2), NoiseConfig.default(r=1e-6),
-                           base_curve, [0.05, 0.1, 0.2])
+        f = KfState(BatteryState(0.6, 0.0), -np.eye(2),
+                    NoiseConfig.default(r=1e-6), base_curve)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
-            run_interval(members, members[0].start(), params, trace, 21, 5,
-                         cfg, 1e-6, 0)
+            run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
+                         f.start(), params, trace, 21, 5, cfg, 1e-6, 0)
 
 
 _weights = st.integers(2, 9).flatmap(lambda n: st.tuples(
@@ -185,11 +193,10 @@ class TestUpdateProbabilities:
         assert all(0.0 <= p <= 1.0 for p in post)
 
 
-def _members(anchor, p, noise, curve, slopes, anchor_ocv=None):
-    """Bank members that share the start state and covariance, and differ
-    only in slope."""
-    return [KfState(anchor, p, noise, curve, slope_override=s, anchor=anchor,
-                    anchor_ocv=anchor_ocv) for s in slopes]
+def _bank(soc, up, p, noise, curve):
+    """A bank's filter: its noise and curve, and the start (soc, up) and
+    covariance that every member steps from."""
+    return KfState(BatteryState(soc, up), p, noise, curve)
 
 
 class TestMakeBankAndInterval:
@@ -203,69 +210,66 @@ class TestMakeBankAndInterval:
         return simulate_profile(BatteryState(start, 0.0), params, curve,
                                 prof.samples, cfg), cfg
 
-    def test_bank_shares_anchor_uniform_prior(self, params, base_curve,
-                                              monkeypatch):
+    _bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+
+    def _bank_calls(self, params, base_curve, curve, monkeypatch):
+        """(f, anchor, slopes, x, result) of every `run_interval` call of a
+        3-filter `run_ammkf` on `curve` over a trace from SOC 0.9."""
         trace, cfg = self._trace(params, base_curve, start=0.9)
-        bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
         calls = []
         real = multimodel.run_interval
 
-        def spy(members, x, *args):
-            calls.append((members, x, real(members, x, *args)))
-            return calls[-1][2]
+        def spy(f, anchor, slopes, x, *args):
+            calls.append((f, anchor, slopes, x,
+                          real(f, anchor, slopes, x, *args)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(multimodel, "run_interval", spy)
-        run_ammkf(trace, base_curve, params, BatteryState(0.9, 0.0),
+        run_ammkf(trace, curve, params, BatteryState(0.9, 0.0),
                   np.diag([1e-6, 1e-6]), NoiseConfig.default(r=1e-6), cfg,
-                  BankConfig(n=3), bank_noise=bank_noise)
+                  BankConfig(n=3), bank_noise=self._bank_noise)
         assert len(calls) >= 2
-        model_ocv = base_curve.ocv(calls[0][1][0])  # the first anchors here
-        for members, x, res in calls:
+        return calls, trace, cfg
+
+    def test_bank_shares_anchor_uniform_prior(self, params, base_curve,
+                                              monkeypatch):
+        calls, trace, cfg = self._bank_calls(params, base_curve, base_curve,
+                                             monkeypatch)
+        model_ocv = base_curve.ocv(calls[0][3].soc)  # the first anchors here
+        carried = calls[0][3]
+        for f, anchor, slopes, x, res in calls:
             # every member starts from the carried posterior and anchors on
             # it and on the previous interval's corrected model value
-            anchor = BatteryState(x.soc, x.up)
-            for f in members:
-                assert f.start() == tuple(x[:5])
-                assert f.x == f.anchor == anchor
-                assert f.noise is bank_noise and f.curve is base_curve
-                assert f.anchor_ocv == model_ocv
-            slopes = [f.slope_override for f in members]
-            assert slopes == sorted(set(slopes))
-            model_ocv = res.final_model_ocv
+            assert x is carried
+            assert f.noise is self._bank_noise and f.curve is base_curve
+            assert anchor == (x.soc, model_ocv)
+            assert len(slopes) == 3 and slopes == sorted(set(slopes))
+            carried, model_ocv = res.steps[-1], res.final_model_ocv
         # the weights start uniform: identical members keep them so
-        members, x, _ = calls[0]
-        same = real([members[1]] * 3, x, params, trace, 41, 20, cfg, 1e-6, 2)
+        f, anchor, slopes, x, _ = calls[0]
+        same = multimodel.run_interval(f, anchor, [slopes[1]] * 3, x, params,
+                                       trace, 41, 20, cfg, 1e-6, 2)
         assert same.probabilities == [1 / 3] * 3
 
-    @pytest.mark.parametrize("differs", ["noise", "curve", "anchor",
-                                         "anchor_ocv"])
-    def test_members_must_share_the_step_inputs(self, params, base_curve,
-                                                differs):
-        trace, cfg = self._trace(params, base_curve)
-        anchor = BatteryState(0.6, 0.0)
-        noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
-        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
-                           [0.05, 0.1, 0.2])
-        odd = {"noise": dict(noise=NoiseConfig(q=np.diag([1e-11, 1e-6]),
-                                               r=2e-6)),
-               "curve": dict(curve=default_lifepo4_curve()),
-               "anchor": dict(anchor=BatteryState(0.61, 0.0)),
-               "anchor_ocv": dict(anchor_ocv=3.31)}[differs]
-        members[2] = KfState(**{**vars(members[2]), **odd})
-        with pytest.raises(ValueError, match="interval 4: .* must share"):
-            run_interval(members, members[0].start(), params, trace, 21, 20,
-                         cfg, 1e-6, 4)
+    def test_first_anchor_reads_the_clamped_soc(self, params, base_curve,
+                                                monkeypatch):
+        # the knots end below the carried SOC: the first model value is the
+        # curve's at the clamped SOC, while the anchor SOC is the posterior's
+        inner = base_curve.knot_soc <= 0.85
+        curve = OcvCurve(base_curve.knot_soc[inner], base_curve.knot_ocv[inner])
+        calls, _, _ = self._bank_calls(params, base_curve, curve, monkeypatch)
+        _, anchor, _, x, _ = calls[0]
+        assert x.soc > curve.soc_max
+        assert anchor == (x.soc, curve.ocv(curve.soc_max))
 
     def test_identical_filters_tie_to_lowest_index(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve)
         noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
-        anchor = BatteryState(float(trace.true_soc[20]),
-                              float(trace.true_up_v[20]))
-        slope = base_curve.slope(anchor.soc)
-        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
-                           [slope, slope, slope])
-        res = run_interval(members, members[0].start(), params, trace, 21, 20,
-                           cfg, 1e-6, 0)
+        soc, up = float(trace.true_soc[20]), float(trace.true_up_v[20])
+        f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
+        slope = base_curve.slope(soc)
+        res = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
+                           f.start(), params, trace, 21, 20, cfg, 1e-6, 0)
         assert res.optimal_index == 0
         assert res.probabilities == pytest.approx([1 / 3] * 3, rel=1e-9)
 
@@ -273,14 +277,12 @@ class TestMakeBankAndInterval:
         trace, cfg = self._trace(params, base_curve, n=200, start=0.9)
         noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
         k0 = 40
-        anchor = BatteryState(float(trace.true_soc[k0]),
-                              float(trace.true_up_v[k0]))
-        true_slope = base_curve.slope(anchor.soc)
-        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
+        soc, up = float(trace.true_soc[k0]), float(trace.true_up_v[k0])
+        f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
+        true_slope = base_curve.slope(soc)
+        res = run_interval(f, (soc, base_curve.ocv(soc)),
                            [true_slope / 8, true_slope, true_slope * 8],
-                           anchor_ocv=base_curve.ocv(anchor.soc))
-        res = run_interval(members, members[0].start(), params, trace, k0 + 1,
-                           40, cfg, 1e-6, 0)
+                           f.start(), params, trace, k0 + 1, 40, cfg, 1e-6, 0)
         assert res.optimal_index == 1
         assert res.probabilities[1] > max(res.probabilities[0],
                                           res.probabilities[2])
@@ -289,16 +291,14 @@ class TestMakeBankAndInterval:
     def test_corrected_points_follow_affine_model(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, start=0.9)
         noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
-        anchor = BatteryState(float(trace.true_soc[30]),
-                              float(trace.true_up_v[30]))
-        members = _members(anchor, np.diag([1e-6, 1e-6]), noise, base_curve,
-                           [0.05, 0.1, 0.2], anchor_ocv=3.31)
-        res = run_interval(members, members[0].start(), params, trace, 31, 20,
-                           cfg, 1e-6, 2)
+        soc, up = float(trace.true_soc[30]), float(trace.true_up_v[30])
+        f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
+        res = run_interval(f, (soc, 3.31), [0.05, 0.1, 0.2], f.start(),
+                           params, trace, 31, 20, cfg, 1e-6, 2)
         s_op = [0.05, 0.1, 0.2][res.optimal_index]
-        for soc, v, idx in res.corrected_points:
+        for point_soc, v, idx in res.corrected_points:
             assert idx == 2
-            assert v == pytest.approx(3.31 + s_op * (soc - anchor.soc),
+            assert v == pytest.approx(3.31 + s_op * (point_soc - soc),
                                       abs=1e-12)
         assert res.final_model_ocv == pytest.approx(
             res.corrected_points[-1][1])
@@ -455,7 +455,7 @@ class TestRunAmmkf:
                             np.diag([1e-2, 1e-4]), self._noise, cfg, bank,
                             bank_noise=self._bank_noise)
         for call in spy.call_args_list:
-            x = call.args[1]
+            x = call.args[3]
             assert all(map(math.isfinite, (x.p00, x.p01, x.p11)))
         assert np.all(np.isfinite(res.soc))
         assert np.all((res.soc >= 0.0) & (res.soc <= 1.0))

@@ -61,9 +61,9 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
     steps, picks = [], []
     step, interval = ekf.kalman_step, multimodel.run_interval
 
-    def counted_step(fs, xs, *args):
+    def counted_step(f, anchor, slopes, xs, *args):
         steps.extend(xs)  # one entry per member stepped
-        return step(fs, xs, *args)
+        return step(f, anchor, slopes, xs, *args)
 
     def counted_interval(*args):
         res = interval(*args)
