@@ -58,10 +58,10 @@ class SimConfig:
     cutoff_high_v: float = 3.6
 
     def __post_init__(self):
-        if not self.capacity_ah > 0:
-            raise ValueError("capacity_ah must be > 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        for name in ("capacity_ah", "dt"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not 0 < self.coulombic_efficiency <= 1:
             raise ValueError("coulombic_efficiency must be in (0, 1]")
         if not (self.voltage_noise_sigma >= 0
@@ -131,22 +131,33 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
         0.0, sigmas, (n, len(sigmas))).T.tolist()
     v_noise = draws.pop(0) if cfg.voltage_noise_sigma > 0 else [0.0] * n
     i_noise = draws.pop(0) if cfg.current_noise_sigma > 0 else [0.0] * n
-    v_meas, i_meas, soc, up, clamp_steps = [], [], [], [], []
+    # terminal_voltage and step_state on floats, the step's factors
+    # computed once
+    decay = math.exp(-cfg.dt / params.tau)
+    up_gain = (1.0 - decay) * params.rp
+    soc_rate = cfg.coulombic_efficiency * cfg.dt
+    capacity_as, r0, ocv = cfg.capacity_as, params.r0, curve.ocv
+    low_v, high_v = cfg.cutoff_low_v, cfg.cutoff_high_v
+    v_meas, i_meas, socs, ups, clamp_steps = [], [], [], [], []
     cutoff_index = None
-    state = initial
+    soc, up = initial.soc, initial.up
     for k, i_k in enumerate(profile.tolist()):
-        v_clean = terminal_voltage(state, params, i_k, curve)
-        soc.append(state.soc)
-        up.append(state.up)
+        v_clean = ocv(soc) - up - r0 * i_k
+        socs.append(soc)
+        ups.append(up)
         v_meas.append(v_clean + v_noise[k])
         i_meas.append(i_k + i_noise[k])
-        if v_clean < cfg.cutoff_low_v or v_clean > cfg.cutoff_high_v:
+        if v_clean < low_v or v_clean > high_v:
             cutoff_index = k
             break
-        state, clamped = step_state(state, params, i_k, cfg)
-        if clamped:
+        if not (math.isfinite(soc) and math.isfinite(up)):
+            raise InvalidInputError("non-finite state or current")
+        up = decay * up + up_gain * i_k
+        soc_raw = soc - soc_rate * i_k / capacity_as
+        soc = min(1.0, max(0.0, soc_raw))
+        if soc != soc_raw:
             clamp_steps.append(k + 1)
-    return Trace(np.arange(len(soc)) * cfg.dt, np.array(i_meas, dtype=float),
-                 np.array(v_meas, dtype=float), np.array(soc, dtype=float),
-                 np.array(up, dtype=float), dt=cfg.dt,
+    return Trace(np.arange(len(socs)) * cfg.dt, np.array(i_meas, dtype=float),
+                 np.array(v_meas, dtype=float), np.array(socs, dtype=float),
+                 np.array(ups, dtype=float), dt=cfg.dt,
                  cutoff_index=cutoff_index, clamp_steps=clamp_steps)

@@ -2,17 +2,21 @@
 
 `kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
 update, on Python floats with the 2x2 algebra written out. It steps one
-filter set per call: one filter (noise and curve), one anchor and a list of
-slopes, with one posterior per slope, all on the same sample. Members differ
-only in the measurement row H = [s, -1]. A slope of None reads the OCV and
-its slope s from the curve at the prior SOC, clamped into the knot domain: a
-plain filter is the one-member set `[None]`. A bank member's slope s gives
-the affine model anchored at the interval start (anchor SOC, model OCV); a
-bank is its n slopes. Each member's step is a plain tuple in `StepOutput`'s
-field order: its posterior, the innovation e, its variance S, the SOC gain,
-the clamp flag and the log-density of e, which the bank's model weights and
-the interval statistics read as they are. `filter_range` steps a plain
-filter over a range of samples and keeps each step as a `StepOutput`.
+filter set over a range of samples per call: one filter (noise and curve),
+one anchor and a list of slopes, with one posterior per slope, through the
+rows that `samples` gives for the range. Each member runs through every
+row before the next starts, its posterior in local variables; the shared
+inputs are read once per call. Members differ only in the measurement row
+H = [s, -1]. A slope of None reads the OCV and its slope s from the curve
+at the prior SOC, clamped into the knot domain: a plain filter is the
+one-member set `[None]` with no anchor. A bank member's slope s gives the
+affine model anchored at the interval start (anchor SOC, model OCV); a
+bank is its n slopes. Each step holds, in `StepOutput`'s field order, the
+posterior, the innovation e, its variance S, the SOC gain, the clamp flag
+and the log-density of e, which the bank's model weights and the interval
+statistics read as they are: a plain filter's steps are `StepOutput`s, a
+bank's plain tuples. `filter_range` steps a plain filter over a range of
+samples in one call. A single step is a one-row call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -107,73 +112,85 @@ def transition(params: EcmParams, cfg: SimConfig) -> tuple:
             params.r0)
 
 
-def kalman_step(f: KfState, anchor: tuple | None, slopes, xs, coef: tuple,
-                u_prev: float, y: float, u: float, first: bool,
-                k: int = 0) -> list[tuple]:
+def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
+                rows) -> list[list[tuple]]:
     """Step the member of each slope in `slopes` from its posterior in `xs`
-    with the noise and curve of filter `f`: predict with `u_prev` (unless
-    `first`), then update on the measured voltage `y` at current `u`. One
-    tuple per member, in `StepOutput`'s field order.
+    through `rows`, with the noise and curve of filter `f`. Each row is
+    (k, coef, u_prev, y, u) from `samples`: predict with `u_prev` (except on
+    sample 0, which starts the filter), then update on the measured voltage
+    `y` at current `u`. Per member, one step per row in `StepOutput`'s
+    field order: a StepOutput without an anchor (a plain filter, whose
+    caller keeps every step), else a plain tuple. Each member runs through
+    all rows before the next starts, so a set of more than one member needs
+    the rows as a list.
 
     A slope of None reads the curve; a slope s reads the affine model
     through `anchor`, (anchor SOC, model OCV), which only such members need.
     Each posterior is (soc, up, p00, p01, p11, ...): a filter start or a
-    previous step. `coef` is `transition(params, cfg)`. Raises
-    FilterDegeneracyError naming step `k` when a member's innovation
-    variance is not positive.
+    previous step. Raises FilterDegeneracyError naming sample k when a
+    member's innovation variance is not positive.
     """
     q00, q01, q11, r = f.noise.terms
-    decay, g_soc, g_up, r0 = coef
     curve = f.curve
+    ocv_slope, lo, hi = curve.ocv_slope, curve.soc_min, curve.soc_max
     anchor_soc, anchor_ocv = anchor or (None, None)
-    lo, hi = curve.soc_min, curve.soc_max
+    # a plain filter's caller keeps every step: build each once, as a
+    # StepOutput; a bank keeps one member's, so its steps stay plain
+    kept, new = anchor is None, tuple.__new__
+    log = math.log
     out = []
-    for s, x in zip(slopes, xs):
+    for slope, x in zip(slopes, xs):
         soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
-        if not first:
-            # x- = F x + G u_prev; P- = F P F^T + Q
-            soc = soc + g_soc * u_prev
-            up = decay * up + g_up * u_prev
-            p00 = p00 + q00
-            p01 = p01 * decay + q01
-            p11 = decay * p11 * decay + q11
-        if s is None:  # the curve at the prior SOC, clamped into its domain
-            ocv, s = curve.ocv_slope(min(max(soc, lo), hi))
-        else:  # affine about the anchor
-            ocv = anchor_ocv + s * (soc - anchor_soc)
-        e = y - (ocv - up - r0 * u)
-        # H = [s, -1]: P- H^T, S = H P- H^T + r, K = P- H^T / S
-        ph0 = p00 * s - p01
-        ph1 = p01 * s - p11
-        s_var = s * ph0 - ph1 + r
-        if s_var <= 0:
-            raise FilterDegeneracyError(
-                f"step {k}: innovation variance {s_var} <= 0")
-        k0 = ph0 / s_var
-        k1 = ph1 / s_var
-        # (I - K H) P-, symmetrized
-        a00 = 1.0 - k0 * s
-        a11 = 1.0 + k1
-        b01 = a00 * p01 + k0 * p11
-        b10 = -k1 * s * p00 + a11 * p01
-        soc = soc + k0 * e
-        clamped = soc < 0.0 or soc > 1.0
-        if not 0.0 < soc < 1.0:  # min(1, max(0, soc)): NaN and -0.0 give 0.0
-            soc = 1.0 if soc >= 1.0 else 0.0
-        out.append((soc, up + k1 * e, a00 * p00 + k0 * p01,
-                    0.5 * (b01 + b10), -k1 * s * p01 + a11 * p11,
-                    e, s_var, k0, clamped,
-                    -0.5 * (e ** 2 / s_var + math.log(s_var))))
+        steps = []
+        for k, (decay, g_soc, g_up, r0), u_prev, y, u in rows:
+            if k:
+                # x- = F x + G u_prev; P- = F P F^T + Q
+                soc = soc + g_soc * u_prev
+                up = decay * up + g_up * u_prev
+                p00 = p00 + q00
+                p01 = p01 * decay + q01
+                p11 = decay * p11 * decay + q11
+            if slope is None:  # the curve at the prior SOC, in its domain
+                ocv, s = ocv_slope(min(max(soc, lo), hi))
+            else:  # affine about the anchor
+                s = slope
+                ocv = anchor_ocv + s * (soc - anchor_soc)
+            e = y - (ocv - up - r0 * u)
+            # H = [s, -1]: P- H^T, S = H P- H^T + r, K = P- H^T / S
+            ph0 = p00 * s - p01
+            ph1 = p01 * s - p11
+            s_var = s * ph0 - ph1 + r
+            if s_var <= 0:
+                raise FilterDegeneracyError(
+                    f"step {k}: innovation variance {s_var} <= 0")
+            k0 = ph0 / s_var
+            k1 = ph1 / s_var
+            # (I - K H) P-, symmetrized
+            a00 = 1.0 - k0 * s
+            a11 = 1.0 + k1
+            b01 = a00 * p01 + k0 * p11
+            b10 = -k1 * s * p00 + a11 * p01
+            soc = soc + k0 * e
+            clamped = soc < 0.0 or soc > 1.0
+            if not 0.0 < soc < 1.0:  # min(1, max(0, soc)): NaN, -0.0 give 0.0
+                soc = 1.0 if soc >= 1.0 else 0.0
+            up = up + k1 * e
+            p00, p01, p11 = (a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
+                             -k1 * s * p01 + a11 * p11)
+            step = (soc, up, p00, p01, p11, e, s_var, k0, clamped,
+                    -0.5 * (e ** 2 / s_var + log(s_var)))
+            steps.append(new(StepOutput, step) if kept else step)
+        out.append(steps)
     return out
 
 
 def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
-    """Yield (k, coef, u_prev, y, u) for each sample k in [start, stop):
-    `coef` is `transition` of that step's parameters, recomputed only when
-    the parameter object changes. `params` is either a single EcmParams or a
-    per-step sequence. Raises ValueError naming the first sample read whose
-    current or voltage is not finite."""
-    constant = isinstance(params, EcmParams)
+    """An iterator over the rows (k, coef, u_prev, y, u) of samples
+    [start, stop) that `kalman_step` reads: `coef` is `transition` of that
+    step's parameters, recomputed only when the parameter object changes,
+    and `u_prev` is 0.0 on sample 0. `params` is either a single EcmParams
+    or a per-step sequence. Raises ValueError naming the first sample read
+    whose current or voltage is not finite."""
     lo = max(start - 1, 0)
     finite = np.isfinite(trace.current_a[lo:stop])
     finite[start - lo:] &= np.isfinite(trace.voltage_v[start:stop])
@@ -185,25 +202,24 @@ def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
     amps = trace.current_a[lo:stop].tolist()
     if start == 0:
         amps.insert(0, 0.0)
-    last = coef = None
-    for j, y in enumerate(volts):
-        k = start + j
-        pk = params if constant else params[k]
-        if pk is not last:
-            coef, last = transition(pk, cfg), pk
-        yield k, coef, amps[j], y, amps[j + 1]
+    if isinstance(params, EcmParams):
+        coefs = repeat(transition(params, cfg))
+    else:
+        coefs, last = [], None
+        for k in range(start, stop):
+            pk = params[k]
+            if pk is not last:
+                coef, last = transition(pk, cfg), pk
+            coefs.append(coef)
+    return zip(range(start, stop), coefs, amps, volts, amps[1:])
 
 
 def filter_range(f: KfState, x, params, trace: Trace, cfg: SimConfig,
                  start: int, stop: int) -> list[StepOutput]:
     """Step filter `f` from posterior `x` (`f.start()` or a previous step)
     over samples [start, stop)."""
-    steps = []
-    for k, coef, u_prev, y, u in samples(params, trace, cfg, start, stop):
-        x = StepOutput._make(
-            kalman_step(f, None, PLAIN, [x], coef, u_prev, y, u, k == 0,
-                        k)[0])
-        steps.append(x)
+    [steps] = kalman_step(f, None, PLAIN, [x],
+                          samples(params, trace, cfg, start, stop))
     return steps
 
 

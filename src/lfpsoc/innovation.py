@@ -145,13 +145,14 @@ def detect_convergence(history, noise_std: float | None = None) -> bool:
     floor (a run that starts converged never crosses the ratio threshold)."""
     if len(history) < 2:
         return False
-    rms = np.array([iv.rms() for iv in history])
-    recent = rms[-CONVERGENCE_WINDOW:]
+    # only the first interval and the trailing window are read
+    first = history[0].rms()
+    recent = np.array([iv.rms() for iv in history[-CONVERGENCE_WINDOW:]])
     mean = float(np.mean(recent))
     if noise_std is not None and mean <= NOISE_FLOOR_MULT * noise_std:
         return True
     if mean == 0.0:
         return True
-    if mean >= RMS_RATIO * rms[0]:
+    if mean >= RMS_RATIO * first:
         return False
     return float((np.max(recent) - np.min(recent)) / mean) < FLAT_TOL

@@ -2,13 +2,15 @@
 model weights, optimal-filter selection, and corrected-curve output.
 
 Phase 1 and the tail step the plain filter with `ekf.filter_range`;
-`run_interval` steps the whole bank in one `ekf.kalman_step` call per
-sample and weighs the members by the log-density of the innovation each
-member's step returns. An interval's theoretical ACM is its last step's
-innovation variance S."""
+`run_interval` steps every member of the bank through the interval in one
+`ekf.kalman_step` call, then weighs the members sample by sample by the
+log-density of the innovation each member's step returns (no member reads
+the weights). An interval's theoretical ACM is its last step's innovation
+variance S."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,14 +63,22 @@ def build_slope_set(base_slope: float, sign: str, mode: str,
         return np.array([max(base_slope, cfg.slope_floor)])
     if sign != INDETERMINATE and mode == CHARGE:
         sign = POSITIVE_G if sign == NEGATIVE_G else NEGATIVE_G
+    return np.maximum(base_slope * _slope_ratios(sign, cfg.n, cfg.spread),
+                      cfg.slope_floor)
+
+
+@functools.lru_cache(maxsize=64)
+def _slope_ratios(sign: str, n: int, spread: float) -> np.ndarray:
+    """spread ** exponents of `build_slope_set`'s n members (read-only)."""
     if sign == NEGATIVE_G:
-        exponents = np.linspace(0.0, 1.0, cfg.n)
+        exponents = np.linspace(0.0, 1.0, n)
     elif sign == POSITIVE_G:
-        exponents = np.linspace(-1.0, 0.0, cfg.n)
+        exponents = np.linspace(-1.0, 0.0, n)
     else:
-        exponents = np.linspace(-1.0, 1.0, cfg.n)
-    slopes = base_slope * cfg.spread ** exponents
-    return np.maximum(slopes, cfg.slope_floor)
+        exponents = np.linspace(-1.0, 1.0, n)
+    ratios = spread ** exponents
+    ratios.flags.writeable = False
+    return ratios
 
 
 def model_weights(weights: list[float], log_likelihoods: list[float],
@@ -81,10 +91,11 @@ def model_weights(weights: list[float], log_likelihoods: list[float],
     stays positive. The result is normalised, floored at `floor` and
     renormalised."""
     top = max(log_likelihoods)
-    post = [w * math.exp(ll - top) for w, ll in zip(weights, log_likelihoods)]
+    exp = math.exp
+    post = [w * exp(ll - top) for w, ll in zip(weights, log_likelihoods)]
     total = sum(post)
     # max(p / total, floor), without a call per weight
-    post = [floor if floor > q else q for q in [p / total for p in post]]
+    post = [floor if floor > (q := p / total) else q for p in post]
     total = sum(post)
     return [p / total for p in post]
 
@@ -112,18 +123,16 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, params,
     log-density, then select the heaviest member (ties to the lowest index).
     `index` numbers the interval."""
     n = len(slopes)
+    rows = list(ekf.samples(params, trace, cfg, start, start + length))
+    members = ekf.kalman_step(f, anchor, slopes, [x] * n, rows)
+    # the members never read the weights: weigh them per sample afterwards
+    # by the log-density, each step's last field
     weights = [1.0 / n] * n
-    xs = [x] * n
-    rows = []  # per sample, every member's step
-    for k, coef, u_prev, y, u in ekf.samples(params, trace, cfg, start,
-                                             start + length):
-        xs = ekf.kalman_step(f, anchor, slopes, xs, coef, u_prev, y, u,
-                             k == 0, k)
-        rows.append(xs)
-        # a step's last field is its log-density
-        weights = model_weights(weights, [m[-1] for m in xs], floor)
+    for lls in zip(*[[step[-1] for step in steps] for steps in members]):
+        weights = model_weights(weights, lls, floor)
     opt = weights.index(max(weights))
-    best, s = [StepOutput._make(row[opt]) for row in rows], slopes[opt]
+    best = [StepOutput._make(step) for step in members[opt]]
+    s = slopes[opt]
     if s is None:
         corrected = []
     else:
@@ -217,19 +226,22 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     bank = KfState(initial, initial_p, bank_noise, original_curve)
     lo, hi = original_curve.soc_min, original_curve.soc_max
     anchor_ocv = None
+    # every interval starts at a multiple of L: its mean current's sign
+    m = n_steps // L
+    discharging = (trace.current_a[:m * L].reshape(m, L).mean(axis=1)
+                   >= 0).tolist()
     while k + L <= n_steps:
         # phase 1 has run at least two intervals: convergence needs two
         ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
             history[-2], history[-1])
-        mode = DISCHARGE if float(np.mean(trace.current_a[k:k + L])) >= 0 \
-            else CHARGE
+        mode = DISCHARGE if discharging[k // L] else CHARGE
         anchor_soc = min(max(x.soc, lo), hi)
         if anchor_ocv is None:
             anchor_ocv = original_curve.ocv(anchor_soc)
         slopes = build_slope_set(original_curve.slope(anchor_soc), sign, mode,
                                  bank_cfg)
         # a one-filter bank is a plain filter on the curve itself
-        slopes = PLAIN if len(slopes) == 1 else [float(s) for s in slopes]
+        slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
         res = run_interval(bank, (x.soc, anchor_ocv), slopes, x, params,
                            trace, k, L, cfg, bank_cfg.prob_floor,
                            interval_index)

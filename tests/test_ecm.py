@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig,
                     default_lifepo4_curve, simulate_profile, step_state,
                     terminal_voltage)
+from lfpsoc import ecm
+from lfpsoc.curve import CurveDomainError
 from lfpsoc.ecm import InvalidInputError, Trace
 
 
@@ -68,6 +70,17 @@ class TestSimConfig:
         # a NaN sigma once simulated a noise-free trace without a word
         with pytest.raises(ValueError, match="noise sigmas"):
             SimConfig(**kwargs)
+
+
+    @pytest.mark.parametrize("name", ["capacity_ah", "dt"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0,
+                                       -1.0])
+    def test_capacity_and_dt_finite_and_positive(self, name, value):
+        # capacity_ah=inf once froze the simulated SOC
+        with pytest.raises(ValueError,
+                           match=f"{name} must be finite and > 0, got "
+                                 f"{value}"):
+            SimConfig(**{name: value})
 
 
 class TestStepState:
@@ -235,6 +248,53 @@ class TestSimulateProfile:
         if current != "sine":  # the cases are what their ids say
             assert (got.cutoff_index is not None) == (soc0 == 0.06)
             assert bool(got.clamp_steps) == (soc0 == 0.002)
+
+    def test_loops_without_the_one_step_functions(self, params, base_curve,
+                                                  monkeypatch):
+        # the loop runs on floats: no BatteryState, step_state or
+        # terminal_voltage per sample, and the same trace bit for bit
+        prof = np.sin(np.linspace(0, 10, 300))
+        cfg = SimConfig(voltage_noise_sigma=0.001, current_noise_sigma=0.01,
+                        rng_seed=3)
+        ref = _reference_simulate(BatteryState(0.6, 0.01), params, base_curve,
+                                  prof, cfg)
+
+        def per_sample(*args):
+            raise AssertionError("per-sample call")
+
+        for name in ("step_state", "terminal_voltage", "BatteryState"):
+            monkeypatch.setattr(ecm, name, per_sample)
+        got = simulate_profile(BatteryState(0.6, 0.01), params, base_curve,
+                               prof, cfg)
+        for name in ("current_a", "voltage_v", "true_soc", "true_up_v"):
+            assert getattr(got, name).tobytes() == \
+                getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("cutoffs", [{}, dict(cutoff_low_v=-math.inf,
+                                                  cutoff_high_v=math.inf)])
+    @pytest.mark.parametrize("start, params", [
+        (BatteryState(0.5, math.nan), EcmParams(0.07, 0.04, 1000.0)),
+        (BatteryState(math.inf, 0.0), EcmParams(0.07, 0.04, 1000.0)),
+        # Up overflows to inf after the first step
+        (BatteryState(0.5, 0.0), EcmParams(0.07, 1e300, 1e-290)),
+    ], ids=["nan-up", "inf-soc", "up-overflow"])
+    def test_non_finite_state_as_the_per_sample_loop(self, base_curve, start,
+                                                     params, cutoffs):
+        # step_state rejects a non-finite state and the curve an SOC past
+        # its domain; a cutoff crossed first ends the trace instead
+        prof = np.full(5, 1e20)
+        cfg = SimConfig(**cutoffs)
+
+        def outcome(simulate):
+            try:
+                with np.errstate(over="ignore"):
+                    trace = simulate(start, params, base_curve, prof, cfg)
+            except (InvalidInputError, CurveDomainError) as exc:
+                return type(exc).__name__
+            return repr((trace.true_soc.tolist(), trace.true_up_v.tolist(),
+                         trace.voltage_v.tolist(), trace.cutoff_index))
+
+        assert outcome(simulate_profile) == outcome(_reference_simulate)
 
     def test_clamp_annotated(self, params, base_curve):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,

@@ -12,8 +12,8 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     OcvCurve, ScenarioConfig, SimConfig, default_lifepo4_curve,
                     run_ammkf, run_ekf, run_scenario, simulate_profile,
                     step_state)
-from lfpsoc.ekf import (FilterDegeneracyError, StepOutput, kalman_step,
-                        transition)
+from lfpsoc.ekf import (PLAIN, FilterDegeneracyError, StepOutput,
+                        kalman_step, samples, transition)
 from lfpsoc.profiles import generate_profile
 
 
@@ -24,11 +24,17 @@ def _state(curve, soc=0.5, up=0.0, p=None, noise=None):
                    curve=curve)
 
 
-def _step(f, *args, slope=None, anchor=None, **kwargs):
-    """One step of filter `f` alone (a set of one) from its start: on its
-    curve, or with `slope` on the affine model through `anchor`, (anchor
-    SOC, model OCV)."""
-    [out] = kalman_step(f, anchor, [slope], [f.start()], *args, **kwargs)
+def _step(f, coef, u_prev, y, u, first, k=None, slope=None, anchor=None):
+    """One step of filter `f` alone (a set of one) from its start, as a
+    one-row call: on its curve, or with `slope` on the affine model through
+    `anchor`, (anchor SOC, model OCV). The row's sample is `k`; a first
+    step, which skips prediction, is sample 0, any other sample 1 unless
+    `k` says otherwise."""
+    if k is None:
+        k = 0 if first else 1
+    assert (k == 0) == first
+    [[out]] = kalman_step(f, anchor, [slope], [f.start()],
+                          [(k, coef, u_prev, y, u)])
     return StepOutput._make(out)
 
 
@@ -383,18 +389,18 @@ class TestFilterSetStep:
                              noise=noise))
             slopes.append(None if plain else slope)
         xs = [f.start() for f in fs]
-        coef, y = transition(params, cfg), 3.3 + innov
-        steps = kalman_step(fs[0], anchor, slopes, xs, coef, u_prev, y, u,
-                            first, 5)
+        row = (0 if first else 5, transition(params, cfg), u_prev,
+               3.3 + innov, u)
+        steps = [member for [member] in
+                 kalman_step(fs[0], anchor, slopes, xs, [row])]
         assert len(steps) == len(fs)
         for f, s, x, step in zip(fs, slopes, xs, steps):
-            [alone] = kalman_step(f, anchor, [s], [x], coef, u_prev, y, u,
-                                  first, 5)
+            [[alone]] = kalman_step(f, anchor, [s], [x], [row])
             assert repr(step) == repr(alone)  # bit for bit, -0.0 and NaN too
             _assert_matches_reference(
                 StepOutput._make(step),
-                _reference_step(f, s, anchor, params, cfg, u_prev, y, u,
-                                first))
+                _reference_step(f, s, anchor, params, cfg, u_prev, row[3],
+                                u, first))
         # min(1, max(0, soc)) turns a -0.0 posterior SOC into 0.0
         assert all(math.copysign(1.0, step[0]) == 1.0 for step in steps)
 
@@ -407,8 +413,64 @@ class TestFilterSetStep:
             kalman_step(fs[0], (0.5, base_curve.ocv(0.5)),
                         [0.1 * (j + 1) for j in range(5)],
                         [f.start() for f in fs],
-                        transition(params, SimConfig()), 0.0, 3.3, 0.0,
-                        first=False, k=9)
+                        [(9, transition(params, SimConfig()), 0.0, 3.3, 0.0)])
+
+    def test_non_positive_variance_inside_a_range_names_its_sample(
+            self, params, base_curve):
+        # H = [0, -1] reads p11 alone: S = p11 + r is positive at sample 4,
+        # whose update then drives p11 far below -r, so S <= 0 at sample 5
+        f = _state(base_curve, p=np.diag([1e-4, -0.9e-6]),
+                   noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-6))
+        coef = transition(params, SimConfig())
+        rows = [(k, coef, 0.0, 3.3, 0.0) for k in (4, 5, 6)]
+        [[step]] = kalman_step(f, (0.5, 3.3), [0.0], [f.start()], rows[:1])
+        assert step[6] > 0
+        with pytest.raises(FilterDegeneracyError, match="step 5"):
+            kalman_step(f, (0.5, 3.3), [0.0], [f.start()], rows)
+
+
+class TestRangeStep:
+    """One `kalman_step` call over the rows of [start, stop) equals stepping
+    the same rows one at a time, each call from the previous steps."""
+
+    @pytest.mark.parametrize("start", [0, 7])
+    @pytest.mark.parametrize("per_step", [False, True])
+    @pytest.mark.parametrize("bank", [False, True])
+    def test_one_call_equals_one_row_at_a_time(self, base_curve, bank,
+                                               per_step, start):
+        a, b = EcmParams(0.07, 0.04, 1000.0), EcmParams(0.08, 0.05, 900.0)
+        cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.002,
+                        current_noise_sigma=0.01, rng_seed=5)
+        prof = generate_profile("dst-like", 60, seed=5,
+                                target_discharge_ah=0.01)
+        trace = simulate_profile(BatteryState(0.6, 0.0), a, base_curve,
+                                 prof.samples, cfg)
+        # per-step params change every third sample
+        params = ([a if (k // 3) % 2 else b for k in range(len(trace))]
+                  if per_step else a)
+        f = _state(base_curve, soc=0.55, up=0.01,
+                   noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
+        if bank:
+            slopes, anchor = [0.05, 0.1, 0.2], (0.55, base_curve.ocv(0.55))
+        else:
+            slopes, anchor = PLAIN, None
+        rows = list(samples(params, trace, cfg, start, start + 30))
+        assert [row[0] for row in rows] == list(range(start, start + 30))
+        if per_step:
+            assert [row[1] for row in rows] == \
+                [transition(params[k], cfg) for k in range(start, start + 30)]
+        xs = [f.start()] * len(slopes)
+        whole = kalman_step(f, anchor, slopes, xs, rows)
+        alone = [[] for _ in slopes]
+        for row in rows:
+            xs = [step for [step] in kalman_step(f, anchor, slopes, xs,
+                                                 [row])]
+            for member, x in zip(alone, xs):
+                member.append(x)
+        assert repr(whole) == repr(alone)  # bit for bit
+        # a plain filter's steps are kept as StepOutputs, a bank's are plain
+        kind = tuple if bank else StepOutput
+        assert all(type(step) is kind for steps in whole for step in steps)
 
 
 class TestRunEkf:

@@ -13,8 +13,9 @@ from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     infer_error_sign, interval_ccm, plateau_offset, run_ekf,
                     simulate_profile)
 from lfpsoc.ekf import StepOutput, kalman_step, transition
-from lfpsoc.innovation import (INDETERMINATE, NEGATIVE_G, POSITIVE_G,
-                               interval_statistics)
+from lfpsoc.innovation import (CONVERGENCE_WINDOW, FLAT_TOL, INDETERMINATE,
+                               NEGATIVE_G, NOISE_FLOOR_MULT, POSITIVE_G,
+                               RMS_RATIO, interval_statistics)
 from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
 
@@ -76,9 +77,10 @@ class TestCorrelationMeasures:
         x = BatteryState(0.5, 0.0)
         p = np.array([[4e-4, 1e-5], [1e-5, 1e-4]])
         f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve)
-        [step] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5], [f.start()],
-                             transition(params, SimConfig()), 0.0, 3.3, 0.0,
-                             first=True)
+        [[step]] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5],
+                               [f.start()],
+                               [(0, transition(params, SimConfig()), 0.0,
+                                 3.3, 0.0)])
         step = StepOutput._make(step)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6
         _, _, acm_theo, _ = interval_statistics(
@@ -216,6 +218,56 @@ class TestDetectConvergence:
                 converged_at = len(hist)
                 break
         assert converged_at is not None and converged_at <= 3
+
+
+def _old_convergence(history, noise_std=None) -> bool:
+    """`detect_convergence` as it was, reading the RMS of every interval."""
+    if len(history) < 2:
+        return False
+    rms = np.array([iv.rms() for iv in history])
+    recent = rms[-CONVERGENCE_WINDOW:]
+    mean = float(np.mean(recent))
+    if noise_std is not None and mean <= NOISE_FLOOR_MULT * noise_std:
+        return True
+    if mean == 0.0:
+        return True
+    if mean >= RMS_RATIO * rms[0]:
+        return False
+    return float((np.max(recent) - np.min(recent)) / mean) < FLAT_TOL
+
+
+class _CountedInterval:
+    """An interval that counts the calls of its `rms`."""
+
+    calls = 0
+
+    def __init__(self, rms):
+        self._rms = rms
+
+    def rms(self):
+        _CountedInterval.calls += 1
+        return self._rms
+
+
+class TestConvergenceReadsTheWindow:
+    @pytest.mark.parametrize("length", [2, 3, 4, 50, 360])
+    def test_rms_calls_per_check(self, length, monkeypatch):
+        # a phase 1 that never converges checks once per interval: each
+        # check reads the first interval and the trailing window only
+        monkeypatch.setattr(_CountedInterval, "calls", 0)
+        hist = [_CountedInterval(0.5) for _ in range(length)]
+        assert not detect_convergence(hist)
+        assert _CountedInterval.calls <= CONVERGENCE_WINDOW + 1
+
+    @given(rms=st.lists(st.one_of(st.floats(0.0, 2.0),
+                                  st.sampled_from([0.0, 0.2, 1.0])),
+                        min_size=0, max_size=12),
+           noise_std=st.one_of(st.none(), st.floats(0.0, 0.5)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_reading_every_interval(self, rms, noise_std):
+        hist = [_CountedInterval(v) for v in rms]
+        assert detect_convergence(hist, noise_std) == \
+            _old_convergence(hist, noise_std)
 
 
 class TestPipelineSignStatistics:
