@@ -147,8 +147,25 @@ def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
             raise TraceFormatError(
                 f"{path}:{lineno}: malformed row {row}: the only row of "
                 f"interval {m}, which needs at least 2 innovations")
-    return [IntervalInnovations(m, np.array(groups[m]), r)
-            for m in sorted(groups)]
+    return [IntervalInnovations(m, groups[m], r) for m in sorted(groups)]
+
+
+def _whiteness(v: np.ndarray) -> str:
+    """How many autocorrelation lags 1..20 of the innovations `v` lie inside
+    the +-2/sqrt(n) band; only lags shorter than `v` have pairs, and without
+    2 values or with zero variance there is no autocorrelation."""
+    if len(v) < 2:
+        return f"not computable (needs 2 innovations, has {len(v)})"
+    v = v - v.mean()
+    denom = float(np.sum(v * v))
+    if denom == 0.0:
+        return "not computable: the innovations have zero variance"
+    band = 2.0 / np.sqrt(len(v))
+    lags = range(1, min(21, len(v)))
+    inside = sum(abs(float(np.sum(v[:-k] * v[k:])) / denom) <= band
+                 for k in lags)
+    return (f"{inside}/{len(lags)} autocorrelation lags inside "
+            f"+-{band:.4f}")
 
 
 def cmd_analyze(args) -> int:
@@ -172,14 +189,8 @@ def cmd_analyze(args) -> int:
         label = "interval"
         intervals = [interval_innovations(m, outs[m * L:(m + 1) * L])
                      for m in range(len(outs) // L)]
-        v = np.array([o.innovation for o in outs[len(outs) // 2:]])
-        v = v - v.mean()
-        denom = float(np.sum(v * v))
-        band = 2.0 / np.sqrt(len(v))
-        inside = sum(abs(float(np.sum(v[:-k] * v[k:])) / denom) <= band
-                     for k in range(1, 21))
-        note = (f"; second-half whiteness: {inside}/20 autocorrelation lags "
-                f"inside +-{band:.4f}")
+        note = "; second-half whiteness: " + _whiteness(
+            np.array([o.innovation for o in outs[len(outs) // 2:]]))
     path = os.path.join(out, "analysis.csv")
 
     def lines():

@@ -25,6 +25,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -116,13 +117,13 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
                 rows) -> list[list[tuple]]:
     """Step the member of each slope in `slopes` from its posterior in `xs`
     through `rows`, with the noise and curve of filter `f`. Each row is
-    (k, coef, u_prev, y, u) from `samples`: predict with `u_prev` (except on
-    sample 0, which starts the filter), then update on the measured voltage
-    `y` at current `u`. Per member, one step per row in `StepOutput`'s
-    field order: a StepOutput without an anchor (a plain filter, whose
-    caller keeps every step), else a plain tuple. Each member runs through
-    all rows before the next starts, so a set of more than one member needs
-    the rows as a list.
+    (k, decay, g_soc*u_prev, g_up*u_prev, y, r0*u) from `samples`: predict
+    with the previous current's terms (except on sample 0, which starts the
+    filter), then update on the measured voltage `y` with the ohmic drop
+    r0*u. Per member, one step per row in `StepOutput`'s field order: a
+    StepOutput without an anchor (a plain filter, whose caller keeps every
+    step), else a plain tuple. Each member runs through all rows before the
+    next starts, so a set of more than one member needs the rows as a list.
 
     A slope of None reads the curve; a slope s reads the affine model
     through `anchor`, (anchor SOC, model OCV), which only such members need.
@@ -142,11 +143,11 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     for slope, x in zip(slopes, xs):
         soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
         steps = []
-        for k, (decay, g_soc, g_up, r0), u_prev, y, u in rows:
+        for k, decay, du_soc, du_up, y, r0_u in rows:
             if k:
                 # x- = F x + G u_prev; P- = F P F^T + Q
-                soc = soc + g_soc * u_prev
-                up = decay * up + g_up * u_prev
+                soc = soc + du_soc
+                up = decay * up + du_up
                 p00 = p00 + q00
                 p01 = p01 * decay + q01
                 p11 = decay * p11 * decay + q11
@@ -155,7 +156,7 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
             else:  # affine about the anchor
                 s = slope
                 ocv = anchor_ocv + s * (soc - anchor_soc)
-            e = y - (ocv - up - r0 * u)
+            e = y - (ocv - up - r0_u)
             # H = [s, -1]: P- H^T, S = H P- H^T + r, K = P- H^T / S
             ph0 = p00 * s - p01
             ph1 = p01 * s - p11
@@ -168,15 +169,18 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
             # (I - K H) P-, symmetrized
             a00 = 1.0 - k0 * s
             a11 = 1.0 + k1
+            m = -k1 * s
             b01 = a00 * p01 + k0 * p11
-            b10 = -k1 * s * p00 + a11 * p01
+            b10 = m * p00 + a11 * p01
             soc = soc + k0 * e
-            clamped = soc < 0.0 or soc > 1.0
-            if not 0.0 < soc < 1.0:  # min(1, max(0, soc)): NaN, -0.0 give 0.0
+            if 0.0 < soc < 1.0:
+                clamped = False
+            else:  # min(1, max(0, soc)): NaN, -0.0 give 0.0
+                clamped = soc < 0.0 or soc > 1.0
                 soc = 1.0 if soc >= 1.0 else 0.0
             up = up + k1 * e
             p00, p01, p11 = (a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
-                             -k1 * s * p01 + a11 * p11)
+                             m * p01 + a11 * p11)
             step = (soc, up, p00, p01, p11, e, s_var, k0, clamped,
                     -0.5 * (e ** 2 / s_var + log(s_var)))
             steps.append(new(StepOutput, step) if kept else step)
@@ -185,12 +189,13 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
 
 
 def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
-    """An iterator over the rows (k, coef, u_prev, y, u) of samples
-    [start, stop) that `kalman_step` reads: `coef` is `transition` of that
-    step's parameters, recomputed only when the parameter object changes,
-    and `u_prev` is 0.0 on sample 0. `params` is either a single EcmParams
-    or a per-step sequence. Raises ValueError naming the first sample read
-    whose current or voltage is not finite."""
+    """An iterator over the rows (k, decay, g_soc*u_prev, g_up*u_prev, y,
+    r0*u) of samples [start, stop) that `kalman_step` reads: the
+    `transition` of that step's parameters, recomputed only when the
+    parameter object changes, with the products of each row computed once
+    for every member; `u_prev` is 0.0 on sample 0. `params` is either a
+    single EcmParams or a per-step sequence. Raises ValueError naming the
+    first sample read whose current or voltage is not finite."""
     lo = max(start - 1, 0)
     finite = np.isfinite(trace.current_a[lo:stop])
     finite[start - lo:] &= np.isfinite(trace.voltage_v[start:stop])
@@ -203,7 +208,7 @@ def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
     if start == 0:
         amps.insert(0, 0.0)
     if isinstance(params, EcmParams):
-        coefs = repeat(transition(params, cfg))
+        decays, g_socs, g_ups, r0s = map(repeat, transition(params, cfg))
     else:
         coefs, last = [], None
         for k in range(start, stop):
@@ -211,7 +216,9 @@ def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
             if pk is not last:
                 coef, last = transition(pk, cfg), pk
             coefs.append(coef)
-    return zip(range(start, stop), coefs, amps, volts, amps[1:])
+        decays, g_socs, g_ups, r0s = zip(*coefs) if coefs else ((),) * 4
+    return zip(range(start, stop), decays, map(mul, g_socs, amps),
+               map(mul, g_ups, amps), volts, map(mul, r0s, amps[1:]))
 
 
 def filter_range(f: KfState, x, params, trace: Trace, cfg: SimConfig,

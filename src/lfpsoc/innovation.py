@@ -1,9 +1,16 @@
 """Innovation statistics: interval cross/auto-correlation, curve-error
-detection and polarity inference, and convergence detection."""
+detection and polarity inference, and convergence detection.
+
+An interval's innovations are Python floats. Their means are numpy's
+`np.mean` bit for bit, without an array per interval: `mean` adds them in
+numpy's pairwise order."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -12,23 +19,60 @@ NEGATIVE_G = "negative-g"
 INDETERMINATE = "indeterminate"
 
 
+def _pairwise_sum(v: list) -> float:
+    """numpy's pairwise sum of a float64 vector: a plain sum below 8
+    values; up to 128, eight running sums over the whole blocks of 8,
+    combined in pairs, then the rest in order; above, the halves split at a
+    multiple of 8."""
+    n = len(v)
+    if n < 8:
+        return reduce(add, v, 0.0)
+    if n <= 128:
+        end = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
+        for i in range(8, end, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = v[i:i + 8]
+            r0 += a0
+            r1 += a1
+            r2 += a2
+            r3 += a3
+            r4 += a4
+            r5 += a5
+            r6 += a6
+            r7 += a7
+        return reduce(add, v[end:],
+                      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+
+
+def mean(v: list) -> float:
+    """`float(np.mean(v))` of a list of floats, bit for bit: numpy adds the
+    pairwise sum to its identity 0.0 (a sum of -0.0s gives 0.0) and divides
+    by the count; the mean of nothing is NaN."""
+    return (0.0 + _pairwise_sum(v)) / len(v) if v else math.nan
+
+
 @dataclass(frozen=True)
 class IntervalInnovations:
-    """Innovation vector of one interval and its theoretical ACM: the
-    innovation variance S = H P- H^T + r of the interval's last update."""
+    """Innovations of one interval, as floats, and its theoretical ACM: the
+    innovation variance S = H P- H^T + r of the interval's last update.
+    The empirical ACM, the mean squared innovation, is computed once, when
+    built."""
 
     interval_index: int
-    values: np.ndarray
+    values: tuple
     acm_theo: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = tuple(map(float, self.values))
         object.__setattr__(self, "values", v)
-        if not np.all(np.isfinite(v)):
+        if not all(map(math.isfinite, v)):
             raise ValueError("innovations must be finite")
+        object.__setattr__(self, "acm_emp", mean(list(map(mul, v, v))))
 
     def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.values ** 2)))
+        return math.sqrt(self.acm_emp)
 
 
 def interval_ccm(prev: IntervalInnovations, curr: IntervalInnovations) -> float:
@@ -42,13 +86,13 @@ def interval_ccm(prev: IntervalInnovations, curr: IntervalInnovations) -> float:
     if len(prev.values) != len(curr.values):
         raise ValueError("interval lengths differ: "
                          f"{len(prev.values)} vs {len(curr.values)}")
-    return float(np.mean(prev.values * curr.values))
+    return mean(list(map(mul, prev.values, curr.values)))
 
 
 def empirical_acm(curr: IntervalInnovations) -> float:
     if len(curr.values) < 2:
         raise ValueError("need at least 2 innovations")
-    return float(np.mean(curr.values ** 2))
+    return curr.acm_emp
 
 
 # |CCM| at or below max(CCM_FLOOR, CCM_ACM_FRACTION * empirical ACM) is noise
@@ -147,12 +191,12 @@ def detect_convergence(history, noise_std: float | None = None) -> bool:
         return False
     # only the first interval and the trailing window are read
     first = history[0].rms()
-    recent = np.array([iv.rms() for iv in history[-CONVERGENCE_WINDOW:]])
-    mean = float(np.mean(recent))
-    if noise_std is not None and mean <= NOISE_FLOOR_MULT * noise_std:
+    recent = [iv.rms() for iv in history[-CONVERGENCE_WINDOW:]]
+    avg = mean(recent)
+    if noise_std is not None and avg <= NOISE_FLOOR_MULT * noise_std:
         return True
-    if mean == 0.0:
+    if avg == 0.0:
         return True
-    if mean >= RMS_RATIO * first:
+    if avg >= RMS_RATIO * first:
         return False
-    return float((np.max(recent) - np.min(recent)) / mean) < FLAT_TOL
+    return (max(recent) - min(recent)) / avg < FLAT_TOL

@@ -3,16 +3,18 @@ model weights, optimal-filter selection, and corrected-curve output.
 
 Phase 1 and the tail step the plain filter with `ekf.filter_range`;
 `run_interval` steps every member of the bank through the interval in one
-`ekf.kalman_step` call, then weighs the members sample by sample by the
-log-density of the innovation each member's step returns (no member reads
-the weights). An interval's theoretical ACM is its last step's innovation
-variance S."""
+`ekf.kalman_step` call, then weighs the members in one `interval_weights`
+pass over the log-densities of the innovations their steps return (no
+member reads the weights). A bank's steps stay plain tuples in
+`StepOutput`'s field order, the winner's too. An interval's theoretical ACM
+is its last step's innovation variance S."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +27,11 @@ from .innovation import (IntervalInnovations, INDETERMINATE, NEGATIVE_G,
 
 DISCHARGE = "discharge"
 CHARGE = "charge"
+
+# a step's fields by position, for plain tuples and StepOutputs alike
+_SOC, _UP, _INNOVATION, _INNOVATION_VARIANCE, _LOG_LIKELIHOOD = map(
+    itemgetter, map(StepOutput._fields.index, (
+        "soc", "up", "innovation", "innovation_variance", "log_likelihood")))
 
 
 @dataclass(frozen=True)
@@ -81,29 +88,34 @@ def _slope_ratios(sign: str, n: int, spread: float) -> np.ndarray:
     return ratios
 
 
-def model_weights(weights: list[float], log_likelihoods: list[float],
-                  floor: float) -> list[float]:
-    """Bayes update of the model weights on Python floats.
+def interval_weights(log_likelihoods, floor: float) -> list[float]:
+    """The model weights after an interval, uniform at its start, from each
+    member's column of predicted-voltage log-densities -(e^2/S + ln S)/2
+    (the 2*pi term cancels), one pass over the samples on Python floats.
 
-    `log_likelihoods` are the filters' predicted-voltage log-densities
-    -(e^2/S + ln S)/2 (the 2*pi term cancels). Each weight is multiplied by
-    exp(ll - max ll), so the best filter's factor is exactly 1 and the total
-    stays positive. The result is normalised, floored at `floor` and
-    renormalised."""
-    top = max(log_likelihoods)
+    Per sample, each weight is multiplied by exp(ll - max ll), so the best
+    filter's factor is exactly 1 and the total stays positive; the result
+    is normalised, floored at `floor` and renormalised. A sample's
+    renormalised weights are divided out as the next sample multiplies
+    them, the same operations in the same order."""
+    n = len(log_likelihoods)
+    post, total = [1.0] * n, float(n)  # the weights are post / total
     exp = math.exp
-    post = [w * exp(ll - top) for w, ll in zip(weights, log_likelihoods)]
-    total = sum(post)
-    # max(p / total, floor), without a call per weight
-    post = [floor if floor > (q := p / total) else q for p in post]
-    total = sum(post)
+    for lls in zip(*log_likelihoods):
+        top = max(lls)
+        post = [p / total * exp(ll - top) for p, ll in zip(post, lls)]
+        total = sum(post)
+        # max(p / total, floor), without a call per weight
+        post = [floor if floor > (q := p / total) else q for p in post]
+        total = sum(post)
     return [p / total for p in post]
 
 
 @dataclass
 class IntervalResult:
-    """The selected filter's steps (its last posterior carries over) and
-    innovations, its corrected-curve points, and the final weights."""
+    """The selected filter's steps, plain tuples in `StepOutput`'s field
+    order (its last posterior carries over), and innovations, its
+    corrected-curve points, and the final weights."""
 
     optimal_index: int
     steps: list
@@ -118,27 +130,26 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, params,
                  floor: float, index: int) -> IntervalResult:
     """Step the member of every slope from the posterior `x` through
     `length` samples with the noise and curve of `f` and the affine models
-    through `anchor` (anchor SOC, model OCV), updating the model weights
-    (uniform at the start) per step from each member's innovation
-    log-density, then select the heaviest member (ties to the lowest index).
-    `index` numbers the interval."""
+    through `anchor` (anchor SOC, model OCV), weigh the members (uniform at
+    the start) by each step's innovation log-density, then select the
+    heaviest member (ties to the lowest index). `index` numbers the
+    interval."""
     n = len(slopes)
     rows = list(ekf.samples(params, trace, cfg, start, start + length))
     members = ekf.kalman_step(f, anchor, slopes, [x] * n, rows)
-    # the members never read the weights: weigh them per sample afterwards
-    # by the log-density, each step's last field
-    weights = [1.0 / n] * n
-    for lls in zip(*[[step[-1] for step in steps] for steps in members]):
-        weights = model_weights(weights, lls, floor)
+    # the members never read the weights: weigh them after the range, by
+    # the log-density that ends each step
+    weights = interval_weights([map(_LOG_LIKELIHOOD, steps)
+                                for steps in members], floor)
     opt = weights.index(max(weights))
-    best = [StepOutput._make(step) for step in members[opt]]
+    best = members[opt]
     s = slopes[opt]
     if s is None:
         corrected = []
     else:
         anchor_soc, anchor_ocv = anchor
-        corrected = [(step.soc, anchor_ocv + s * (step.soc - anchor_soc),
-                      index) for step in best]
+        corrected = [(soc, anchor_ocv + s * (soc - anchor_soc), index)
+                     for soc in map(_SOC, best)]
     final_model_ocv = corrected[-1][1] if corrected else None
     return IntervalResult(opt, best, interval_innovations(index, best),
                           corrected, weights, final_model_ocv)
@@ -147,8 +158,8 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, params,
 def interval_innovations(index: int, steps: list) -> IntervalInnovations:
     """One interval's innovations from its filter steps; the theoretical ACM
     is the last step's innovation variance."""
-    return IntervalInnovations(index, np.array([x.innovation for x in steps]),
-                               steps[-1].innovation_variance)
+    return IntervalInnovations(index, map(_INNOVATION, steps),
+                               _INNOVATION_VARIANCE(steps[-1]))
 
 
 @dataclass
@@ -197,9 +208,9 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
 
     def keep(steps: list, at: int):
         stop = at + len(steps)
-        soc_est[at:stop] = [x.soc for x in steps]
-        up_est[at:stop] = [x.up for x in steps]
-        innov_all[at:stop] = [x.innovation for x in steps]
+        soc_est[at:stop] = list(map(_SOC, steps))
+        up_est[at:stop] = list(map(_UP, steps))
+        innov_all[at:stop] = list(map(_INNOVATION, steps))
 
     corrected_points: list = []
     diagnostics: list = []
@@ -235,14 +246,15 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
         ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
             history[-2], history[-1])
         mode = DISCHARGE if discharging[k // L] else CHARGE
-        anchor_soc = min(max(x.soc, lo), hi)
+        soc = _SOC(x)  # a phase-1 step or a bank step
+        anchor_soc = min(max(soc, lo), hi)
         if anchor_ocv is None:
             anchor_ocv = original_curve.ocv(anchor_soc)
         slopes = build_slope_set(original_curve.slope(anchor_soc), sign, mode,
                                  bank_cfg)
         # a one-filter bank is a plain filter on the curve itself
         slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
-        res = run_interval(bank, (x.soc, anchor_ocv), slopes, x, params,
+        res = run_interval(bank, (soc, anchor_ocv), slopes, x, params,
                            trace, k, L, cfg, bank_cfg.prob_floor,
                            interval_index)
         keep(res.steps, k)

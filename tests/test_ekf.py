@@ -24,6 +24,14 @@ def _state(curve, soc=0.5, up=0.0, p=None, noise=None):
                    curve=curve)
 
 
+def _row(k, coef, u_prev, y, u):
+    """The row of sample `k` that `samples` gives, from the transition
+    `coef` of its parameters, the previous and present current and the
+    measured voltage: (k, decay, g_soc*u_prev, g_up*u_prev, y, r0*u)."""
+    decay, g_soc, g_up, r0 = coef
+    return (k, decay, g_soc * u_prev, g_up * u_prev, y, r0 * u)
+
+
 def _step(f, coef, u_prev, y, u, first, k=None, slope=None, anchor=None):
     """One step of filter `f` alone (a set of one) from its start, as a
     one-row call: on its curve, or with `slope` on the affine model through
@@ -34,7 +42,7 @@ def _step(f, coef, u_prev, y, u, first, k=None, slope=None, anchor=None):
         k = 0 if first else 1
     assert (k == 0) == first
     [[out]] = kalman_step(f, anchor, [slope], [f.start()],
-                          [(k, coef, u_prev, y, u)])
+                          [_row(k, coef, u_prev, y, u)])
     return StepOutput._make(out)
 
 
@@ -389,8 +397,8 @@ class TestFilterSetStep:
                              noise=noise))
             slopes.append(None if plain else slope)
         xs = [f.start() for f in fs]
-        row = (0 if first else 5, transition(params, cfg), u_prev,
-               3.3 + innov, u)
+        row = _row(0 if first else 5, transition(params, cfg), u_prev,
+                   3.3 + innov, u)
         steps = [member for [member] in
                  kalman_step(fs[0], anchor, slopes, xs, [row])]
         assert len(steps) == len(fs)
@@ -399,7 +407,7 @@ class TestFilterSetStep:
             assert repr(step) == repr(alone)  # bit for bit, -0.0 and NaN too
             _assert_matches_reference(
                 StepOutput._make(step),
-                _reference_step(f, s, anchor, params, cfg, u_prev, row[3],
+                _reference_step(f, s, anchor, params, cfg, u_prev, row[4],
                                 u, first))
         # min(1, max(0, soc)) turns a -0.0 posterior SOC into 0.0
         assert all(math.copysign(1.0, step[0]) == 1.0 for step in steps)
@@ -413,7 +421,8 @@ class TestFilterSetStep:
             kalman_step(fs[0], (0.5, base_curve.ocv(0.5)),
                         [0.1 * (j + 1) for j in range(5)],
                         [f.start() for f in fs],
-                        [(9, transition(params, SimConfig()), 0.0, 3.3, 0.0)])
+                        [_row(9, transition(params, SimConfig()), 0.0, 3.3,
+                              0.0)])
 
     def test_non_positive_variance_inside_a_range_names_its_sample(
             self, params, base_curve):
@@ -422,7 +431,7 @@ class TestFilterSetStep:
         f = _state(base_curve, p=np.diag([1e-4, -0.9e-6]),
                    noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-6))
         coef = transition(params, SimConfig())
-        rows = [(k, coef, 0.0, 3.3, 0.0) for k in (4, 5, 6)]
+        rows = [_row(k, coef, 0.0, 3.3, 0.0) for k in (4, 5, 6)]
         [[step]] = kalman_step(f, (0.5, 3.3), [0.0], [f.start()], rows[:1])
         assert step[6] > 0
         with pytest.raises(FilterDegeneracyError, match="step 5"):
@@ -455,10 +464,12 @@ class TestRangeStep:
         else:
             slopes, anchor = PLAIN, None
         rows = list(samples(params, trace, cfg, start, start + 30))
-        assert [row[0] for row in rows] == list(range(start, start + 30))
-        if per_step:
-            assert [row[1] for row in rows] == \
-                [transition(params[k], cfg) for k in range(start, start + 30)]
+        # each row from its own parameters and the currents either side
+        amps, volts = trace.current_a.tolist(), trace.voltage_v.tolist()
+        assert repr(rows) == repr([
+            _row(k, transition(params[k] if per_step else params, cfg),
+                 amps[k - 1] if k else 0.0, volts[k], amps[k])
+            for k in range(start, start + 30)])
         xs = [f.start()] * len(slopes)
         whole = kalman_step(f, anchor, slopes, xs, rows)
         alone = [[] for _ in slopes]

@@ -16,6 +16,7 @@ from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (CONVERGENCE_WINDOW, FLAT_TOL, INDETERMINATE,
                                NEGATIVE_G, NOISE_FLOOR_MULT, POSITIVE_G,
                                RMS_RATIO, interval_statistics)
+from lfpsoc import innovation
 from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
 
@@ -79,8 +80,10 @@ class TestCorrelationMeasures:
         f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve)
         [[step]] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5],
                                [f.start()],
-                               [(0, transition(params, SimConfig()), 0.0,
-                                 3.3, 0.0)])
+                               # sample 0 at rest, 3.3 V: (k, decay,
+                               # g_soc*u_prev, g_up*u_prev, y, r0*u)
+                               [(0, transition(params, SimConfig())[0], 0.0,
+                                 0.0, 3.3, 0.0)])
         step = StepOutput._make(step)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6
         _, _, acm_theo, _ = interval_statistics(
@@ -174,6 +177,57 @@ class TestIntervalStatistics:
         assert ccm == 0.0 and sign == INDETERMINATE
         assert acm_emp == empirical_acm(curr)
         assert acm_theo == curr.acm_theo
+
+
+def _numpy_statistics(a, b):
+    """(ccm, acm_emp, rms) of intervals `a` then `b` by numpy, as the
+    interval statistics were computed on arrays."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (float(np.mean(a * b)), float(np.mean(b ** 2)),
+            float(np.sqrt(np.mean(b ** 2))))
+
+
+def _float_statistics(a, b):
+    prev, curr = _iv(a), _iv(b, 1)
+    ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
+    assert (acm_theo, sign) == (curr.acm_theo, infer_error_sign(ccm, acm_emp))
+    assert (ccm, acm_emp) == (interval_ccm(prev, curr), empirical_acm(curr))
+    return ccm, acm_emp, curr.rms()
+
+
+class TestFloatStatistics:
+    """The interval statistics add Python floats in numpy's pairwise order:
+    a plain sum below 8 values, 8 running sums in blocks up to 128, halves
+    above, so every length from 2 to 300 equals numpy bit for bit."""
+
+    def test_every_length_from_2_to_300(self):
+        rng = np.random.default_rng(7)
+        for n in range(2, 301):
+            # magnitudes over 8 decades, so that the order of the sum shows
+            a, b = (rng.normal(0, 1, n) * 10 ** rng.uniform(-8, 0, n)
+                    for _ in range(2))
+            assert repr(_float_statistics(a, b)) == \
+                repr(_numpy_statistics(a, b)), n
+
+    @given(st.integers(2, 300).flatmap(lambda n: st.tuples(*[st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300])),
+        min_size=n, max_size=n)] * 2)))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_numpy(self, pair):
+        # signed zeros included: numpy adds its sum to 0.0, so a CCM of
+        # -0.0 products reads 0.0
+        a, b = pair
+        assert repr(_float_statistics(a, b)) == repr(_numpy_statistics(a, b))
+
+    def test_values_are_floats_and_the_acm_is_computed_once(self, monkeypatch):
+        iv = _iv(np.arange(1.0, 21.0))
+        assert type(iv.values) is tuple
+        assert all(type(x) is float for x in iv.values)
+        calls = []
+        monkeypatch.setattr(innovation, "mean",
+                            lambda v: calls.append(v) or 0.0)
+        iv.rms(), empirical_acm(iv), interval_statistics(None, iv)
+        assert calls == []
 
 
 class TestDetectConvergence:

@@ -17,7 +17,9 @@ from lfpsoc import (BatteryState, KfState, OcvCurve, ScenarioConfig,
                     generate_profile, load_scenario, resolve_curves, run_ekf,
                     run_scenario, run_sweep, simulate_profile)
 from lfpsoc.ekf import StepOutput, transition
+from lfpsoc import cli
 from lfpsoc.cli import main as cli_main
+from lfpsoc.innovation import infer_error_sign
 from lfpsoc.ecm import SimConfig, Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
 from lfpsoc.profiles import ProfileConfigError
@@ -705,6 +707,77 @@ class TestCli:
             assert float(row[2]) == pytest.approx(np.mean(vals[m] ** 2),
                                                   rel=1e-9)
             assert float(row[3]) == ScenarioConfig().r
+
+    def test_analyze_innovation_log_of_unequal_intervals(self, tmp_path):
+        # intervals of 3 to 150 innovations, some next to one of another
+        # length (no CCM there), over magnitudes that make the summation
+        # order show: each line equals numpy's formulas, formatted
+        lengths = [3, 5, 5, 150, 150, 2, 9, 9, 130]
+        rng = np.random.default_rng(3)
+        groups = [rng.normal(0, 1, n) * 10 ** rng.uniform(-6, -2, n)
+                  for n in lengths]
+        log = tmp_path / "innov.csv"
+        log.write_text("interval,step,innovation_v\n" + "".join(
+            f"{m},{k},{x!r}\n" for m, v in enumerate(groups)
+            for k, x in enumerate(v.tolist())))
+        out = str(tmp_path / "an")
+        assert cli_main(["--out", out, "analyze", "--trace", str(log)]) == 0
+        r = ScenarioConfig().r
+        expected = ["m,ccm,acm_emp,acm_theo,verdict"]
+        for m, v in enumerate(groups):
+            acm = float(np.mean(v ** 2))
+            prev = groups[m - 1] if m else None
+            if prev is not None and len(prev) == len(v):
+                ccm = float(np.mean(prev * v))
+                sign = infer_error_sign(ccm, acm)
+            else:
+                ccm, sign = 0.0, "indeterminate"
+            expected.append(f"{m},{ccm:.9e},{acm:.9e},{r:.9e},{sign}")
+        with open(os.path.join(out, "analysis.csv")) as fh:
+            assert fh.read().splitlines() == expected
+
+    @pytest.mark.parametrize("samples, note", [
+        (2, "not computable (needs 2 innovations, has 1)"),
+        (3, "1/1 autocorrelation lags inside +-1.4142"),
+        (15, "7/7 autocorrelation lags inside +-0.7071")])
+    def test_analyze_short_trace_counts_only_lags_with_pairs(
+            self, tmp_path, capsys, samples, note):
+        # the second half of the trace holds samples - samples // 2
+        # innovations: a lag as long as that has no pairs, and one value has
+        # no autocorrelation at all
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=30,
+                         profile_target_ah=0.005)
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        lines = (sim / "trace.csv").read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines[:samples + 1]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "an"
+        assert cli_main(["--config", cfg, "--out", str(out), "analyze",
+                         "--trace", str(short)]) == 0
+        assert capsys.readouterr().out == (
+            f"0 intervals -> {out}/analysis.csv; second-half whiteness: "
+            f"{note}\n")
+        assert (out / "analysis.csv").read_text() == \
+            "interval,ccm,acm_emp,acm_theo,verdict\n"
+
+    def test_whiteness_of_constant_innovations_is_not_computable(self):
+        assert cli._whiteness(np.full(5, 1e-3)) == \
+            "not computable: the innovations have zero variance"
+
+    def test_whiteness_of_a_long_half_reads_lags_1_to_20(self):
+        # the count of the formula before short halves were handled
+        v = np.random.default_rng(4).normal(0, 1e-3, 7200)
+        v[1:] += 0.3 * v[:-1]  # some lags fall outside the band
+        c = v - v.mean()
+        denom = float(np.sum(c * c))
+        band = 2.0 / np.sqrt(len(c))
+        inside = sum(abs(float(np.sum(c[:-k] * c[k:])) / denom) <= band
+                     for k in range(1, 21))
+        assert 0 < inside < 20
+        assert cli._whiteness(v) == (
+            f"{inside}/20 autocorrelation lags inside +-{band:.4f}")
 
     @pytest.mark.parametrize("bad", [
         ["1", "3", ""], ["1", "3"], ["1", "3", "x"], ["x", "3", "1e-3"],

@@ -15,7 +15,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
 from lfpsoc.innovation import INDETERMINATE, NEGATIVE_G, POSITIVE_G
 from lfpsoc import multimodel
 from lfpsoc.ekf import FilterDegeneracyError
-from lfpsoc.multimodel import CHARGE, DISCHARGE, model_weights, run_interval
+from lfpsoc.multimodel import CHARGE, DISCHARGE, run_interval
 from lfpsoc.profiles import generate_profile
 
 
@@ -121,74 +121,131 @@ class TestLikelihood:
                          f.start(), params, trace, 21, 5, cfg, 1e-6, 0)
 
 
-_weights = st.integers(2, 9).flatmap(lambda n: st.tuples(
-    st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n),
-    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+def _model_weights(weights, log_likelihoods, floor):
+    """One sample's Bayes update as a per-sample function did it before the
+    interval was weighed in one pass: the reference for `interval_weights`."""
+    top = max(log_likelihoods)
+    post = [w * math.exp(ll - top) for w, ll in zip(weights, log_likelihoods)]
+    total = sum(post)
+    post = [floor if floor > (q := p / total) else q for p in post]
+    total = sum(post)
+    return [p / total for p in post]
+
+
+def _per_sample(columns, floor):
+    """`_model_weights` sample by sample from uniform weights."""
+    weights = [1.0 / len(columns)] * len(columns)
+    for lls in zip(*columns):
+        weights = _model_weights(weights, lls, floor)
+    return weights
+
+
+def _outcome(fn) -> str:
+    """The repr of fn's result, or the name of the exception it raised."""
+    try:
+        return repr(fn())
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+# n members' log-density columns over 1-6 samples
+_columns = st.integers(2, 9).flatmap(lambda n: st.integers(1, 6).flatmap(
+    lambda length: st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=length, max_size=length),
+        min_size=n, max_size=n)))
 
 
 class TestUpdateProbabilities:
+    """`interval_weights`: the Bayes update of the model weights over an
+    interval."""
+
+    @given(st.sampled_from([1, 3, 7, 9]), st.integers(1, 25),
+           st.sampled_from([1e-300, 1e-6, 1e-3, 0.1]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_equals_per_sample_updates(self, n, length, floor,
+                                                data):
+        # bit for bit against the per-sample update, with floors that
+        # bind, ties (a few distinct values) and -inf log-densities
+        value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+            [0.0, -1.5, -700.0, -math.inf]))
+        columns = data.draw(st.lists(
+            st.lists(value, min_size=length, max_size=length),
+            min_size=n, max_size=n))
+        floor = min(floor, 0.5 / n)
+        assert repr(multimodel.interval_weights(columns, floor)) == \
+            repr(_per_sample(columns, floor))
+
     def test_bayes_arithmetic(self):
-        # innovations 0 and 1 mV, both with S = 1e-6: the likelihood ratio is
+        # a first sample moves the uniform weights to 1:3; then innovations
+        # 0 and 1 mV, both with S = 1e-6: the likelihood ratio is
         # exp(-1/2), and the shared ln S and 2*pi terms cancel
-        lls = [_log_likelihood(0.0, 1e-6), _log_likelihood(1e-3, 1e-6)]
-        post = model_weights([0.25, 0.75], lls, 0.0)
+        columns = [[0.0, _log_likelihood(0.0, 1e-6)],
+                   [math.log(3.0), _log_likelihood(1e-3, 1e-6)]]
+        post = multimodel.interval_weights(columns, 0.0)
         b = 3.0 * math.exp(-0.5)
         assert post == pytest.approx([1.0 / (1.0 + b), b / (1.0 + b)],
                                      rel=1e-12)
 
-    @given(_weights, st.floats(-1e3, 1e3))
+    @given(_columns, st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
     @settings(max_examples=100, deadline=None)
-    def test_scaling_invariance(self, case, c):
-        # a constant added to every log-likelihood scales every density alike
-        probs, lls = case
-        w = [p / sum(probs) for p in probs]
-        assert model_weights(w, [ll + c for ll in lls], 1e-6) == \
-            pytest.approx(model_weights(w, lls, 1e-6), rel=1e-9, abs=1e-15)
+    def test_scaling_invariance(self, columns, shifts):
+        # a constant added to every log-likelihood of a sample scales every
+        # density of that sample alike
+        shifted = [[ll + c for ll, c in zip(col, shifts)] for col in columns]
+        assert multimodel.interval_weights(shifted, 1e-6) == pytest.approx(
+            multimodel.interval_weights(columns, 1e-6), rel=1e-9, abs=1e-15)
 
-    @given(_weights, st.sampled_from([0.0, -0.0, 1e-6]),
-           st.lists(st.sampled_from([0.0, -0.0]), max_size=8))
+    @given(_columns, st.sampled_from([0.0, -0.0, 1e-6]),
+           st.lists(st.booleans(), min_size=9, max_size=9))
     @settings(max_examples=200, deadline=None)
-    def test_clamp_is_the_builtin_max(self, case, floor, zeros):
-        # bit for bit, signed zeros included, against the update written
-        # with max(); zero weights (never the best filter's, so the total
-        # stays positive) make the clamp see 0.0 and -0.0
-        probs, lls = case
-        w = [p / sum(probs) for p in probs]
-        top = max(lls)
-        others = [j for j, ll in enumerate(lls) if j != lls.index(top)]
-        for j, z in zip(others, zeros):
-            w[j] = z
-        post = [p * math.exp(ll - top) for p, ll in zip(w, lls)]
-        total = sum(post)
-        post = [max(p / total, floor) for p in post]
-        total = sum(post)
-        expected = [p / total for p in post]
-        assert repr(model_weights(w, lls, floor)) == repr(expected)
+    def test_clamp_is_the_builtin_max(self, columns, floor, sunk):
+        # bit for bit, signed zeros included, against the updates written
+        # with max(); members whose first density underflows against the
+        # best one's reach weight 0.0 (never the best filter's, so the
+        # total stays positive), and the clamp sees 0.0 and -0.0
+        top = max(col[0] for col in columns)
+        for col, down in zip(columns, sunk):
+            if down and col[0] != top:
+                col[0] = top - 1e4
+
+        def with_max():
+            weights = [1.0 / len(columns)] * len(columns)
+            for lls in zip(*columns):
+                top = max(lls)
+                post = [w * math.exp(ll - top) for w, ll in zip(weights, lls)]
+                total = sum(post)
+                post = [max(p / total, floor) for p in post]
+                total = sum(post)
+                weights = [p / total for p in post]
+            return weights
+
+        # with the floor off, every weight can reach 0.0 in a later sample:
+        # then both divide by a zero total
+        assert _outcome(lambda: multimodel.interval_weights(columns, floor)) \
+            == _outcome(with_max)
 
     def test_underflow_never_resets(self):
         # every linear density exp(-e^2 / 2S) is 0.0 here, which reset the
         # weights to uniform; the best filter (smallest e^2/S + ln S) wins
         s, es = 1e-6, [0.2, 0.05, 0.1, 0.15]
         assert all(math.exp(-e * e / (2 * s)) == 0.0 for e in es)
-        post = model_weights([0.25] * 4, [_log_likelihood(e, s) for e in es],
-                             1e-6)
+        post = multimodel.interval_weights(
+            [[_log_likelihood(e, s)] for e in es], 1e-6)
         assert post.index(max(post)) == 1
         assert post[1] == pytest.approx(1.0, abs=1e-5)
 
-    @given(_weights, st.floats(1e-9, 1e-3))
+    @given(_columns, st.floats(1e-9, 1e-3))
     @settings(max_examples=100, deadline=None)
-    def test_floor_keeps_all_models_alive(self, case, floor):
-        probs, lls = case
-        n = len(probs)
-        post = model_weights([p / sum(probs) for p in probs], lls, floor)
+    def test_floor_keeps_all_models_alive(self, columns, floor):
+        n = len(columns)
+        post = multimodel.interval_weights(columns, floor)
         assert min(post) >= floor / (1.0 + n * floor) * (1.0 - 1e-12)
 
-    @given(_weights)
+    @given(_columns)
     @settings(max_examples=100, deadline=None)
-    def test_always_a_simplex(self, case):
-        probs, lls = case
-        post = model_weights([p / sum(probs) for p in probs], lls, 1e-6)
-        assert len(post) == len(probs)
+    def test_always_a_simplex(self, columns):
+        post = multimodel.interval_weights(columns, 1e-6)
+        assert len(post) == len(columns)
         assert sum(post) == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= p <= 1.0 for p in post)
 
@@ -242,7 +299,7 @@ class TestMakeBankAndInterval:
             # it and on the previous interval's corrected model value
             assert x is carried
             assert f.noise is self._bank_noise and f.curve is base_curve
-            assert anchor == (x.soc, model_ocv)
+            assert anchor == (x[0], model_ocv)  # a bank step is a tuple
             assert len(slopes) == 3 and slopes == sorted(set(slopes))
             carried, model_ocv = res.steps[-1], res.final_model_ocv
         # the weights start uniform: identical members keep them so
@@ -455,8 +512,8 @@ class TestRunAmmkf:
                             np.diag([1e-2, 1e-4]), self._noise, cfg, bank,
                             bank_noise=self._bank_noise)
         for call in spy.call_args_list:
-            x = call.args[3]
-            assert all(map(math.isfinite, (x.p00, x.p01, x.p11)))
+            x = call.args[3]  # a phase-1 StepOutput or a bank step's tuple
+            assert all(map(math.isfinite, x[2:5]))  # (p00, p01, p11)
         assert np.all(np.isfinite(res.soc))
         assert np.all((res.soc >= 0.0) & (res.soc <= 1.0))
         for d in res.diagnostics:
