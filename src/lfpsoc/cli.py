@@ -68,9 +68,10 @@ def cmd_identify(args) -> int:
                              cfg=RlsConfig())
     path = os.path.join(out, "identified_params.csv")
     write_lines(path, ["t", "r0_ohm", "rp_ohm", "cp_f", "lambda"],
-                (f"{p.t:.6g},,,,{p.lam:.6f}" if p.params is None
-                 else f"{p.t:.6g},{p.params.r0:.8g},{p.params.rp:.8g},"
-                      f"{p.params.cp:.8g},{p.lam:.6f}" for p in points))
+                ("%.6g,,,,%.6f" % (p.t, p.lam) if p.params is None
+                 else "%.6g,%.8g,%.8g,%.8g,%.6f" % (
+                     p.t, p.params.r0, p.params.rp, p.params.cp, p.lam)
+                 for p in points))
     write_manifest(os.path.join(out, "run-manifest.txt"), cfg)
     final = next((p.params for p in reversed(points) if p.params is not None),
                  None)
@@ -197,8 +198,8 @@ def cmd_analyze(args) -> int:
         for prev, iv in zip([None, *intervals], intervals):
             ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
                 prev, iv)
-            yield (f"{iv.interval_index},{ccm:.9e},{acm_emp:.9e},"
-                   f"{acm_theo:.9e},{sign}")
+            yield "%s,%.9e,%.9e,%.9e,%s" % (iv.interval_index, ccm, acm_emp,
+                                             acm_theo, sign)
 
     write_lines(path, [label, "ccm", "acm_emp", "acm_theo", "verdict"],
                 lines())

@@ -10,7 +10,17 @@ written out: q = P a, gain g = q / (lambda + a.q), theta += g (y - a.theta),
 P <- (P - (g q' + q g') / 2) / lambda. A state is the flat tuple
 (th1, th2, th3, p11, p12, p13, p22, p23, p33): theta, then the upper
 triangle of the symmetric P row by row. It is validated once, when
-`initial_state` builds it; a step checks only its sample and lambda.
+`initial_state` builds it; a step checks only its sample, lambda and the
+gain denominator. A denominator below 1e-15, or one that is inf or NaN
+because a long unexcited stretch has grown P by 1/lambda per step until it
+overflowed, raises NumericalDegeneracyError; `identify_stream` flags the
+row and keeps the state it had, so theta does not turn NaN that way.
+
+The circuit (R0, Rp, Cp) comes from theta through `extract_circuit`, which
+returns the reason rather than raising when theta is not physical: on a
+recorded trace most points are not, and `identify_stream` holds its last
+physical estimate through them at the cost of a type check.
+`theta_to_circuit` raises PhysicalityError with that reason instead.
 """
 
 from __future__ import annotations
@@ -84,7 +94,8 @@ def rls_step(state: tuple, sample, lam: float) -> tuple:
     """One gain/covariance/parameter update of `state` on `sample`
     (a1, a2, a3, y) with forgetting factor `lam`. Raises ValueError for a
     non-finite sample or lambda outside (0, 1], NumericalDegeneracyError
-    when the gain denominator is below 1e-15."""
+    unless the gain denominator is in [1e-15, inf): tiny, overflowed or
+    NaN."""
     a1, a2, a3, y = sample
     if not (_finite(a1) and _finite(a2) and _finite(a3) and _finite(y)):
         raise ValueError(f"sample entries must be finite, got {tuple(sample)}")
@@ -95,8 +106,9 @@ def rls_step(state: tuple, sample, lam: float) -> tuple:
     q2 = p12 * a1 + p22 * a2 + p23 * a3
     q3 = p13 * a1 + p23 * a2 + p33 * a3
     denom = lam + (a1 * q1 + a2 * q2 + a3 * q3)
-    if denom < 1e-15:
-        raise NumericalDegeneracyError(f"gain denominator {denom} ~ 0")
+    if not 1e-15 <= denom < math.inf:
+        raise NumericalDegeneracyError(
+            f"gain denominator {denom} is not in [1e-15, inf)")
     g1, g2, g3 = q1 / denom, q2 / denom, q3 / denom
     e = y - (a1 * th1 + a2 * th2 + a3 * th3)
     return (
@@ -114,21 +126,40 @@ def circuit_to_theta(params: EcmParams, dt: float) -> np.ndarray:
     return np.array([th1, th2, th3])
 
 
-def theta_to_circuit(theta, dt: float) -> EcmParams:
-    """Inverse map of the three coefficients `theta`; raises unless
-    0 < th1 < 1 and the result is physical."""
-    th1, th2, th3 = map(float, theta)
+# PhysicalityError's messages, %-templates of the values they name
+_NO_TIME_CONSTANT = "theta1 %r outside (0, 1): no valid time constant"
+_ZERO_NUMERATOR = "theta1*theta2 + theta3 == 0"
+_NOT_POSITIVE = "non-physical parameters r0=%r rp=%r cp=%r"
+
+
+def extract_circuit(th1: float, th2: float, th3: float, dt: float):
+    """The circuit of the coefficients as EcmParams, or, where they have
+    none, why not as a (message template, values) pair: th1 outside (0, 1)
+    gives no time constant, th1*th2 + th3 == 0 no Rp, and an R0, Rp or Cp
+    that is not positive no physical circuit. A NaN that passes these tests
+    reaches EcmParams, which raises ValueError."""
     if not 0.0 < th1 < 1.0:
-        raise PhysicalityError(f"theta1 {th1} outside (0, 1): no valid time constant")
+        return _NO_TIME_CONSTANT, (th1,)
     num = th1 * th2 + th3
     if num == 0.0:
-        raise PhysicalityError("theta1*theta2 + theta3 == 0")
+        return _ZERO_NUMERATOR, ()
     r0 = -th2
     rp = num / (th1 - 1.0)
     cp = (1.0 - th1) * dt / (math.log(th1) * num)
     if r0 <= 0 or rp <= 0 or cp <= 0:
-        raise PhysicalityError(f"non-physical parameters r0={r0} rp={rp} cp={cp}")
+        return _NOT_POSITIVE, (r0, rp, cp)
     return EcmParams(r0, rp, cp)
+
+
+def theta_to_circuit(theta, dt: float) -> EcmParams:
+    """Inverse map of the three coefficients `theta`; raises
+    PhysicalityError unless 0 < th1 < 1 and the result is physical."""
+    th1, th2, th3 = map(float, theta)
+    circuit = extract_circuit(th1, th2, th3, dt)
+    if type(circuit) is not EcmParams:
+        template, values = circuit
+        raise PhysicalityError(template % values)
+    return circuit
 
 
 @dataclass
@@ -157,6 +188,7 @@ def identify_stream(trace: Trace, soc_feedback=None,
     fb = None if soc_feedback is None else \
         np.asarray(soc_feedback, dtype=float).tolist()
     plateau_only = cfg.plateau_only_identification and fb is not None
+    dt = trace.dt
     for k in range(2, len(trace)):
         if plateau_only and not cfg.plateau_lo <= fb[k - 1] <= cfg.plateau_hi:
             out.append(IdentifiedPoint(t[k], last_params, 1.0, False))
@@ -170,9 +202,8 @@ def identify_stream(trace: Trace, soc_feedback=None,
         except NumericalDegeneracyError:
             degenerate = True
         if accepted >= cfg.warmup:
-            try:
-                last_params = theta_to_circuit(state[:3], trace.dt)
-            except PhysicalityError:
-                pass  # hold the previous physical estimate
+            circuit = extract_circuit(state[0], state[1], state[2], dt)
+            if type(circuit) is EcmParams:
+                last_params = circuit  # else hold the previous estimate
         out.append(IdentifiedPoint(t[k], last_params, lam, degenerate))
     return out

@@ -257,7 +257,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
 
 def write_soc_csv(path: str, dt: float, est: np.ndarray, truth: np.ndarray):
     write_lines(path, ["t", "soc", "true_soc", "error"],
-                (f"{k * dt:.6g},{e:.9f},{s:.9f},{e - s:.9f}"
+                ("%.6g,%.9f,%.9f,%.9f" % (k * dt, e, s, e - s)
                  for k, (e, s) in enumerate(zip(est.tolist(),
                                                 truth.tolist()))))
 
@@ -265,30 +265,32 @@ def write_soc_csv(path: str, dt: float, est: np.ndarray, truth: np.ndarray):
 def write_estimate_csv(path: str, dt: float, outs: list):
     """The baseline filter's per-step posterior, innovation and variances."""
     write_lines(path, ["t", "soc_est", "up_est", "innovation_v", "p00", "p11"],
-                (f"{k * dt:.6g},{o.soc:.9f},{o.up:.9f},{o.innovation:.9e},"
-                 f"{o.p00:.9e},{o.p11:.9e}" for k, o in enumerate(outs)))
+                ("%.6g,%.9f,%.9f,%.9e,%.9e,%.9e" % (
+                    k * dt, o.soc, o.up, o.innovation, o.p00, o.p11)
+                 for k, o in enumerate(outs)))
 
 
 def write_corrected_csv(path: str, points: list):
     write_lines(path, ["soc", "ocv_v", "interval"],
-                (f"{soc:.9f},{ocv:.9f},{interval}"
+                ("%.9f,%.9f,%s" % (soc, ocv, interval)
                  for soc, ocv, interval in points))
 
 
 def write_diagnostics_csv(path: str, diagnostics: list):
     write_lines(path, ["interval", "ccm", "acm_emp", "acm_theo", "verdict",
                        "optimal_index", "prob_max", "mode"],
-                (f"{d.interval_index},{d.ccm:.9e},{d.acm_emp:.9e},"
-                 f"{d.acm_theo:.9e},{d.verdict},{d.optimal_index},"
-                 f"{d.prob_max:.6f},{d.mode}" for d in diagnostics))
+                ("%s,%.9e,%.9e,%.9e,%s,%s,%.6f,%s" % (
+                    d.interval_index, d.ccm, d.acm_emp, d.acm_theo, d.verdict,
+                    d.optimal_index, d.prob_max, d.mode)
+                 for d in diagnostics))
 
 
 def write_metrics_csv(path: str, metrics: dict):
     def line(method, m) -> str:
         conv = "" if m.convergence_time_s is None \
-            else f"{m.convergence_time_s:.6g}"
-        return (f"{method},{m.rmse:.6f},{m.mae:.6f},{m.max_abs_error:.6f},"
-                f"{conv},{m.final_quarter_rmse:.6f}")
+            else "%.6g" % m.convergence_time_s
+        return "%s,%.6f,%.6f,%.6f,%s,%.6f" % (
+            method, m.rmse, m.mae, m.max_abs_error, conv, m.final_quarter_rmse)
 
     write_lines(path, ["method", "rmse", "mae", "max_abs_error",
                        "convergence_time_s", "final_quarter_rmse"],

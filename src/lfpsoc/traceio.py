@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ import numpy as np
 from .ecm import Trace
 
 TRACE_HEADER = ["t", "current_a", "voltage_v", "true_soc", "true_up_v"]
+
+# lines `write_lines` joins into one write
+CHUNK_LINES = 1024
 
 
 class TraceFormatError(ValueError):
@@ -25,11 +29,15 @@ _LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def write_lines(path, header: list[str], lines) -> None:
     """Write a CSV from its header cells and its comma-joined lines, each
     ending in "\\r\\n" as `csv.writer` ends them. The lines stream to the
-    file: no string of the whole file is built. Cells are written as given,
-    so they must hold no comma, quote or line break."""
+    file in chunks of CHUNK_LINES, each joined into one string and written
+    in one call: no string of the whole file is built. Cells are written as
+    given, so they must hold no comma, quote or line break."""
+    lines = iter(lines)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{line}\r\n" for line in lines)
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            chunk.append("")  # the join then ends the last line too
+            fh.write("\r\n".join(chunk))
 
 
 def write_trace(trace: Trace, path) -> None:

@@ -6,7 +6,12 @@ with the digest the same commands gave before the trace-path I/O rewrite
 (parsed columns in, streamed lines out). The same config with current
 noise (`sigma_i`) is run through `simulate` and `scenario`, which pins the
 interleaved voltage and current draws of the simulator; its digests are
-those of the per-sample simulator loop. A change to how a CSV is read or
+those of the per-sample simulator loop. A 2600-step config is run through
+`simulate`, `identify`, `estimate --method ekf` and `analyze`, so that each
+of their per-sample CSVs spans more than two of `write_lines`' chunks and
+identify writes both empty and physical rows; its digests are those of the
+line-per-write writers with an exception per unphysical RLS point. A
+change to how a CSV is read or
 written that moves a single byte fails here by file name. A change that
 means to alter an output must say why and update the digest.
 """
@@ -16,9 +21,11 @@ import hashlib
 import pytest
 
 from lfpsoc.cli import main as cli_main
+from lfpsoc.traceio import CHUNK_LINES
 
 CONFIG = "profile_steps=400\nprofile_target_ah=0.06\nseed=42\n"
 CURRENT_NOISE_CONFIG = CONFIG + "sigma_i=0.01\n"
+LONG_CONFIG = "profile_steps=2600\nprofile_target_ah=0.39\nseed=42\n"
 
 GOLDEN = {
     "sim/trace.csv":
@@ -80,6 +87,21 @@ GOLDEN_CURRENT_NOISE = {
         "a3f3c4101cd5b3d92f1fc89658c4c4ce0be666f19260739d9ab9e84340e7df89",
 }
 
+GOLDEN_LONG = {
+    "sim/trace.csv":
+        "609ce7c87d600c1591007418f79ff3545c5c703c19be68ec5060236a349bcae8",
+    "sim/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+    "id/identified_params.csv":
+        "0a8fb5d1ace501fdf624fd786c785b55c4be132329c8f0af9d0033d60caa826a",
+    "ekf/estimate_ekf.csv":
+        "19f09ff5c842c282f53fe30d78e8e51529cdc443a19c18689ff1a2a86ac09de1",
+    "ekf/soc_ekf.csv":
+        "9e82f59d1a8dd1d2949b684b3c8644764d146c7ed84e5cd0d985782112969400",
+    "an/analysis.csv":
+        "39c1d234beb7493c446e496fa8b12b382c30816dc3697ff9e25acdcf1355383d",
+}
+
 
 def run_commands(root, config=CONFIG, names=None) -> dict:
     """Run every CSV-writing command (or those whose output directory is in
@@ -116,9 +138,27 @@ def current_noise_digests(tmp_path_factory):
                         CURRENT_NOISE_CONFIG, ("sim", "scen"))
 
 
-def test_every_csv_is_covered(digests, current_noise_digests):
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-long")
+    return root, run_commands(root, LONG_CONFIG, ("sim", "id", "ekf", "an"))
+
+
+def test_every_csv_is_covered(digests, current_noise_digests, long_run):
     assert sorted(digests) == sorted(GOLDEN)
     assert sorted(current_noise_digests) == sorted(GOLDEN_CURRENT_NOISE)
+    assert sorted(long_run[1]) == sorted(GOLDEN_LONG)
+
+
+def test_long_trace_spans_chunks_and_both_identify_rows(long_run):
+    root = long_run[0]
+    for name in ("sim/trace.csv", "id/identified_params.csv",
+                 "ekf/estimate_ekf.csv", "ekf/soc_ekf.csv"):
+        lines = (root / name).read_text().splitlines()
+        assert len(lines) - 1 > 2 * CHUNK_LINES, name
+    rows = (root / "id/identified_params.csv").read_text().splitlines()[1:]
+    empty = [row.split(",")[1] == "" for row in rows]
+    assert any(empty) and not all(empty)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -129,3 +169,8 @@ def test_csv_bytes_unchanged(digests, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CURRENT_NOISE))
 def test_csv_bytes_unchanged_with_current_noise(current_noise_digests, name):
     assert current_noise_digests.get(name) == GOLDEN_CURRENT_NOISE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LONG))
+def test_long_trace_csv_bytes_unchanged(long_run, name):
+    assert long_run[1].get(name) == GOLDEN_LONG[name]

@@ -361,6 +361,19 @@ class TestTraceIo:
         csv.writer(buf).writerows([header, *rows])
         assert p.read_bytes() == buf.getvalue().encode()
 
+    @pytest.mark.parametrize("count", [
+        0, 1, traceio.CHUNK_LINES - 1, traceio.CHUNK_LINES,
+        traceio.CHUNK_LINES + 1, 2 * traceio.CHUNK_LINES + 1])
+    def test_write_lines_matches_csv_writer_at_chunk_boundaries(
+            self, tmp_path, count):
+        header = ["k", "label"]
+        rows = [[str(k), f"row {k}"] for k in range(count)]
+        p = tmp_path / "out.csv"
+        write_lines(p, header, (",".join(row) for row in rows))
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        assert p.read_bytes() == buf.getvalue().encode()
+
     @given(est=st.lists(st.floats(-1e300, 1e300), max_size=30),
            dt=st.floats(1e-3, 1e3), data=st.data())
     @settings(max_examples=100, deadline=None)

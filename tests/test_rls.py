@@ -149,6 +149,26 @@ class TestThetaCircuitMaps:
         with pytest.raises(PhysicalityError):
             theta_to_circuit(np.array([0.9, 0.1, 0.05]), dt=1.0)  # r0 < 0
 
+    @pytest.mark.parametrize("theta, message", [
+        ((1.2, -0.1, 0.05),
+         "theta1 1.2 outside (0, 1): no valid time constant"),
+        ((0.0, -0.1, 0.05),
+         "theta1 0.0 outside (0, 1): no valid time constant"),
+        ((0.5, -0.1, 0.05), "theta1*theta2 + theta3 == 0"),
+        ((0.5, 0.25, 0.0),
+         "non-physical parameters r0=-0.25 rp=-0.25 "
+         "cp=-5.7707801635558535"),
+    ])
+    def test_physicality_messages(self, theta, message):
+        with pytest.raises(PhysicalityError) as info:
+            theta_to_circuit(np.array(theta), dt=1.0)
+        assert str(info.value) == message
+
+    def test_nan_coefficient_still_reaches_ecm_params(self):
+        # a NaN theta2 passes the "not positive" tests, as before
+        with pytest.raises(ValueError, match="must be finite"):
+            theta_to_circuit((0.5, np.nan, 0.05), dt=1.0)
+
     @given(r0=st.floats(1e-3, 1.0), rp=st.floats(1e-3, 1.0),
            tau=st.floats(0.05, 500.0))
     @settings(max_examples=200, deadline=None)
@@ -263,7 +283,7 @@ def _matrix_step(theta, p, sample, lam):
     if not 0 < lam <= 1:
         raise ValueError(f"lambda must be in (0, 1], got {lam}")
     denom = lam + float(a_row @ p @ a_row)
-    if denom < 1e-15:
+    if not 1e-15 <= denom < np.inf:
         raise NumericalDegeneracyError(f"gain denominator {denom} ~ 0")
     gain = (p @ a_row) / denom
     theta = theta + gain * (y - float(a_row @ theta))
@@ -447,3 +467,43 @@ class TestStreamAgainstMatrixForm:
         bad = Trace(trace.t, trace.current_a, volts, dt=trace.dt)
         with pytest.raises(ValueError):
             identify_stream(bad, soc_feedback=soc)
+
+
+class TestCovarianceOverflow:
+    """A long unexcited stretch grows P by 1/lambda per step until it
+    overflows; the step must refuse it rather than carry NaN."""
+
+    @pytest.mark.parametrize("p_diag, sample", [
+        (np.inf, (0.1, 0.2, 0.3, 0.4)),      # P already overflowed: inf
+        (np.inf, (0.0, 0.2, 0.3, 0.4)),      # inf * 0: NaN
+        (1e308, (10.0, 0.0, 0.0, 0.4)),      # a.q overflows to inf
+    ])
+    def test_overflowed_denominator_raises(self, p_diag, sample):
+        state = (0.99, -0.05, 0.04, p_diag, 0.0, 0.0, p_diag, 0.0, p_diag)
+        with pytest.raises(NumericalDegeneracyError):
+            rls_step(state, sample, 0.99)
+
+    def test_long_constant_discharge_flags_rows_and_keeps_theta_finite(
+            self, monkeypatch):
+        from lfpsoc import ScenarioConfig, resolve_curves, rls
+        from lfpsoc.scenario import coulomb_counted_soc
+        cfg = ScenarioConfig(initial_soc_true=0.97)
+        true_curve, _ = resolve_curves(cfg)
+        profile = generate_profile("constant", 30000, dt=cfg.dt,
+                                   seed=cfg.seed, amp=0.05)
+        trace = simulate_profile(BatteryState(0.97, 0.0), cfg.ecm_params(),
+                                 true_curve, profile.samples,
+                                 cfg.sim_config())
+        states = []
+
+        def recording_step(state, sample, lam):
+            states.append(rls_step(state, sample, lam))
+            return states[-1]
+
+        monkeypatch.setattr(rls, "rls_step", recording_step)
+        points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
+        assert len(points) == len(trace) - 2
+        assert all(np.isfinite(s[:3]).all() for s in states)
+        flags = [p.degenerate for p in points]
+        assert any(flags)  # P overflowed: the rest of the rows are flagged
+        assert all(flags[flags.index(True):])
