@@ -49,7 +49,6 @@ class BatteryState:
 @dataclass(frozen=True)
 class SimConfig:
     capacity_ah: float = 1.063
-    coulombic_efficiency: float = 1.0
     dt: float = 1.0
     voltage_noise_sigma: float = 0.0
     current_noise_sigma: float = 0.0
@@ -62,8 +61,6 @@ class SimConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if not 0 < self.coulombic_efficiency <= 1:
-            raise ValueError("coulombic_efficiency must be in (0, 1]")
         if not (self.voltage_noise_sigma >= 0
                 and self.current_noise_sigma >= 0):  # NaN too
             raise ValueError("noise sigmas must be >= 0")
@@ -98,7 +95,7 @@ def step_state(state: BatteryState, params: EcmParams, current: float,
         raise InvalidInputError("non-finite state or current")
     decay = math.exp(-cfg.dt / params.tau)
     up = decay * state.up + (1.0 - decay) * params.rp * current
-    soc_raw = state.soc - cfg.coulombic_efficiency * cfg.dt * current / cfg.capacity_as
+    soc_raw = state.soc - cfg.dt * current / cfg.capacity_as
     soc = min(1.0, max(0.0, soc_raw))
     return BatteryState(soc, up), soc != soc_raw
 
@@ -135,8 +132,7 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
     # computed once
     decay = math.exp(-cfg.dt / params.tau)
     up_gain = (1.0 - decay) * params.rp
-    soc_rate = cfg.coulombic_efficiency * cfg.dt
-    capacity_as, r0, ocv = cfg.capacity_as, params.r0, curve.ocv
+    dt, capacity_as, r0, ocv = cfg.dt, cfg.capacity_as, params.r0, curve.ocv
     low_v, high_v = cfg.cutoff_low_v, cfg.cutoff_high_v
     v_meas, i_meas, socs, ups, clamp_steps = [], [], [], [], []
     cutoff_index = None
@@ -153,7 +149,7 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
         if not (math.isfinite(soc) and math.isfinite(up)):
             raise InvalidInputError("non-finite state or current")
         up = decay * up + up_gain * i_k
-        soc_raw = soc - soc_rate * i_k / capacity_as
+        soc_raw = soc - dt * i_k / capacity_as
         soc = min(1.0, max(0.0, soc_raw))
         if soc != soc_raw:
             clamp_steps.append(k + 1)

@@ -49,16 +49,22 @@ class NoiseConfig:
         object.__setattr__(self, "q", q)
         if q.shape != (2, 2):
             raise ValueError("q must be 2x2")
-        if not np.allclose(q, q.T):
+        (a, b), (c, d) = q.tolist()
+        if not all(map(math.isfinite, (a, b, c, d))):
+            raise ValueError(f"q must be finite, got {q.tolist()}")
+        # np.allclose(q, q.T): rtol 1e-5, atol 1e-8, each way
+        if not (abs(b - c) <= 1e-8 + 1e-5 * abs(c)
+                and abs(c - b) <= 1e-8 + 1e-5 * abs(b)):
             raise ValueError("q must be symmetric")
-        if np.any(np.linalg.eigvalsh(q) < -1e-15):
+        # the smaller eigenvalue of the lower triangle, as np.linalg.eigvalsh
+        if (a + d) / 2 - math.hypot((a - d) / 2, c) < -1e-15:
             raise ValueError("q must be positive semidefinite")
         if not self.r > 0:
             raise ValueError("r must be > 0")
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
         # the step reads Python floats: (q00, q01, q11, r)
-        object.__setattr__(self, "terms", (
-            float(q[0, 0]), float(0.5 * (q[0, 1] + q[1, 0])), float(q[1, 1]),
-            float(self.r)))
+        object.__setattr__(self, "terms", (a, 0.5 * (b + c), d, float(self.r)))
 
     @classmethod
     def default(cls, r: float = 1e-4) -> "NoiseConfig":
@@ -76,9 +82,13 @@ class KfState:
     curve: OcvCurve
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x.soc, self.x.up))):
+            raise ValueError(f"x must be finite, got {self.x}")
         p = self.p = np.asarray(self.p, dtype=float)
         if p.shape != (2, 2):
             raise ValueError("p must be 2x2")
+        if not all(map(math.isfinite, p.flat)):
+            raise ValueError(f"p must be finite, got {p.tolist()}")
         if not abs(p[0, 1] - p[1, 0]) <= 1e-9 + 1e-5 * abs(p[1, 0]):
             raise ValueError("p must be symmetric")  # np.isclose, atol 1e-9
 

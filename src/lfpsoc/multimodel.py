@@ -1,7 +1,9 @@
 """Adaptive multi-model filter bank: per-interval slope sets, Bayesian
 model weights, optimal-filter selection, and corrected-curve output.
 
-Phase 1 and the tail step the plain filter with `ekf.filter_range`;
+`run_ammkf` is one loop over the whole intervals: before convergence an
+interval steps the plain filter with `ekf.filter_range`, after it the bank
+with `run_interval`; the tail is one more `filter_range` call.
 `run_interval` steps every member of the bank through the interval in one
 `ekf.kalman_step` call, then weighs the members in one `interval_weights`
 pass over the log-densities of the innovations their steps return (no
@@ -29,9 +31,9 @@ DISCHARGE = "discharge"
 CHARGE = "charge"
 
 # a step's fields by position, for plain tuples and StepOutputs alike
-_SOC, _UP, _INNOVATION, _INNOVATION_VARIANCE, _LOG_LIKELIHOOD = map(
+_SOC, _INNOVATION, _INNOVATION_VARIANCE, _LOG_LIKELIHOOD = map(
     itemgetter, map(StepOutput._fields.index, (
-        "soc", "up", "innovation", "innovation_variance", "log_likelihood")))
+        "soc", "innovation", "innovation_variance", "log_likelihood")))
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,11 @@ def interval_weights(log_likelihoods, floor: float) -> list[float]:
 @dataclass
 class IntervalResult:
     """The selected filter's steps, plain tuples in `StepOutput`'s field
-    order (its last posterior carries over), and innovations, its
-    corrected-curve points, and the final weights."""
+    order (its last posterior carries over), its corrected-curve points,
+    and the final weights."""
 
     optimal_index: int
     steps: list
-    innovations: IntervalInnovations
     corrected_points: list
     probabilities: list
     final_model_ocv: float | None
@@ -151,8 +152,7 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, params,
         corrected = [(soc, anchor_ocv + s * (soc - anchor_soc), index)
                      for soc in map(_SOC, best)]
     final_model_ocv = corrected[-1][1] if corrected else None
-    return IntervalResult(opt, best, interval_innovations(index, best),
-                          corrected, weights, final_model_ocv)
+    return IntervalResult(opt, best, corrected, weights, final_model_ocv)
 
 
 def interval_innovations(index: int, steps: list) -> IntervalInnovations:
@@ -177,7 +177,6 @@ class IntervalDiagnostics:
 @dataclass
 class AmmkfResult:
     soc: np.ndarray
-    up: np.ndarray
     corrected_points: list
     diagnostics: list
     convergence_step: int | None
@@ -188,88 +187,76 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
               initial: BatteryState, initial_p: np.ndarray, noise: NoiseConfig,
               cfg: SimConfig, bank_cfg: BankConfig = BankConfig(),
               bank_noise: NoiseConfig | None = None) -> AmmkfResult:
-    """Two-phase estimation over a measured trace.
-
-    Phase 1 runs a single filter on the original curve until its interval
-    innovation RMS converges. Phase 2 then runs, per interval, a bank of
-    filters with slopes chosen from the inferred sign of the curve error
-    (cross-correlation of the previous two intervals' innovations), selects
-    the most probable filter and carries its state forward.
+    """Two-phase estimation over a measured trace, one whole interval at a
+    time: until its interval innovation RMS converges (phase 1), a single
+    filter on the original curve; after that, a bank of filters with slopes
+    chosen from the inferred sign of the curve error (cross-correlation of
+    the previous two intervals' innovations), of which the most probable
+    carries its state forward. Either way the interval's steps are kept,
+    its innovations join the history and its last step starts the next
+    interval. The tail shorter than an interval continues the plain filter.
     """
-    if bank_noise is None:
-        bank_noise = noise
     L = bank_cfg.interval_len
     n_steps = len(trace)
     if n_steps < 2 * L:
         raise ValueError(f"trace length {n_steps} < 2*interval_len {2 * L}")
     soc_est = np.empty(n_steps)
-    up_est = np.empty(n_steps)
     innov_all = np.empty(n_steps)
 
     def keep(steps: list, at: int):
         stop = at + len(steps)
         soc_est[at:stop] = list(map(_SOC, steps))
-        up_est[at:stop] = list(map(_UP, steps))
         innov_all[at:stop] = list(map(_INNOVATION, steps))
 
-    corrected_points: list = []
-    diagnostics: list = []
+    corrected_points, diagnostics = [], []
     history: list[IntervalInnovations] = []
-    # phase 1: plain EKF on the original curve, interval by interval
     plain = KfState(initial, initial_p, noise, original_curve)
-    x = plain.start()  # the carried posterior: a filter start, then a step
-    k = 0
-    interval_index = 0
-    converged_at = None
-    while k + L <= n_steps and converged_at is None:
-        steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
-        keep(steps, k)
-        history.append(interval_innovations(interval_index, steps))
-        x = steps[-1]
-        k += L
-        interval_index += 1
-        if innovation.detect_convergence(history,
-                                         noise_std=math.sqrt(noise.r)):
-            converged_at = k
-    # phase 2: per interval, a bank of slopes stepped from the carried
-    # posterior; the anchor's model value chains across intervals (only the
-    # first anchors on the original curve)
-    bank = KfState(initial, initial_p, bank_noise, original_curve)
+    bank = KfState(initial, initial_p, bank_noise or noise, original_curve)
+    noise_std = math.sqrt(noise.r)
     lo, hi = original_curve.soc_min, original_curve.soc_max
-    anchor_ocv = None
     # every interval starts at a multiple of L: its mean current's sign
     m = n_steps // L
     discharging = (trace.current_a[:m * L].reshape(m, L).mean(axis=1)
                    >= 0).tolist()
-    while k + L <= n_steps:
-        # phase 1 has run at least two intervals: convergence needs two
-        ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
-            history[-2], history[-1])
-        mode = DISCHARGE if discharging[k // L] else CHARGE
-        soc = _SOC(x)  # a phase-1 step or a bank step
-        anchor_soc = min(max(soc, lo), hi)
-        if anchor_ocv is None:
-            anchor_ocv = original_curve.ocv(anchor_soc)
-        slopes = build_slope_set(original_curve.slope(anchor_soc), sign, mode,
-                                 bank_cfg)
-        # a one-filter bank is a plain filter on the curve itself
-        slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
-        res = run_interval(bank, (soc, anchor_ocv), slopes, x, params,
-                           trace, k, L, cfg, bank_cfg.prob_floor,
-                           interval_index)
-        keep(res.steps, k)
-        corrected_points.extend(res.corrected_points)
-        diagnostics.append(IntervalDiagnostics(
-            interval_index, ccm, acm_emp, acm_theo, sign, res.optimal_index,
-            max(res.probabilities), mode))
-        history.append(res.innovations)
-        x = res.steps[-1]
-        if res.final_model_ocv is not None:
-            anchor_ocv = res.final_model_ocv
-        k += L
-        interval_index += 1
+    x = plain.start()  # the carried posterior: a filter start, then a step
+    converged_at = anchor_ocv = None
+    for index, k in enumerate(range(0, m * L, L)):
+        if converged_at is None:  # phase 1: the plain filter on the curve
+            steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
+        else:
+            # the bank, stepped from the carried posterior; phase 1 has run
+            # at least two intervals, since convergence needs two. The
+            # anchor's model value chains across intervals (only the first
+            # anchors on the original curve)
+            ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
+                history[-2], history[-1])
+            mode = DISCHARGE if discharging[index] else CHARGE
+            soc = _SOC(x)  # a phase-1 step or a bank step
+            anchor_soc = min(max(soc, lo), hi)
+            if anchor_ocv is None:
+                anchor_ocv = original_curve.ocv(anchor_soc)
+            slopes = build_slope_set(original_curve.slope(anchor_soc), sign,
+                                     mode, bank_cfg)
+            # a one-filter bank is a plain filter on the curve itself
+            slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
+            res = run_interval(bank, (soc, anchor_ocv), slopes, x, params,
+                               trace, k, L, cfg, bank_cfg.prob_floor, index)
+            steps = res.steps
+            corrected_points.extend(res.corrected_points)
+            diagnostics.append(IntervalDiagnostics(
+                index, ccm, acm_emp, acm_theo, sign, res.optimal_index,
+                max(res.probabilities), mode))
+            if res.final_model_ocv is not None:
+                anchor_ocv = res.final_model_ocv
+        keep(steps, k)
+        history.append(interval_innovations(index, steps))
+        x = steps[-1]
+        if converged_at is None and innovation.detect_convergence(
+                history, noise_std=noise_std):
+            converged_at = k + L
     # tail shorter than one interval: plain filter continuation on the curve
-    if k < n_steps:
-        keep(ekf.filter_range(plain, x, params, trace, cfg, k, n_steps), k)
-    return AmmkfResult(soc_est, up_est, corrected_points, diagnostics,
-                       converged_at, innov_all)
+    if m * L < n_steps:
+        keep(ekf.filter_range(plain, x, params, trace, cfg, m * L, n_steps),
+             m * L)
+    return AmmkfResult(soc_est, corrected_points, diagnostics, converged_at,
+                       innov_all)

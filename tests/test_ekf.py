@@ -154,6 +154,65 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(q=np.eye(2), r=0.0)
 
+    @pytest.mark.parametrize("soc, p00, q00, r, field", [
+        (0.9, math.nan, 1e-7, 1e-6, "p"),
+        (0.9, math.inf, 1e-7, 1e-6, "p"),
+        (math.nan, 1e-4, 1e-7, 1e-6, "x"),
+        (0.9, 1e-4, math.inf, 1e-6, "q"),
+        (0.9, 1e-4, math.nan, 1e-6, "q"),
+        (0.9, 1e-4, 1e-7, math.inf, "r")])
+    def test_non_finite_start_or_noise_names_its_field(self, params,
+                                                       base_curve, soc, p00,
+                                                       q00, r, field):
+        # each once ran without error: the filter gave SOC 0.0 at every
+        # step without a clamp flag, or weighed by -inf log-densities
+        cfg = SimConfig(cutoff_low_v=0.0)
+        trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
+                                 np.full(100, 0.5), cfg)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            run_ekf(KfState(BatteryState(soc, 0.0), np.diag([p00, 1e-4]),
+                            NoiseConfig(np.diag([q00, 1e-6]), r), base_curve),
+                    params, trace, cfg)
+
+    def test_run_ammkf_rejects_a_non_finite_start(self, params, base_curve):
+        cfg = SimConfig(cutoff_low_v=0.0)
+        trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
+                                 np.full(100, 0.5), cfg)
+        with pytest.raises(ValueError, match="^p must be finite"):
+            run_ammkf(trace, base_curve, params, BatteryState(0.9, 0.0),
+                      np.diag([math.inf, 1e-4]), NoiseConfig.default(r=1e-6),
+                      cfg)
+
+    def test_scalar_checks_agree_with_numpy(self):
+        # np.allclose(q, q.T) and eigvalsh(q) >= -1e-15, away from the
+        # eigenvalue bound, on matrices of every scale, with asymmetries
+        # on both sides of allclose's tolerance
+        rng = np.random.default_rng(0)
+        checked = 0
+        for _ in range(4000):
+            scale = 10.0 ** rng.uniform(-12, 3)
+            a, b, d = rng.normal(0.0, scale, 3)
+            a, d = (abs(a), abs(d)) if rng.random() < 0.7 else (a, d)
+            skew = rng.choice([0.0, 1e-9, 1e-8, 1e-7]) * rng.normal()
+            q = np.array([[a, b], [b * (1 + rng.normal(0, 1e-5)) + skew, d]])
+            low = np.linalg.eigvalsh(q)[0]
+            if abs(low + 1e-15) < 1e-9 * max(abs(low), np.abs(q).max()):
+                continue  # too close to the bound for either to settle it
+            if not np.allclose(q, q.T):
+                expected = "q must be symmetric"
+            elif low < -1e-15:
+                expected = "q must be positive semidefinite"
+            else:
+                expected = None
+            try:
+                NoiseConfig(q, 1e-6)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, q
+            checked += 1
+        assert checked > 3000
+
     def test_override_without_anchor_rejected(self, params, base_curve):
         # a slope reads the affine model through the anchor: without one
         # the step raises instead of stepping

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
-                    OcvCurve, SimConfig, build_slope_set,
+                    OcvCurve, ScenarioConfig, SimConfig, build_slope_set,
                     default_lifepo4_curve, plateau_offset, run_ammkf, run_ekf,
-                    simulate_profile)
+                    run_scenario, simulate_profile)
 from lfpsoc.innovation import INDETERMINATE, NEGATIVE_G, POSITIVE_G
-from lfpsoc import multimodel
+from lfpsoc import multimodel, scenario
 from lfpsoc.ekf import FilterDegeneracyError
 from lfpsoc.multimodel import CHARGE, DISCHARGE, run_interval
 from lfpsoc.profiles import generate_profile
@@ -531,3 +531,45 @@ class TestRunAmmkf:
             assert 0 <= d.optimal_index < 7
             assert 1 / 7 - 1e-9 <= d.prob_max <= 1.0
             assert d.mode in (DISCHARGE, CHARGE)
+
+
+class TestIntervalLoop:
+    """The edges of `run_ammkf`'s interval loop, on scenario configs."""
+
+    @staticmethod
+    def _run(monkeypatch, cfg):
+        """The scenario result and the `AmmkfResult` of its bank run."""
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(run_ammkf(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(scenario, "run_ammkf", spy)
+        res = run_scenario(cfg)
+        [am] = results
+        return res, am
+
+    @pytest.mark.parametrize("extra", [{"r": 1e-9}, {"sigma_v": 0.01}])
+    def test_phase_one_that_never_converges_is_the_plain_filter(
+            self, monkeypatch, extra):
+        # 20 whole intervals and a 10-sample tail, all on the plain filter
+        cfg = ScenarioConfig(profile_steps=410, profile_target_ah=410 / 7200,
+                             **extra)
+        res, am = self._run(monkeypatch, cfg)
+        assert len(res.trace) == 410
+        assert am.convergence_step is None
+        assert am.diagnostics == [] and am.corrected_points == []
+        assert np.array_equal(res.soc_ammkf, res.soc_ekf)
+        assert np.array_equal(am.soc, res.soc_ekf)
+
+    def test_interval_indices_on_the_reference_config(self, monkeypatch):
+        cfg = ScenarioConfig()
+        res, am = self._run(monkeypatch, cfg)
+        L = cfg.interval_len
+        indices = [d.interval_index for d in am.diagnostics]
+        assert indices == list(range(am.convergence_step // L,
+                                     len(res.trace) // L))
+        # every bank interval adds one corrected point per sample, in order
+        assert [i for _, _, i in am.corrected_points] == \
+            [i for i in indices for _ in range(L)]
