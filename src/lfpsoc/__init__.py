@@ -14,7 +14,7 @@ from .innovation import (IntervalInnovations, PolarityVerdict,
 from .metrics import Metrics, compute_metrics
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
 from .profiles import DriveProfile, generate_profile
-from .rls import (RlsConfig, build_sample, circuit_to_theta, forgetting_factor,
+from .rls import (build_sample, circuit_to_theta, forgetting_factor,
                   identify_stream, rls_step, theta_to_circuit)
 from .scenario import (ScenarioConfig, ScenarioResult, load_scenario,
                        resolve_curves, run_scenario, run_sweep)

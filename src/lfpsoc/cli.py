@@ -18,7 +18,7 @@ from .innovation import IntervalInnovations
 from .metrics import compute_metrics
 from .multimodel import interval_innovations, run_ammkf
 from .profiles import generate_profile
-from .rls import RlsConfig, identify_stream
+from .rls import identify_stream
 from .scenario import (ScenarioConfig, ScenarioConfigError, config_value,
                        coulomb_counted_soc, estimator_inputs, resolve_curves,
                        run_scenario, run_sweep, scenario_from_mapping,
@@ -64,8 +64,7 @@ def cmd_identify(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     trace = ingest_trace(args.trace, strict=args.strict)
-    points = identify_stream(trace, soc_feedback=coulomb_counted_soc(cfg, trace),
-                             cfg=RlsConfig())
+    points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
     path = os.path.join(out, "identified_params.csv")
     write_lines(path, ["t", "r0_ohm", "rp_ohm", "cp_f", "lambda"],
                 ("%.6g,,,,%.6f" % (p.t, p.lam) if p.params is None

@@ -182,20 +182,19 @@ FLAT_TOL = 0.1
 NOISE_FLOOR_MULT = 1.5
 
 
-def detect_convergence(history, noise_std: float | None = None) -> bool:
+def detect_convergence(history, noise_std: float) -> bool:
     """True once the rolling interval-RMS has either dropped below RMS_RATIO
     times its initial value while flat (relative spread < FLAT_TOL) over the
     trailing window, or reached NOISE_FLOOR_MULT times the measurement-noise
-    floor (a run that starts converged never crosses the ratio threshold)."""
+    floor `noise_std` (a run that starts converged never crosses the ratio
+    threshold; an all-zero window converges at any `noise_std` >= 0)."""
     if len(history) < 2:
         return False
     # only the first interval and the trailing window are read
     first = history[0].rms()
     recent = [iv.rms() for iv in history[-CONVERGENCE_WINDOW:]]
     avg = mean(recent)
-    if noise_std is not None and avg <= NOISE_FLOOR_MULT * noise_std:
-        return True
-    if avg == 0.0:
+    if avg <= NOISE_FLOOR_MULT * noise_std:
         return True
     if avg >= RMS_RATIO * first:
         return False

@@ -9,12 +9,18 @@ th1 = exp(-dt/tau), th2 = -R0, th3 = th1*R0 - (1 - th1)*Rp.
 written out: q = P a, gain g = q / (lambda + a.q), theta += g (y - a.theta),
 P <- (P - (g q' + q g') / 2) / lambda. A state is the flat tuple
 (th1, th2, th3, p11, p12, p13, p22, p23, p33): theta, then the upper
-triangle of the symmetric P row by row. It is validated once, when
-`initial_state` builds it; a step checks only its sample, lambda and the
-gain denominator. A denominator below 1e-15, or one that is inf or NaN
-because a long unexcited stretch has grown P by 1/lambda per step until it
-overflowed, raises NumericalDegeneracyError; `identify_stream` flags the
-row and keeps the state it had, so theta does not turn NaN that way.
+triangle of the symmetric P row by row. Every stream starts from
+START_STATE, theta (0.99, -0.05, 0.04) and P = 1e3 I; a step checks only
+its sample, lambda and the gain denominator. A denominator below 1e-15, or
+one that is inf or NaN because a long unexcited stretch has grown P by
+1/lambda per step until it overflowed, raises NumericalDegeneracyError;
+`identify_stream` flags the row and keeps the state it had, so theta does
+not turn NaN that way.
+
+The forgetting factor follows the SOC feedback with gain FORGETTING_GAIN,
+clamped below at LAMBDA_MIN; a feedback SOC at or below EPS_SOC gives
+LAMBDA_MIN and flags the row. Parameters are emitted after WARMUP accepted
+samples. These are module constants, read at call time.
 
 The circuit (R0, Rp, Cp) comes from theta through `extract_circuit`, which
 returns the reason rather than raising when theta is not physical: on a
@@ -43,32 +49,15 @@ class PhysicalityError(ValueError):
     """Extracted circuit parameters are outside the physical region."""
 
 
-@dataclass(frozen=True)
-class RlsConfig:
-    a: float = 0.1
-    lambda_min: float = 0.95
-    eps_soc: float = 0.01
-    p0_scale: float = 1e3
-    theta0: tuple = (0.99, -0.05, 0.04)
-    warmup: int = 100
-    # identify only while SOC feedback is inside the flat region, where the
-    # open-circuit-voltage change is negligible and the difference model holds
-    plateau_only_identification: bool = False
-    plateau_lo: float = 0.2
-    plateau_hi: float = 0.8
+# forgetting gain a, lambda floor, smallest feedback SOC that divides, and
+# the accepted samples before a circuit is emitted
+FORGETTING_GAIN = 0.1
+LAMBDA_MIN = 0.95
+EPS_SOC = 0.01
+WARMUP = 100
 
-
-def initial_state(cfg: RlsConfig = RlsConfig()) -> tuple:
-    """theta0 and P0 = p0_scale * I. The one place a state is validated:
-    theta0 must be three finite numbers and p0_scale finite and >= 0, so P0
-    is symmetric positive semidefinite."""
-    theta = [float(v) for v in cfg.theta0]
-    scale = float(cfg.p0_scale)
-    if len(theta) != 3 or not all(map(_finite, theta)):
-        raise ValueError(f"theta0 must be 3 finite numbers, got {cfg.theta0}")
-    if not (_finite(scale) and scale >= 0):
-        raise ValueError(f"p0_scale must be finite and >= 0, got {scale}")
-    return (*theta, scale, 0.0, 0.0, scale, 0.0, scale)
+# theta0, then P0 = 1e3 I as the upper triangle
+START_STATE = (0.99, -0.05, 0.04, 1e3, 0.0, 0.0, 1e3, 0.0, 1e3)
 
 
 def build_sample(ut_k, ut_km1, ut_km2, il_k, il_km1, il_km2) -> tuple:
@@ -78,16 +67,13 @@ def build_sample(ut_k, ut_km1, ut_km2, il_k, il_km1, il_km2) -> tuple:
     return (ut_km1 - ut_km2, il_k - il_km1, il_km1 - il_km2, ut_k - ut_km1)
 
 
-def forgetting_factor(soc_km1: float, soc_km2: float, a: float,
-                      cfg: RlsConfig = RlsConfig()) -> tuple[float, bool]:
+def forgetting_factor(soc_km1: float, soc_km2: float) -> tuple[float, bool]:
     """lambda = 1 - a*|soc(k-1) - 1/2|*soc(k-1)/soc(k-2), clamped to
-    [lambda_min, 1]. Returns (lambda, degenerate-denominator flag)."""
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if soc_km2 <= cfg.eps_soc:
-        return cfg.lambda_min, True
-    lam = 1.0 - a * abs(soc_km1 - 0.5) * (soc_km1 / soc_km2)
-    return min(1.0, max(cfg.lambda_min, lam)), False
+    [LAMBDA_MIN, 1]. Returns (lambda, degenerate-denominator flag)."""
+    if soc_km2 <= EPS_SOC:
+        return LAMBDA_MIN, True
+    lam = 1.0 - FORGETTING_GAIN * abs(soc_km1 - 0.5) * (soc_km1 / soc_km2)
+    return min(1.0, max(LAMBDA_MIN, lam)), False
 
 
 def rls_step(state: tuple, sample, lam: float) -> tuple:
@@ -170,38 +156,31 @@ class IdentifiedPoint:
     degenerate: bool = False
 
 
-def identify_stream(trace: Trace, soc_feedback=None,
-                    cfg: RlsConfig = RlsConfig()) -> list[IdentifiedPoint]:
+def identify_stream(trace: Trace, soc_feedback) -> list[IdentifiedPoint]:
     """Run the adaptive RLS over a trace.
 
-    `soc_feedback` is an optional per-step posterior SOC sequence driving the
-    forgetting factor; without it lambda stays at 1. Parameters are emitted
-    only after `cfg.warmup` accepted samples, holding the last physical value
-    when extraction preconditions fail.
+    `soc_feedback` is the per-step SOC sequence driving the forgetting
+    factor. Parameters are emitted only after WARMUP accepted samples,
+    holding the last physical value when extraction preconditions fail.
     """
-    state = initial_state(cfg)
+    state = START_STATE
     out: list[IdentifiedPoint] = []
     last_params: EcmParams | None = None
     accepted = 0
     ut, il, t = (trace.voltage_v.tolist(), trace.current_a.tolist(),
                  trace.t.tolist())
-    fb = None if soc_feedback is None else \
-        np.asarray(soc_feedback, dtype=float).tolist()
-    plateau_only = cfg.plateau_only_identification and fb is not None
+    fb = np.asarray(soc_feedback, dtype=float).tolist()
+    warmup = WARMUP
     dt = trace.dt
     for k in range(2, len(trace)):
-        if plateau_only and not cfg.plateau_lo <= fb[k - 1] <= cfg.plateau_hi:
-            out.append(IdentifiedPoint(t[k], last_params, 1.0, False))
-            continue
-        lam, degenerate = (1.0, False) if fb is None else forgetting_factor(
-            fb[k - 1], fb[k - 2], cfg.a, cfg)
+        lam, degenerate = forgetting_factor(fb[k - 1], fb[k - 2])
         try:
             state = rls_step(state, build_sample(
                 ut[k], ut[k - 1], ut[k - 2], il[k], il[k - 1], il[k - 2]), lam)
             accepted += 1
         except NumericalDegeneracyError:
             degenerate = True
-        if accepted >= cfg.warmup:
+        if accepted >= warmup:
             circuit = extract_circuit(state[0], state[1], state[2], dt)
             if type(circuit) is EcmParams:
                 last_params = circuit  # else hold the previous estimate

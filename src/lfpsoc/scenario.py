@@ -17,7 +17,7 @@ from .ekf import KfState, NoiseConfig, run_ekf
 from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
 from .profiles import generate_profile
-from .rls import RlsConfig, identify_stream
+from .rls import identify_stream
 from .traceio import read_config, write_config, write_lines, write_trace
 
 
@@ -75,6 +75,11 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioConfigError(f"{key}: not a finite number: "
                                           f"{value!r}")
+        # a negative initial variance is no covariance: the filter would run
+        # on it silently, or fail at its first step
+        for key, value in (("p0_soc", self.p0_soc), ("p0_up", self.p0_up)):
+            if value < 0:
+                raise ScenarioConfigError(f"{key}: must be >= 0: {value!r}")
 
     def ecm_params(self) -> EcmParams:
         return EcmParams(r0=self.r0, rp=self.rp, cp=self.cp)
@@ -192,8 +197,7 @@ def estimator_inputs(cfg: ScenarioConfig, trace: Trace) -> tuple:
     fallback = cfg.ecm_params()
     if not cfg.identify_online:
         return fallback, sim
-    points = identify_stream(trace, soc_feedback=coulomb_counted_soc(cfg, trace),
-                             cfg=RlsConfig())
+    points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
     seq = [fallback, fallback]
     seq.extend(p.params if p.params is not None else fallback for p in points)
     return seq, sim

@@ -17,7 +17,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     run_ammkf, run_ekf, run_scenario, run_sweep,
                     simulate_profile, theta_to_circuit)
 from lfpsoc.ecm import SimConfig
-from lfpsoc.rls import RlsConfig, identify_stream, initial_state, rls_step
+from lfpsoc.rls import identify_stream, rls_step
 
 
 def _report(num: int, desc: str, ok: bool, detail: str):
@@ -163,7 +163,8 @@ class TestAcceptance:
         rng = np.random.default_rng(7)
         a_rows = rng.normal(size=(60, 3))
         ys = a_rows @ np.array([0.8, -0.1, 0.05]) + 0.01 * rng.normal(size=60)
-        state = initial_state(RlsConfig(p0_scale=1e6, theta0=(0.0, 0.0, 0.0)))
+        # theta 0, P = 1e6 I
+        state = (0.0, 0.0, 0.0, 1e6, 0.0, 0.0, 1e6, 0.0, 1e6)
         batch_ok = True
         for n in range(60):
             state = rls_step(state, (*a_rows[n], ys[n]), 1.0)

@@ -10,10 +10,13 @@ those of the per-sample simulator loop. A 2600-step config is run through
 `simulate`, `identify`, `estimate --method ekf` and `analyze`, so that each
 of their per-sample CSVs spans more than two of `write_lines`' chunks and
 identify writes both empty and physical rows; its digests are those of the
-line-per-write writers with an exception per unphysical RLS point. A
-change to how a CSV is read or
-written that moves a single byte fails here by file name. A change that
-means to alter an output must say why and update the digest.
+line-per-write writers with an exception per unphysical RLS point. The
+400-step config with `identify_online` is run through `scenario`, which
+pins the RLS identifier feeding both estimators its per-step parameters;
+its digests are those of the identifier with a settable configuration. A
+change to how a CSV is read or written that moves a single byte fails here
+by file name. A change that means to alter an output must say why and
+update the digest.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ from lfpsoc.traceio import CHUNK_LINES
 
 CONFIG = "profile_steps=400\nprofile_target_ah=0.06\nseed=42\n"
 CURRENT_NOISE_CONFIG = CONFIG + "sigma_i=0.01\n"
+IDENTIFY_ONLINE_CONFIG = CONFIG + "identify_online=true\n"
 LONG_CONFIG = "profile_steps=2600\nprofile_target_ah=0.39\nseed=42\n"
 
 GOLDEN = {
@@ -87,6 +91,25 @@ GOLDEN_CURRENT_NOISE = {
         "a3f3c4101cd5b3d92f1fc89658c4c4ce0be666f19260739d9ab9e84340e7df89",
 }
 
+GOLDEN_IDENTIFY_ONLINE = {
+    "scen/trace.csv":
+        "8f137e639b5c0fb032b3b931137034e218bb01b0bb4a86b16779d3c0d561b46e",
+    "scen/soc_ekf.csv":
+        "6734cbc951c4f53e5f3facc627d34081d2b9f1a0c72fb9ec09087fe72bfe2399",
+    "scen/soc_ammkf.csv":
+        "3036e758330b53485fc6b1acaa2dcce31c94f9d23a109aa266a08cb88ed0a8bb",
+    "scen/corrected_osc.csv":
+        "6c3410cfcf0faf87e07982d15a04d2a4ace86dfcceba8e35d4edcb752bbef07e",
+    "scen/diagnostics.csv":
+        "727bc2da8b8a2b409109a4ec7b4400b497ddceb966eadbf346c52b4f796cc75f",
+    "scen/metrics.csv":
+        "a5ce5cff67a8fd64ba5bfd494f3b10aeb204f9c49c2b3afe4adbf81cbc578b8c",
+    "scen/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+    "scen/filter_curve.csv":
+        "a3f3c4101cd5b3d92f1fc89658c4c4ce0be666f19260739d9ab9e84340e7df89",
+}
+
 GOLDEN_LONG = {
     "sim/trace.csv":
         "609ce7c87d600c1591007418f79ff3545c5c703c19be68ec5060236a349bcae8",
@@ -139,14 +162,22 @@ def current_noise_digests(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def identify_online_digests(tmp_path_factory):
+    return run_commands(tmp_path_factory.mktemp("golden-identify-online"),
+                        IDENTIFY_ONLINE_CONFIG, ("scen",))
+
+
+@pytest.fixture(scope="module")
 def long_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-long")
     return root, run_commands(root, LONG_CONFIG, ("sim", "id", "ekf", "an"))
 
 
-def test_every_csv_is_covered(digests, current_noise_digests, long_run):
+def test_every_csv_is_covered(digests, current_noise_digests,
+                              identify_online_digests, long_run):
     assert sorted(digests) == sorted(GOLDEN)
     assert sorted(current_noise_digests) == sorted(GOLDEN_CURRENT_NOISE)
+    assert sorted(identify_online_digests) == sorted(GOLDEN_IDENTIFY_ONLINE)
     assert sorted(long_run[1]) == sorted(GOLDEN_LONG)
 
 
@@ -169,6 +200,12 @@ def test_csv_bytes_unchanged(digests, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CURRENT_NOISE))
 def test_csv_bytes_unchanged_with_current_noise(current_noise_digests, name):
     assert current_noise_digests.get(name) == GOLDEN_CURRENT_NOISE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_IDENTIFY_ONLINE))
+def test_csv_bytes_unchanged_with_identify_online(identify_online_digests,
+                                                  name):
+    assert identify_online_digests.get(name) == GOLDEN_IDENTIFY_ONLINE[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_LONG))

@@ -232,33 +232,33 @@ class TestFloatStatistics:
 
 class TestDetectConvergence:
     def test_too_short_history(self):
-        assert not detect_convergence([_iv([1.0, 1.0])])
+        assert not detect_convergence([_iv([1.0, 1.0])], 0.0)
 
     def test_decay_then_flat_converges(self):
         hist = [_iv(np.full(10, 1.0 * 0.5 ** min(k, 4)), idx=k)
                 for k in range(8)]
-        assert detect_convergence(hist)
+        assert detect_convergence(hist, 0.0)
 
     def test_constant_large_never_converges(self):
         hist = [_iv(np.full(10, 0.5), idx=k) for k in range(50)]
-        assert not detect_convergence(hist)
+        assert not detect_convergence(hist, 0.0)
 
     def test_flat_but_above_ratio_not_converged(self):
         hist = [_iv(np.full(10, 1.0))] + \
                [_iv(np.full(10, 0.5), idx=k + 1) for k in range(5)]
-        assert not detect_convergence(hist)  # 0.5 >= 0.2 * 1.0
+        assert not detect_convergence(hist, 0.0)  # 0.5 >= 0.2 * 1.0
 
     def test_noise_floor_branch(self):
         # an exactly-initialized run never drops relative to its start, but
         # sitting at the measurement noise floor still counts as converged
         hist = [_iv(np.full(10, 0.0031), idx=k) for k in range(4)]
-        assert not detect_convergence(hist)
+        assert not detect_convergence(hist, 0.0)
         assert detect_convergence(hist, noise_std=0.003)
 
     def test_all_zero_history(self):
         hist = [_iv(np.zeros(10)), _iv(np.zeros(10), idx=1),
                 _iv(np.zeros(10), idx=2)]
-        assert detect_convergence(hist)
+        assert detect_convergence(hist, 0.0)
 
     def test_exact_init_pipeline_converges_quickly(self, params, base_curve):
         sigma = 0.003
@@ -310,13 +310,13 @@ class TestConvergenceReadsTheWindow:
         # check reads the first interval and the trailing window only
         monkeypatch.setattr(_CountedInterval, "calls", 0)
         hist = [_CountedInterval(0.5) for _ in range(length)]
-        assert not detect_convergence(hist)
+        assert not detect_convergence(hist, 0.0)
         assert _CountedInterval.calls <= CONVERGENCE_WINDOW + 1
 
     @given(rms=st.lists(st.one_of(st.floats(0.0, 2.0),
                                   st.sampled_from([0.0, 0.2, 1.0])),
                         min_size=0, max_size=12),
-           noise_std=st.one_of(st.none(), st.floats(0.0, 0.5)))
+           noise_std=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
     @settings(max_examples=300, deadline=None)
     def test_same_verdict_as_reading_every_interval(self, rms, noise_std):
         hist = [_CountedInterval(v) for v in rms]

@@ -457,6 +457,21 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioConfigError, match=f"^{key}: "):
             scenario_from_mapping({key: str(value)})
 
+    @pytest.mark.parametrize("key", ["p0_soc", "p0_up"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-12])
+    def test_negative_initial_covariance_rejected(self, key, value):
+        # -1 once failed the filter's first step; -1e-12 ran on a covariance
+        # that is not positive semidefinite
+        with pytest.raises(ScenarioConfigError,
+                           match=f"^{key}: must be >= 0: "):
+            ScenarioConfig(**{key: value})
+        with pytest.raises(ScenarioConfigError, match=f"^{key}: "):
+            scenario_from_mapping({key: str(value)})
+
+    def test_zero_initial_covariance_accepted(self):
+        cfg = ScenarioConfig(p0_soc=0.0, p0_up=0.0)
+        assert np.array_equal(cfg.estimator_start()[1], np.zeros((2, 2)))
+
     def test_non_finite_config_line_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "cfg.txt", sigma_v="nan")
         out = tmp_path / "sim"
@@ -933,6 +948,26 @@ class TestCli:
         assert cli_main(["--config", cfg, "--out", str(tmp_path / "o"),
                          command[0], "--trace", path, *command[1:]]) == 2
         assert "trace.csv:301: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["p0_soc", "p0_up"])
+    def test_negative_initial_covariance_exits_2(self, tmp_path, capsys,
+                                                 key):
+        good = _write_cfg(tmp_path / "good.txt", profile_steps=400,
+                          profile_target_ah=0.06)
+        assert cli_main(["--config", good, "--out", str(tmp_path / "sim"),
+                         "simulate"]) == 0
+        trace = str(tmp_path / "sim" / "trace.csv")
+        bad = _write_cfg(tmp_path / "bad.txt", profile_steps=400,
+                         profile_target_ah=0.06, **{key: -1})
+        for name, args in (("scen", ["scenario"]),
+                           ("ekf", ["estimate", "--trace", trace,
+                                    "--method", "ekf"])):
+            capsys.readouterr()
+            assert cli_main(["--config", bad, "--out", str(tmp_path / name),
+                             *args]) == 2, name
+            assert capsys.readouterr().err == \
+                f"error: {key}: must be >= 0: -1.0\n", name
+            assert not list((tmp_path / name).glob("*.csv")), name
 
     def test_scenario_exit_codes(self, tmp_path):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",

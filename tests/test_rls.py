@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lfpsoc import (BatteryState, EcmParams, OcvCurve, RlsConfig, SimConfig,
-                    Trace, build_sample, circuit_to_theta, forgetting_factor,
-                    generate_profile, identify_stream, rls_step,
+from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig, Trace,
+                    build_sample, circuit_to_theta, forgetting_factor,
+                    generate_profile, identify_stream, rls, rls_step,
                     simulate_profile, theta_to_circuit)
-from lfpsoc.rls import (NumericalDegeneracyError, PhysicalityError,
-                        initial_state)
+from lfpsoc.rls import (LAMBDA_MIN, START_STATE, NumericalDegeneracyError,
+                        PhysicalityError)
+
+# theta0 with no covariance, and theta 0 with P = 1e6 I (batch equivalence)
+_NO_COVARIANCE = (0.99, -0.05, 0.04, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+_BATCH_START = (0.0, 0.0, 0.0, 1e6, 0.0, 0.0, 1e6, 0.0, 1e6)
 
 
 def _theta(state):
@@ -54,44 +58,48 @@ class TestBuildSample:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            rls_step(initial_state(), (np.nan, 0.0, 0.0, 0.0), 1.0)
+            rls_step(START_STATE, (np.nan, 0.0, 0.0, 0.0), 1.0)
 
 
 class TestForgettingFactor:
     def test_midpoint_soc_gives_one(self):
-        lam, degen = forgetting_factor(0.5, 0.9, a=0.1)
+        lam, degen = forgetting_factor(0.5, 0.9)
         assert lam == 1.0 and not degen
 
-    def test_zero_gain_gives_one(self):
-        lam, _ = forgetting_factor(0.9, 0.9, a=0.0)
+    def test_zero_gain_gives_one(self, monkeypatch):
+        # the gain is read at call time
+        monkeypatch.setattr(rls, "FORGETTING_GAIN", 0.0)
+        lam, _ = forgetting_factor(0.9, 0.9)
         assert lam == 1.0
 
     def test_direct_evaluation(self):
-        lam, _ = forgetting_factor(0.9, 0.9, a=0.1)
+        lam, _ = forgetting_factor(0.9, 0.9)
         assert lam == pytest.approx(1.0 - 0.1 * 0.4 * 1.0, abs=1e-12)
 
     def test_degenerate_denominator_flag(self):
-        lam, degen = forgetting_factor(0.5, 0.005, a=0.1)
-        assert degen and lam == RlsConfig().lambda_min
+        lam, degen = forgetting_factor(0.5, 0.005)
+        assert degen and lam == LAMBDA_MIN
 
     @given(s1=st.floats(0.02, 1.0), s2=st.floats(0.02, 1.0),
            a=st.floats(0.0, 5.0))
     @settings(max_examples=200, deadline=None)
     def test_always_clamped(self, s1, s2, a):
-        lam, _ = forgetting_factor(s1, s2, a)
-        assert RlsConfig().lambda_min <= lam <= 1.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rls, "FORGETTING_GAIN", a)
+            lam, _ = forgetting_factor(s1, s2)
+        assert LAMBDA_MIN <= lam <= 1.0
 
 
 class TestRlsStep:
     def test_zero_residual_keeps_theta(self):
-        state = initial_state()
+        state = START_STATE
         a_row = np.array([0.5, -0.3, 0.1])
         sample = (*a_row, float(a_row @ _theta(state)))
         out = rls_step(state, sample, 1.0)
         assert _theta(out) == pytest.approx(_theta(state), abs=1e-12)
 
     def test_zero_covariance_ignores_data(self):
-        state = initial_state(RlsConfig(p0_scale=0.0))
+        state = _NO_COVARIANCE
         assert np.array_equal(_p(state), np.zeros((3, 3)))
         out = rls_step(state, (1.0, 2.0, 3.0, 5.0), 1.0)
         assert np.array_equal(_theta(out), _theta(state))
@@ -103,7 +111,7 @@ class TestRlsStep:
         theta_true = np.array([0.8, -0.1, 0.05])
         a_rows = rng.normal(size=(80, 3))
         ys = a_rows @ theta_true + 0.01 * rng.normal(size=80)
-        state = initial_state(RlsConfig(p0_scale=1e6, theta0=(0.0, 0.0, 0.0)))
+        state = _BATCH_START
         for n in range(80):
             state = rls_step(state, (*a_rows[n], ys[n]), 1.0)
             if n >= 10:
@@ -113,7 +121,7 @@ class TestRlsStep:
 
     def test_covariance_stays_symmetric_pd(self):
         rng = np.random.default_rng(11)
-        state = initial_state()
+        state = START_STATE
         for _ in range(300):
             sample = (*rng.normal(size=3), rng.normal())
             state = rls_step(state, sample, 0.98)
@@ -121,7 +129,7 @@ class TestRlsStep:
             assert np.all(np.linalg.eigvalsh(_p(state)) > 0)
 
     def test_invalid_lambda_rejected(self):
-        state = initial_state()
+        state = START_STATE
         with pytest.raises(ValueError):
             rls_step(state, (1.0, 1.0, 1.0, 1.0), 0.0)
 
@@ -207,8 +215,7 @@ class TestIdentifyStream:
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
                                  np.full(600, 0.5), cfg)
-        from lfpsoc.rls import initial_state, rls_step, build_sample
-        state = initial_state()
+        state = START_STATE
         traces_p = []
         for k in range(2, len(trace)):
             s = build_sample(trace.voltage_v[k], trace.voltage_v[k - 1],
@@ -243,7 +250,7 @@ class TestIdentifyStream:
                        dt=1.0)
 
         def half_time(lam_const):
-            state = initial_state()
+            state = START_STATE
             times = []
             for k in range(2, len(joined)):
                 s = build_sample(joined.voltage_v[k], joined.voltage_v[k - 1],
@@ -254,23 +261,15 @@ class TestIdentifyStream:
                     return k
             return len(joined)
 
-        from lfpsoc.rls import build_sample, initial_state, rls_step
         fast, slow = half_time(0.95), half_time(0.999)
         assert fast < slow  # forgetting speeds re-convergence
         assert fast < 3000  # and the new value is actually reached
-
-    def test_plateau_only_flag_skips_outside(self, params):
-        trace, _ = _flat_plateau_trace(params, n=500)
-        soc_fb = np.linspace(0.95, 0.9, len(trace))  # entirely off-plateau
-        cfg = RlsConfig(plateau_only_identification=True)
-        points = identify_stream(trace, soc_feedback=soc_fb, cfg=cfg)
-        assert all(p.params is None for p in points)  # never updated
 
     def test_stream_never_aborts_on_degenerate_rows(self, params, base_curve):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
                                  np.zeros(300), cfg)
-        points = identify_stream(trace)
+        points = identify_stream(trace, np.full(len(trace), 0.7))
         assert len(points) == len(trace) - 2
 
 
@@ -350,7 +349,7 @@ class TestStepAgainstMatrixForm:
         ((0.1, 0.2, 0.3, 0.4), 5e-16, NumericalDegeneracyError),
     ])
     def test_errors_match_reference(self, sample, lam, error):
-        state = initial_state(RlsConfig(p0_scale=0.0))
+        state = _NO_COVARIANCE
         theta, p = _theta(state), _p(state)
         assert _outcome(_matrix_step, theta, p, sample, lam) is error
         assert _outcome(rls_step, state, sample, lam) is error
@@ -372,21 +371,14 @@ class TestStepAgainstMatrixForm:
             theta_to_circuit(tuple(theta.tolist()), 1.0)
 
 
-def _matrix_stream(trace, soc_feedback, cfg):
+def _matrix_stream(trace, soc_feedback):
     """identify_stream's loop on the matrix-form step and numpy arrays."""
-    theta, p = np.array(cfg.theta0, dtype=float), cfg.p0_scale * np.eye(3)
+    theta, p = np.array([0.99, -0.05, 0.04]), 1e3 * np.eye(3)
     out, last, accepted = [], None, 0
     ut, il = trace.voltage_v, trace.current_a
     for k in range(2, len(trace)):
-        if (cfg.plateau_only_identification and soc_feedback is not None and
-                not cfg.plateau_lo <= soc_feedback[k - 1] <= cfg.plateau_hi):
-            out.append((last, 1.0, False))
-            continue
-        if soc_feedback is None:
-            lam, degenerate = 1.0, False
-        else:
-            lam, degenerate = forgetting_factor(
-                soc_feedback[k - 1], soc_feedback[k - 2], cfg.a, cfg)
+        lam, degenerate = forgetting_factor(soc_feedback[k - 1],
+                                            soc_feedback[k - 2])
         sample = (ut[k - 1] - ut[k - 2], il[k] - il[k - 1],
                   il[k - 1] - il[k - 2], ut[k] - ut[k - 1])
         try:
@@ -394,7 +386,7 @@ def _matrix_stream(trace, soc_feedback, cfg):
             accepted += 1
         except NumericalDegeneracyError:
             degenerate = True
-        if accepted >= cfg.warmup:
+        if accepted >= rls.WARMUP:
             try:
                 last = theta_to_circuit(theta, trace.dt)
             except PhysicalityError:
@@ -422,16 +414,14 @@ class TestStreamAgainstMatrixForm:
             trace)
         return trace, feedback
 
-    @pytest.mark.parametrize("feedback, cfg", [
-        (True, RlsConfig()),
-        (True, RlsConfig(plateau_only_identification=True)),
-        (False, RlsConfig(warmup=10)),
-    ])
-    def test_points_match_reference(self, low_soc_trace, feedback, cfg):
+    @pytest.mark.parametrize("warmup", [100, 10], ids=["warmup-100",
+                                                       "warmup-10"])
+    def test_points_match_reference(self, low_soc_trace, warmup,
+                                    monkeypatch):
         trace, soc = low_soc_trace
-        soc = soc if feedback else None
-        points = identify_stream(trace, soc_feedback=soc, cfg=cfg)
-        ref = _matrix_stream(trace, soc, cfg)
+        monkeypatch.setattr(rls, "WARMUP", warmup)
+        points = identify_stream(trace, soc)
+        ref = _matrix_stream(trace, soc)
         assert len(points) == len(ref) == len(trace) - 2
         assert [p.params is None for p in points] == \
             [r[0] is None for r in ref]
@@ -444,19 +434,20 @@ class TestStreamAgainstMatrixForm:
             for name in ("r0", "rp", "cp"):
                 assert getattr(got, name) == pytest.approx(
                     getattr(want, name), rel=1e-9, abs=0)
-        if feedback and not cfg.plateau_only_identification:
-            assert any(p.degenerate for p in points)  # SOC reaches eps_soc
+        assert any(p.degenerate for p in points)  # SOC reaches EPS_SOC
 
-    def test_degenerate_gain_rows_flagged(self, params, base_curve):
+    def test_degenerate_gain_rows_flagged(self, params, base_curve,
+                                          monkeypatch):
         # zero current on a rested cell makes every regressor row zero, and a
         # forgetting factor clamped to 1e-16 leaves the gain denominator
         # below 1e-15: each step is skipped and flagged
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
                                  np.zeros(50), SimConfig(cutoff_low_v=0.0))
-        cfg = RlsConfig(a=10.0, lambda_min=1e-16)
+        monkeypatch.setattr(rls, "FORGETTING_GAIN", 10.0)
+        monkeypatch.setattr(rls, "LAMBDA_MIN", 1e-16)
         soc = np.full(len(trace), 0.9)
-        points = identify_stream(trace, soc_feedback=soc, cfg=cfg)
-        ref = _matrix_stream(trace, soc, cfg)
+        points = identify_stream(trace, soc_feedback=soc)
+        ref = _matrix_stream(trace, soc)
         assert [(p.params, p.lam, p.degenerate) for p in points] == ref
         assert all(p.degenerate for p in points)
 
