@@ -1,4 +1,8 @@
-"""OCV-SOC curve representation: evaluation, slopes, and error injection."""
+"""OCV-SOC curve representation: evaluation, slopes, and error injection.
+
+A per-sample loop reads the curve through `OcvCurve.lookup()`, which keeps
+the knot segment of the previous SOC and bisects the knots only when the SOC
+leaves it, with the same arithmetic and errors as `OcvCurve.ocv_slope`."""
 
 from __future__ import annotations
 
@@ -23,7 +27,9 @@ class InvalidTransformError(ValueError):
 class OcvCurve:
     """Piecewise-linear OCV(SOC) interpolant over strictly increasing knots.
     A float inside the knot domain bisects knot lists cached at construction
-    (`np.interp`'s arithmetic); anything else takes the numpy path."""
+    (`np.interp`'s arithmetic); anything else takes the numpy path. A loop
+    over nearby SOCs reads `lookup()`, which bisects only when the SOC
+    leaves the knot segment of the previous one."""
 
     knot_soc: np.ndarray
     knot_ocv: np.ndarray
@@ -77,7 +83,7 @@ class OcvCurve:
         """Interpolated OCV at `soc` (scalar or array). No extrapolation."""
         if isinstance(soc, (int, float)) and \
                 self._soc[0] <= soc <= self._soc[-1]:
-            return self.ocv_slope(soc)[0]
+            return self._locate(soc)[0]
         s = self._check_domain(soc)
         out = np.interp(s, self.knot_soc, self.knot_ocv)
         return float(out) if np.isscalar(soc) or np.ndim(soc) == 0 else out
@@ -85,15 +91,46 @@ class OcvCurve:
     def ocv_slope(self, soc: float) -> tuple[float, float]:
         """`(ocv(soc), slope(soc))` of a scalar `soc`, from one bisection of
         the knots when it lies in the knot domain."""
+        return self._locate(soc)[:2]
+
+    def _locate(self, soc) -> tuple:
+        """`ocv_slope(soc)` and the index of the open knot segment that holds
+        `soc`, None on a knot, outside the domain or for NaN."""
         knots = self._soc
         if not knots[0] <= soc <= knots[-1]:
-            return self.ocv(soc), self.slope(soc)
+            return self.ocv(soc), self.slope(soc), None
         seg = self._seg
         j = bisect_right(knots, soc) - 1
         if knots[j] == soc:
             return self._ocv[j], 0.5 * (seg[max(j - 1, 0)]
-                                        + seg[min(j, len(seg) - 1)])
-        return seg[j] * (soc - knots[j]) + self._ocv[j], seg[j]
+                                        + seg[min(j, len(seg) - 1)]), None
+        return seg[j] * (soc - knots[j]) + self._ocv[j], seg[j], j
+
+    def lookup(self):
+        """A function equal to `ocv_slope` for one loop of nearby SOCs: it
+        remembers the open knot segment of the last SOC it saw and, while
+        the next SOC stays strictly inside it, computes the same expression
+        without bisecting the knots. Any other SOC (a knot, a domain end,
+        NaN, out of domain) takes `ocv_slope`'s path and its errors. The
+        curve holds no state: make one lookup per loop."""
+        locate, knots, ocvs, segs = (self._locate, self._soc, self._ocv,
+                                     self._seg)
+        # the open segment (left, right) with its slope and left OCV; NaN
+        # ends until the first SOC inside one, so every comparison fails
+        left = right = math.nan
+        slope = ocv = 0.0
+
+        def ocv_slope(soc):
+            nonlocal left, right, slope, ocv
+            if left < soc < right:
+                return slope * (soc - left) + ocv, slope
+            at, s, j = locate(soc)
+            if j is not None:
+                left, right = knots[j], knots[j + 1]
+                slope, ocv = segs[j], ocvs[j]
+            return at, s
+
+        return ocv_slope
 
     def segment_slopes(self) -> np.ndarray:
         return np.diff(self.knot_ocv) / np.diff(self.knot_soc)
@@ -103,7 +140,7 @@ class OcvCurve:
         segment slopes at interior knots, one-sided at boundary knots."""
         if isinstance(soc, (int, float)) and \
                 self._soc[0] <= soc <= self._soc[-1]:
-            return self.ocv_slope(soc)[1]
+            return self._locate(soc)[1]
         s = self._check_domain(soc)
         seg = self.segment_slopes()
         scalar = np.isscalar(soc) or np.ndim(soc) == 0

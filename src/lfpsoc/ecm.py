@@ -2,7 +2,9 @@
 
 Sign convention: discharge current is positive. A positive current drains
 SOC, charges the polarization voltage Up, and drops the terminal voltage by
-R0*I. Terminal voltage is Ut = OCV(soc) - Up - R0*I.
+R0*I. Terminal voltage is Ut = OCV(soc) - Up - R0*I. `simulate_profile`
+reads OCV(soc) through one `OcvCurve.lookup`, which bisects the knots only
+when the SOC leaves the segment of the previous sample.
 """
 
 from __future__ import annotations
@@ -129,16 +131,17 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
     v_noise = draws.pop(0) if cfg.voltage_noise_sigma > 0 else [0.0] * n
     i_noise = draws.pop(0) if cfg.current_noise_sigma > 0 else [0.0] * n
     # terminal_voltage and step_state on floats, the step's factors
-    # computed once
+    # computed once and the curve read through one segment lookup
     decay = math.exp(-cfg.dt / params.tau)
     up_gain = (1.0 - decay) * params.rp
-    dt, capacity_as, r0, ocv = cfg.dt, cfg.capacity_as, params.r0, curve.ocv
+    dt, capacity_as, r0 = cfg.dt, cfg.capacity_as, params.r0
+    ocv_slope = curve.lookup()
     low_v, high_v = cfg.cutoff_low_v, cfg.cutoff_high_v
     v_meas, i_meas, socs, ups, clamp_steps = [], [], [], [], []
     cutoff_index = None
     soc, up = initial.soc, initial.up
     for k, i_k in enumerate(profile.tolist()):
-        v_clean = ocv(soc) - up - r0 * i_k
+        v_clean = ocv_slope(soc)[0] - up - r0 * i_k
         socs.append(soc)
         ups.append(up)
         v_meas.append(v_clean + v_noise[k])

@@ -8,8 +8,10 @@ rows that `samples` gives for the range. Each member runs through every
 row before the next starts, its posterior in local variables; the shared
 inputs are read once per call. Members differ only in the measurement row
 H = [s, -1]. A slope of None reads the OCV and its slope s from the curve
-at the prior SOC, clamped into the knot domain: a plain filter is the
-one-member set `[None]` with no anchor. A bank member's slope s gives the
+at the prior SOC, clamped into the knot domain, through its own
+`OcvCurve.lookup` for the call, which bisects the knots only when the SOC
+leaves the segment of the previous row: a plain filter is the one-member
+set `[None]` with no anchor. A bank member's slope s gives the
 affine model anchored at the interval start (anchor SOC, model OCV); a
 bank is its n slopes. Each step holds, in `StepOutput`'s field order, the
 posterior, the innovation e, its variance S, the SOC gain, the clamp flag
@@ -135,7 +137,8 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     step), else a plain tuple. Each member runs through all rows before the
     next starts, so a set of more than one member needs the rows as a list.
 
-    A slope of None reads the curve; a slope s reads the affine model
+    A slope of None reads the curve, through one `OcvCurve.lookup` per
+    member and call; a slope s reads the affine model
     through `anchor`, (anchor SOC, model OCV), which only such members need.
     Each posterior is (soc, up, p00, p01, p11, ...): a filter start or a
     previous step. Raises FilterDegeneracyError naming sample k when a
@@ -143,7 +146,7 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     """
     q00, q01, q11, r = f.noise.terms
     curve = f.curve
-    ocv_slope, lo, hi = curve.ocv_slope, curve.soc_min, curve.soc_max
+    lo, hi = curve.soc_min, curve.soc_max
     anchor_soc, anchor_ocv = anchor or (None, None)
     # a plain filter's caller keeps every step: build each once, as a
     # StepOutput; a bank keeps one member's, so its steps stay plain
@@ -151,6 +154,7 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     log = math.log
     out = []
     for slope, x in zip(slopes, xs):
+        ocv_slope = curve.lookup() if slope is None else None
         soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
         steps = []
         for k, decay, du_soc, du_up, y, r0_u in rows:
@@ -162,7 +166,8 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
                 p01 = p01 * decay + q01
                 p11 = decay * p11 * decay + q11
             if slope is None:  # the curve at the prior SOC, in its domain
-                ocv, s = ocv_slope(min(max(soc, lo), hi))
+                ocv, s = ocv_slope(soc if lo <= soc <= hi
+                                   else min(max(soc, lo), hi))
             else:  # affine about the anchor
                 s = slope
                 ocv = anchor_ocv + s * (soc - anchor_soc)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
 from .profiles import generate_profile
 from .rls import identify_stream
-from .traceio import read_config, write_config, write_lines, write_trace
+from .traceio import (read_config, trace_key, write_config, write_lines,
+                      write_trace)
 
 
 class ScenarioConfigError(ValueError):
@@ -75,11 +77,15 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioConfigError(f"{key}: not a finite number: "
                                           f"{value!r}")
-        # a negative initial variance is no covariance: the filter would run
-        # on it silently, or fail at its first step
-        for key, value in (("p0_soc", self.p0_soc), ("p0_up", self.p0_up)):
-            if value < 0:
+        # a negative variance is no covariance, and r and dt must be
+        # positive: checked here, the error names the key rather than the
+        # noise matrix or the profile
+        for key in ("p0_soc", "p0_up", "q00", "q11", "bank_q00", "bank_q11"):
+            if (value := getattr(self, key)) < 0:
                 raise ScenarioConfigError(f"{key}: must be >= 0: {value!r}")
+        for key in ("r", "dt"):
+            if (value := getattr(self, key)) <= 0:
+                raise ScenarioConfigError(f"{key}: must be > 0: {value!r}")
 
     def ecm_params(self) -> EcmParams:
         return EcmParams(r0=self.r0, rp=self.rp, cp=self.cp)
@@ -176,6 +182,8 @@ class ScenarioResult:
     corrected_points: list
     diagnostics: list
     violations: list
+    true_curve: OcvCurve
+    filter_curve: OcvCurve
 
 
 def coulomb_counted_soc(cfg: ScenarioConfig, trace: Trace) -> np.ndarray:
@@ -253,9 +261,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
             f"{metrics['ekf-baseline'].rmse:.4f}")
 
     result = ScenarioResult(cfg, trace, metrics, soc_ekf, am.soc,
-                            am.corrected_points, am.diagnostics, violations)
+                            am.corrected_points, am.diagnostics, violations,
+                            true_curve, filter_curve)
     if out_dir is not None:
-        write_artifacts(result, out_dir, true_curve, filter_curve)
+        write_artifacts(result, out_dir)
     return result
 
 
@@ -306,10 +315,22 @@ def write_manifest(path: str, cfg: ScenarioConfig):
 
 
 def write_artifacts(result: ScenarioResult, out_dir: str,
-                    true_curve: OcvCurve, filter_curve: OcvCurve):
+                    traces: dict | None = None):
+    """Write a scenario's CSVs and manifest to `out_dir`. `traces` maps the
+    `trace_key` of each trace.csv already written to its path: a trace
+    found there is copied from that file, not formatted again, and a new
+    one is added."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-    write_trace(result.trace, os.path.join(out_dir, "trace.csv"))
+    if traces is None:
+        traces = {}
+    trace_csv = os.path.join(out_dir, "trace.csv")
+    key = trace_key(result.trace)
+    if key in traces:
+        shutil.copyfile(traces[key], trace_csv)
+    else:
+        write_trace(result.trace, trace_csv)
+        traces[key] = trace_csv
     write_soc_csv(os.path.join(out_dir, "soc_ekf.csv"), cfg.dt,
                   result.soc_ekf, result.trace.true_soc)
     write_soc_csv(os.path.join(out_dir, "soc_ammkf.csv"), cfg.dt,
@@ -319,17 +340,24 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
     write_diagnostics_csv(os.path.join(out_dir, "diagnostics.csv"),
                           result.diagnostics)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), result.metrics)
-    true_curve.to_csv(os.path.join(out_dir, "true_curve.csv"))
-    filter_curve.to_csv(os.path.join(out_dir, "filter_curve.csv"))
+    result.true_curve.to_csv(os.path.join(out_dir, "true_curve.csv"))
+    result.filter_curve.to_csv(os.path.join(out_dir, "filter_curve.csv"))
     write_manifest(os.path.join(out_dir, "run-manifest.txt"), cfg)
 
 
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
               out_dir: str | None = None) -> list[ScenarioResult]:
-    """Run one scenario per override mapping; each gets its own output
-    directory, `run-000`, `run-001`, ... in override order, and is fully
-    independent of the others."""
+    """Run one scenario per override mapping, in override order, each
+    simulated and estimated on its own. With `out_dir`, each run then writes
+    its artifacts to its own directory, `run-000`, `run-001`, ...; a
+    trace.csv whose columns have the bytes of one already written in this
+    call, as every run of a sweep over an estimator-only key has, is copied
+    from that file instead of formatted again."""
     cfgs = [replace(base_cfg, **ov) for ov in overrides]
-    dirs = [os.path.join(out_dir, f"run-{i:03d}") if out_dir else None
-            for i in range(len(cfgs))]
-    return [run_scenario(c, d) for c, d in zip(cfgs, dirs)]
+    results, traces = [], {}
+    for i, cfg in enumerate(cfgs):
+        results.append(run_scenario(cfg))
+        if out_dir:
+            write_artifacts(results[-1],
+                            os.path.join(out_dir, f"run-{i:03d}"), traces)
+    return results

@@ -40,12 +40,26 @@ def write_lines(path, header: list[str], lines) -> None:
             fh.write("\r\n".join(chunk))
 
 
-def write_trace(trace: Trace, path) -> None:
+def _trace_columns(trace: Trace) -> list:
+    """The columns a trace CSV holds, in TRACE_HEADER's order: the true SOC
+    and Up only when the trace has them."""
     cols = [trace.t, trace.current_a, trace.voltage_v]
     if trace.true_soc is not None:
         cols += [trace.true_soc, trace.true_up_v]
+    return cols
+
+
+def write_trace(trace: Trace, path) -> None:
+    cols = _trace_columns(trace)
     write_lines(path, TRACE_HEADER[:len(cols)],
                 map(",".join, zip(*(map(repr, c.tolist()) for c in cols))))
+
+
+def trace_key(trace: Trace) -> tuple:
+    """The dtype and bytes of each column `write_trace` writes: two traces
+    with equal keys are written as the same file. Bytes, not values, since
+    -0.0 == 0.0 while their reprs differ."""
+    return tuple((c.dtype.str, c.tobytes()) for c in _trace_columns(trace))
 
 
 def _columns(path, reader) -> dict:

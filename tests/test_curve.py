@@ -159,6 +159,31 @@ class TestScalarPath:
             else:
                 assert method(soc) == expected[0]
 
+    @given(curve=knot_curves(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_equals_ocv_slope_along_a_walk(self, curve, data):
+        # points at knots, at the domain ends, inside, outside, -0.0 and
+        # NaN, each followed by short moves that often stay in its segment
+        lo, hi = curve.soc_min, curve.soc_max
+        point = st.one_of(
+            st.sampled_from(curve.knot_soc.tolist()
+                            + [-0.0, math.nan, lo - 1e-9, hi + 1e-9]),
+            st.floats(lo, hi), st.floats(-2.0, 3.0))
+        walk = []
+        for soc in data.draw(st.lists(point, min_size=1, max_size=10)):
+            walk += [soc] + [soc + move for move in data.draw(
+                st.lists(st.floats(-1e-3, 1e-3), max_size=5))]
+        ocv_slope = curve.lookup()
+        for soc in walk:
+            try:
+                expected = curve.ocv_slope(soc)
+            except CurveDomainError as exc:
+                with pytest.raises(CurveDomainError) as got:
+                    ocv_slope(soc)
+                assert str(got.value) == str(exc)
+            else:
+                assert repr(ocv_slope(soc)) == repr(expected)
+
     def test_nan_follows_the_array_path(self, base_curve):
         assert math.isnan(base_curve.ocv(math.nan))
         assert base_curve.slope(math.nan) == base_curve.slope(

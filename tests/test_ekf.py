@@ -499,7 +499,9 @@ class TestFilterSetStep:
 
 class TestRangeStep:
     """One `kalman_step` call over the rows of [start, stop) equals stepping
-    the same rows one at a time, each call from the previous steps."""
+    the same rows one at a time, each call from the previous steps. A
+    one-row call starts with no remembered curve segment, so it is the
+    reference for the segment lookup of a longer call."""
 
     @pytest.mark.parametrize("start", [0, 7])
     @pytest.mark.parametrize("per_step", [False, True])
@@ -516,12 +518,18 @@ class TestRangeStep:
         # per-step params change every third sample
         params = ([a if (k // 3) % 2 else b for k in range(len(trace))]
                   if per_step else a)
-        f = _state(base_curve, soc=0.55, up=0.01,
-                   noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
         if bank:
-            slopes, anchor = [0.05, 0.1, 0.2], (0.55, base_curve.ocv(0.55))
+            sets = [(base_curve, [0.05, 0.1, 0.2],
+                     (0.55, base_curve.ocv(0.55)))]
         else:
-            slopes, anchor = PLAIN, None
+            # from SOC 0.55 the filter stays inside one segment of the
+            # default curve; on curves with a knot every 0.0005 SOC it
+            # starts on a knot and crosses several, and on the one whose
+            # domain ends at 0.551 its prior is also clamped there
+            grid = np.arange(600, 1161) / 2000
+            sets = [(OcvCurve(g, base_curve.ocv(g)), PLAIN, None)
+                    for g in (grid, grid[grid <= 0.551])]
+            sets.insert(0, (base_curve, PLAIN, None))
         rows = list(samples(params, trace, cfg, start, start + 30))
         # each row from its own parameters and the currents either side
         amps, volts = trace.current_a.tolist(), trace.voltage_v.tolist()
@@ -529,18 +537,30 @@ class TestRangeStep:
             _row(k, transition(params[k] if per_step else params, cfg),
                  amps[k - 1] if k else 0.0, volts[k], amps[k])
             for k in range(start, start + 30)])
-        xs = [f.start()] * len(slopes)
-        whole = kalman_step(f, anchor, slopes, xs, rows)
-        alone = [[] for _ in slopes]
-        for row in rows:
-            xs = [step for [step] in kalman_step(f, anchor, slopes, xs,
-                                                 [row])]
-            for member, x in zip(alone, xs):
-                member.append(x)
-        assert repr(whole) == repr(alone)  # bit for bit
-        # a plain filter's steps are kept as StepOutputs, a bank's are plain
-        kind = tuple if bank else StepOutput
-        assert all(type(step) is kind for steps in whole for step in steps)
+        socs = []
+        for curve, slopes, anchor in sets:
+            f = _state(curve, soc=0.55, up=0.01,
+                       noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
+            xs = [f.start()] * len(slopes)
+            whole = kalman_step(f, anchor, slopes, xs, rows)
+            alone = [[] for _ in slopes]
+            for row in rows:
+                xs = [step for [step] in kalman_step(f, anchor, slopes, xs,
+                                                     [row])]
+                for member, x in zip(alone, xs):
+                    member.append(x)
+            assert repr(whole) == repr(alone)  # bit for bit
+            # a plain filter's steps are kept as StepOutputs, a bank's are
+            # plain
+            kind = tuple if bank else StepOutput
+            assert all(type(step) is kind for steps in whole
+                       for step in steps)
+            socs.append([step[0] for step in whole[0]])
+        if not bank:  # the ranges do what the comment above says
+            segments = [{int(soc * 2000) for soc in walk} for walk in socs]
+            assert 0.5 < min(socs[0]) and max(socs[0]) < 0.6
+            assert len(segments[1]) >= 3
+            assert min(socs[2]) < 0.551 < max(socs[2])
 
 
 class TestRunEkf:

@@ -23,13 +23,14 @@ from lfpsoc.innovation import infer_error_sign
 from lfpsoc.ecm import SimConfig, Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
 from lfpsoc.profiles import ProfileConfigError
+from lfpsoc import scenario
 from lfpsoc.scenario import (ScenarioConfigError, config_value,
                              scenario_from_mapping,
                              write_artifacts, write_estimate_csv,
                              write_soc_csv)
 from lfpsoc import traceio
 from lfpsoc.traceio import (TraceFormatError, ingest_trace, read_config,
-                            write_config, write_lines, write_trace)
+                            trace_key, write_config, write_lines, write_trace)
 
 
 def _net_discharge_ah(profile, dt=1.0):
@@ -616,6 +617,49 @@ class TestRunScenario:
         assert (tmp_path / "run-000" / "metrics.csv").exists()
         assert (tmp_path / "run-001" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("key, values, formatted", [
+        ("initial_soc_error", [-0.1, 0.0, 0.1], 1),  # estimator only
+        ("q00", [1e-7, 1e-8], 1),
+        ("seed", [1, 2, 3], 3),  # each run its own trace
+        ("sigma_v", [0.001, 0.002], 2)])
+    def test_sweep_formats_each_distinct_trace_once(self, tmp_path,
+                                                    monkeypatch, key, values,
+                                                    formatted):
+        calls = []
+
+        def counted(trace, path):
+            calls.append(path)
+            write_trace(trace, path)
+
+        monkeypatch.setattr(scenario, "write_trace", counted)
+        cfg = ScenarioConfig(profile_steps=200, profile_target_ah=0.02)
+        results = run_sweep(cfg, [{key: v} for v in values],
+                            str(tmp_path / "sw"))
+        assert len(calls) == formatted
+        for i, res in enumerate(results):
+            write_trace(res.trace, tmp_path / "own.csv")
+            assert (tmp_path / "sw" / f"run-{i:03d}" / "trace.csv"
+                    ).read_bytes() == (tmp_path / "own.csv").read_bytes()
+
+    def test_traces_differing_in_a_signed_zero_are_both_formatted(
+            self, tmp_path):
+        res = run_scenario(ScenarioConfig(profile_steps=200,
+                                          profile_target_ah=0.02))
+        t = res.trace.t.copy()
+        assert t[0] == 0.0 and repr(float(t[0])) == "0.0"
+        t[0] = -0.0
+        flipped = replace(res, trace=replace(res.trace, t=t))
+        assert np.array_equal(flipped.trace.t, res.trace.t)
+        assert trace_key(flipped.trace) != trace_key(res.trace)
+        traces = {}
+        write_artifacts(res, str(tmp_path / "a"), traces)
+        write_artifacts(flipped, str(tmp_path / "b"), traces)
+        write_trace(flipped.trace, tmp_path / "own.csv")
+        b = (tmp_path / "b" / "trace.csv").read_bytes()
+        assert b == (tmp_path / "own.csv").read_bytes()
+        assert b != (tmp_path / "a" / "trace.csv").read_bytes()
+        assert b.splitlines()[1].startswith(b"-0.0,")
+
 
 def _write_cfg(path, **kv):
     base = dict(profile_steps=600, profile_target_ah=0.08, sigma_v=0.001)
@@ -968,6 +1012,26 @@ class TestCli:
             assert capsys.readouterr().err == \
                 f"error: {key}: must be >= 0: -1.0\n", name
             assert not list((tmp_path / name).glob("*.csv")), name
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("q00", -1, "q00: must be >= 0: -1.0"),
+        ("q11", -1, "q11: must be >= 0: -1.0"),
+        ("bank_q00", -1, "bank_q00: must be >= 0: -1.0"),
+        ("bank_q11", -1, "bank_q11: must be >= 0: -1.0"),
+        ("r", 0, "r: must be > 0: 0.0"),
+        ("r", -1e-6, "r: must be > 0: -1e-06"),
+        ("dt", 0, "dt: must be > 0: 0.0"),
+        ("dt", -1, "dt: must be > 0: -1.0")])
+    def test_bad_noise_or_step_names_the_key(self, tmp_path, capsys, key,
+                                             value, message):
+        # these once exited with "q must be positive semidefinite", "r must
+        # be > 0" or "profile has no net discharge to scale"
+        bad = _write_cfg(tmp_path / "bad.txt", profile_steps=400,
+                         profile_target_ah=0.06, **{key: value})
+        assert cli_main(["--config", bad, "--out", str(tmp_path / "scen"),
+                         "scenario"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list((tmp_path / "scen").glob("*.csv"))
 
     def test_scenario_exit_codes(self, tmp_path):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",
