@@ -13,7 +13,7 @@ import numpy as np
 
 from . import innovation
 from .ecm import BatteryState, simulate_profile
-from .ekf import KfState, run_ekf
+from .ekf import run_ekf
 from .innovation import IntervalInnovations
 from .metrics import compute_metrics
 from .multimodel import interval_innovations, run_ammkf
@@ -87,17 +87,14 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     trace = ingest_trace(args.trace, strict=args.strict)
     _, filter_curve = resolve_curves(cfg)
-    x0, p0 = cfg.estimator_start()
-    params, sim = estimator_inputs(cfg, trace)
+    filt, params, sim = estimator_inputs(cfg, trace, filter_curve)
     if args.method == "ekf":
-        outs = run_ekf(KfState(x0, p0, cfg.filter_noise(), filter_curve),
-                       params, trace, sim)
+        outs = run_ekf(filt, params, trace, sim)
         soc = np.array([o.soc for o in outs])
         write_estimate_csv(os.path.join(out, "estimate_ekf.csv"), trace.dt,
                            outs)
     else:
-        res = run_ammkf(trace, filter_curve, params, x0, p0,
-                        cfg.filter_noise(), sim, cfg.bank_config(),
+        res = run_ammkf(trace, filt, params, sim, cfg.bank_config(),
                         bank_noise=cfg.bank_noise())
         soc = res.soc
         write_corrected_csv(os.path.join(out, "corrected_osc.csv"),
@@ -183,9 +180,8 @@ def cmd_analyze(args) -> int:
         L = cfg.bank_config().interval_len
         trace = ingest_trace(args.trace, strict=args.strict)
         _, filter_curve = resolve_curves(cfg)
-        params, sim = estimator_inputs(cfg, trace)
-        outs = run_ekf(KfState(*cfg.estimator_start(), cfg.filter_noise(),
-                               filter_curve), params, trace, sim)
+        filt, params, sim = estimator_inputs(cfg, trace, filter_curve)
+        outs = run_ekf(filt, params, trace, sim)
         label = "interval"
         intervals = [interval_innovations(m, outs[m * L:(m + 1) * L])
                      for m in range(len(outs) // L)]
@@ -258,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("scenario", help="run one full scenario (both estimators)")
     p = sub.add_parser("sweep", help="run a scenario per swept config value")
     p.add_argument("--key", required=True, help="config field to sweep")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True,
+                   help="comma-separated values; write --values=-0.05,0.05 "
+                        "when the first value is negative")
     return parser
 
 

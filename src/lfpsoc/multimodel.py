@@ -9,26 +9,28 @@ with `run_interval`; the tail is one more `filter_range` call.
 pass over the log-densities of the innovations their steps return (no
 member reads the weights). A bank's steps stay plain tuples in
 `StepOutput`'s field order, the winner's too. An interval's theoretical ACM
-is its last step's innovation variance S."""
+is its last step's innovation variance S. The slope and weight floors are
+the module constants `SLOPE_FLOOR` and `PROB_FLOOR`, read at call time."""
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
 
 from . import ekf, innovation
-from .curve import OcvCurve
-from .ecm import BatteryState, SimConfig, Trace
+from .ecm import SimConfig, Trace
 from .ekf import PLAIN, KfState, NoiseConfig, StepOutput
 from .innovation import (IntervalInnovations, INDETERMINATE, NEGATIVE_G,
                          POSITIVE_G)
 
 DISCHARGE = "discharge"
 CHARGE = "charge"
+SLOPE_FLOOR = 1e-4  # the least candidate slope, V per unit SOC
+PROB_FLOOR = 1e-6  # the least model weight after each sample
 
 # a step's fields by position, for plain tuples and StepOutputs alike
 _SOC, _INNOVATION, _INNOVATION_VARIANCE, _LOG_LIKELIHOOD = map(
@@ -41,22 +43,19 @@ class BankConfig:
     n: int = 7
     interval_len: int = 20
     spread: float = 2.0
-    slope_floor: float = 1e-4
-    prob_floor: float = 1e-6
 
     def __post_init__(self):
         if self.n < 1 or (self.n > 1 and self.n % 2 == 0):
-            raise ValueError("filter count must be odd (or 1 for testing)")
+            raise ValueError(f"n: filter count must be odd and > 0: {self.n}")
+        # at 1/PROB_FLOOR filters every weight is floored and the pick is
+        # always index 0; a floor at 0, below or NaN is off
+        if not 0 < PROB_FLOOR < 1 / self.n:
+            raise ValueError(f"n: must be < 1/PROB_FLOOR with PROB_FLOOR ="
+                             f" {PROB_FLOOR:g} > 0: {self.n}")
         if self.interval_len < 5:
             raise ValueError("interval_len must be >= 5")
         if not self.spread > 1:
             raise ValueError("spread must be > 1")
-        if not self.slope_floor > 0:
-            raise ValueError("slope_floor must be > 0")
-        # at 1/n every weight is floored and the pick is always index 0
-        if not 0 < self.prob_floor < 1 / self.n:
-            raise ValueError(f"prob_floor must be in (0, 1/n) = (0, "
-                             f"{1 / self.n:.6g}), got {self.prob_floor}")
 
 
 def build_slope_set(base_slope: float, sign: str, mode: str,
@@ -66,14 +65,14 @@ def build_slope_set(base_slope: float, sign: str, mode: str,
     Discharge with a negative curve gap (`sign`) wants larger slopes, a
     positive gap smaller ones; charge mirrors this. Indeterminate spans both
     sides. The base slope is always a member; everything is floored at
-    slope_floor.
+    SLOPE_FLOOR.
     """
     if cfg.n == 1:
-        return np.array([max(base_slope, cfg.slope_floor)])
+        return np.array([max(base_slope, SLOPE_FLOOR)])
     if sign != INDETERMINATE and mode == CHARGE:
         sign = POSITIVE_G if sign == NEGATIVE_G else NEGATIVE_G
     return np.maximum(base_slope * _slope_ratios(sign, cfg.n, cfg.spread),
-                      cfg.slope_floor)
+                      SLOPE_FLOOR)
 
 
 @functools.lru_cache(maxsize=64)
@@ -128,20 +127,20 @@ class IntervalResult:
 
 def run_interval(f: KfState, anchor: tuple, slopes, x, params,
                  trace: Trace, start: int, length: int, cfg: SimConfig,
-                 floor: float, index: int) -> IntervalResult:
+                 index: int) -> IntervalResult:
     """Step the member of every slope from the posterior `x` through
     `length` samples with the noise and curve of `f` and the affine models
     through `anchor` (anchor SOC, model OCV), weigh the members (uniform at
-    the start) by each step's innovation log-density, then select the
-    heaviest member (ties to the lowest index). `index` numbers the
-    interval."""
+    the start, floored at `PROB_FLOOR`) by each step's innovation
+    log-density, then select the heaviest member (ties to the lowest
+    index). `index` numbers the interval."""
     n = len(slopes)
     rows = list(ekf.samples(params, trace, cfg, start, start + length))
     members = ekf.kalman_step(f, anchor, slopes, [x] * n, rows)
     # the members never read the weights: weigh them after the range, by
     # the log-density that ends each step
     weights = interval_weights([map(_LOG_LIKELIHOOD, steps)
-                                for steps in members], floor)
+                                for steps in members], PROB_FLOOR)
     opt = weights.index(max(weights))
     best = members[opt]
     s = slopes[opt]
@@ -183,18 +182,19 @@ class AmmkfResult:
     innovations: np.ndarray
 
 
-def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
-              initial: BatteryState, initial_p: np.ndarray, noise: NoiseConfig,
-              cfg: SimConfig, bank_cfg: BankConfig = BankConfig(),
+def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
+              bank_cfg: BankConfig = BankConfig(),
               bank_noise: NoiseConfig | None = None) -> AmmkfResult:
     """Two-phase estimation over a measured trace, one whole interval at a
-    time: until its interval innovation RMS converges (phase 1), a single
-    filter on the original curve; after that, a bank of filters with slopes
+    time: until its interval innovation RMS converges (phase 1), the filter
+    `plain` on its own curve; after that, a bank of filters with slopes
     chosen from the inferred sign of the curve error (cross-correlation of
     the previous two intervals' innovations), of which the most probable
     carries its state forward. Either way the interval's steps are kept,
     its innovations join the history and its last step starts the next
-    interval. The tail shorter than an interval continues the plain filter.
+    interval. The tail shorter than an interval continues `plain`. The
+    bank anchors on `plain`'s curve and steps from the carried posterior,
+    so it reads only `bank_noise` (`plain`'s noise when None).
     """
     L = bank_cfg.interval_len
     n_steps = len(trace)
@@ -210,10 +210,10 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
 
     corrected_points, diagnostics = [], []
     history: list[IntervalInnovations] = []
-    plain = KfState(initial, initial_p, noise, original_curve)
-    bank = KfState(initial, initial_p, bank_noise or noise, original_curve)
-    noise_std = math.sqrt(noise.r)
-    lo, hi = original_curve.soc_min, original_curve.soc_max
+    bank = plain if bank_noise is None else replace(plain, noise=bank_noise)
+    curve = plain.curve
+    noise_std = math.sqrt(plain.noise.r)
+    lo, hi = curve.soc_min, curve.soc_max
     # every interval starts at a multiple of L: its mean current's sign
     m = n_steps // L
     discharging = (trace.current_a[:m * L].reshape(m, L).mean(axis=1)
@@ -221,26 +221,26 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
     x = plain.start()  # the carried posterior: a filter start, then a step
     converged_at = anchor_ocv = None
     for index, k in enumerate(range(0, m * L, L)):
-        if converged_at is None:  # phase 1: the plain filter on the curve
+        if converged_at is None:  # phase 1: the plain filter
             steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
         else:
             # the bank, stepped from the carried posterior; phase 1 has run
             # at least two intervals, since convergence needs two. The
             # anchor's model value chains across intervals (only the first
-            # anchors on the original curve)
+            # anchors on the curve)
             ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
                 history[-2], history[-1])
             mode = DISCHARGE if discharging[index] else CHARGE
             soc = _SOC(x)  # a phase-1 step or a bank step
             anchor_soc = min(max(soc, lo), hi)
             if anchor_ocv is None:
-                anchor_ocv = original_curve.ocv(anchor_soc)
-            slopes = build_slope_set(original_curve.slope(anchor_soc), sign,
-                                     mode, bank_cfg)
+                anchor_ocv = curve.ocv(anchor_soc)
+            slopes = build_slope_set(curve.slope(anchor_soc), sign, mode,
+                                     bank_cfg)
             # a one-filter bank is a plain filter on the curve itself
             slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
             res = run_interval(bank, (soc, anchor_ocv), slopes, x, params,
-                               trace, k, L, cfg, bank_cfg.prob_floor, index)
+                               trace, k, L, cfg, index)
             steps = res.steps
             corrected_points.extend(res.corrected_points)
             diagnostics.append(IntervalDiagnostics(
@@ -254,7 +254,7 @@ def run_ammkf(trace: Trace, original_curve: OcvCurve, params,
         if converged_at is None and innovation.detect_convergence(
                 history, noise_std=noise_std):
             converged_at = k + L
-    # tail shorter than one interval: plain filter continuation on the curve
+    # tail shorter than one interval: the plain filter continues
     if m * L < n_steps:
         keep(ekf.filter_range(plain, x, params, trace, cfg, m * L, n_steps),
              m * L)

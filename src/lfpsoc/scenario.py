@@ -65,8 +65,6 @@ class ScenarioConfig:
     n: int = 7
     interval_len: int = 20
     spread: float = 6.0
-    slope_floor: float = 1e-4
-    prob_floor: float = 1e-6
     seed: int = 42
     # optional pass/fail thresholds (negative = disabled)
     max_ammkf_rmse: float = -1.0
@@ -77,15 +75,20 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioConfigError(f"{key}: not a finite number: "
                                           f"{value!r}")
-        # a negative variance is no covariance, and r and dt must be
-        # positive: checked here, the error names the key rather than the
-        # noise matrix or the profile
-        for key in ("p0_soc", "p0_up", "q00", "q11", "bank_q00", "bank_q11"):
+        # a negative variance is no covariance, a negative sigma no noise
+        # and a negative seed no generator; r, dt and the step count must be
+        # positive and the true start a SOC: checked here, the error names
+        # the key rather than the noise matrix, the simulator or the profile
+        for key in ("p0_soc", "p0_up", "q00", "q11", "bank_q00", "bank_q11",
+                    "sigma_v", "sigma_i", "seed"):
             if (value := getattr(self, key)) < 0:
                 raise ScenarioConfigError(f"{key}: must be >= 0: {value!r}")
-        for key in ("r", "dt"):
+        for key in ("r", "dt", "profile_steps"):
             if (value := getattr(self, key)) <= 0:
                 raise ScenarioConfigError(f"{key}: must be > 0: {value!r}")
+        if not 0 <= self.initial_soc_true <= 1:
+            raise ScenarioConfigError(f"initial_soc_true: must be in [0, 1]: "
+                                      f"{self.initial_soc_true!r}")
 
     def ecm_params(self) -> EcmParams:
         return EcmParams(r0=self.r0, rp=self.rp, cp=self.cp)
@@ -110,8 +113,7 @@ class ScenarioConfig:
 
     def bank_config(self) -> BankConfig:
         return BankConfig(n=self.n, interval_len=self.interval_len,
-                          spread=self.spread, slope_floor=self.slope_floor,
-                          prob_floor=self.prob_floor)
+                          spread=self.spread)
 
 
 def config_value(key: str, raw):
@@ -195,20 +197,25 @@ def coulomb_counted_soc(cfg: ScenarioConfig, trace: Trace) -> np.ndarray:
     return np.clip(soc_cc, 0.0, 1.0)
 
 
-def estimator_inputs(cfg: ScenarioConfig, trace: Trace) -> tuple:
-    """(params, sim): the ECM params the estimators step with, and their
-    SimConfig at the trace's own sample spacing.
+def estimator_inputs(cfg: ScenarioConfig, trace: Trace,
+                     curve: OcvCurve) -> tuple:
+    """(filt, params, sim): the estimators' filter on `curve`, the ECM
+    params they step with, and their SimConfig at the trace's own sample
+    spacing.
 
-    The params are constant, or under `identify_online` a per-step sequence
-    from online RLS identification (config values fill the warmup)."""
+    `filt` starts at `estimator_start()` with the `filter_noise()`: the
+    baseline filter, and the AMMKF's phase 1 and tail. The params are
+    constant, or under `identify_online` a per-step sequence from online
+    RLS identification (config values fill the warmup)."""
+    filt = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve)
     sim = replace(cfg.sim_config(), dt=trace.dt)
     fallback = cfg.ecm_params()
     if not cfg.identify_online:
-        return fallback, sim
+        return filt, fallback, sim
     points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
     seq = [fallback, fallback]
     seq.extend(p.params if p.params is not None else fallback for p in points)
-    return seq, sim
+    return filt, seq, sim
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
@@ -236,15 +243,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
             f"crossed {crossed} V, leaving {len(trace)} samples where the "
             f"bank needs {2 * cfg.interval_len} (2*interval_len)")
 
-    x0, p0 = cfg.estimator_start()
-    noise = cfg.filter_noise()
-    params, sim = estimator_inputs(cfg, trace)
-
-    ekf_outs = run_ekf(KfState(x0, p0, noise, filter_curve), params, trace,
-                       sim)
-    soc_ekf = np.array([o.soc for o in ekf_outs])
-    am = run_ammkf(trace, filter_curve, params, x0, p0, noise, sim,
-                   cfg.bank_config(), bank_noise=cfg.bank_noise())
+    filt, params, sim = estimator_inputs(cfg, trace, filter_curve)
+    soc_ekf = np.array([o.soc for o in run_ekf(filt, params, trace, sim)])
+    am = run_ammkf(trace, filt, params, sim, cfg.bank_config(),
+                   bank_noise=cfg.bank_noise())
 
     metrics = {
         "ekf-baseline": compute_metrics(soc_ekf, trace.true_soc, cfg.dt),

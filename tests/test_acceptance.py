@@ -194,13 +194,13 @@ class TestAcceptance:
                                  prof.samples, sim)
         noise = NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6)
         bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
-        x0, p0 = BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4])
+        filt = KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]), noise,
+                       curve)
         # (a) single-filter bank reduces exactly to the plain filter
-        single = run_ammkf(trace, curve, params, x0, p0, noise, sim,
+        single = run_ammkf(trace, filt, params, sim,
                            BankConfig(n=1, interval_len=20))
         ekf_soc = np.array([o.soc for o in
-                            run_ekf(KfState(x0, p0, noise, curve), params,
-                                    trace, sim)])
+                            run_ekf(filt, params, trace, sim)])
         reduction_ok = bool(np.array_equal(single.soc, ekf_soc))
         # (b) regression-coefficient <-> circuit-parameter round trip
         roundtrip_ok = True
@@ -213,7 +213,7 @@ class TestAcceptance:
                     and abs(back.rp - p.rp) / p.rp < 1e-9
                     and abs(back.cp - p.cp) / p.cp < 1e-9)
         # (c) probability vectors stay on the simplex through a full run
-        full_args = (trace, curve, params, x0, p0, noise, sim,
+        full_args = (trace, filt, params, sim,
                      BankConfig(n=7, interval_len=20, spread=6.0))
         a = run_ammkf(*full_args, bank_noise=bank_noise)
         simplex_ok = all(1.0 / 7 - 1e-9 <= d.prob_max <= 1.0 + 1e-9

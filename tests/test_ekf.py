@@ -178,10 +178,12 @@ class TestNoiseConfig:
         cfg = SimConfig(cutoff_low_v=0.0)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
                                  np.full(100, 0.5), cfg)
+        # the filter is checked where it is built, before run_ammkf
+        # could step it
         with pytest.raises(ValueError, match="^p must be finite"):
-            run_ammkf(trace, base_curve, params, BatteryState(0.9, 0.0),
-                      np.diag([math.inf, 1e-4]), NoiseConfig.default(r=1e-6),
-                      cfg)
+            filt = KfState(BatteryState(0.9, 0.0), np.diag([math.inf, 1e-4]),
+                           NoiseConfig.default(r=1e-6), base_curve)
+            run_ammkf(trace, filt, params, cfg)
 
     def test_scalar_checks_agree_with_numpy(self):
         # np.allclose(q, q.T) and eigvalsh(q) >= -1e-15, away from the
@@ -700,11 +702,9 @@ class TestDeepDischarge:
         trace = simulate_profile(BatteryState(0.2, 0.0), params, base_curve,
                                  prof.samples, cfg)
         assert trace.true_soc[-1] < 0.01
-        x0 = BatteryState(0.2, 0.0)
-        soc = np.array([o.soc
-                        for o in run_ekf(KfState(x0, p0, noise, partial),
-                                         params, trace, cfg)])
-        am = run_ammkf(trace, partial, params, x0, p0, noise, cfg,
+        filt = KfState(BatteryState(0.2, 0.0), p0, noise, partial)
+        soc = np.array([o.soc for o in run_ekf(filt, params, trace, cfg)])
+        am = run_ammkf(trace, filt, params, cfg,
                        BankConfig(n=7, interval_len=20, spread=6.0))
         for est in (soc, am.soc):
             assert np.all(np.isfinite(est))

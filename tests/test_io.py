@@ -588,6 +588,25 @@ class TestRunScenario:
         res = run_scenario(cfg)
         assert res.metrics["ammkf"].rmse < 0.02
 
+    @pytest.mark.parametrize("online", [False, True])
+    def test_estimator_inputs_build_the_callers_filter(self, online):
+        # the one filter that run_scenario, estimate and analyze pass to both
+        # estimators is the one each of them once built from the config
+        cfg = ScenarioConfig(identify_online=online)
+        trace = run_scenario(replace(cfg, **_FAST)).trace
+        _, curve = resolve_curves(cfg)
+        filt, params, sim = scenario.estimator_inputs(cfg, trace, curve)
+        built = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve)
+        assert filt.start() == built.start() == (0.95, 0.0, 1e-4, 0.0, 1e-4)
+        assert filt.noise.terms == built.noise.terms == \
+            (1e-7, 0.0, 1e-6, 1e-6)
+        assert filt.curve is curve
+        assert sim.dt == trace.dt
+        if online:
+            assert len(params) == len(trace)
+        else:
+            assert params == cfg.ecm_params()
+
     def test_artifacts_written(self, tmp_path):
         cfg = ScenarioConfig(**_FAST)
         out = tmp_path / "run"
@@ -1021,17 +1040,51 @@ class TestCli:
         ("r", 0, "r: must be > 0: 0.0"),
         ("r", -1e-6, "r: must be > 0: -1e-06"),
         ("dt", 0, "dt: must be > 0: 0.0"),
-        ("dt", -1, "dt: must be > 0: -1.0")])
+        ("dt", -1, "dt: must be > 0: -1.0"),
+        ("initial_soc_true", 1.5, "initial_soc_true: must be in [0, 1]: 1.5"),
+        ("initial_soc_true", -0.1,
+         "initial_soc_true: must be in [0, 1]: -0.1"),
+        ("sigma_v", -1, "sigma_v: must be >= 0: -1.0"),
+        ("sigma_i", -0.1, "sigma_i: must be >= 0: -0.1"),
+        ("profile_steps", 0, "profile_steps: must be > 0: 0"),
+        ("seed", -1, "seed: must be >= 0: -1"),
+        ("n", 4, "n: filter count must be odd and > 0: 4")])
     def test_bad_noise_or_step_names_the_key(self, tmp_path, capsys, key,
                                              value, message):
         # these once exited with "q must be positive semidefinite", "r must
-        # be > 0" or "profile has no net discharge to scale"
-        bad = _write_cfg(tmp_path / "bad.txt", profile_steps=400,
-                         profile_target_ah=0.06, **{key: value})
+        # be > 0", "profile has no net discharge to scale", "soc outside
+        # [0, 1]", "noise sigmas must be >= 0", "n_steps must be > 0",
+        # numpy's "expected non-negative integer" or "filter count must be
+        # odd", none naming the key
+        kv = dict(profile_steps=400, profile_target_ah=0.06)
+        kv[key] = value
+        bad = _write_cfg(tmp_path / "bad.txt", **kv)
         assert cli_main(["--config", bad, "--out", str(tmp_path / "scen"),
                          "scenario"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list((tmp_path / "scen").glob("*.csv"))
+
+    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
+        assert cli_main(["--out", str(tmp_path / "sim"), "--seed", "-3",
+                         "simulate"]) == 2
+        assert capsys.readouterr().err == "error: seed: must be >= 0: -3\n"
+        assert not (tmp_path / "sim" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("key", ["slope_floor", "prob_floor"])
+    def test_bank_floor_keys_are_unknown(self, tmp_path, capsys, key):
+        # the bank's floors are module constants (multimodel.SLOPE_FLOOR,
+        # PROB_FLOOR): a config or an old manifest that sets one is refused
+        bad = _write_cfg(tmp_path / "bad.txt", **{key: 1e-6})
+        assert cli_main(["--config", bad, "--out", str(tmp_path / "scen"),
+                         "scenario"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: unknown config key: {key!r}\n"
+        out = tmp_path / "sw"
+        assert cli_main(["--out", str(out), "sweep", "--key", key,
+                         "--values", "1e-6,1e-5"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: unknown config key: {key!r}\n"
+        assert not (out / "run-000").exists()
 
     def test_scenario_exit_codes(self, tmp_path):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",
@@ -1051,6 +1104,32 @@ class TestCli:
         assert cli_main(["--config", cfg, "--out", out, "sweep",
                          "--key", "sigma_v", "--values", "0.001,0.003"]) == 0
         assert os.path.exists(os.path.join(out, "run-000", "metrics.csv"))
+
+    def test_sweep_help_names_the_form_for_a_negative_first_value(
+            self, capsys, monkeypatch):
+        # argparse reads "--values -0.05,0.05" as an option and exits 2
+        # with "expected one argument"; "--values=-0.05,0.05" is one token.
+        # A wide terminal keeps the help from wrapping at its hyphens
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            cli_main(["sweep", "--help"])
+        assert "--values=-0.05,0.05" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli_main(["sweep", "--key", "initial_soc_error",
+                      "--values", "-0.05,0.05"])
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_sweep_of_a_negative_first_value(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=200,
+                         profile_target_ah=0.03)
+        out = tmp_path / "sw"
+        assert cli_main(["--config", cfg, "--out", str(out), "sweep",
+                         "--key", "initial_soc_error",
+                         "--values=-0.05,0.05"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == \
+            ["initial_soc_error=-0.05", "initial_soc_error=0.05"]
+        assert sorted(os.listdir(out)) == ["run-000", "run-001"]
 
     @pytest.mark.parametrize("key, values, parsed", [
         ("n", "1,3", [1, 3]),

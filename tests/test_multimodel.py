@@ -21,7 +21,7 @@ from lfpsoc.profiles import generate_profile
 
 class TestBankConfig:
     def test_even_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n: .*odd.*: 4$"):
             BankConfig(n=4)
 
     def test_single_filter_allowed(self):
@@ -35,19 +35,32 @@ class TestBankConfig:
         with pytest.raises(ValueError):
             BankConfig(spread=1.0)
 
+    def test_filter_count_below_one_over_prob_floor_accepted(self):
+        assert multimodel.PROB_FLOOR == 1e-6
+        assert BankConfig(n=999999).n == 999999
+
+    def test_filter_count_at_one_over_prob_floor_rejected(self):
+        # at 1/PROB_FLOOR filters or more every weight is floored, the
+        # weights stay uniform and every pick is index 0
+        with pytest.raises(ValueError, match="^n: .*PROB_FLOOR.*1000001"):
+            BankConfig(n=1000001)
+
     @pytest.mark.parametrize("n, floor", [
         (7, 0.0), (7, -1e-6), (7, math.nan), (7, 1 / 7), (7, 0.5),
         (3, 0.34), (1, 1.0)])
     def test_prob_floor_outside_zero_to_one_over_n_rejected(self, n, floor):
-        # at 1/n or above every weight is floored, the weights stay uniform
-        # and every pick is index 0; at 0, below or NaN the floor is off
-        with pytest.raises(ValueError, match="prob_floor"):
-            BankConfig(n=n, prob_floor=floor)
+        # PROB_FLOOR is read at call time: at 1/n or above every weight is
+        # floored, the weights stay uniform and every pick is index 0; at 0,
+        # below or NaN the floor is off
+        with mock.patch.object(multimodel, "PROB_FLOOR", floor):
+            with pytest.raises(ValueError, match=f"^n: .*PROB_FLOOR.*: {n}$"):
+                BankConfig(n=n)
 
     @pytest.mark.parametrize("n, floor", [(7, 1e-300), (7, 0.142857),
                                           (3, 0.33), (1, 0.99)])
     def test_prob_floor_inside_zero_to_one_over_n_accepted(self, n, floor):
-        assert BankConfig(n=n, prob_floor=floor).prob_floor == floor
+        with mock.patch.object(multimodel, "PROB_FLOOR", floor):
+            assert BankConfig(n=n).n == n
 
 
 class TestBuildSlopeSet:
@@ -75,9 +88,10 @@ class TestBuildSlopeSet:
         assert not np.allclose(chg, dis)
 
     def test_floor_applies(self):
-        cfg = BankConfig(n=5, spread=10.0, slope_floor=1e-4)
+        cfg = BankConfig(n=5, spread=10.0)
         s = build_slope_set(1e-5, POSITIVE_G, DISCHARGE, cfg)
-        assert np.all(s >= 1e-4)
+        assert np.all(s >= multimodel.SLOPE_FLOOR)
+        assert s[0] == multimodel.SLOPE_FLOOR
 
     def test_single_filter_returns_base(self):
         cfg = BankConfig(n=1, spread=2.0)
@@ -97,7 +111,7 @@ class TestBuildSlopeSet:
         assert np.all(np.diff(s) >= 0)  # non-decreasing (flat where floored)
         assert np.min(np.abs(s - base)) < 1e-9 * base  # base is a member
         # strictly geometric wherever the floor is inactive
-        if np.all(s > cfg.slope_floor + 1e-12):
+        if np.all(s > multimodel.SLOPE_FLOOR + 1e-12):
             assert np.all(np.diff(s) > 0)
             ratios = s[1:] / s[:-1]
             assert ratios == pytest.approx(np.full(n - 1, ratios[0]), rel=1e-9)
@@ -118,7 +132,7 @@ class TestLikelihood:
                     NoiseConfig.default(r=1e-6), base_curve)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
-                         f.start(), params, trace, 21, 5, cfg, 1e-6, 0)
+                         f.start(), params, trace, 21, 5, cfg, 0)
 
 
 def _model_weights(weights, log_likelihoods, floor):
@@ -282,9 +296,10 @@ class TestMakeBankAndInterval:
             return calls[-1][-1]
 
         monkeypatch.setattr(multimodel, "run_interval", spy)
-        run_ammkf(trace, curve, params, BatteryState(0.9, 0.0),
-                  np.diag([1e-6, 1e-6]), NoiseConfig.default(r=1e-6), cfg,
-                  BankConfig(n=3), bank_noise=self._bank_noise)
+        run_ammkf(trace, KfState(BatteryState(0.9, 0.0),
+                                 np.diag([1e-6, 1e-6]),
+                                 NoiseConfig.default(r=1e-6), curve),
+                  params, cfg, BankConfig(n=3), bank_noise=self._bank_noise)
         assert len(calls) >= 2
         return calls, trace, cfg
 
@@ -305,7 +320,7 @@ class TestMakeBankAndInterval:
         # the weights start uniform: identical members keep them so
         f, anchor, slopes, x, _ = calls[0]
         same = multimodel.run_interval(f, anchor, [slopes[1]] * 3, x, params,
-                                       trace, 41, 20, cfg, 1e-6, 2)
+                                       trace, 41, 20, cfg, 2)
         assert same.probabilities == [1 / 3] * 3
 
     def test_first_anchor_reads_the_clamped_soc(self, params, base_curve,
@@ -326,7 +341,7 @@ class TestMakeBankAndInterval:
         f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
         slope = base_curve.slope(soc)
         res = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
-                           f.start(), params, trace, 21, 20, cfg, 1e-6, 0)
+                           f.start(), params, trace, 21, 20, cfg, 0)
         assert res.optimal_index == 0
         assert res.probabilities == pytest.approx([1 / 3] * 3, rel=1e-9)
 
@@ -339,7 +354,7 @@ class TestMakeBankAndInterval:
         true_slope = base_curve.slope(soc)
         res = run_interval(f, (soc, base_curve.ocv(soc)),
                            [true_slope / 8, true_slope, true_slope * 8],
-                           f.start(), params, trace, k0 + 1, 40, cfg, 1e-6, 0)
+                           f.start(), params, trace, k0 + 1, 40, cfg, 0)
         assert res.optimal_index == 1
         assert res.probabilities[1] > max(res.probabilities[0],
                                           res.probabilities[2])
@@ -351,7 +366,7 @@ class TestMakeBankAndInterval:
         soc, up = float(trace.true_soc[30]), float(trace.true_up_v[30])
         f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
         res = run_interval(f, (soc, 3.31), [0.05, 0.1, 0.2], f.start(),
-                           params, trace, 31, 20, cfg, 1e-6, 2)
+                           params, trace, 31, 20, cfg, 2)
         s_op = [0.05, 0.1, 0.2][res.optimal_index]
         for point_soc, v, idx in res.corrected_points:
             assert idx == 2
@@ -373,11 +388,15 @@ class TestRunAmmkf:
         return simulate_profile(BatteryState(start, 0.0), params, curve,
                                 prof.samples, cfg), cfg
 
+    def _filter(self, curve):
+        """The plain filter every run here starts: SOC 0.95, P0 1e-4."""
+        return KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
+                       self._noise, curve)
+
     def test_trace_too_short_rejected(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=30)
         with pytest.raises(ValueError):
-            run_ammkf(trace, base_curve, params, BatteryState(0.95, 0.0),
-                      np.diag([1e-4, 1e-4]), self._noise, cfg,
+            run_ammkf(trace, self._filter(base_curve), params, cfg,
                       BankConfig(interval_len=20))
 
     @pytest.mark.parametrize("column, k", [
@@ -389,19 +408,16 @@ class TestRunAmmkf:
         trace, cfg = self._trace(params, base_curve, n=1010)
         getattr(trace, column)[k] = np.nan
         with pytest.raises(ValueError, match=f"^sample {k}: non-finite"):
-            run_ammkf(trace, base_curve, params, BatteryState(0.95, 0.0),
-                      np.diag([1e-4, 1e-4]), self._noise, cfg,
+            run_ammkf(trace, self._filter(base_curve), params, cfg,
                       BankConfig(n=7, interval_len=20, spread=6.0),
                       bank_noise=self._bank_noise)
 
     def test_single_filter_bank_equals_plain_ekf(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
-        init = BatteryState(0.95, 0.0)
-        p0 = np.diag([1e-4, 1e-4])
-        res = run_ammkf(trace, base_curve, params, init, p0, self._noise, cfg,
+        filt = self._filter(base_curve)
+        res = run_ammkf(trace, filt, params, cfg,
                         BankConfig(n=1, interval_len=20))
-        ekf_outs = run_ekf(KfState(init, p0, self._noise, base_curve),
-                           params, trace, cfg)
+        ekf_outs = run_ekf(filt, params, trace, cfg)
         ekf_soc = np.array([o.soc for o in ekf_outs])
         ekf_innov = np.array([o.innovation for o in ekf_outs])
         assert np.array_equal(res.soc, ekf_soc)
@@ -410,13 +426,12 @@ class TestRunAmmkf:
 
     def test_true_curve_matches_single_filter_closely(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=2000)
-        init = BatteryState(0.95, 0.0)
-        p0 = np.diag([1e-4, 1e-4])
-        full = run_ammkf(trace, base_curve, params, init, p0, self._noise,
-                         cfg, BankConfig(n=7, interval_len=20, spread=6.0),
+        filt = self._filter(base_curve)
+        full = run_ammkf(trace, filt, params, cfg,
+                         BankConfig(n=7, interval_len=20, spread=6.0),
                          bank_noise=self._bank_noise)
-        single = run_ammkf(trace, base_curve, params, init, p0, self._noise,
-                           cfg, BankConfig(n=1, interval_len=20))
+        single = run_ammkf(trace, filt, params, cfg,
+                           BankConfig(n=1, interval_len=20))
         assert np.max(np.abs(full.soc - single.soc)) < 0.005
 
     def test_plateau_offset_corrected(self, params, base_curve):
@@ -426,13 +441,12 @@ class TestRunAmmkf:
         true_curve = plateau_offset(base_curve, -0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
         trace, cfg = self._trace(params, true_curve, n=4000, seed=17)
-        init = BatteryState(0.95, 0.0)
-        p0 = np.diag([1e-4, 1e-4])
-        res = run_ammkf(trace, base_curve, params, init, p0, self._noise,
-                        cfg, BankConfig(n=7, interval_len=20, spread=6.0),
+        filt = self._filter(base_curve)
+        res = run_ammkf(trace, filt, params, cfg,
+                        BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
-        baseline = run_ammkf(trace, base_curve, params, init, p0, self._noise,
-                             cfg, BankConfig(n=1, interval_len=20))
+        baseline = run_ammkf(trace, filt, params, cfg,
+                             BankConfig(n=1, interval_len=20))
         q = len(trace) // 4
         err_bank = np.abs(res.soc[-q:] - trace.true_soc[-q:])
         err_single = np.abs(baseline.soc[-q:] - trace.true_soc[-q:])
@@ -445,8 +459,7 @@ class TestRunAmmkf:
         true_curve = plateau_offset(base_curve, -0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
         trace, cfg = self._trace(params, true_curve, n=4000, seed=17)
-        res = run_ammkf(trace, base_curve, params, BatteryState(0.95, 0.0),
-                        np.diag([1e-4, 1e-4]), self._noise, cfg,
+        res = run_ammkf(trace, self._filter(base_curve), params, cfg,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
         pts = [(s, v) for s, v, _ in res.corrected_points
@@ -461,8 +474,7 @@ class TestRunAmmkf:
         true_curve = plateau_offset(base_curve, 0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
         trace, cfg = self._trace(params, true_curve, n=1500, seed=19)
-        args = (trace, base_curve, params, BatteryState(0.95, 0.0),
-                np.diag([1e-4, 1e-4]), self._noise, cfg,
+        args = (trace, self._filter(base_curve), params, cfg,
                 BankConfig(n=5, interval_len=20, spread=6.0))
         a = run_ammkf(*args, bank_noise=self._bank_noise)
         b = run_ammkf(*args, bank_noise=self._bank_noise)
@@ -506,11 +518,12 @@ class TestRunAmmkf:
         # must stay finite
         with mock.patch.object(multimodel, "run_interval",
                                wraps=multimodel.run_interval) as spy:
-            res = run_ammkf(trace, partial, params,
-                            BatteryState(min(max(start + error, 0.0), 1.0),
-                                         0.0),
-                            np.diag([1e-2, 1e-4]), self._noise, cfg, bank,
-                            bank_noise=self._bank_noise)
+            res = run_ammkf(trace,
+                            KfState(BatteryState(min(max(start + error, 0.0),
+                                                     1.0), 0.0),
+                                    np.diag([1e-2, 1e-4]), self._noise,
+                                    partial),
+                            params, cfg, bank, bank_noise=self._bank_noise)
         for call in spy.call_args_list:
             x = call.args[3]  # a phase-1 StepOutput or a bank step's tuple
             assert all(map(math.isfinite, x[2:5]))  # (p00, p01, p11)
@@ -521,8 +534,7 @@ class TestRunAmmkf:
 
     def test_diagnostics_cover_phase_two_intervals(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
-        res = run_ammkf(trace, base_curve, params, BatteryState(0.95, 0.0),
-                        np.diag([1e-4, 1e-4]), self._noise, cfg,
+        res = run_ammkf(trace, self._filter(base_curve), params, cfg,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
         assert res.diagnostics

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lfpsoc import (BankConfig, BatteryState, EcmParams, NoiseConfig, SimConfig,
-                    ekf, multimodel, run_ammkf, simulate_profile)
+from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
+                    SimConfig, ekf, multimodel, run_ammkf, simulate_profile)
 from lfpsoc.profiles import generate_profile
 from lfpsoc.rls import identify_stream
 
@@ -74,9 +74,9 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
     monkeypatch.setattr(ekf, "kalman_step", counted_step)
     monkeypatch.setattr(multimodel, "run_interval", counted_interval)
     bank = BankConfig(n=7, interval_len=20, spread=6.0)
-    args = (trace, base_curve, params, BatteryState(0.9, 0.0),
-            np.diag([1e-4, 1e-4]), NoiseConfig(q=np.diag([1e-7, 1e-6]),
-                                               r=1e-6), cfg)
+    args = (trace, KfState(BatteryState(0.9, 0.0), np.diag([1e-4, 1e-4]),
+                           NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6),
+                           base_curve), params, cfg)
     kwargs = {"bank_cfg": bank,
               "bank_noise": NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)}
     result = run_ammkf(*args, **kwargs)
