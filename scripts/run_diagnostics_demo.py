@@ -36,7 +36,7 @@ def run_filter(offset_v, sigma, q):
                              profile.samples, cfg)
     noise = NoiseConfig(q=np.diag(q), r=sigma ** 2)
     outs = run_ekf(KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
-                           noise, BASE), PARAMS, trace, cfg)
+                           noise, BASE, cfg.capacity_ah), PARAMS, trace)
     return np.array([o.innovation for o in outs]), outs
 
 

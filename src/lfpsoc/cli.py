@@ -8,6 +8,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,19 +21,16 @@ from .multimodel import interval_innovations, run_ammkf
 from .profiles import generate_profile
 from .rls import identify_stream
 from .scenario import (ScenarioConfig, ScenarioConfigError, config_value,
-                       coulomb_counted_soc, estimator_inputs, resolve_curves,
-                       run_scenario, run_sweep, scenario_from_mapping,
+                       coulomb_counted_soc, estimator_inputs, load_scenario,
+                       resolve_curves, run_scenario, run_sweep,
                        write_corrected_csv, write_diagnostics_csv,
                        write_estimate_csv, write_manifest, write_soc_csv)
-from .traceio import (TraceFormatError, ingest_trace, read_config,
-                      write_lines, write_trace)
+from .traceio import TraceFormatError, ingest_trace, write_lines, write_trace
 
 
 def _load_cfg(args) -> ScenarioConfig:
-    mapping = read_config(args.config) if args.config else {}
-    cfg = scenario_from_mapping(mapping)
+    cfg = load_scenario(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -87,15 +85,15 @@ def cmd_estimate(args) -> int:
     out = _out_dir(args)
     trace = ingest_trace(args.trace, strict=args.strict)
     _, filter_curve = resolve_curves(cfg)
-    filt, params, sim = estimator_inputs(cfg, trace, filter_curve)
+    filt, params = estimator_inputs(cfg, trace, filter_curve)
     if args.method == "ekf":
-        outs = run_ekf(filt, params, trace, sim)
+        outs = run_ekf(filt, params, trace)
         soc = np.array([o.soc for o in outs])
         write_estimate_csv(os.path.join(out, "estimate_ekf.csv"), trace.dt,
                            outs)
     else:
-        res = run_ammkf(trace, filt, params, sim, cfg.bank_config(),
-                        bank_noise=cfg.bank_noise())
+        res = run_ammkf(trace, filt, params, cfg.bank_config(),
+                        cfg.bank_noise())
         soc = res.soc
         write_corrected_csv(os.path.join(out, "corrected_osc.csv"),
                             res.corrected_points)
@@ -177,11 +175,11 @@ def cmd_analyze(args) -> int:
         label, note = "m", ""
         intervals = _logged_intervals(args.trace, cfg.r)
     else:
-        L = cfg.bank_config().interval_len
+        L = cfg.interval_len
         trace = ingest_trace(args.trace, strict=args.strict)
         _, filter_curve = resolve_curves(cfg)
-        filt, params, sim = estimator_inputs(cfg, trace, filter_curve)
-        outs = run_ekf(filt, params, trace, sim)
+        filt, params = estimator_inputs(cfg, trace, filter_curve)
+        outs = run_ekf(filt, params, trace)
         label = "interval"
         intervals = [interval_innovations(m, outs[m * L:(m + 1) * L])
                      for m in range(len(outs) // L)]

@@ -2,23 +2,25 @@
 
 `kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
 update, on Python floats with the 2x2 algebra written out. It steps one
-filter set over a range of samples per call: one filter (noise and curve),
-one anchor and a list of slopes, with one posterior per slope, through the
-rows that `samples` gives for the range. Each member runs through every
-row before the next starts, its posterior in local variables; the shared
-inputs are read once per call. Members differ only in the measurement row
-H = [s, -1]. A slope of None reads the OCV and its slope s from the curve
-at the prior SOC, clamped into the knot domain, through its own
-`OcvCurve.lookup` for the call, which bisects the knots only when the SOC
-leaves the segment of the previous row: a plain filter is the one-member
-set `[None]` with no anchor. A bank member's slope s gives the
-affine model anchored at the interval start (anchor SOC, model OCV); a
-bank is its n slopes. Each step holds, in `StepOutput`'s field order, the
-posterior, the innovation e, its variance S, the SOC gain, the clamp flag
-and the log-density of e, which the bank's model weights and the interval
-statistics read as they are: a plain filter's steps are `StepOutput`s, a
-bank's plain tuples. `filter_range` steps a plain filter over a range of
-samples in one call. A single step is a one-row call.
+filter set over a range of samples per call: one filter (noise, curve and
+the capacity it counts charge against), one anchor and a list of slopes,
+with one posterior per slope, through the rows that `samples` gives for the
+range. Each member runs through every row before the next starts, its
+posterior in local variables; the shared inputs are read once per call.
+Members differ only in the measurement row H = [s, -1]. A slope of None
+reads the OCV and its slope s from the curve at the prior SOC, clamped into
+the knot domain, through its own `OcvCurve.lookup` for the call, which
+bisects the knots only when the SOC leaves the segment of the previous row:
+a plain filter is the one-member set `[None]` with no anchor. A bank
+member's slope s gives the affine model anchored at the interval start
+(anchor SOC, model OCV); a bank is its n slopes. Each step holds, in
+`StepOutput`'s field order, the posterior, the innovation e, its variance
+S, the SOC gain, the clamp flag and the log-density of e, which the bank's
+model weights and the interval statistics read as they are: a plain
+filter's steps are `StepOutput`s, a bank's plain tuples. `filter_range`
+steps a plain filter over a range of samples in one call. A single step is
+a one-row call. Every step is as long as the trace's own `dt`: the filter
+takes no simulator settings.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from operator import mul
 import numpy as np
 
 from .curve import OcvCurve
-from .ecm import BatteryState, EcmParams, SimConfig, Trace
+from .ecm import BatteryState, EcmParams, Trace
 
 
 class FilterDegeneracyError(RuntimeError):
@@ -68,20 +70,17 @@ class NoiseConfig:
         # the step reads Python floats: (q00, q01, q11, r)
         object.__setattr__(self, "terms", (a, 0.5 * (b + c), d, float(self.r)))
 
-    @classmethod
-    def default(cls, r: float = 1e-4) -> "NoiseConfig":
-        return cls(q=np.diag([1e-10, 1e-6]), r=r)
-
 
 @dataclass
 class KfState:
-    """One filter: start state, covariance, noise and curve, validated once,
-    when built."""
+    """One filter: start state, covariance, noise, curve and the capacity it
+    counts charge against, validated once, when built."""
 
     x: BatteryState
     p: np.ndarray
     noise: NoiseConfig
     curve: OcvCurve
+    capacity_ah: float
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x.soc, self.x.up))):
@@ -93,6 +92,9 @@ class KfState:
             raise ValueError(f"p must be finite, got {p.tolist()}")
         if not abs(p[0, 1] - p[1, 0]) <= 1e-9 + 1e-5 * abs(p[1, 0]):
             raise ValueError("p must be symmetric")  # np.isclose, atol 1e-9
+        if not (math.isfinite(self.capacity_ah) and self.capacity_ah > 0):
+            raise ValueError(f"capacity_ah must be finite and > 0, "
+                             f"got {self.capacity_ah}")
 
     def start(self) -> tuple:
         """The start posterior as the step's `x`: (soc, up, p00, p01, p11)."""
@@ -117,11 +119,12 @@ class StepOutput(namedtuple("StepOutput", (
 PLAIN = (None,)  # the slopes of a plain filter: one member on the curve
 
 
-def transition(params: EcmParams, cfg: SimConfig) -> tuple:
+def transition(params: EcmParams, dt: float, capacity_ah: float) -> tuple:
     """(decay, g_soc, g_up, r0): F = diag(1, decay), G = [g_soc, g_up] and
-    the ohmic feedthrough, for one parameter set."""
-    decay = math.exp(-cfg.dt / params.tau)
-    return (decay, -cfg.dt / cfg.capacity_as, params.rp * (1.0 - decay),
+    the ohmic feedthrough, for one parameter set over a step of `dt`
+    seconds on a cell of `capacity_ah`."""
+    decay = math.exp(-dt / params.tau)
+    return (decay, -dt / (3600.0 * capacity_ah), params.rp * (1.0 - decay),
             params.r0)
 
 
@@ -203,14 +206,16 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     return out
 
 
-def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
+def samples(params, trace: Trace, capacity_ah: float, start: int,
+            stop: int):
     """An iterator over the rows (k, decay, g_soc*u_prev, g_up*u_prev, y,
     r0*u) of samples [start, stop) that `kalman_step` reads: the
-    `transition` of that step's parameters, recomputed only when the
-    parameter object changes, with the products of each row computed once
-    for every member; `u_prev` is 0.0 on sample 0. `params` is either a
-    single EcmParams or a per-step sequence. Raises ValueError naming the
-    first sample read whose current or voltage is not finite."""
+    `transition` of that step's parameters over the trace's `dt` on a cell
+    of `capacity_ah`, recomputed only when the parameter object changes,
+    with the products of each row computed once for every member; `u_prev`
+    is 0.0 on sample 0. `params` is either a single EcmParams or a per-step
+    sequence. Raises ValueError naming the first sample read whose current
+    or voltage is not finite."""
     lo = max(start - 1, 0)
     finite = np.isfinite(trace.current_a[lo:stop])
     finite[start - lo:] &= np.isfinite(trace.voltage_v[start:stop])
@@ -223,31 +228,31 @@ def samples(params, trace: Trace, cfg: SimConfig, start: int, stop: int):
     if start == 0:
         amps.insert(0, 0.0)
     if isinstance(params, EcmParams):
-        decays, g_socs, g_ups, r0s = map(repeat, transition(params, cfg))
+        decays, g_socs, g_ups, r0s = map(
+            repeat, transition(params, trace.dt, capacity_ah))
     else:
         coefs, last = [], None
         for k in range(start, stop):
             pk = params[k]
             if pk is not last:
-                coef, last = transition(pk, cfg), pk
+                coef, last = transition(pk, trace.dt, capacity_ah), pk
             coefs.append(coef)
         decays, g_socs, g_ups, r0s = zip(*coefs) if coefs else ((),) * 4
     return zip(range(start, stop), decays, map(mul, g_socs, amps),
                map(mul, g_ups, amps), volts, map(mul, r0s, amps[1:]))
 
 
-def filter_range(f: KfState, x, params, trace: Trace, cfg: SimConfig,
-                 start: int, stop: int) -> list[StepOutput]:
+def filter_range(f: KfState, x, params, trace: Trace, start: int,
+                 stop: int) -> list[StepOutput]:
     """Step filter `f` from posterior `x` (`f.start()` or a previous step)
     over samples [start, stop)."""
     [steps] = kalman_step(f, None, PLAIN, [x],
-                          samples(params, trace, cfg, start, stop))
+                          samples(params, trace, f.capacity_ah, start, stop))
     return steps
 
 
-def run_ekf(initial: KfState, params, trace: Trace,
-            cfg: SimConfig) -> list[StepOutput]:
-    """Run the filter over a measured trace; one StepOutput per sample.
-    `params` is either a single EcmParams or a per-step sequence."""
-    return filter_range(initial, initial.start(), params, trace, cfg, 0,
-                        len(trace))
+def run_ekf(filt: KfState, params, trace: Trace) -> list[StepOutput]:
+    """Run the filter over a measured trace at its own sample spacing; one
+    StepOutput per sample. `params` is either a single EcmParams or a
+    per-step sequence."""
+    return filter_range(filt, filt.start(), params, trace, 0, len(trace))

@@ -10,7 +10,10 @@ pass over the log-densities of the innovations their steps return (no
 member reads the weights). A bank's steps stay plain tuples in
 `StepOutput`'s field order, the winner's too. An interval's theoretical ACM
 is its last step's innovation variance S. The slope and weight floors are
-the module constants `SLOPE_FLOOR` and `PROB_FLOOR`, read at call time."""
+the module constants `SLOPE_FLOOR` and `PROB_FLOOR`, read at call time.
+Every filter steps at the trace's own `dt` with the plain filter's
+capacity, and `BankConfig` has no defaults: a scenario's bank settings
+come from `ScenarioConfig` alone."""
 
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import ekf, innovation
-from .ecm import SimConfig, Trace
+from .ecm import Trace
 from .ekf import PLAIN, KfState, NoiseConfig, StepOutput
 from .innovation import (IntervalInnovations, INDETERMINATE, NEGATIVE_G,
                          POSITIVE_G)
@@ -40,9 +43,9 @@ _SOC, _INNOVATION, _INNOVATION_VARIANCE, _LOG_LIKELIHOOD = map(
 
 @dataclass(frozen=True)
 class BankConfig:
-    n: int = 7
-    interval_len: int = 20
-    spread: float = 2.0
+    n: int
+    interval_len: int
+    spread: float
 
     def __post_init__(self):
         if self.n < 1 or (self.n > 1 and self.n % 2 == 0):
@@ -126,7 +129,7 @@ class IntervalResult:
 
 
 def run_interval(f: KfState, anchor: tuple, slopes, x, params,
-                 trace: Trace, start: int, length: int, cfg: SimConfig,
+                 trace: Trace, start: int, length: int,
                  index: int) -> IntervalResult:
     """Step the member of every slope from the posterior `x` through
     `length` samples with the noise and curve of `f` and the affine models
@@ -135,7 +138,8 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, params,
     log-density, then select the heaviest member (ties to the lowest
     index). `index` numbers the interval."""
     n = len(slopes)
-    rows = list(ekf.samples(params, trace, cfg, start, start + length))
+    rows = list(ekf.samples(params, trace, f.capacity_ah, start,
+                            start + length))
     members = ekf.kalman_step(f, anchor, slopes, [x] * n, rows)
     # the members never read the weights: weigh them after the range, by
     # the log-density that ends each step
@@ -182,9 +186,8 @@ class AmmkfResult:
     innovations: np.ndarray
 
 
-def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
-              bank_cfg: BankConfig = BankConfig(),
-              bank_noise: NoiseConfig | None = None) -> AmmkfResult:
+def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
+              bank_noise: NoiseConfig) -> AmmkfResult:
     """Two-phase estimation over a measured trace, one whole interval at a
     time: until its interval innovation RMS converges (phase 1), the filter
     `plain` on its own curve; after that, a bank of filters with slopes
@@ -194,7 +197,8 @@ def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
     its innovations join the history and its last step starts the next
     interval. The tail shorter than an interval continues `plain`. The
     bank anchors on `plain`'s curve and steps from the carried posterior,
-    so it reads only `bank_noise` (`plain`'s noise when None).
+    so it is `plain` with `bank_noise`. Every filter steps at the trace's
+    own sample spacing.
     """
     L = bank_cfg.interval_len
     n_steps = len(trace)
@@ -210,7 +214,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
 
     corrected_points, diagnostics = [], []
     history: list[IntervalInnovations] = []
-    bank = plain if bank_noise is None else replace(plain, noise=bank_noise)
+    bank = replace(plain, noise=bank_noise)
     curve = plain.curve
     noise_std = math.sqrt(plain.noise.r)
     lo, hi = curve.soc_min, curve.soc_max
@@ -222,7 +226,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
     converged_at = anchor_ocv = None
     for index, k in enumerate(range(0, m * L, L)):
         if converged_at is None:  # phase 1: the plain filter
-            steps = ekf.filter_range(plain, x, params, trace, cfg, k, k + L)
+            steps = ekf.filter_range(plain, x, params, trace, k, k + L)
         else:
             # the bank, stepped from the carried posterior; phase 1 has run
             # at least two intervals, since convergence needs two. The
@@ -240,7 +244,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
             # a one-filter bank is a plain filter on the curve itself
             slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
             res = run_interval(bank, (soc, anchor_ocv), slopes, x, params,
-                               trace, k, L, cfg, index)
+                               trace, k, L, index)
             steps = res.steps
             corrected_points.extend(res.corrected_points)
             diagnostics.append(IntervalDiagnostics(
@@ -256,7 +260,6 @@ def run_ammkf(trace: Trace, plain: KfState, params, cfg: SimConfig,
             converged_at = k + L
     # tail shorter than one interval: the plain filter continues
     if m * L < n_steps:
-        keep(ekf.filter_range(plain, x, params, trace, cfg, m * L, n_steps),
-             m * L)
+        keep(ekf.filter_range(plain, x, params, trace, m * L, n_steps), m * L)
     return AmmkfResult(soc_est, corrected_points, diagnostics, converged_at,
                        innov_all)

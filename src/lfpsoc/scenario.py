@@ -89,6 +89,8 @@ class ScenarioConfig:
         if not 0 <= self.initial_soc_true <= 1:
             raise ScenarioConfigError(f"initial_soc_true: must be in [0, 1]: "
                                       f"{self.initial_soc_true!r}")
+        # the bank keys, checked before anything is simulated or written
+        self.bank_config()
 
     def ecm_params(self) -> EcmParams:
         return EcmParams(r0=self.r0, rp=self.rp, cp=self.cp)
@@ -199,23 +201,23 @@ def coulomb_counted_soc(cfg: ScenarioConfig, trace: Trace) -> np.ndarray:
 
 def estimator_inputs(cfg: ScenarioConfig, trace: Trace,
                      curve: OcvCurve) -> tuple:
-    """(filt, params, sim): the estimators' filter on `curve`, the ECM
-    params they step with, and their SimConfig at the trace's own sample
-    spacing.
+    """(filt, params): the estimators' filter on `curve` and the ECM params
+    it steps with, at the trace's own sample spacing.
 
-    `filt` starts at `estimator_start()` with the `filter_noise()`: the
-    baseline filter, and the AMMKF's phase 1 and tail. The params are
-    constant, or under `identify_online` a per-step sequence from online
-    RLS identification (config values fill the warmup)."""
-    filt = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve)
-    sim = replace(cfg.sim_config(), dt=trace.dt)
+    `filt` starts at `estimator_start()` with the `filter_noise()` and
+    counts charge against `capacity_ah`: the baseline filter, and the
+    AMMKF's phase 1 and tail. The params are constant, or under
+    `identify_online` a per-step sequence from online RLS identification
+    (config values fill the warmup)."""
+    filt = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve,
+                   cfg.capacity_ah)
     fallback = cfg.ecm_params()
     if not cfg.identify_online:
-        return filt, fallback, sim
+        return filt, fallback
     points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
     seq = [fallback, fallback]
     seq.extend(p.params if p.params is not None else fallback for p in points)
-    return filt, seq, sim
+    return filt, seq
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
@@ -243,14 +245,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
             f"crossed {crossed} V, leaving {len(trace)} samples where the "
             f"bank needs {2 * cfg.interval_len} (2*interval_len)")
 
-    filt, params, sim = estimator_inputs(cfg, trace, filter_curve)
-    soc_ekf = np.array([o.soc for o in run_ekf(filt, params, trace, sim)])
-    am = run_ammkf(trace, filt, params, sim, cfg.bank_config(),
-                   bank_noise=cfg.bank_noise())
+    filt, params = estimator_inputs(cfg, trace, filter_curve)
+    soc_ekf = np.array([o.soc for o in run_ekf(filt, params, trace)])
+    am = run_ammkf(trace, filt, params, cfg.bank_config(), cfg.bank_noise())
 
     metrics = {
-        "ekf-baseline": compute_metrics(soc_ekf, trace.true_soc, cfg.dt),
-        "ammkf": compute_metrics(am.soc, trace.true_soc, cfg.dt),
+        "ekf-baseline": compute_metrics(soc_ekf, trace.true_soc, trace.dt),
+        "ammkf": compute_metrics(am.soc, trace.true_soc, trace.dt),
     }
     violations = []
     if cfg.max_ammkf_rmse >= 0 and metrics["ammkf"].rmse > cfg.max_ammkf_rmse:
@@ -313,7 +314,7 @@ def write_metrics_csv(path: str, metrics: dict):
 
 
 def write_manifest(path: str, cfg: ScenarioConfig):
-    write_config({k: v for k, v in asdict(cfg).items()}, path)
+    write_config(asdict(cfg), path)
 
 
 def write_artifacts(result: ScenarioResult, out_dir: str,

@@ -57,8 +57,8 @@ class TestAcceptance:
                                  prof.samples, sim)
         init = KfState(BatteryState(0.95, 0.0), np.diag([1e-6, 1e-6]),
                        NoiseConfig(q=np.diag([1e-12, 1e-12]), r=sigma**2),
-                       curve)
-        outs = run_ekf(init, params, trace, sim)
+                       curve, sim.capacity_ah)
+        outs = run_ekf(init, params, trace)
         v = np.array([o.innovation for o in outs[200:]])
         theo = np.mean([o.innovation_variance for o in outs[200:]])
         ratio = float(np.mean(v ** 2) / theo)
@@ -91,8 +91,8 @@ class TestAcceptance:
                                   lo=0.2, hi=0.8, ramp=0.15)
             init = KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
                            NoiseConfig(q=np.diag([1e-10, 1e-9]), r=sigma**2),
-                           filt)
-            outs = run_ekf(init, params, trace, sim)
+                           filt, sim.capacity_ah)
+            outs = run_ekf(init, params, trace)
             polarity = curve_error_polarity([o.k_soc for o in outs],
                                             [o.innovation for o in outs])
             values = [polarity[(m + 2) * L - 1]
@@ -195,12 +195,12 @@ class TestAcceptance:
         noise = NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6)
         bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
         filt = KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]), noise,
-                       curve)
+                       curve, sim.capacity_ah)
         # (a) single-filter bank reduces exactly to the plain filter
-        single = run_ammkf(trace, filt, params, sim,
-                           BankConfig(n=1, interval_len=20))
+        single = run_ammkf(trace, filt, params,
+                           BankConfig(n=1, interval_len=20, spread=2.0), noise)
         ekf_soc = np.array([o.soc for o in
-                            run_ekf(filt, params, trace, sim)])
+                            run_ekf(filt, params, trace)])
         reduction_ok = bool(np.array_equal(single.soc, ekf_soc))
         # (b) regression-coefficient <-> circuit-parameter round trip
         roundtrip_ok = True
@@ -213,7 +213,7 @@ class TestAcceptance:
                     and abs(back.rp - p.rp) / p.rp < 1e-9
                     and abs(back.cp - p.cp) / p.cp < 1e-9)
         # (c) probability vectors stay on the simplex through a full run
-        full_args = (trace, filt, params, sim,
+        full_args = (trace, filt, params,
                      BankConfig(n=7, interval_len=20, spread=6.0))
         a = run_ammkf(*full_args, bank_noise=bank_noise)
         simplex_ok = all(1.0 / 7 - 1e-9 <= d.prob_max <= 1.0 + 1e-9

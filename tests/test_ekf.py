@@ -3,6 +3,7 @@ model, update algebra) against a numpy matrix-form reference, and
 closed-loop behavior on simulated traces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from lfpsoc.profiles import generate_profile
 def _state(curve, soc=0.5, up=0.0, p=None, noise=None):
     return KfState(x=BatteryState(soc, up),
                    p=np.diag([1e-4, 1e-4]) if p is None else p,
-                   noise=noise or NoiseConfig.default(r=1e-6),
-                   curve=curve)
+                   noise=noise or NoiseConfig(q=np.diag([1e-10, 1e-6]),
+                                              r=1e-6),
+                   curve=curve, capacity_ah=1.063)
 
 
 def _row(k, coef, u_prev, y, u):
@@ -48,7 +50,7 @@ def _step(f, coef, u_prev, y, u, first, k=None, slope=None, anchor=None):
 
 def _update(f, measured, current, params, **member):
     """The measurement update alone: a first step, which skips prediction."""
-    return _step(f, transition(params, SimConfig()), 0.0, measured, current,
+    return _step(f, transition(params, 1.0, 1.063), 0.0, measured, current,
                  first=True, **member)
 
 
@@ -65,8 +67,8 @@ def _prior(f, params, current, cfg):
     S = p00 - 2 p01 + p11 + r."""
     e, s_var, k = [], [], []
     for slope in (0.0, 1.0):
-        out = _step(f, transition(params, cfg), current, 3.3, 0.0,
-                    first=False, slope=slope, anchor=(0.0, 3.3))
+        out = _step(f, transition(params, cfg.dt, cfg.capacity_ah), current,
+                    3.3, 0.0, first=False, slope=slope, anchor=(0.0, 3.3))
         e.append(out.innovation)
         s_var.append(out.innovation_variance - f.noise.r)
         k.append(out.k_soc * out.innovation_variance)
@@ -171,8 +173,21 @@ class TestNoiseConfig:
                                  np.full(100, 0.5), cfg)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             run_ekf(KfState(BatteryState(soc, 0.0), np.diag([p00, 1e-4]),
-                            NoiseConfig(np.diag([q00, 1e-6]), r), base_curve),
-                    params, trace, cfg)
+                            NoiseConfig(np.diag([q00, 1e-6]), r), base_curve,
+                            cfg.capacity_ah),
+                    params, trace)
+
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
+    def test_capacity_not_finite_and_positive_names_its_field(self,
+                                                             base_curve,
+                                                             capacity):
+        # the filter counts charge against its own capacity: -dt/(3600*0)
+        # would raise ZeroDivisionError at the first step
+        with pytest.raises(ValueError, match=re.escape(
+                f"capacity_ah must be finite and > 0, got {capacity}")):
+            KfState(BatteryState(0.5, 0.0), np.diag([1e-4, 1e-4]),
+                    NoiseConfig(np.diag([1e-7, 1e-6]), 1e-6), base_curve,
+                    capacity)
 
     def test_run_ammkf_rejects_a_non_finite_start(self, params, base_curve):
         cfg = SimConfig(cutoff_low_v=0.0)
@@ -182,8 +197,10 @@ class TestNoiseConfig:
         # could step it
         with pytest.raises(ValueError, match="^p must be finite"):
             filt = KfState(BatteryState(0.9, 0.0), np.diag([math.inf, 1e-4]),
-                           NoiseConfig.default(r=1e-6), base_curve)
-            run_ammkf(trace, filt, params, cfg)
+                           NoiseConfig(np.diag([1e-10, 1e-6]), 1e-6),
+                           base_curve, cfg.capacity_ah)
+            run_ammkf(trace, filt, params, BankConfig(7, 20, 2.0),
+                      filt.noise)
 
     def test_scalar_checks_agree_with_numpy(self):
         # np.allclose(q, q.T) and eigvalsh(q) >= -1e-15, away from the
@@ -224,7 +241,8 @@ class TestNoiseConfig:
 
 class TestTransitionMatrices:
     def test_reference_values(self, params, sim_cfg):
-        decay, g_soc, g_up, r0 = transition(params, sim_cfg)
+        decay, g_soc, g_up, r0 = transition(params, sim_cfg.dt,
+                                            sim_cfg.capacity_ah)
         expect = math.exp(-1.0 / 40.0)  # tau = rp*cp = 40 s, dt = 1 s
         assert decay == pytest.approx(expect, abs=1e-15)
         assert g_soc == pytest.approx(-1.0 / (3600.0 * 1.063), rel=1e-12)
@@ -247,7 +265,7 @@ class TestTransitionMatrices:
         p0 = np.array([[2e-4, 1e-5], [1e-5, 3e-4]])
         st8 = _state(base_curve, p=p0, noise=noise)
         _, _, p_minus = _prior(st8, params, 0.0, sim_cfg)
-        decay = transition(params, sim_cfg)[0]
+        decay = transition(params, sim_cfg.dt, sim_cfg.capacity_ah)[0]
         f = np.diag([1.0, decay])
         assert np.allclose(p_minus, f @ p0 @ f.T, atol=1e-18)
 
@@ -366,7 +384,7 @@ class TestUpdate:
                                                              base_curve):
         st8 = _state(base_curve, p=-np.eye(2))
         with pytest.raises(FilterDegeneracyError, match="step 7"):
-            _step(st8, transition(params, SimConfig()), 0.0, 3.3, 0.0,
+            _step(st8, transition(params, 1.0, 1.063), 0.0, 3.3, 0.0,
                   first=False, k=7)
 
 
@@ -404,8 +422,8 @@ class TestStepAgainstMatrixForm:
         f = _state(curve, soc=soc, up=up, p=p, noise=noise)
         y = 3.3 + innov
         _assert_matches_reference(
-            _step(f, transition(params, cfg), u_prev, y, u, first,
-                  slope=slope, anchor=anchor),
+            _step(f, transition(params, cfg.dt, cfg.capacity_ah), u_prev, y,
+                  u, first, slope=slope, anchor=anchor),
             _reference_step(f, slope, anchor, params, cfg, u_prev, y, u,
                             first))
 
@@ -458,7 +476,8 @@ class TestFilterSetStep:
                              noise=noise))
             slopes.append(None if plain else slope)
         xs = [f.start() for f in fs]
-        row = _row(0 if first else 5, transition(params, cfg), u_prev,
+        row = _row(0 if first else 5,
+                   transition(params, cfg.dt, cfg.capacity_ah), u_prev,
                    3.3 + innov, u)
         steps = [member for [member] in
                  kalman_step(fs[0], anchor, slopes, xs, [row])]
@@ -482,7 +501,7 @@ class TestFilterSetStep:
             kalman_step(fs[0], (0.5, base_curve.ocv(0.5)),
                         [0.1 * (j + 1) for j in range(5)],
                         [f.start() for f in fs],
-                        [_row(9, transition(params, SimConfig()), 0.0, 3.3,
+                        [_row(9, transition(params, 1.0, 1.063), 0.0, 3.3,
                               0.0)])
 
     def test_non_positive_variance_inside_a_range_names_its_sample(
@@ -491,7 +510,7 @@ class TestFilterSetStep:
         # whose update then drives p11 far below -r, so S <= 0 at sample 5
         f = _state(base_curve, p=np.diag([1e-4, -0.9e-6]),
                    noise=NoiseConfig(q=np.zeros((2, 2)), r=1e-6))
-        coef = transition(params, SimConfig())
+        coef = transition(params, 1.0, 1.063)
         rows = [_row(k, coef, 0.0, 3.3, 0.0) for k in (4, 5, 6)]
         [[step]] = kalman_step(f, (0.5, 3.3), [0.0], [f.start()], rows[:1])
         assert step[6] > 0
@@ -532,11 +551,12 @@ class TestRangeStep:
             sets = [(OcvCurve(g, base_curve.ocv(g)), PLAIN, None)
                     for g in (grid, grid[grid <= 0.551])]
             sets.insert(0, (base_curve, PLAIN, None))
-        rows = list(samples(params, trace, cfg, start, start + 30))
+        rows = list(samples(params, trace, cfg.capacity_ah, start, start + 30))
         # each row from its own parameters and the currents either side
         amps, volts = trace.current_a.tolist(), trace.voltage_v.tolist()
         assert repr(rows) == repr([
-            _row(k, transition(params[k] if per_step else params, cfg),
+            _row(k, transition(params[k] if per_step else params, cfg.dt,
+                               cfg.capacity_ah),
                  amps[k - 1] if k else 0.0, volts[k], amps[k])
             for k in range(start, start + 30)])
         socs = []
@@ -574,7 +594,7 @@ class TestRunEkf:
                                  prof.samples, cfg)
         init = _state(base_curve, soc=0.8, up=0.0, p=np.diag([1e-6, 1e-6]),
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=1e-6))
-        outs = run_ekf(init, params, trace, cfg)
+        outs = run_ekf(init, params, trace)
         errs = np.array([o.soc for o in outs]) - trace.true_soc
         assert np.max(np.abs(errs)) < 1e-6
 
@@ -586,7 +606,7 @@ class TestRunEkf:
                                  prof.samples, cfg)
         init = _state(base_curve, soc=0.7, up=0.0, p=np.diag([1e-2, 1e-4]),
                       noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
-        outs = run_ekf(init, params, trace, cfg)
+        outs = run_ekf(init, params, trace)
         errs = np.abs(np.array([o.soc for o in outs]) - trace.true_soc)
         assert np.max(errs[-300:]) < 0.01  # 20 pp initial error forgotten
 
@@ -603,7 +623,7 @@ class TestRunEkf:
                                      voltage_v=trace.voltage_v + 0.020)
         init = _state(base_curve, soc=0.9, up=0.0, p=np.diag([1e-4, 1e-4]),
                       noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
-        outs = run_ekf(init, params, biased, cfg)
+        outs = run_ekf(init, params, biased)
         errs = np.array([o.soc for o in outs]) - trace.true_soc
         assert np.mean(errs[500:]) > 0.02
 
@@ -616,8 +636,8 @@ class TestRunEkf:
         init = _state(base_curve, soc=0.8, up=0.0,
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=1e-6))
         seq = [params] * len(trace)
-        a = run_ekf(init, params, trace, cfg)
-        b = run_ekf(init, seq, trace, cfg)
+        a = run_ekf(init, params, trace)
+        b = run_ekf(init, seq, trace)
         for oa, ob in zip(a, b):
             assert oa.soc == ob.soc
             assert oa.innovation == ob.innovation
@@ -638,7 +658,7 @@ class TestRunEkf:
         for column, ks in bad.items():
             getattr(trace, column)[ks] = value
         with pytest.raises(ValueError, match=f"^sample {first}: non-finite"):
-            run_ekf(_state(base_curve, soc=0.8), params, trace, cfg)
+            run_ekf(_state(base_curve, soc=0.8), params, trace)
 
     def test_near_optimal_innovations_are_white(self, params, base_curve):
         # with the true model and matched noise, the normalized innovation
@@ -652,7 +672,7 @@ class TestRunEkf:
                                  prof.samples, cfg)
         init = _state(base_curve, soc=0.9, up=0.0, p=np.diag([1e-6, 1e-6]),
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=sigma**2))
-        outs = run_ekf(init, params, trace, cfg)
+        outs = run_ekf(init, params, trace)
         z = np.array([o.innovation / math.sqrt(o.innovation_variance)
                       for o in outs[200:]])
         n = len(z)
@@ -668,8 +688,8 @@ class TestRunEkf:
 class TestStepFirstFlag:
     def test_first_step_skips_prediction(self, params, base_curve, sim_cfg):
         st8 = _state(base_curve, soc=0.5, up=0.03)
-        out = _step(st8, transition(params, sim_cfg), u_prev=2.0,
-                    y=_predicted(st8, params), u=0.0, first=True)
+        out = _step(st8, transition(params, sim_cfg.dt, sim_cfg.capacity_ah),
+                    u_prev=2.0, y=_predicted(st8, params), u=0.0, first=True)
         # no prediction and a zero innovation: the posterior is the start
         assert out.innovation == 0.0
         assert out.soc == 0.5 and out.up == 0.03
@@ -702,18 +722,20 @@ class TestDeepDischarge:
         trace = simulate_profile(BatteryState(0.2, 0.0), params, base_curve,
                                  prof.samples, cfg)
         assert trace.true_soc[-1] < 0.01
-        filt = KfState(BatteryState(0.2, 0.0), p0, noise, partial)
-        soc = np.array([o.soc for o in run_ekf(filt, params, trace, cfg)])
-        am = run_ammkf(trace, filt, params, cfg,
-                       BankConfig(n=7, interval_len=20, spread=6.0))
+        filt = KfState(BatteryState(0.2, 0.0), p0, noise, partial,
+                       cfg.capacity_ah)
+        soc = np.array([o.soc for o in run_ekf(filt, params, trace)])
+        am = run_ammkf(trace, filt, params,
+                       BankConfig(n=7, interval_len=20, spread=6.0), noise)
         for est in (soc, am.soc):
             assert np.all(np.isfinite(est))
             assert np.all((est >= 0.0) & (est <= 1.0))
         # high end: a full battery starts above the last knot
         short = simulate_profile(BatteryState(1.0, 0.0), params, base_curve,
                                  prof.samples[:200], cfg)
-        full = KfState(BatteryState(1.0, 0.0), p0, noise, partial)
-        outs = run_ekf(full, params, short, cfg)
+        full = KfState(BatteryState(1.0, 0.0), p0, noise, partial,
+                       cfg.capacity_ah)
+        outs = run_ekf(full, params, short)
         assert len(outs) == len(short)
         assert _slope(outs[0], full) == pytest.approx(partial.slope(0.99),
                                                       rel=1e-12)

@@ -39,8 +39,8 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
                              prof.samples, cfg)
     init = KfState(x=BatteryState(0.9, 0.0), p=np.diag([p0, p0]),
                    noise=NoiseConfig(q=np.diag(q), r=sigma**2),
-                   curve=filter_curve)
-    return trace, run_ekf(init, params, trace, cfg)
+                   curve=filter_curve, capacity_ah=cfg.capacity_ah)
+    return trace, run_ekf(init, params, trace)
 
 
 def _intervals(outs, length=20):
@@ -77,12 +77,13 @@ class TestCorrelationMeasures:
         # here a first step (no prediction, so P- = P) with H = [0.5, -1]
         x = BatteryState(0.5, 0.0)
         p = np.array([[4e-4, 1e-5], [1e-5, 1e-4]])
-        f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve)
+        f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve,
+                    1.063)
         [[step]] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5],
                                [f.start()],
                                # sample 0 at rest, 3.3 V: (k, decay,
                                # g_soc*u_prev, g_up*u_prev, y, r0*u)
-                               [(0, transition(params, SimConfig())[0], 0.0,
+                               [(0, transition(params, 1.0, 1.063)[0], 0.0,
                                  0.0, 3.3, 0.0)])
         step = StepOutput._make(step)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6

@@ -595,13 +595,14 @@ class TestRunScenario:
         cfg = ScenarioConfig(identify_online=online)
         trace = run_scenario(replace(cfg, **_FAST)).trace
         _, curve = resolve_curves(cfg)
-        filt, params, sim = scenario.estimator_inputs(cfg, trace, curve)
-        built = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve)
+        filt, params = scenario.estimator_inputs(cfg, trace, curve)
+        built = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve,
+                        cfg.capacity_ah)
         assert filt.start() == built.start() == (0.95, 0.0, 1e-4, 0.0, 1e-4)
         assert filt.noise.terms == built.noise.terms == \
             (1e-7, 0.0, 1e-6, 1e-6)
         assert filt.curve is curve
-        assert sim.dt == trace.dt
+        assert filt.capacity_ah == cfg.capacity_ah
         if online:
             assert len(params) == len(trace)
         else:
@@ -933,9 +934,9 @@ class TestCli:
         _, curve = resolve_curves(sc)
         trace = ingest_trace(path)
         outs = run_ekf(KfState(*sc.estimator_start(), sc.filter_noise(),
-                               curve), sc.ecm_params(), trace,
-                       sc.sim_config())
-        decay, g_soc, _, _ = transition(sc.ecm_params(), sc.sim_config())
+                               curve, sc.capacity_ah), sc.ecm_params(), trace)
+        decay, g_soc, _, _ = transition(sc.ecm_params(), sc.dt,
+                                        sc.capacity_ah)
         q00, q01, q11, r = sc.filter_noise().terms
         L = sc.interval_len
         assert len(rows) == len(outs) // L
@@ -1085,6 +1086,54 @@ class TestCli:
         assert capsys.readouterr().err == \
             f"error: unknown config key: {key!r}\n"
         assert not (out / "run-000").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 4, "n: filter count must be odd and > 0: 4"),
+        ("interval_len", 4, "interval_len must be >= 5"),
+        ("spread", 1, "spread must be > 1")])
+    def test_bank_keys_checked_before_simulating(self, tmp_path, capsys, key,
+                                                 value, message):
+        # these once passed simulate, which wrote a trace and a manifest
+        # that scenario then refused
+        bad = _write_cfg(tmp_path / "bad.txt", **{key: value})
+        out = tmp_path / "sim"
+        assert cli_main(["--config", bad, "--out", str(out), "simulate"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "trace.csv").exists()
+        assert not (out / "run-manifest.txt").exists()
+
+    def test_sweep_checks_every_bank_value_before_the_first_run(self,
+                                                                tmp_path,
+                                                                capsys):
+        # n=4 once stopped the sweep only after run-000 (n=3) was written
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        out = tmp_path / "sw"
+        assert cli_main(["--config", cfg, "--out", str(out), "sweep",
+                         "--key", "n", "--values", "3,4"]) == 2
+        assert capsys.readouterr().err == \
+            "error: n: filter count must be odd and > 0: 4\n"
+        assert not (out / "run-000").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--method", "ekf"], ["estimate", "--method", "ammkf"],
+        ["analyze"]])
+    def test_zero_capacity_names_the_field(self, tmp_path, capsys, command):
+        # the filter counts charge against capacity_ah: it refuses 0 where
+        # it is built, before a step divides by it
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        capsys.readouterr()
+        bad = _write_cfg(tmp_path / "bad.txt", profile_steps=400,
+                         profile_target_ah=0.06, capacity_ah=0)
+        out = tmp_path / "est"
+        assert cli_main(["--config", bad, "--out", str(out), *command,
+                         "--trace", str(sim / "trace.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: capacity_ah must be finite and > 0, got 0.0\n"
+        assert not list(out.glob("*.csv"))
 
     def test_scenario_exit_codes(self, tmp_path):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",

@@ -22,28 +22,28 @@ from lfpsoc.profiles import generate_profile
 class TestBankConfig:
     def test_even_count_rejected(self):
         with pytest.raises(ValueError, match="^n: .*odd.*: 4$"):
-            BankConfig(n=4)
+            BankConfig(n=4, interval_len=20, spread=2.0)
 
     def test_single_filter_allowed(self):
-        assert BankConfig(n=1).n == 1
+        assert BankConfig(n=1, interval_len=20, spread=2.0).n == 1
 
     def test_short_interval_rejected(self):
         with pytest.raises(ValueError):
-            BankConfig(interval_len=4)
+            BankConfig(n=7, interval_len=4, spread=2.0)
 
     def test_spread_must_exceed_one(self):
         with pytest.raises(ValueError):
-            BankConfig(spread=1.0)
+            BankConfig(n=7, interval_len=20, spread=1.0)
 
     def test_filter_count_below_one_over_prob_floor_accepted(self):
         assert multimodel.PROB_FLOOR == 1e-6
-        assert BankConfig(n=999999).n == 999999
+        assert BankConfig(n=999999, interval_len=20, spread=2.0).n == 999999
 
     def test_filter_count_at_one_over_prob_floor_rejected(self):
         # at 1/PROB_FLOOR filters or more every weight is floored, the
         # weights stay uniform and every pick is index 0
         with pytest.raises(ValueError, match="^n: .*PROB_FLOOR.*1000001"):
-            BankConfig(n=1000001)
+            BankConfig(n=1000001, interval_len=20, spread=2.0)
 
     @pytest.mark.parametrize("n, floor", [
         (7, 0.0), (7, -1e-6), (7, math.nan), (7, 1 / 7), (7, 0.5),
@@ -54,33 +54,33 @@ class TestBankConfig:
         # below or NaN the floor is off
         with mock.patch.object(multimodel, "PROB_FLOOR", floor):
             with pytest.raises(ValueError, match=f"^n: .*PROB_FLOOR.*: {n}$"):
-                BankConfig(n=n)
+                BankConfig(n=n, interval_len=20, spread=2.0)
 
     @pytest.mark.parametrize("n, floor", [(7, 1e-300), (7, 0.142857),
                                           (3, 0.33), (1, 0.99)])
     def test_prob_floor_inside_zero_to_one_over_n_accepted(self, n, floor):
         with mock.patch.object(multimodel, "PROB_FLOOR", floor):
-            assert BankConfig(n=n).n == n
+            assert BankConfig(n=n, interval_len=20, spread=2.0).n == n
 
 
 class TestBuildSlopeSet:
     def test_negative_gap_discharge_grows_slopes(self):
-        cfg = BankConfig(n=3, spread=2.0)
+        cfg = BankConfig(n=3, interval_len=20, spread=2.0)
         s = build_slope_set(0.1, NEGATIVE_G, DISCHARGE, cfg)
         assert s == pytest.approx([0.1, 0.1 * math.sqrt(2.0), 0.2], rel=1e-12)
 
     def test_positive_gap_discharge_shrinks_slopes(self):
-        cfg = BankConfig(n=3, spread=2.0)
+        cfg = BankConfig(n=3, interval_len=20, spread=2.0)
         s = build_slope_set(0.1, POSITIVE_G, DISCHARGE, cfg)
         assert s == pytest.approx([0.05, 0.1 / math.sqrt(2.0), 0.1], rel=1e-12)
 
     def test_indeterminate_symmetric(self):
-        cfg = BankConfig(n=3, spread=2.0)
+        cfg = BankConfig(n=3, interval_len=20, spread=2.0)
         s = build_slope_set(0.1, INDETERMINATE, DISCHARGE, cfg)
         assert s == pytest.approx([0.05, 0.1, 0.2], rel=1e-12)
 
     def test_charge_mirrors_the_verdict(self):
-        cfg = BankConfig(n=3, spread=2.0)
+        cfg = BankConfig(n=3, interval_len=20, spread=2.0)
         dis = build_slope_set(0.1, NEGATIVE_G, DISCHARGE, cfg)
         chg = build_slope_set(0.1, NEGATIVE_G, CHARGE, cfg)
         mirror = build_slope_set(0.1, POSITIVE_G, DISCHARGE, cfg)
@@ -88,13 +88,13 @@ class TestBuildSlopeSet:
         assert not np.allclose(chg, dis)
 
     def test_floor_applies(self):
-        cfg = BankConfig(n=5, spread=10.0)
+        cfg = BankConfig(n=5, interval_len=20, spread=10.0)
         s = build_slope_set(1e-5, POSITIVE_G, DISCHARGE, cfg)
         assert np.all(s >= multimodel.SLOPE_FLOOR)
         assert s[0] == multimodel.SLOPE_FLOOR
 
     def test_single_filter_returns_base(self):
-        cfg = BankConfig(n=1, spread=2.0)
+        cfg = BankConfig(n=1, interval_len=20, spread=2.0)
         assert build_slope_set(0.07, None, DISCHARGE, cfg) == \
             pytest.approx([0.07])
 
@@ -105,7 +105,7 @@ class TestBuildSlopeSet:
     @settings(max_examples=200, deadline=None)
     def test_base_membership_ordering_and_ratios(self, base, spread, n,
                                                  sign, mode):
-        cfg = BankConfig(n=n, spread=spread)
+        cfg = BankConfig(n=n, interval_len=20, spread=spread)
         s = build_slope_set(base, sign, mode, cfg)
         assert len(s) == n
         assert np.all(np.diff(s) >= 0)  # non-decreasing (flat where floored)
@@ -129,10 +129,11 @@ class TestLikelihood:
         trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
                                  np.full(40, 0.5), cfg)
         f = KfState(BatteryState(0.6, 0.0), -np.eye(2),
-                    NoiseConfig.default(r=1e-6), base_curve)
+                    NoiseConfig(np.diag([1e-10, 1e-6]), 1e-6), base_curve,
+                    cfg.capacity_ah)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
-                         f.start(), params, trace, 21, 5, cfg, 0)
+                         f.start(), params, trace, 21, 5, 0)
 
 
 def _model_weights(weights, log_likelihoods, floor):
@@ -267,7 +268,7 @@ class TestUpdateProbabilities:
 def _bank(soc, up, p, noise, curve):
     """A bank's filter: its noise and curve, and the start (soc, up) and
     covariance that every member steps from."""
-    return KfState(BatteryState(soc, up), p, noise, curve)
+    return KfState(BatteryState(soc, up), p, noise, curve, 1.063)
 
 
 class TestMakeBankAndInterval:
@@ -298,8 +299,10 @@ class TestMakeBankAndInterval:
         monkeypatch.setattr(multimodel, "run_interval", spy)
         run_ammkf(trace, KfState(BatteryState(0.9, 0.0),
                                  np.diag([1e-6, 1e-6]),
-                                 NoiseConfig.default(r=1e-6), curve),
-                  params, cfg, BankConfig(n=3), bank_noise=self._bank_noise)
+                                 NoiseConfig(np.diag([1e-10, 1e-6]), 1e-6),
+                                 curve, cfg.capacity_ah),
+                  params, BankConfig(n=3, interval_len=20, spread=2.0),
+                  bank_noise=self._bank_noise)
         assert len(calls) >= 2
         return calls, trace, cfg
 
@@ -320,7 +323,7 @@ class TestMakeBankAndInterval:
         # the weights start uniform: identical members keep them so
         f, anchor, slopes, x, _ = calls[0]
         same = multimodel.run_interval(f, anchor, [slopes[1]] * 3, x, params,
-                                       trace, 41, 20, cfg, 2)
+                                       trace, 41, 20, 2)
         assert same.probabilities == [1 / 3] * 3
 
     def test_first_anchor_reads_the_clamped_soc(self, params, base_curve,
@@ -341,7 +344,7 @@ class TestMakeBankAndInterval:
         f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
         slope = base_curve.slope(soc)
         res = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
-                           f.start(), params, trace, 21, 20, cfg, 0)
+                           f.start(), params, trace, 21, 20, 0)
         assert res.optimal_index == 0
         assert res.probabilities == pytest.approx([1 / 3] * 3, rel=1e-9)
 
@@ -354,7 +357,7 @@ class TestMakeBankAndInterval:
         true_slope = base_curve.slope(soc)
         res = run_interval(f, (soc, base_curve.ocv(soc)),
                            [true_slope / 8, true_slope, true_slope * 8],
-                           f.start(), params, trace, k0 + 1, 40, cfg, 0)
+                           f.start(), params, trace, k0 + 1, 40, 0)
         assert res.optimal_index == 1
         assert res.probabilities[1] > max(res.probabilities[0],
                                           res.probabilities[2])
@@ -366,7 +369,7 @@ class TestMakeBankAndInterval:
         soc, up = float(trace.true_soc[30]), float(trace.true_up_v[30])
         f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
         res = run_interval(f, (soc, 3.31), [0.05, 0.1, 0.2], f.start(),
-                           params, trace, 31, 20, cfg, 2)
+                           params, trace, 31, 20, 2)
         s_op = [0.05, 0.1, 0.2][res.optimal_index]
         for point_soc, v, idx in res.corrected_points:
             assert idx == 2
@@ -391,13 +394,14 @@ class TestRunAmmkf:
     def _filter(self, curve):
         """The plain filter every run here starts: SOC 0.95, P0 1e-4."""
         return KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
-                       self._noise, curve)
+                       self._noise, curve, 1.063)
 
     def test_trace_too_short_rejected(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=30)
         with pytest.raises(ValueError):
-            run_ammkf(trace, self._filter(base_curve), params, cfg,
-                      BankConfig(interval_len=20))
+            run_ammkf(trace, self._filter(base_curve), params,
+                      BankConfig(n=7, interval_len=20, spread=2.0),
+                      self._noise)
 
     @pytest.mark.parametrize("column, k", [
         ("voltage_v", 5),        # phase 1
@@ -408,16 +412,17 @@ class TestRunAmmkf:
         trace, cfg = self._trace(params, base_curve, n=1010)
         getattr(trace, column)[k] = np.nan
         with pytest.raises(ValueError, match=f"^sample {k}: non-finite"):
-            run_ammkf(trace, self._filter(base_curve), params, cfg,
+            run_ammkf(trace, self._filter(base_curve), params,
                       BankConfig(n=7, interval_len=20, spread=6.0),
                       bank_noise=self._bank_noise)
 
     def test_single_filter_bank_equals_plain_ekf(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
         filt = self._filter(base_curve)
-        res = run_ammkf(trace, filt, params, cfg,
-                        BankConfig(n=1, interval_len=20))
-        ekf_outs = run_ekf(filt, params, trace, cfg)
+        res = run_ammkf(trace, filt, params,
+                        BankConfig(n=1, interval_len=20, spread=2.0),
+                        self._noise)
+        ekf_outs = run_ekf(filt, params, trace)
         ekf_soc = np.array([o.soc for o in ekf_outs])
         ekf_innov = np.array([o.innovation for o in ekf_outs])
         assert np.array_equal(res.soc, ekf_soc)
@@ -427,11 +432,12 @@ class TestRunAmmkf:
     def test_true_curve_matches_single_filter_closely(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=2000)
         filt = self._filter(base_curve)
-        full = run_ammkf(trace, filt, params, cfg,
+        full = run_ammkf(trace, filt, params,
                          BankConfig(n=7, interval_len=20, spread=6.0),
                          bank_noise=self._bank_noise)
-        single = run_ammkf(trace, filt, params, cfg,
-                           BankConfig(n=1, interval_len=20))
+        single = run_ammkf(trace, filt, params,
+                           BankConfig(n=1, interval_len=20, spread=2.0),
+                           self._noise)
         assert np.max(np.abs(full.soc - single.soc)) < 0.005
 
     def test_plateau_offset_corrected(self, params, base_curve):
@@ -442,11 +448,12 @@ class TestRunAmmkf:
                                     ramp=0.15)
         trace, cfg = self._trace(params, true_curve, n=4000, seed=17)
         filt = self._filter(base_curve)
-        res = run_ammkf(trace, filt, params, cfg,
+        res = run_ammkf(trace, filt, params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
-        baseline = run_ammkf(trace, filt, params, cfg,
-                             BankConfig(n=1, interval_len=20))
+        baseline = run_ammkf(trace, filt, params,
+                             BankConfig(n=1, interval_len=20, spread=2.0),
+                             self._noise)
         q = len(trace) // 4
         err_bank = np.abs(res.soc[-q:] - trace.true_soc[-q:])
         err_single = np.abs(baseline.soc[-q:] - trace.true_soc[-q:])
@@ -459,7 +466,7 @@ class TestRunAmmkf:
         true_curve = plateau_offset(base_curve, -0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
         trace, cfg = self._trace(params, true_curve, n=4000, seed=17)
-        res = run_ammkf(trace, self._filter(base_curve), params, cfg,
+        res = run_ammkf(trace, self._filter(base_curve), params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
         pts = [(s, v) for s, v, _ in res.corrected_points
@@ -474,7 +481,7 @@ class TestRunAmmkf:
         true_curve = plateau_offset(base_curve, 0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
         trace, cfg = self._trace(params, true_curve, n=1500, seed=19)
-        args = (trace, self._filter(base_curve), params, cfg,
+        args = (trace, self._filter(base_curve), params,
                 BankConfig(n=5, interval_len=20, spread=6.0))
         a = run_ammkf(*args, bank_noise=self._bank_noise)
         b = run_ammkf(*args, bank_noise=self._bank_noise)
@@ -522,8 +529,8 @@ class TestRunAmmkf:
                             KfState(BatteryState(min(max(start + error, 0.0),
                                                      1.0), 0.0),
                                     np.diag([1e-2, 1e-4]), self._noise,
-                                    partial),
-                            params, cfg, bank, bank_noise=self._bank_noise)
+                                    partial, cfg.capacity_ah),
+                            params, bank, bank_noise=self._bank_noise)
         for call in spy.call_args_list:
             x = call.args[3]  # a phase-1 StepOutput or a bank step's tuple
             assert all(map(math.isfinite, x[2:5]))  # (p00, p01, p11)
@@ -534,7 +541,7 @@ class TestRunAmmkf:
 
     def test_diagnostics_cover_phase_two_intervals(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
-        res = run_ammkf(trace, self._filter(base_curve), params, cfg,
+        res = run_ammkf(trace, self._filter(base_curve), params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
         assert res.diagnostics
