@@ -13,7 +13,7 @@ from .innovation import (IntervalInnovations, PolarityVerdict,
                          interval_ccm)
 from .metrics import Metrics, compute_metrics
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
-from .profiles import DriveProfile, generate_profile
+from .profiles import generate_profile
 from .rls import (build_sample, circuit_to_theta, forgetting_factor,
                   identify_stream, rls_step, theta_to_circuit)
 from .scenario import (ScenarioConfig, ScenarioResult, load_scenario,

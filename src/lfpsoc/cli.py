@@ -28,48 +28,41 @@ from .scenario import (ScenarioConfig, ScenarioConfigError, config_value,
 from .traceio import TraceFormatError, ingest_trace, write_lines, write_trace
 
 
-def _load_cfg(args) -> ScenarioConfig:
-    cfg = load_scenario(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _out_dir(args) -> str:
+def _out_file(args, name: str) -> str:
+    """The path of output file `name` in `--out` (default ./out). The
+    directory is made here, at a command's first write, so a command that
+    fails before it writes leaves none."""
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_simulate(args, cfg: ScenarioConfig) -> int:
     true_curve, _ = resolve_curves(cfg)
     profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
                                seed=cfg.seed, amp=cfg.profile_amp,
                                target_discharge_ah=cfg.profile_target_ah)
     trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
-                             cfg.ecm_params(), true_curve, profile.samples,
+                             cfg.ecm_params(), true_curve, profile,
                              cfg.sim_config())
-    write_trace(trace, os.path.join(out, "trace.csv"))
-    true_curve.to_csv(os.path.join(out, "true_curve.csv"))
-    write_manifest(os.path.join(out, "run-manifest.txt"), cfg)
-    print(f"simulated {len(trace)} steps -> {out}/trace.csv")
+    path = _out_file(args, "trace.csv")
+    write_trace(trace, path)
+    true_curve.to_csv(_out_file(args, "true_curve.csv"))
+    write_manifest(_out_file(args, "run-manifest.txt"), cfg)
+    print(f"simulated {len(trace)} steps -> {path}")
     return 0
 
 
-def cmd_identify(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_identify(args, cfg: ScenarioConfig) -> int:
     trace = ingest_trace(args.trace, strict=args.strict)
     points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
-    path = os.path.join(out, "identified_params.csv")
+    path = _out_file(args, "identified_params.csv")
     write_lines(path, ["t", "r0_ohm", "rp_ohm", "cp_f", "lambda"],
                 ("%.6g,,,,%.6f" % (p.t, p.lam) if p.params is None
                  else "%.6g,%.8g,%.8g,%.8g,%.6f" % (
                      p.t, p.params.r0, p.params.rp, p.params.cp, p.lam)
                  for p in points))
-    write_manifest(os.path.join(out, "run-manifest.txt"), cfg)
+    write_manifest(_out_file(args, "run-manifest.txt"), cfg)
     final = next((p.params for p in reversed(points) if p.params is not None),
                  None)
     if final is not None:
@@ -80,30 +73,28 @@ def cmd_identify(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_estimate(args, cfg: ScenarioConfig) -> int:
     trace = ingest_trace(args.trace, strict=args.strict)
     _, filter_curve = resolve_curves(cfg)
     filt, params = estimator_inputs(cfg, trace, filter_curve)
     if args.method == "ekf":
         outs = run_ekf(filt, params, trace)
         soc = np.array([o.soc for o in outs])
-        write_estimate_csv(os.path.join(out, "estimate_ekf.csv"), trace.dt,
+        write_estimate_csv(_out_file(args, "estimate_ekf.csv"), trace.dt,
                            outs)
     else:
         res = run_ammkf(trace, filt, params, cfg.bank_config(),
                         cfg.bank_noise())
         soc = res.soc
-        write_corrected_csv(os.path.join(out, "corrected_osc.csv"),
+        write_corrected_csv(_out_file(args, "corrected_osc.csv"),
                             res.corrected_points)
-        write_diagnostics_csv(os.path.join(out, "diagnostics.csv"),
+        write_diagnostics_csv(_out_file(args, "diagnostics.csv"),
                               res.diagnostics)
     truth = trace.true_soc if trace.true_soc is not None \
         else np.full(len(trace), np.nan)
-    write_soc_csv(os.path.join(out, f"soc_{args.method}.csv"), trace.dt,
+    write_soc_csv(_out_file(args, f"soc_{args.method}.csv"), trace.dt,
                   soc, truth)
-    write_manifest(os.path.join(out, "run-manifest.txt"), cfg)
+    write_manifest(_out_file(args, "run-manifest.txt"), cfg)
     if trace.true_soc is not None:
         m = compute_metrics(soc, trace.true_soc, trace.dt)
         print(f"{args.method}: rmse={m.rmse:.4f} mae={m.mae:.4f} "
@@ -163,12 +154,10 @@ def _whiteness(v: np.ndarray) -> str:
             f"+-{band:.4f}")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, cfg: ScenarioConfig) -> int:
     """Report interval innovation statistics (cross/auto-correlation and the
     inferred curve-error sign), either by running the baseline filter over a
     trace CSV or directly from an innovation log CSV."""
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
     with open(args.trace, newline="") as fh:
         header = fh.readline().strip()
     if header.startswith("interval,step,innovation_v"):
@@ -185,7 +174,7 @@ def cmd_analyze(args) -> int:
                      for m in range(len(outs) // L)]
         note = "; second-half whiteness: " + _whiteness(
             np.array([o.innovation for o in outs[len(outs) // 2:]]))
-    path = os.path.join(out, "analysis.csv")
+    path = _out_file(args, "analysis.csv")
 
     def lines():
         for prev, iv in zip([None, *intervals], intervals):
@@ -200,10 +189,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_scenario(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    res = run_scenario(cfg, out)
+def cmd_scenario(args, cfg: ScenarioConfig) -> int:
+    res = run_scenario(cfg, args.out or "out")
     for method, m in res.metrics.items():
         print(f"{method}: rmse={m.rmse:.4f} mae={m.mae:.4f} "
               f"max={m.max_abs_error:.4f} "
@@ -213,13 +200,11 @@ def cmd_scenario(args) -> int:
     return 1 if res.violations else 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
+def cmd_sweep(args, cfg: ScenarioConfig) -> int:
     key = args.key
     values = [config_value(key, v) for v in args.values.split(",")]
     overrides = [{key: v} for v in values]
-    results = run_sweep(cfg, overrides, out)
+    results = run_sweep(cfg, overrides, args.out or "out")
     failed = 0
     for v, r in zip(values, results):
         m = r.metrics["ammkf"]
@@ -271,7 +256,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = load_scenario(args.config) if args.config else ScenarioConfig()
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        return _COMMANDS[args.command](args, cfg)
     except (ScenarioConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,28 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class ProfileConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DriveProfile:
-    name: str
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", s)
-        if s.size == 0 or not np.all(np.isfinite(s)):
-            raise ProfileConfigError("profile must be non-empty and finite")
-
-    def __len__(self) -> int:
-        return len(self.samples)
 
 
 # One dynamic-stress block: mixed charge/discharge pulses (relative levels)
@@ -36,8 +19,8 @@ _DST_BLOCK = np.array([
 
 def generate_profile(kind: str, n_steps: int, dt: float = 1.0, seed: int = 0,
                      amp: float = 1.0, target_discharge_ah: float | None = None,
-                     step_sigma: float = 0.05) -> DriveProfile:
-    """Build a deterministic current profile.
+                     step_sigma: float = 0.05) -> np.ndarray:
+    """Build a deterministic current profile: its n_steps float64 samples.
 
     kinds: 'constant' (amp everywhere), 'pulse' (amp/rest alternation),
     'dst-like' (repeating mixed charge/discharge blocks, optionally scaled so
@@ -67,4 +50,7 @@ def generate_profile(kind: str, n_steps: int, dt: float = 1.0, seed: int = 0,
                           -amp, amp)
     else:
         raise ProfileConfigError(f"unknown profile kind {kind!r}")
-    return DriveProfile(kind, samples)
+    samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):
+        raise ProfileConfigError("profile must be non-empty and finite")
+    return samples

@@ -76,14 +76,15 @@ class ScenarioConfig:
                 raise ScenarioConfigError(f"{key}: not a finite number: "
                                           f"{value!r}")
         # a negative variance is no covariance, a negative sigma no noise
-        # and a negative seed no generator; r, dt and the step count must be
-        # positive and the true start a SOC: checked here, the error names
-        # the key rather than the noise matrix, the simulator or the profile
+        # and a negative seed no generator; r, dt, the step count and the
+        # capacity must be positive and the true start a SOC: checked here,
+        # the error names the key rather than the noise matrix, the
+        # simulator, the filter, the profile or the coulomb count
         for key in ("p0_soc", "p0_up", "q00", "q11", "bank_q00", "bank_q11",
                     "sigma_v", "sigma_i", "seed"):
             if (value := getattr(self, key)) < 0:
                 raise ScenarioConfigError(f"{key}: must be >= 0: {value!r}")
-        for key in ("r", "dt", "profile_steps"):
+        for key in ("r", "dt", "profile_steps", "capacity_ah"):
             if (value := getattr(self, key)) <= 0:
                 raise ScenarioConfigError(f"{key}: must be > 0: {value!r}")
         if not 0 <= self.initial_soc_true <= 1:
@@ -228,14 +229,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
                                seed=cfg.seed, amp=cfg.profile_amp,
                                target_discharge_ah=cfg.profile_target_ah)
     truth0 = BatteryState(cfg.initial_soc_true, 0.0)
-    trace = simulate_profile(truth0, cfg.ecm_params(), true_curve,
-                             profile.samples, cfg.sim_config())
+    trace = simulate_profile(truth0, cfg.ecm_params(), true_curve, profile,
+                             cfg.sim_config())
     stop = trace.cutoff_index
     if stop is not None and len(trace) < 2 * cfg.interval_len:
         sim = cfg.sim_config()
         v = terminal_voltage(
             BatteryState(trace.true_soc[stop], trace.true_up_v[stop]),
-            cfg.ecm_params(), profile.samples[stop], true_curve)
+            cfg.ecm_params(), profile[stop], true_curve)
         crossed = (f"cutoff_low_v {sim.cutoff_low_v}"
                    if v < sim.cutoff_low_v
                    else f"cutoff_high_v {sim.cutoff_high_v}")

@@ -54,7 +54,7 @@ class TestAcceptance:
         prof = generate_profile("dst-like", 7200, seed=42, amp=1.0,
                                 target_discharge_ah=1.0)
         trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
-                                 prof.samples, sim)
+                                 prof, sim)
         init = KfState(BatteryState(0.95, 0.0), np.diag([1e-6, 1e-6]),
                        NoiseConfig(q=np.diag([1e-12, 1e-12]), r=sigma**2),
                        curve, sim.capacity_ah)
@@ -80,7 +80,7 @@ class TestAcceptance:
         prof = generate_profile("dst-like", 7200, seed=42, amp=1.0,
                                 target_discharge_ah=1.0)
         trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
-                                 prof.samples, sim)
+                                 prof, sim)
         L = 20
 
         def sign_fraction(gap_sign: int) -> float:
@@ -152,7 +152,7 @@ class TestAcceptance:
         prof = generate_profile("dst-like", 3000, seed=5, amp=1.0,
                                 target_discharge_ah=0.3)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, flat,
-                                 prof.samples, sim)
+                                 prof, sim)
         final = identify_stream(trace, soc_feedback=trace.true_soc)[-1].params
         rec_ok = (final is not None
                   and abs(final.r0 - params.r0) / params.r0 < 0.05
@@ -191,7 +191,7 @@ class TestAcceptance:
         prof = generate_profile("dst-like", 1500, seed=42, amp=1.0,
                                 target_discharge_ah=0.2)
         trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
-                                 prof.samples, sim)
+                                 prof, sim)
         noise = NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6)
         bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
         filt = KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]), noise,

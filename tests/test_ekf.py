@@ -535,7 +535,7 @@ class TestRangeStep:
         prof = generate_profile("dst-like", 60, seed=5,
                                 target_discharge_ah=0.01)
         trace = simulate_profile(BatteryState(0.6, 0.0), a, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         # per-step params change every third sample
         params = ([a if (k // 3) % 2 else b for k in range(len(trace))]
                   if per_step else a)
@@ -591,7 +591,7 @@ class TestRunEkf:
         prof = generate_profile("dst-like", 1500, seed=3, amp=1.0,
                                 target_discharge_ah=0.3)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         init = _state(base_curve, soc=0.8, up=0.0, p=np.diag([1e-6, 1e-6]),
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=1e-6))
         outs = run_ekf(init, params, trace)
@@ -603,7 +603,7 @@ class TestRunEkf:
         prof = generate_profile("dst-like", 3000, seed=4, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         init = _state(base_curve, soc=0.7, up=0.0, p=np.diag([1e-2, 1e-4]),
                       noise=NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6))
         outs = run_ekf(init, params, trace)
@@ -617,7 +617,7 @@ class TestRunEkf:
         prof = generate_profile("dst-like", 3000, seed=6, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         import dataclasses
         biased = dataclasses.replace(trace,
                                      voltage_v=trace.voltage_v + 0.020)
@@ -632,7 +632,7 @@ class TestRunEkf:
         prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
                                 target_discharge_ah=0.1)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         init = _state(base_curve, soc=0.8, up=0.0,
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=1e-6))
         seq = [params] * len(trace)
@@ -654,7 +654,7 @@ class TestRunEkf:
         prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
                                 target_discharge_ah=0.1)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         for column, ks in bad.items():
             getattr(trace, column)[ks] = value
         with pytest.raises(ValueError, match=f"^sample {first}: non-finite"):
@@ -669,7 +669,7 @@ class TestRunEkf:
         prof = generate_profile("dst-like", 4000, seed=13, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         init = _state(base_curve, soc=0.9, up=0.0, p=np.diag([1e-6, 1e-6]),
                       noise=NoiseConfig(q=np.diag([1e-12, 1e-12]), r=sigma**2))
         outs = run_ekf(init, params, trace)
@@ -720,7 +720,7 @@ class TestDeepDischarge:
         prof = generate_profile("dst-like", 2000, seed=3, amp=1.0,
                                 target_discharge_ah=0.25)
         trace = simulate_profile(BatteryState(0.2, 0.0), params, base_curve,
-                                 prof.samples, cfg)
+                                 prof, cfg)
         assert trace.true_soc[-1] < 0.01
         filt = KfState(BatteryState(0.2, 0.0), p0, noise, partial,
                        cfg.capacity_ah)
@@ -732,7 +732,7 @@ class TestDeepDischarge:
             assert np.all((est >= 0.0) & (est <= 1.0))
         # high end: a full battery starts above the last knot
         short = simulate_profile(BatteryState(1.0, 0.0), params, base_curve,
-                                 prof.samples[:200], cfg)
+                                 prof[:200], cfg)
         full = KfState(BatteryState(1.0, 0.0), p0, noise, partial,
                        cfg.capacity_ah)
         outs = run_ekf(full, params, short)

@@ -36,7 +36,7 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
     prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                             target_discharge_ah=discharge_ah)
     trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                             prof.samples, cfg)
+                             prof, cfg)
     init = KfState(x=BatteryState(0.9, 0.0), p=np.diag([p0, p0]),
                    noise=NoiseConfig(q=np.diag(q), r=sigma**2),
                    curve=filter_curve, capacity_ah=cfg.capacity_ah)

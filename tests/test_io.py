@@ -34,25 +34,25 @@ from lfpsoc.traceio import (TraceFormatError, ingest_trace, read_config,
 
 
 def _net_discharge_ah(profile, dt=1.0):
-    return float(np.sum(profile.samples) * dt / 3600.0)
+    return float(np.sum(profile) * dt / 3600.0)
 
 
 class TestProfiles:
     def test_constant(self):
         p = generate_profile("constant", 50, amp=1.5)
-        assert np.all(p.samples == 1.5)
+        assert np.all(p == 1.5)
         assert _net_discharge_ah(p) == pytest.approx(1.5 * 50 / 3600.0)
 
     def test_pulse_alternates_with_rest(self):
         p = generate_profile("pulse", 120, amp=2.0)
-        assert np.all(np.isin(p.samples, [0.0, 2.0]))
-        assert np.any(p.samples == 0.0) and np.any(p.samples == 2.0)
+        assert np.all(np.isin(p, [0.0, 2.0]))
+        assert np.any(p == 0.0) and np.any(p == 2.0)
 
     def test_dst_like_hits_discharge_target(self):
         p = generate_profile("dst-like", 7200, dt=1.0, amp=1.0,
                              target_discharge_ah=1.063)
         assert _net_discharge_ah(p) == pytest.approx(1.063, rel=1e-9)
-        assert np.any(p.samples < 0)  # contains regenerative pulses
+        assert np.any(p < 0)  # contains regenerative pulses
 
     def test_dst_like_partial_block_still_scaled(self):
         p = generate_profile("dst-like", 500, dt=1.0, target_discharge_ah=0.1)
@@ -62,15 +62,31 @@ class TestProfiles:
         a = generate_profile("random-walk", 300, seed=5)
         b = generate_profile("random-walk", 300, seed=5)
         c = generate_profile("random-walk", 300, seed=6)
-        assert np.array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
-        assert np.max(np.abs(a.samples)) <= 1.0
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert np.max(np.abs(a)) <= 1.0
 
     def test_bad_inputs(self):
         with pytest.raises(ProfileConfigError):
             generate_profile("constant", 0)
         with pytest.raises(ProfileConfigError):
             generate_profile("unknown-kind", 10)
+
+    @pytest.mark.parametrize("kind", ["constant", "pulse", "dst-like",
+                                      "random-walk"])
+    def test_samples_are_a_float_array(self, kind):
+        # an int amp still gives floats: np.full would keep its int dtype
+        p = generate_profile(kind, 400, amp=2)
+        assert type(p) is np.ndarray and p.dtype == np.float64
+        assert p.shape == (400,)
+
+    @pytest.mark.parametrize("kind", ["constant", "pulse", "dst-like",
+                                      "random-walk"])
+    def test_non_finite_amp_rejected(self, kind):
+        with pytest.raises(ProfileConfigError,
+                           match="^profile must be non-empty and finite$"):
+            generate_profile(kind, 400, amp=float("nan"),
+                             target_discharge_ah=0.1)
 
 
 class TestMetrics:
@@ -122,7 +138,7 @@ def _small_trace(params, curve, n=120, sigma=0.0):
                     rng_seed=1)
     prof = generate_profile("dst-like", n, seed=1, target_discharge_ah=0.01)
     return simulate_profile(BatteryState(0.6, 0.0), params, curve,
-                            prof.samples, cfg)
+                            prof, cfg)
 
 
 _H = "t,current_a,voltage_v"
@@ -479,7 +495,7 @@ class TestScenarioConfig:
         assert cli_main(["--config", cfg, "--out", str(out), "simulate"]) == 2
         assert capsys.readouterr().err == \
             "error: sigma_v: not a finite number: nan\n"
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, raw, value", [
         ("n", "3", 3), ("seed", " 7", 7), ("interval_len", "25", 25),
@@ -546,7 +562,7 @@ class TestScenarioConfig:
             assert cli_main(["--config", path, "--out", str(out),
                              "simulate"]) == 2
             assert repr(spec) in capsys.readouterr().err
-            assert not (out / "trace.csv").exists()
+            assert not out.exists()
 
 
 _FAST = dict(profile_steps=1500, profile_target_ah=0.25, sigma_v=0.001)
@@ -912,7 +928,7 @@ class TestCli:
                          "--trace", os.path.join(sim, "trace.csv")]) == 2
         assert capsys.readouterr().err == \
             "error: interval_len must be >= 5\n"
-        assert not (out / "analysis.csv").exists()
+        assert not out.exists()
 
     def test_analyze_acm_theo_uses_the_updates_row(self, tmp_path):
         # H P- H^T + r must use the row H = [s, -1] of each interval's last
@@ -1063,13 +1079,13 @@ class TestCli:
         assert cli_main(["--config", bad, "--out", str(tmp_path / "scen"),
                          "scenario"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not list((tmp_path / "scen").glob("*.csv"))
+        assert not (tmp_path / "scen").exists()
 
     def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
         assert cli_main(["--out", str(tmp_path / "sim"), "--seed", "-3",
                          "simulate"]) == 2
         assert capsys.readouterr().err == "error: seed: must be >= 0: -3\n"
-        assert not (tmp_path / "sim" / "trace.csv").exists()
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("key", ["slope_floor", "prob_floor"])
     def test_bank_floor_keys_are_unknown(self, tmp_path, capsys, key):
@@ -1085,7 +1101,7 @@ class TestCli:
                          "--values", "1e-6,1e-5"]) == 2
         assert capsys.readouterr().err == \
             f"error: unknown config key: {key!r}\n"
-        assert not (out / "run-000").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("n", 4, "n: filter count must be odd and > 0: 4"),
@@ -1099,8 +1115,7 @@ class TestCli:
         out = tmp_path / "sim"
         assert cli_main(["--config", bad, "--out", str(out), "simulate"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "trace.csv").exists()
-        assert not (out / "run-manifest.txt").exists()
+        assert not out.exists()
 
     def test_sweep_checks_every_bank_value_before_the_first_run(self,
                                                                 tmp_path,
@@ -1113,14 +1128,15 @@ class TestCli:
                          "--key", "n", "--values", "3,4"]) == 2
         assert capsys.readouterr().err == \
             "error: n: filter count must be odd and > 0: 4\n"
-        assert not (out / "run-000").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["estimate", "--method", "ekf"], ["estimate", "--method", "ammkf"],
-        ["analyze"]])
+        ["analyze"], ["identify"], ["simulate"], ["scenario"],
+        ["sweep", "--key", "sigma_v", "--values", "0.001"]])
     def test_zero_capacity_names_the_field(self, tmp_path, capsys, command):
-        # the filter counts charge against capacity_ah: it refuses 0 where
-        # it is built, before a step divides by it
+        # the filter and the coulomb count of identify divide by
+        # capacity_ah: the config refuses 0 when it is read, before a trace
         cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
                          profile_target_ah=0.06)
         sim = tmp_path / "sim"
@@ -1128,12 +1144,24 @@ class TestCli:
         capsys.readouterr()
         bad = _write_cfg(tmp_path / "bad.txt", profile_steps=400,
                          profile_target_ah=0.06, capacity_ah=0)
+        if command[0] in ("identify", "estimate", "analyze"):
+            command = [*command, "--trace", str(sim / "trace.csv")]
         out = tmp_path / "est"
-        assert cli_main(["--config", bad, "--out", str(out), *command,
-                         "--trace", str(sim / "trace.csv")]) == 2
+        assert cli_main(["--config", bad, "--out", str(out), *command]) == 2
         assert capsys.readouterr().err == \
-            "error: capacity_ah must be finite and > 0, got 0.0\n"
-        assert not list(out.glob("*.csv"))
+            "error: capacity_ah: must be > 0: 0.0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["identify"], ["estimate", "--method", "ekf"],
+        ["estimate", "--method", "ammkf"], ["analyze"]])
+    def test_missing_trace_leaves_no_out_dir(self, tmp_path, capsys,
+                                             command):
+        out = tmp_path / "bad"
+        assert cli_main(["--out", str(out), *command, "--trace",
+                         str(tmp_path / "nonexist.csv")]) == 2
+        assert "nonexist.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_exit_codes(self, tmp_path):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",
@@ -1216,7 +1244,7 @@ class TestCli:
             assert cli_main(["--config", cfg, "--out", str(out), "sweep",
                              "--key", key, "--values", values]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
-            assert not (out / "run-000").exists()
+            assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default",

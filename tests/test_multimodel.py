@@ -280,7 +280,7 @@ class TestMakeBankAndInterval:
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                 target_discharge_ah=0.02)
         return simulate_profile(BatteryState(start, 0.0), params, curve,
-                                prof.samples, cfg), cfg
+                                prof, cfg), cfg
 
     _bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
 
@@ -389,7 +389,7 @@ class TestRunAmmkf:
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                 target_discharge_ah=0.45)
         return simulate_profile(BatteryState(start, 0.0), params, curve,
-                                prof.samples, cfg), cfg
+                                prof, cfg), cfg
 
     def _filter(self, curve):
         """The plain filter every run here starts: SOC 0.95, P0 1e-4."""
@@ -512,7 +512,7 @@ class TestRunAmmkf:
         partial = OcvCurve(base.knot_soc[inner], base.knot_ocv[inner])
         if kind == "random-walk":
             current = generate_profile(kind, 240, seed=seed, amp=amp,
-                                       step_sigma=0.2).samples
+                                       step_sigma=0.2)
         else:
             current = np.full(240, amp if kind == "discharge" else -amp)
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,

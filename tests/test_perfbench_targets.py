@@ -55,7 +55,7 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
     params = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
     cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.001, rng_seed=3)
     current = generate_profile("dst-like", 410, seed=3,
-                               target_discharge_ah=0.05).samples
+                               target_discharge_ah=0.05)
     trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
                              current, cfg)
     steps, picks = [], []

@@ -198,7 +198,7 @@ def _flat_plateau_trace(params, n=3000, seed=5):
     profile = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                target_discharge_ah=0.3)
     return simulate_profile(BatteryState(0.7, 0.0), params, flat,
-                            profile.samples, cfg), cfg
+                            profile, cfg), cfg
 
 
 class TestIdentifyStream:
@@ -239,10 +239,10 @@ class TestIdentifyStream:
         from lfpsoc import default_lifepo4_curve
         curve = default_lifepo4_curve()
         t1 = simulate_profile(BatteryState(0.75, 0.0), p1, curve,
-                              prof.samples[:2000], cfg)
+                              prof[:2000], cfg)
         t2 = simulate_profile(BatteryState(float(t1.true_soc[-1]),
                                            float(t1.true_up_v[-1])),
-                              p2, curve, prof.samples[2000:], cfg)
+                              p2, curve, prof[2000:], cfg)
         from lfpsoc.ecm import Trace
         joined = Trace(np.arange(len(t1) + len(t2)) * 1.0,
                        np.concatenate([t1.current_a, t2.current_a]),
@@ -408,7 +408,7 @@ class TestStreamAgainstMatrixForm:
                                 target_discharge_ah=0.42)
         trace = simulate_profile(BatteryState(0.35, 0.0),
                                  EcmParams(r0=0.07, rp=0.04, cp=1000.0),
-                                 default_lifepo4_curve(), prof.samples, cfg)
+                                 default_lifepo4_curve(), prof, cfg)
         feedback = coulomb_counted_soc(
             ScenarioConfig(initial_soc_true=0.35, initial_soc_error=0.05),
             trace)
@@ -483,7 +483,7 @@ class TestCovarianceOverflow:
         profile = generate_profile("constant", 30000, dt=cfg.dt,
                                    seed=cfg.seed, amp=0.05)
         trace = simulate_profile(BatteryState(0.97, 0.0), cfg.ecm_params(),
-                                 true_curve, profile.samples,
+                                 true_curve, profile,
                                  cfg.sim_config())
         states = []
 
