@@ -1,5 +1,5 @@
 """Scenario orchestration: one config in, both estimators out, with CSV
-artifacts, a metrics summary, and threshold checks for scripted runs."""
+artifacts and a metrics summary."""
 
 from __future__ import annotations
 
@@ -66,9 +66,6 @@ class ScenarioConfig:
     interval_len: int = 20
     spread: float = 6.0
     seed: int = 42
-    # optional pass/fail thresholds (negative = disabled)
-    max_ammkf_rmse: float = -1.0
-    require_ordering: bool = False
 
     def __post_init__(self):
         for key, value in vars(self).items():
@@ -186,7 +183,6 @@ class ScenarioResult:
     soc_ammkf: np.ndarray
     corrected_points: list
     diagnostics: list
-    violations: list
     true_curve: OcvCurve
     filter_curve: OcvCurve
 
@@ -254,19 +250,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
         "ekf-baseline": compute_metrics(soc_ekf, trace.true_soc, trace.dt),
         "ammkf": compute_metrics(am.soc, trace.true_soc, trace.dt),
     }
-    violations = []
-    if cfg.max_ammkf_rmse >= 0 and metrics["ammkf"].rmse > cfg.max_ammkf_rmse:
-        violations.append(
-            f"ammkf rmse {metrics['ammkf'].rmse:.4f} > {cfg.max_ammkf_rmse}")
-    if cfg.require_ordering and \
-            metrics["ammkf"].rmse >= metrics["ekf-baseline"].rmse:
-        violations.append(
-            f"ammkf rmse {metrics['ammkf'].rmse:.4f} not below baseline "
-            f"{metrics['ekf-baseline'].rmse:.4f}")
-
     result = ScenarioResult(cfg, trace, metrics, soc_ekf, am.soc,
-                            am.corrected_points, am.diagnostics, violations,
-                            true_curve, filter_curve)
+                            am.corrected_points, am.diagnostics, true_curve,
+                            filter_curve)
     if out_dir is not None:
         write_artifacts(result, out_dir)
     return result
@@ -352,16 +338,16 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
               out_dir: str | None = None) -> list[ScenarioResult]:
     """Run one scenario per override mapping, in override order, each
-    simulated and estimated on its own. With `out_dir`, each run then writes
-    its artifacts to its own directory, `run-000`, `run-001`, ...; a
+    simulated and estimated on its own. With `out_dir`, once every run has
+    returned, each writes its artifacts to its own directory, `run-000`,
+    `run-001`, ..., so a run that raises leaves nothing written; a
     trace.csv whose columns have the bytes of one already written in this
     call, as every run of a sweep over an estimator-only key has, is copied
     from that file instead of formatted again."""
-    cfgs = [replace(base_cfg, **ov) for ov in overrides]
-    results, traces = [], {}
-    for i, cfg in enumerate(cfgs):
-        results.append(run_scenario(cfg))
-        if out_dir:
-            write_artifacts(results[-1],
-                            os.path.join(out_dir, f"run-{i:03d}"), traces)
+    results = [run_scenario(replace(base_cfg, **ov)) for ov in overrides]
+    if out_dir:
+        traces = {}
+        for i, result in enumerate(results):
+            write_artifacts(result, os.path.join(out_dir, f"run-{i:03d}"),
+                            traces)
     return results

@@ -464,7 +464,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("key, value", [
         ("initial_soc_error", np.nan), ("capacity_ah", np.inf),
         ("sigma_v", np.nan), ("sigma_i", np.nan), ("q00", -np.inf),
-        ("max_ammkf_rmse", np.nan)])
+        ("bank_q11", np.nan)])
     def test_non_finite_number_rejected(self, key, value):
         # initial_soc_error=nan once started both estimators at SOC 0, and
         # capacity_ah=inf froze the SOC
@@ -500,7 +500,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("key, raw, value", [
         ("n", "3", 3), ("seed", " 7", 7), ("interval_len", "25", 25),
         ("profile_kind", "random-walk", "random-walk"),
-        ("identify_online", "1", True), ("require_ordering", "No", False),
+        ("identify_online", "1", True), ("identify_online", "No", False),
         ("sigma_v", "0.003", 0.003), ("r0", "1e-2", 0.01)])
     def test_config_value_types_from_the_default(self, key, raw, value):
         parsed = config_value(key, raw)
@@ -575,14 +575,12 @@ class TestRunScenario:
         res = run_scenario(cfg)
         assert res.metrics["ekf-baseline"].rmse < 0.005
         assert res.metrics["ammkf"].rmse < 0.005
-        assert not res.violations
 
     def test_offset_scenario_ordering(self):
         cfg = ScenarioConfig(profile_steps=4000, profile_target_ah=0.6,
-                             sigma_v=0.001, require_ordering=True)
+                             sigma_v=0.001)
         res = run_scenario(cfg)
         assert res.metrics["ammkf"].rmse < res.metrics["ekf-baseline"].rmse
-        assert not res.violations
 
     def test_deterministic(self):
         cfg = ScenarioConfig(true_curve="default", filter_curve="default",
@@ -591,12 +589,6 @@ class TestRunScenario:
         assert np.array_equal(a.soc_ammkf, b.soc_ammkf)
         assert np.array_equal(a.soc_ekf, b.soc_ekf)
         assert np.array_equal(a.trace.voltage_v, b.trace.voltage_v)
-
-    def test_threshold_violation_reported(self):
-        cfg = ScenarioConfig(true_curve="default", filter_curve="default",
-                             max_ammkf_rmse=0.0, **_FAST)
-        res = run_scenario(cfg)
-        assert res.violations
 
     def test_online_identification_runs(self):
         cfg = ScenarioConfig(true_curve="default", filter_curve="default",
@@ -1163,15 +1155,21 @@ class TestCli:
         assert "nonexist.csv" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_scenario_exit_codes(self, tmp_path):
+    def test_scenario_exit_codes(self, tmp_path, capsys):
         ok_cfg = _write_cfg(tmp_path / "ok.txt", true_curve="default",
                             filter_curve="default")
         assert cli_main(["--config", ok_cfg,
                          "--out", str(tmp_path / "ok"), "scenario"]) == 0
+        # the paper's claims are scored by the acceptance suite, not by
+        # per-config gates: the old gate keys are unknown
         bad_cfg = _write_cfg(tmp_path / "bad.txt", true_curve="default",
                              filter_curve="default", max_ammkf_rmse=0.0)
+        out = tmp_path / "bad"
         assert cli_main(["--config", bad_cfg,
-                         "--out", str(tmp_path / "bad"), "scenario"]) == 1
+                         "--out", str(out), "scenario"]) == 2
+        assert "unknown config key: 'max_ammkf_rmse'" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default",
@@ -1180,7 +1178,8 @@ class TestCli:
         out = str(tmp_path / "sw")
         assert cli_main(["--config", cfg, "--out", out, "sweep",
                          "--key", "sigma_v", "--values", "0.001,0.003"]) == 0
-        assert os.path.exists(os.path.join(out, "run-000", "metrics.csv"))
+        for run in ("run-000", "run-001"):
+            assert os.path.exists(os.path.join(out, run, "metrics.csv"))
 
     def test_sweep_help_names_the_form_for_a_negative_first_value(
             self, capsys, monkeypatch):
@@ -1239,7 +1238,14 @@ class TestCli:
                 ("identify_online", "0,1.0",
                  "identify_online: not a boolean: '1.0'"),
                 ("nope", "1", "unknown config key: 'nope'"),
-                ("sigma_v", "0.001,nan", "sigma_v: not a finite number: nan")):
+                ("sigma_v", "0.001,nan", "sigma_v: not a finite number: nan"),
+                # the first run succeeds and the second stops at the
+                # voltage cutoff: a sweep writes only after every run
+                ("initial_soc_true", "0.95,0.0",
+                 "the simulated trace stops at the voltage cutoff: at "
+                 "Trace.cutoff_index 0 the terminal voltage 1.978 V crossed "
+                 "cutoff_low_v 2.0 V, leaving 1 samples where the bank "
+                 "needs 40 (2*interval_len)")):
             out = tmp_path / key
             assert cli_main(["--config", cfg, "--out", str(out), "sweep",
                              "--key", key, "--values", values]) == 2
