@@ -19,11 +19,13 @@ import numpy as np
 
 from lfpsoc import (BatteryState, EcmParams, KfState, NoiseConfig, SimConfig,
                     curve_error_polarity, default_lifepo4_curve,
-                    generate_profile, plateau_offset, run_ekf,
-                    simulate_profile)
+                    generate_profile, interval_ccm, plateau_offset, run_ekf,
+                    simulate_profile, whiteness)
+from lfpsoc.multimodel import interval_innovations
 
 PARAMS = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
 BASE = default_lifepo4_curve()
+L = 20  # interval length
 
 
 def run_filter(offset_v, sigma, q):
@@ -35,29 +37,28 @@ def run_filter(offset_v, sigma, q):
     trace = simulate_profile(BatteryState(0.95, 0.0), PARAMS, actual,
                              profile, cfg)
     noise = NoiseConfig(q=np.diag(q), r=sigma ** 2)
-    outs = run_ekf(KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
+    return run_ekf(KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
                            noise, BASE, cfg.capacity_ah), PARAMS, trace)
-    return np.array([o.innovation for o in outs]), outs
 
 
 def main() -> int:
-    innov, outs = run_filter(0.0, sigma=0.003, q=(1e-12, 1e-12))
-    v = innov[1000:] - innov[1000:].mean()
-    n = len(v)
-    ac = np.array([np.sum(v[:-k] * v[k:]) for k in range(1, 21)]) / np.sum(v * v)
-    inside = int(np.sum(np.abs(ac) <= 2 / np.sqrt(n)))
-    ratio = np.mean(innov[1000:] ** 2) / np.mean(
-        [o.innovation_variance for o in outs[1000:]])
-    print(f"whiteness (correct curve): {inside}/20 lags inside the band, "
+    outs = run_filter(0.0, sigma=0.003, q=(1e-12, 1e-12))[1000:]
+    innov = np.array([o.innovation for o in outs])
+    inside, lags, _ = whiteness(innov)
+    ratio = np.mean(innov ** 2) / np.mean(
+        [o.innovation_variance for o in outs])
+    print(f"whiteness (correct curve): {inside}/{lags} lags inside the band, "
           f"variance ratio {ratio:.3f}")
 
     for off in (+0.02, -0.02):
-        innov, outs = run_filter(off, sigma=0.003, q=(1e-10, 1e-9))
-        ivs = [innov[m * 20:(m + 1) * 20] for m in range(len(innov) // 20)]
-        ccms = np.array([np.mean(ivs[m - 1] * ivs[m])
-                         for m in range(1, len(ivs))])[10:]
-        polarity = curve_error_polarity([o.k_soc for o in outs], innov)
-        pols = polarity[np.arange(2, len(ivs) + 1) * 20 - 1][10:]
+        outs = run_filter(off, sigma=0.003, q=(1e-10, 1e-9))
+        ivs = [interval_innovations(m, outs[m * L:(m + 1) * L])
+               for m in range(len(outs) // L)]
+        ccms = np.array([interval_ccm(prev, curr)
+                         for prev, curr in zip(ivs, ivs[1:])])[10:]
+        polarity = curve_error_polarity([o.k_soc for o in outs],
+                                        [o.innovation for o in outs])
+        pols = polarity[np.arange(2, len(ivs) + 1) * L - 1][10:]
         # gap = actual minus filter curve = off; both rules predict -sign(gap)
         expect = -np.sign(off)
         print(f"actual curve {off * 1e3:+.0f} mV off: sign matches "

@@ -10,8 +10,8 @@ from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
 from .innovation import (IntervalInnovations, PolarityVerdict,
                          curve_error_polarity, detect_convergence,
                          empirical_acm, infer_error_polarity, infer_error_sign,
-                         interval_ccm)
-from .metrics import Metrics, compute_metrics
+                         interval_ccm, whiteness)
+from .metrics import Metrics, compute_metrics, curve_mae
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
 from .profiles import generate_profile
 from .rls import (build_sample, circuit_to_theta, forgetting_factor,

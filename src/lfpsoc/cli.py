@@ -16,7 +16,7 @@ from . import innovation
 from .ecm import BatteryState, simulate_profile
 from .ekf import run_ekf
 from .innovation import IntervalInnovations
-from .metrics import compute_metrics
+from .metrics import compute_metrics, curve_mae
 from .multimodel import interval_innovations, run_ammkf
 from .profiles import generate_profile
 from .rls import identify_stream
@@ -137,21 +137,12 @@ def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
 
 
 def _whiteness(v: np.ndarray) -> str:
-    """How many autocorrelation lags 1..20 of the innovations `v` lie inside
-    the +-2/sqrt(n) band; only lags shorter than `v` have pairs, and without
-    2 values or with zero variance there is no autocorrelation."""
-    if len(v) < 2:
-        return f"not computable (needs 2 innovations, has {len(v)})"
-    v = v - v.mean()
-    denom = float(np.sum(v * v))
-    if denom == 0.0:
-        return "not computable: the innovations have zero variance"
-    band = 2.0 / np.sqrt(len(v))
-    lags = range(1, min(21, len(v)))
-    inside = sum(abs(float(np.sum(v[:-k] * v[k:])) / denom) <= band
-                 for k in lags)
-    return (f"{inside}/{len(lags)} autocorrelation lags inside "
-            f"+-{band:.4f}")
+    """`innovation.whiteness(v)` of the innovations `v`, as printed."""
+    try:
+        inside, lags, band = innovation.whiteness(v)
+    except ValueError as exc:
+        return str(exc)
+    return f"{inside}/{lags} autocorrelation lags inside +-{band:.4f}"
 
 
 def cmd_analyze(args, cfg: ScenarioConfig) -> int:
@@ -195,6 +186,10 @@ def cmd_scenario(args, cfg: ScenarioConfig) -> int:
         print(f"{method}: rmse={m.rmse:.4f} mae={m.mae:.4f} "
               f"max={m.max_abs_error:.4f} "
               f"conv={m.convergence_time_s} final_q={m.final_quarter_rmse:.4f}")
+    mae = curve_mae(res.corrected_points, res.true_curve, res.filter_curve)
+    if mae is not None:
+        print(f"corrected-curve MAE: {mae[0] * 1e3:.2f} mV "
+              f"(filter curve {mae[1] * 1e3:.2f} mV off)")
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Innovation statistics: interval cross/auto-correlation, curve-error
-detection and polarity inference, and convergence detection.
+"""Innovation statistics: interval cross/auto-correlation, the whiteness
+test, curve-error detection and polarity inference, and convergence
+detection.
 
 An interval's innovations are Python floats. Their means are numpy's
 `np.mean` bit for bit, without an array per interval: `mean` adds them in
@@ -129,6 +130,25 @@ def interval_statistics(prev: IntervalInnovations | None,
         return 0.0, acm_emp, curr.acm_theo, INDETERMINATE
     ccm = interval_ccm(prev, curr)
     return ccm, acm_emp, curr.acm_theo, infer_error_sign(ccm, acm_emp)
+
+
+def whiteness(v) -> tuple[int, int, float]:
+    """(inside, lags, band): how many of the autocorrelation `lags` 1..20 of
+    the innovations `v` lie inside the +-2/sqrt(n) `band`. Only lags shorter
+    than `v` have pairs; without 2 values or with zero variance there is no
+    autocorrelation, and a ValueError says so."""
+    v = np.asarray(v, dtype=float)
+    if len(v) < 2:
+        raise ValueError(f"not computable (needs 2 innovations, has {len(v)})")
+    v = v - v.mean()
+    denom = float(np.sum(v * v))
+    if denom == 0.0:
+        raise ValueError("not computable: the innovations have zero variance")
+    band = 2.0 / np.sqrt(len(v))
+    lags = range(1, min(21, len(v)))
+    inside = sum(abs(float(np.sum(v[:-k] * v[k:])) / denom) <= band
+                 for k in lags)
+    return inside, len(lags), float(band)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""SOC-error metrics for estimator runs."""
+"""SOC-error metrics for estimator runs, and the corrected curve's error."""
 
 from __future__ import annotations
 
@@ -39,3 +39,18 @@ def compute_metrics(est, truth, dt: float = 1.0) -> Metrics:
         first_ok = 0 if outside.size == 0 else int(outside[-1]) + 1
         conv = float(first_ok * dt)
     return Metrics(rmse, mae, max_abs, conv, final_q)
+
+
+def curve_mae(points, true_curve, filter_curve) -> tuple[float, float] | None:
+    """(corrected_v, original_v): the mean absolute gap of the corrected
+    curve's points `(soc, ocv, ...)` from `true_curve`, and of
+    `filter_curve` from it at the same SOCs, over the points inside the
+    true curve's domain; None when no point is inside."""
+    soc, ocv = np.array([p[:2] for p in points], dtype=float).reshape(-1, 2).T
+    inside = (soc >= true_curve.soc_min) & (soc <= true_curve.soc_max)
+    if not inside.any():
+        return None
+    soc, ocv = soc[inside], ocv[inside]
+    truth = true_curve.ocv(soc)
+    return (float(np.mean(np.abs(ocv - truth))),
+            float(np.mean(np.abs(filter_curve.ocv(soc) - truth))))

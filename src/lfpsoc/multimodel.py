@@ -183,7 +183,6 @@ class AmmkfResult:
     corrected_points: list
     diagnostics: list
     convergence_step: int | None
-    innovations: np.ndarray
 
 
 def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
@@ -205,12 +204,9 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     if n_steps < 2 * L:
         raise ValueError(f"trace length {n_steps} < 2*interval_len {2 * L}")
     soc_est = np.empty(n_steps)
-    innov_all = np.empty(n_steps)
 
     def keep(steps: list, at: int):
-        stop = at + len(steps)
-        soc_est[at:stop] = list(map(_SOC, steps))
-        innov_all[at:stop] = list(map(_INNOVATION, steps))
+        soc_est[at:at + len(steps)] = list(map(_SOC, steps))
 
     corrected_points, diagnostics = [], []
     history: list[IntervalInnovations] = []
@@ -261,5 +257,4 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     # tail shorter than one interval: the plain filter continues
     if m * L < n_steps:
         keep(ekf.filter_range(plain, x, params, trace, m * L, n_steps), m * L)
-    return AmmkfResult(soc_est, corrected_points, diagnostics, converged_at,
-                       innov_all)
+    return AmmkfResult(soc_est, corrected_points, diagnostics, converged_at)

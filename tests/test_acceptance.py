@@ -13,10 +13,12 @@ from lfpsoc import multimodel
 from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     OcvCurve, ScenarioConfig, circuit_to_theta,
                     curve_error_polarity, default_lifepo4_curve,
-                    generate_profile, plateau_offset, resolve_curves,
-                    run_ammkf, run_ekf, run_scenario, run_sweep,
-                    simulate_profile, theta_to_circuit)
+                    generate_profile, plateau_offset, run_ammkf, run_ekf,
+                    run_scenario, run_sweep, simulate_profile,
+                    theta_to_circuit)
 from lfpsoc.ecm import SimConfig
+from lfpsoc.innovation import whiteness
+from lfpsoc.metrics import curve_mae
 from lfpsoc.rls import identify_stream, rls_step
 
 
@@ -62,14 +64,10 @@ class TestAcceptance:
         v = np.array([o.innovation for o in outs[200:]])
         theo = np.mean([o.innovation_variance for o in outs[200:]])
         ratio = float(np.mean(v ** 2) / theo)
-        vc = v - v.mean()
-        denom = float(vc @ vc)
-        band = 2.0 / math.sqrt(len(vc))
-        inside = sum(abs(float(vc[k:] @ vc[:-k]) / denom) <= band
-                     for k in range(1, 21))
+        inside, lags, _ = whiteness(v)
         ok = inside >= 18 and 0.7 <= ratio <= 1.3
         _report(2, "matched-model innovations white, ACM ratio in [0.7,1.3]",
-                ok, f"{inside}/20 lags inside, ratio {ratio:.3f}")
+                ok, f"{inside}/{lags} lags inside, ratio {ratio:.3f}")
 
     def test_criterion_3_ccm_sign_rule_both_polarities(self):
         sigma = 0.003
@@ -122,20 +120,18 @@ class TestAcceptance:
         details = []
         ok = True
         for ov, res in zip(overrides, results):
-            conv = res.metrics["ammkf"].convergence_time_s
+            m = res.metrics["ammkf"]
+            conv = m.convergence_time_s
             details.append(f"{ov['initial_soc_error']:+.0%}: "
                            f"conv={'inf' if conv is None else f'{conv:.0f}s'}")
-            ok = ok and conv is not None
+            ok = ok and conv is not None and m.final_quarter_rmse < 0.05
         _report(5, "every +-10/20 pp initial error converges inside the 5% "
                    "band and stays there", ok, "; ".join(details))
 
     def test_criterion_6_curve_correction_quality(self, headline):
-        true_c, filt_c = resolve_curves(headline.config)
-        pts = [(s, v) for s, v, _ in headline.corrected_points
-               if true_c.soc_min <= s <= true_c.soc_max]
-        mae_corr = float(np.mean([abs(v - true_c.ocv(s)) for s, v in pts]))
-        mae_orig = float(np.mean([abs(filt_c.ocv(s) - true_c.ocv(s))
-                                  for s, _ in pts]))
+        mae_corr, mae_orig = curve_mae(headline.corrected_points,
+                                       headline.true_curve,
+                                       headline.filter_curve)
         ok = mae_corr < 0.25 * mae_orig and mae_corr < mae_orig
         _report(6, "corrected curve cloud MAE <25% of injected error and "
                    "below original", ok,

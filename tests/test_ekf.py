@@ -15,6 +15,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     step_state)
 from lfpsoc.ekf import (PLAIN, FilterDegeneracyError, StepOutput,
                         kalman_step, samples, transition)
+from lfpsoc.innovation import whiteness
 from lfpsoc.profiles import generate_profile
 
 
@@ -675,14 +676,9 @@ class TestRunEkf:
         outs = run_ekf(init, params, trace)
         z = np.array([o.innovation / math.sqrt(o.innovation_variance)
                       for o in outs[200:]])
-        n = len(z)
         assert np.var(z) == pytest.approx(1.0, rel=0.1)
-        zc = z - z.mean()
-        denom = float(zc @ zc)
-        bound = 2.0 / math.sqrt(n)
-        bad = sum(1 for lag in range(1, 21)
-                  if abs(float(zc[lag:] @ zc[:-lag]) / denom) > bound)
-        assert bad <= 2
+        inside, lags, _ = whiteness(z)
+        assert lags - inside <= 2
 
 
 class TestStepFirstFlag:

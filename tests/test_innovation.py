@@ -15,7 +15,7 @@ from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
 from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (CONVERGENCE_WINDOW, FLAT_TOL, INDETERMINATE,
                                NEGATIVE_G, NOISE_FLOOR_MULT, POSITIVE_G,
-                               RMS_RATIO, interval_statistics)
+                               RMS_RATIO, interval_statistics, whiteness)
 from lfpsoc import innovation
 from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
@@ -113,6 +113,26 @@ class TestCorrelationMeasures:
     def test_ccm_self_equals_acm(self, xs):
         iv = _iv(np.array(xs))
         assert interval_ccm(iv, iv) == pytest.approx(empirical_acm(iv), abs=1e-12)
+
+
+class TestWhiteness:
+    @pytest.mark.parametrize("v", [[], [1e-3]])
+    def test_fewer_than_two_innovations_are_not_computable(self, v):
+        with pytest.raises(ValueError) as err:
+            whiteness(v)
+        assert str(err.value) == \
+            f"not computable (needs 2 innovations, has {len(v)})"
+
+    def test_constant_innovations_are_not_computable(self):
+        with pytest.raises(ValueError) as err:
+            whiteness(np.full(5, 1e-3))
+        assert str(err.value) == \
+            "not computable: the innovations have zero variance"
+
+    def test_short_input_reads_only_lags_with_pairs(self):
+        # alternating signs: the autocorrelation at lag k is
+        # (-1)^k (10 - k)/10, inside the 2/sqrt(10) band from lag 4 on
+        assert whiteness([1.0, -1.0] * 5) == (6, 9, 2 / math.sqrt(10))
 
 
 class TestErrorSignInference:

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfpsoc import (BatteryState, KfState, OcvCurve, ScenarioConfig,
-                    compute_metrics, curve_error, default_lifepo4_curve,
-                    generate_profile, load_scenario, resolve_curves, run_ekf,
-                    run_scenario, run_sweep, simulate_profile)
+                    compute_metrics, curve_error, curve_mae,
+                    default_lifepo4_curve, generate_profile, load_scenario,
+                    resolve_curves, run_ekf, run_scenario, run_sweep,
+                    simulate_profile)
 from lfpsoc.ekf import StepOutput, transition
 from lfpsoc import cli
 from lfpsoc.cli import main as cli_main
@@ -131,6 +132,29 @@ class TestMetrics:
         assert shuffled.rmse == pytest.approx(base.rmse, abs=1e-12)
         assert shuffled.mae == pytest.approx(base.mae, abs=1e-12)
         assert shuffled.max_abs_error == pytest.approx(base.max_abs_error)
+
+
+class TestCurveMae:
+    TRUE = OcvCurve(np.array([0.2, 0.4]), np.array([3.20, 3.30]))
+    FILTER = OcvCurve(np.array([0.2, 0.4]), np.array([3.21, 3.31]))
+
+    @pytest.mark.parametrize("points", [[], [(0.1, 3.2, 0), (0.5, 3.3, 1)]],
+                             ids=["no-points", "outside"])
+    def test_no_point_inside_the_true_domain(self, points):
+        assert curve_mae(points, self.TRUE, self.FILTER) is None
+
+    def test_points_outside_the_true_domain_are_left_out(self):
+        points = [(0.3, 3.252, 7), (0.1, 9.0, 7), (0.4, 3.296, 8)]
+        corrected, original = curve_mae(points, self.TRUE, self.FILTER)
+        assert corrected == pytest.approx(0.003, abs=1e-12)
+        assert original == pytest.approx(0.01, abs=1e-12)
+
+    def test_headline_run(self):
+        res = run_scenario(ScenarioConfig())
+        corrected, original = curve_mae(res.corrected_points, res.true_curve,
+                                        res.filter_curve)
+        assert (f"{corrected * 1e3:.2f}", f"{original * 1e3:.2f}") == \
+            ("2.61", "16.02")
 
 
 def _small_trace(params, curve, n=120, sigma=0.0):
@@ -699,6 +723,26 @@ def _write_cfg(path, **kv):
 
 
 class TestCli:
+    def test_scenario_prints_the_corrected_curve_mae(self, tmp_path, capsys):
+        assert cli_main(["--out", str(tmp_path / "scen"), "scenario"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == \
+            ["ekf-baseline", "ammkf", "corrected-curve MAE"]
+        assert printed[2] == \
+            "corrected-curve MAE: 2.61 mV (filter curve 16.02 mV off)"
+
+    def test_scenario_without_bank_intervals_prints_no_mae(self, tmp_path,
+                                                           capsys):
+        # phase 1 never converges, so no bank interval corrects the curve
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=410,
+                         profile_target_ah=410 / 7200,
+                         sigma_v=ScenarioConfig().sigma_v, r=1e-9)
+        assert cli_main(["--config", cfg, "--out", str(tmp_path / "scen"),
+                         "scenario"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in printed] == \
+            ["ekf-baseline", "ammkf"]
+
     def test_scenario_stopped_at_cutoff_names_it(self, tmp_path, capsys):
         # 1 Ah in 30 s draws about 120 A: the clean terminal voltage is below
         # the 2.0 V cutoff at the first sample, so the trace has 1 sample
