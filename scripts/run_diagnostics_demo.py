@@ -36,9 +36,9 @@ def run_filter(offset_v, sigma, q):
     actual = plateau_offset(BASE, offset_v, ramp=0.15) if offset_v else BASE
     trace = simulate_profile(BatteryState(0.95, 0.0), PARAMS, actual,
                              profile, cfg)
-    noise = NoiseConfig(q=np.diag(q), r=sigma ** 2)
-    return run_ekf(KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
-                           noise, BASE, cfg.capacity_ah), PARAMS, trace)
+    noise = NoiseConfig(*q, r=sigma ** 2)
+    return run_ekf(KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4, noise, BASE,
+                           cfg.capacity_ah), PARAMS, trace)
 
 
 def main() -> int:

@@ -2,8 +2,8 @@
 OCV-SOC curve error: ECM simulator, adaptive RLS identification, EKF
 baseline, innovation diagnostics, and a multi-model filter bank."""
 
-from .curve import (OcvCurve, apply_transform, curve_error,
-                    default_lifepo4_curve, plateau_offset)
+from .curve import (OcvCurve, apply_transform, default_lifepo4_curve,
+                    plateau_offset)
 from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
                   step_state, terminal_voltage)
 from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
@@ -14,8 +14,8 @@ from .innovation import (IntervalInnovations, PolarityVerdict,
 from .metrics import Metrics, compute_metrics, curve_mae
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
 from .profiles import generate_profile
-from .rls import (build_sample, circuit_to_theta, forgetting_factor,
-                  identify_stream, rls_step, theta_to_circuit)
+from .rls import (build_sample, circuit_to_theta, extract_circuit,
+                  forgetting_factor, identify_stream, rls_step)
 from .scenario import (ScenarioConfig, ScenarioResult, load_scenario,
                        resolve_curves, run_scenario, run_sweep)
 

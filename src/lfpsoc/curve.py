@@ -189,11 +189,6 @@ class OcvCurve:
                 w.writerow([repr(float(s)), repr(float(v))])
 
 
-def curve_error(actual: OcvCurve, original: OcvCurve, soc) -> float:
-    """Measurement-model gap at `soc`: actual OCV minus original OCV."""
-    return actual.ocv(soc) - original.ocv(soc)
-
-
 def plateau_offset(curve: OcvCurve, offset_v: float,
                    lo: float = 0.2, hi: float = 0.8, ramp: float = 0.1) -> OcvCurve:
     """Add a voltage offset confined to the plateau, with linear tapers of

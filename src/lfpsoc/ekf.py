@@ -43,41 +43,30 @@ class FilterDegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Process covariance (2x2) and scalar measurement variance."""
+    """Process noise Q = diag(q00, q11) and measurement variance r."""
 
-    q: np.ndarray
+    q00: float
+    q11: float
     r: float
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        object.__setattr__(self, "q", q)
-        if q.shape != (2, 2):
-            raise ValueError("q must be 2x2")
-        (a, b), (c, d) = q.tolist()
-        if not all(map(math.isfinite, (a, b, c, d))):
-            raise ValueError(f"q must be finite, got {q.tolist()}")
-        # np.allclose(q, q.T): rtol 1e-5, atol 1e-8, each way
-        if not (abs(b - c) <= 1e-8 + 1e-5 * abs(c)
-                and abs(c - b) <= 1e-8 + 1e-5 * abs(b)):
-            raise ValueError("q must be symmetric")
-        # the smaller eigenvalue of the lower triangle, as np.linalg.eigvalsh
-        if (a + d) / 2 - math.hypot((a - d) / 2, c) < -1e-15:
-            raise ValueError("q must be positive semidefinite")
-        if not self.r > 0:
-            raise ValueError("r must be > 0")
-        if not math.isfinite(self.r):
-            raise ValueError(f"r must be finite, got {self.r}")
-        # the step reads Python floats: (q00, q01, q11, r)
-        object.__setattr__(self, "terms", (a, 0.5 * (b + c), d, float(self.r)))
+        for name in ("q00", "q11"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValueError(f"r must be finite and > 0, got {self.r}")
 
 
 @dataclass
 class KfState:
-    """One filter: start state, covariance, noise, curve and the capacity it
-    counts charge against, validated once, when built."""
+    """One filter: start state, the start variances of SOC and Up, noise,
+    curve and the capacity it counts charge against, validated once, when
+    built."""
 
     x: BatteryState
-    p: np.ndarray
+    p00: float
+    p11: float
     noise: NoiseConfig
     curve: OcvCurve
     capacity_ah: float
@@ -85,22 +74,18 @@ class KfState:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x.soc, self.x.up))):
             raise ValueError(f"x must be finite, got {self.x}")
-        p = self.p = np.asarray(self.p, dtype=float)
-        if p.shape != (2, 2):
-            raise ValueError("p must be 2x2")
-        if not all(map(math.isfinite, p.flat)):
-            raise ValueError(f"p must be finite, got {p.tolist()}")
-        if not abs(p[0, 1] - p[1, 0]) <= 1e-9 + 1e-5 * abs(p[1, 0]):
-            raise ValueError("p must be symmetric")  # np.isclose, atol 1e-9
+        for name, v in (("p00", self.p00), ("p11", self.p11)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not (math.isfinite(self.capacity_ah) and self.capacity_ah > 0):
             raise ValueError(f"capacity_ah must be finite and > 0, "
                              f"got {self.capacity_ah}")
 
     def start(self) -> tuple:
-        """The start posterior as the step's `x`: (soc, up, p00, p01, p11)."""
-        p = self.p
-        return (float(self.x.soc), float(self.x.up), float(p[0, 0]),
-                float(0.5 * (p[0, 1] + p[1, 0])), float(p[1, 1]))
+        """The start posterior as the step's `x`: (soc, up, p00, p01, p11),
+        uncorrelated."""
+        return (float(self.x.soc), float(self.x.up), float(self.p00), 0.0,
+                float(self.p11))
 
 
 class StepOutput(namedtuple("StepOutput", (
@@ -147,7 +132,7 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     previous step. Raises FilterDegeneracyError naming sample k when a
     member's innovation variance is not positive.
     """
-    q00, q01, q11, r = f.noise.terms
+    q00, q11, r = f.noise.q00, f.noise.q11, f.noise.r
     curve = f.curve
     lo, hi = curve.soc_min, curve.soc_max
     anchor_soc, anchor_ocv = anchor or (None, None)
@@ -166,7 +151,7 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
                 soc = soc + du_soc
                 up = decay * up + du_up
                 p00 = p00 + q00
-                p01 = p01 * decay + q01
+                p01 = p01 * decay
                 p11 = decay * p11 * decay + q11
             if slope is None:  # the curve at the prior SOC, in its domain
                 ocv, s = ocv_slope(soc if lo <= soc <= hi
@@ -200,7 +185,7 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
             p00, p01, p11 = (a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
                              m * p01 + a11 * p11)
             step = (soc, up, p00, p01, p11, e, s_var, k0, clamped,
-                    -0.5 * (e ** 2 / s_var + log(s_var)))
+                    -0.5 * (e * e / s_var + log(s_var)))
             steps.append(new(StepOutput, step) if kept else step)
         out.append(steps)
     return out

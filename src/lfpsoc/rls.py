@@ -23,10 +23,9 @@ LAMBDA_MIN and flags the row. Parameters are emitted after WARMUP accepted
 samples. These are module constants, read at call time.
 
 The circuit (R0, Rp, Cp) comes from theta through `extract_circuit`, which
-returns the reason rather than raising when theta is not physical: on a
-recorded trace most points are not, and `identify_stream` holds its last
-physical estimate through them at the cost of a type check.
-`theta_to_circuit` raises PhysicalityError with that reason instead.
+returns None rather than raising when theta is not physical: on a recorded
+trace most points are not, and `identify_stream` holds its last physical
+estimate through them.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ _finite = math.isfinite
 
 class NumericalDegeneracyError(RuntimeError):
     pass
-
-
-class PhysicalityError(ValueError):
-    """Extracted circuit parameters are outside the physical region."""
 
 
 # forgetting gain a, lambda floor, smallest feedback SOC that divides, and
@@ -112,40 +107,21 @@ def circuit_to_theta(params: EcmParams, dt: float) -> np.ndarray:
     return np.array([th1, th2, th3])
 
 
-# PhysicalityError's messages, %-templates of the values they name
-_NO_TIME_CONSTANT = "theta1 %r outside (0, 1): no valid time constant"
-_ZERO_NUMERATOR = "theta1*theta2 + theta3 == 0"
-_NOT_POSITIVE = "non-physical parameters r0=%r rp=%r cp=%r"
-
-
-def extract_circuit(th1: float, th2: float, th3: float, dt: float):
-    """The circuit of the coefficients as EcmParams, or, where they have
-    none, why not as a (message template, values) pair: th1 outside (0, 1)
-    gives no time constant, th1*th2 + th3 == 0 no Rp, and an R0, Rp or Cp
-    that is not positive no physical circuit. A NaN that passes these tests
-    reaches EcmParams, which raises ValueError."""
-    if not 0.0 < th1 < 1.0:
-        return _NO_TIME_CONSTANT, (th1,)
+def extract_circuit(th1: float, th2: float, th3: float,
+                    dt: float) -> EcmParams | None:
+    """The circuit of the coefficients, or None where they have none: th1
+    outside (0, 1) gives no time constant, th1*th2 + th3 == 0 no Rp, and an
+    R0, Rp or Cp that is not positive no physical circuit. A NaN that passes
+    these tests reaches EcmParams, which raises ValueError."""
     num = th1 * th2 + th3
-    if num == 0.0:
-        return _ZERO_NUMERATOR, ()
+    if not 0.0 < th1 < 1.0 or num == 0.0:
+        return None
     r0 = -th2
     rp = num / (th1 - 1.0)
     cp = (1.0 - th1) * dt / (math.log(th1) * num)
     if r0 <= 0 or rp <= 0 or cp <= 0:
-        return _NOT_POSITIVE, (r0, rp, cp)
+        return None
     return EcmParams(r0, rp, cp)
-
-
-def theta_to_circuit(theta, dt: float) -> EcmParams:
-    """Inverse map of the three coefficients `theta`; raises
-    PhysicalityError unless 0 < th1 < 1 and the result is physical."""
-    th1, th2, th3 = map(float, theta)
-    circuit = extract_circuit(th1, th2, th3, dt)
-    if type(circuit) is not EcmParams:
-        template, values = circuit
-        raise PhysicalityError(template % values)
-    return circuit
 
 
 @dataclass
@@ -182,7 +158,7 @@ def identify_stream(trace: Trace, soc_feedback) -> list[IdentifiedPoint]:
             degenerate = True
         if accepted >= warmup:
             circuit = extract_circuit(state[0], state[1], state[2], dt)
-            if type(circuit) is EcmParams:
+            if circuit is not None:
                 last_params = circuit  # else hold the previous estimate
         out.append(IdentifiedPoint(t[k], last_params, lam, degenerate))
     return out

@@ -100,16 +100,16 @@ class ScenarioConfig:
                          rng_seed=self.seed)
 
     def filter_noise(self) -> NoiseConfig:
-        return NoiseConfig(q=np.diag([self.q00, self.q11]), r=self.r)
+        return NoiseConfig(self.q00, self.q11, self.r)
 
     def bank_noise(self) -> NoiseConfig:
-        return NoiseConfig(q=np.diag([self.bank_q00, self.bank_q11]), r=self.r)
+        return NoiseConfig(self.bank_q00, self.bank_q11, self.r)
 
-    def estimator_start(self) -> tuple[BatteryState, np.ndarray]:
+    def estimator_start(self) -> tuple[BatteryState, float, float]:
         """The estimators' initial state (SOC guess clamped into [0, 1])
-        and covariance."""
+        and the start variances of SOC and Up."""
         soc0 = min(1.0, max(0.0, self.initial_soc_true + self.initial_soc_error))
-        return BatteryState(soc0, 0.0), np.diag([self.p0_soc, self.p0_up])
+        return BatteryState(soc0, 0.0), self.p0_soc, self.p0_up
 
     def bank_config(self) -> BankConfig:
         return BankConfig(n=self.n, interval_len=self.interval_len,

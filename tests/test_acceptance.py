@@ -13,9 +13,9 @@ from lfpsoc import multimodel
 from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     OcvCurve, ScenarioConfig, circuit_to_theta,
                     curve_error_polarity, default_lifepo4_curve,
-                    generate_profile, plateau_offset, run_ammkf, run_ekf,
-                    run_scenario, run_sweep, simulate_profile,
-                    theta_to_circuit)
+                    extract_circuit, generate_profile, plateau_offset,
+                    run_ammkf, run_ekf, run_scenario, run_sweep,
+                    simulate_profile)
 from lfpsoc.ecm import SimConfig
 from lfpsoc.innovation import whiteness
 from lfpsoc.metrics import curve_mae
@@ -57,8 +57,8 @@ class TestAcceptance:
                                 target_discharge_ah=1.0)
         trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
                                  prof, sim)
-        init = KfState(BatteryState(0.95, 0.0), np.diag([1e-6, 1e-6]),
-                       NoiseConfig(q=np.diag([1e-12, 1e-12]), r=sigma**2),
+        init = KfState(BatteryState(0.95, 0.0), 1e-6, 1e-6,
+                       NoiseConfig(1e-12, 1e-12, sigma**2),
                        curve, sim.capacity_ah)
         outs = run_ekf(init, params, trace)
         v = np.array([o.innovation for o in outs[200:]])
@@ -87,8 +87,8 @@ class TestAcceptance:
             # of each adjacent interval pair
             filt = plateau_offset(curve, -gap_sign * 0.020,
                                   lo=0.2, hi=0.8, ramp=0.15)
-            init = KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
-                           NoiseConfig(q=np.diag([1e-10, 1e-9]), r=sigma**2),
+            init = KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4,
+                           NoiseConfig(1e-10, 1e-9, sigma**2),
                            filt, sim.capacity_ah)
             outs = run_ekf(init, params, trace)
             polarity = curve_error_polarity([o.k_soc for o in outs],
@@ -188,9 +188,9 @@ class TestAcceptance:
                                 target_discharge_ah=0.2)
         trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
                                  prof, sim)
-        noise = NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6)
-        bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
-        filt = KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]), noise,
+        noise = NoiseConfig(1e-7, 1e-6, 1e-6)
+        bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
+        filt = KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4, noise,
                        curve, sim.capacity_ah)
         # (a) single-filter bank reduces exactly to the plain filter
         single = run_ammkf(trace, filt, params,
@@ -203,7 +203,7 @@ class TestAcceptance:
         for r0 in (0.01, 0.07, 0.3):
             for tau in (5.0, 40.0, 200.0):
                 p = EcmParams(r0, 0.04, tau / 0.04)
-                back = theta_to_circuit(circuit_to_theta(p, 1.0), 1.0)
+                back = extract_circuit(*circuit_to_theta(p, 1.0), 1.0)
                 roundtrip_ok = roundtrip_ok and (
                     abs(back.r0 - p.r0) / p.r0 < 1e-9
                     and abs(back.rp - p.rp) / p.rp < 1e-9

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfpsoc import (OcvCurve, ScenarioConfig, apply_transform, curve_error,
+from lfpsoc import (OcvCurve, ScenarioConfig, apply_transform,
                     default_lifepo4_curve, plateau_offset, resolve_curves)
 from lfpsoc.curve import CurveDomainError, InvalidTransformError
 
@@ -193,21 +193,11 @@ class TestScalarPath:
 
 
 class TestCurveError:
-    def test_identical_curves(self, base_curve):
-        for s in np.linspace(0, 1, 11):
-            assert curve_error(base_curve, base_curve, float(s)) == 0.0
-
     def test_constant_offset(self, base_curve):
         shifted = apply_transform(base_curve, "volts:0.020")
         for s in np.linspace(0, 1, 11):
-            assert curve_error(shifted, base_curve, float(s)) == \
+            assert shifted.ocv(float(s)) - base_curve.ocv(float(s)) == \
                 pytest.approx(0.020, abs=1e-12)
-
-    def test_antisymmetry(self, base_curve):
-        other = plateau_offset(base_curve, 0.01)
-        for s in np.linspace(0, 1, 23):
-            assert curve_error(other, base_curve, float(s)) == \
-                -curve_error(base_curve, other, float(s))
 
     def test_sign_changes_match_intersections(self):
         # oracle: dense sampling of both piecewise-linear curves
@@ -264,10 +254,9 @@ class TestTransforms:
 
     def test_plateau_offset_localized(self, base_curve):
         out = plateau_offset(base_curve, 0.02, lo=0.2, hi=0.8, ramp=0.1)
-        assert curve_error(out, base_curve, 0.5) == pytest.approx(0.02, abs=1e-12)
-        assert curve_error(out, base_curve, 0.05) == pytest.approx(0.0, abs=1e-12)
-        assert curve_error(out, base_curve, 0.95) == pytest.approx(0.0, abs=1e-12)
-        assert curve_error(out, base_curve, 0.85) == pytest.approx(0.01, abs=1e-12)
+        for s, gap in ((0.5, 0.02), (0.05, 0.0), (0.95, 0.0), (0.85, 0.01)):
+            assert out.ocv(s) - base_curve.ocv(s) == \
+                pytest.approx(gap, abs=1e-12)
 
 
 class TestCsv:

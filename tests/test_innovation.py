@@ -37,9 +37,8 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
                             target_discharge_ah=discharge_ah)
     trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
                              prof, cfg)
-    init = KfState(x=BatteryState(0.9, 0.0), p=np.diag([p0, p0]),
-                   noise=NoiseConfig(q=np.diag(q), r=sigma**2),
-                   curve=filter_curve, capacity_ah=cfg.capacity_ah)
+    init = KfState(BatteryState(0.9, 0.0), p0, p0, NoiseConfig(*q, sigma**2),
+                   filter_curve, cfg.capacity_ah)
     return trace, run_ekf(init, params, trace)
 
 
@@ -75,12 +74,11 @@ class TestCorrelationMeasures:
     def test_theoretical_acm_quadratic_form(self, params, base_curve):
         # an interval's theoretical ACM is H P- H^T + r of its last update:
         # here a first step (no prediction, so P- = P) with H = [0.5, -1]
-        x = BatteryState(0.5, 0.0)
-        p = np.array([[4e-4, 1e-5], [1e-5, 1e-4]])
-        f = KfState(x, p, NoiseConfig(q=np.zeros((2, 2)), r=1e-6), base_curve,
-                    1.063)
+        f = KfState(BatteryState(0.5, 0.0), 4e-4, 1e-4,
+                    NoiseConfig(0.0, 0.0, 1e-6), base_curve, 1.063)
+        # the start posterior, correlated: (soc, up, p00, p01, p11)
         [[step]] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5],
-                               [f.start()],
+                               [(0.5, 0.0, 4e-4, 1e-5, 1e-4)],
                                # sample 0 at rest, 3.3 V: (k, decay,
                                # g_soc*u_prev, g_up*u_prev, y, r0*u)
                                [(0, transition(params, 1.0, 1.063)[0], 0.0,

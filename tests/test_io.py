@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfpsoc import (BatteryState, KfState, OcvCurve, ScenarioConfig,
-                    compute_metrics, curve_error, curve_mae,
+from lfpsoc import (BatteryState, KfState, NoiseConfig, OcvCurve,
+                    ScenarioConfig, compute_metrics, curve_mae,
                     default_lifepo4_curve, generate_profile, load_scenario,
                     resolve_curves, run_ekf, run_scenario, run_sweep,
                     simulate_profile)
@@ -511,7 +511,7 @@ class TestScenarioConfig:
 
     def test_zero_initial_covariance_accepted(self):
         cfg = ScenarioConfig(p0_soc=0.0, p0_up=0.0)
-        assert np.array_equal(cfg.estimator_start()[1], np.zeros((2, 2)))
+        assert cfg.estimator_start()[1:] == (0.0, 0.0)
 
     def test_non_finite_config_line_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "cfg.txt", sigma_v="nan")
@@ -549,14 +549,14 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(true_curve="offset:-0.02:0.2:0.8:0.15",
                              filter_curve="default")
         true_c, filt_c = resolve_curves(cfg)
-        assert curve_error(true_c, filt_c, 0.5) == pytest.approx(-0.02)
-        assert curve_error(true_c, filt_c, 0.05) == pytest.approx(0.0)
+        assert true_c.ocv(0.5) - filt_c.ocv(0.5) == pytest.approx(-0.02)
+        assert true_c.ocv(0.05) - filt_c.ocv(0.05) == pytest.approx(0.0)
 
     def test_resolve_offset_filter_curve(self):
         cfg = ScenarioConfig(true_curve="default",
                              filter_curve="offset:0.02")
         true_c, filt_c = resolve_curves(cfg)
-        assert curve_error(filt_c, true_c, 0.5) == pytest.approx(0.02)
+        assert filt_c.ocv(0.5) - true_c.ocv(0.5) == pytest.approx(0.02)
 
     def test_both_offsets_rejected(self):
         cfg = ScenarioConfig(true_curve="offset:0.02",
@@ -631,8 +631,7 @@ class TestRunScenario:
         built = KfState(*cfg.estimator_start(), cfg.filter_noise(), curve,
                         cfg.capacity_ah)
         assert filt.start() == built.start() == (0.95, 0.0, 1e-4, 0.0, 1e-4)
-        assert filt.noise.terms == built.noise.terms == \
-            (1e-7, 0.0, 1e-6, 1e-6)
+        assert filt.noise == built.noise == NoiseConfig(1e-7, 1e-6, 1e-6)
         assert filt.curve is curve
         assert filt.capacity_ah == cfg.capacity_ah
         if online:
@@ -989,7 +988,8 @@ class TestCli:
                                curve, sc.capacity_ah), sc.ecm_params(), trace)
         decay, g_soc, _, _ = transition(sc.ecm_params(), sc.dt,
                                         sc.capacity_ah)
-        q00, q01, q11, r = sc.filter_noise().terms
+        noise = sc.filter_noise()
+        q00, q11, r = noise.q00, noise.q11, noise.r
         L = sc.interval_len
         assert len(rows) == len(outs) // L
         straddling = []
@@ -998,8 +998,8 @@ class TestCli:
             k = (m + 1) * L - 1
             prev = outs[k - 1]
             prior_soc = prev.soc + g_soc * trace.current_a[k - 1]
-            p_minus = np.array([[prev.p00 + q00, prev.p01 * decay + q01],
-                                [prev.p01 * decay + q01,
+            p_minus = np.array([[prev.p00 + q00, prev.p01 * decay],
+                                [prev.p01 * decay,
                                  decay * prev.p11 * decay + q11]])
             s = curve.slope(min(max(prior_soc, curve.soc_min), curve.soc_max))
             h = np.array([s, -1.0])

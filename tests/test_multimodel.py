@@ -128,8 +128,8 @@ class TestLikelihood:
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
                                  np.full(40, 0.5), cfg)
-        f = KfState(BatteryState(0.6, 0.0), -np.eye(2),
-                    NoiseConfig(np.diag([1e-10, 1e-6]), 1e-6), base_curve,
+        f = KfState(BatteryState(0.6, 0.0), -1.0, -1.0,
+                    NoiseConfig(1e-10, 1e-6, 1e-6), base_curve,
                     cfg.capacity_ah)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
@@ -267,8 +267,8 @@ class TestUpdateProbabilities:
 
 def _bank(soc, up, p, noise, curve):
     """A bank's filter: its noise and curve, and the start (soc, up) and
-    covariance that every member steps from."""
-    return KfState(BatteryState(soc, up), p, noise, curve, 1.063)
+    variances `p` that every member steps from."""
+    return KfState(BatteryState(soc, up), *p, noise, curve, 1.063)
 
 
 class TestMakeBankAndInterval:
@@ -282,7 +282,7 @@ class TestMakeBankAndInterval:
         return simulate_profile(BatteryState(start, 0.0), params, curve,
                                 prof, cfg), cfg
 
-    _bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+    _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
     def _bank_calls(self, params, base_curve, curve, monkeypatch):
         """(f, anchor, slopes, x, result) of every `run_interval` call of a
@@ -298,8 +298,8 @@ class TestMakeBankAndInterval:
 
         monkeypatch.setattr(multimodel, "run_interval", spy)
         run_ammkf(trace, KfState(BatteryState(0.9, 0.0),
-                                 np.diag([1e-6, 1e-6]),
-                                 NoiseConfig(np.diag([1e-10, 1e-6]), 1e-6),
+                                 1e-6, 1e-6,
+                                 NoiseConfig(1e-10, 1e-6, 1e-6),
                                  curve, cfg.capacity_ah),
                   params, BankConfig(n=3, interval_len=20, spread=2.0),
                   bank_noise=self._bank_noise)
@@ -339,9 +339,9 @@ class TestMakeBankAndInterval:
 
     def test_identical_filters_tie_to_lowest_index(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve)
-        noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+        noise = NoiseConfig(1e-11, 1e-6, 1e-6)
         soc, up = float(trace.true_soc[20]), float(trace.true_up_v[20])
-        f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
+        f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         slope = base_curve.slope(soc)
         res = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
                            f.start(), params, trace, 21, 20, 0)
@@ -350,10 +350,10 @@ class TestMakeBankAndInterval:
 
     def test_correct_slope_wins(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=200, start=0.9)
-        noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+        noise = NoiseConfig(1e-11, 1e-6, 1e-6)
         k0 = 40
         soc, up = float(trace.true_soc[k0]), float(trace.true_up_v[k0])
-        f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
+        f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         true_slope = base_curve.slope(soc)
         res = run_interval(f, (soc, base_curve.ocv(soc)),
                            [true_slope / 8, true_slope, true_slope * 8],
@@ -365,9 +365,9 @@ class TestMakeBankAndInterval:
 
     def test_corrected_points_follow_affine_model(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, start=0.9)
-        noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+        noise = NoiseConfig(1e-11, 1e-6, 1e-6)
         soc, up = float(trace.true_soc[30]), float(trace.true_up_v[30])
-        f = _bank(soc, up, np.diag([1e-6, 1e-6]), noise, base_curve)
+        f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         res = run_interval(f, (soc, 3.31), [0.05, 0.1, 0.2], f.start(),
                            params, trace, 31, 20, 2)
         s_op = [0.05, 0.1, 0.2][res.optimal_index]
@@ -380,8 +380,8 @@ class TestMakeBankAndInterval:
 
 
 class TestRunAmmkf:
-    _noise = NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6)
-    _bank_noise = NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)
+    _noise = NoiseConfig(1e-7, 1e-6, 1e-6)
+    _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
     def _trace(self, params, curve, n=3000, seed=11, start=0.95, sigma=0.001):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
@@ -393,7 +393,7 @@ class TestRunAmmkf:
 
     def _filter(self, curve):
         """The plain filter every run here starts: SOC 0.95, P0 1e-4."""
-        return KfState(BatteryState(0.95, 0.0), np.diag([1e-4, 1e-4]),
+        return KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4,
                        self._noise, curve, 1.063)
 
     def test_trace_too_short_rejected(self, params, base_curve):
@@ -521,7 +521,7 @@ class TestRunAmmkf:
             res = run_ammkf(trace,
                             KfState(BatteryState(min(max(start + error, 0.0),
                                                      1.0), 0.0),
-                                    np.diag([1e-2, 1e-4]), self._noise,
+                                    1e-2, 1e-4, self._noise,
                                     partial, cfg.capacity_ah),
                             params, bank, bank_noise=self._bank_noise)
         for call in spy.call_args_list:

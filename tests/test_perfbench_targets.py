@@ -74,11 +74,11 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
     monkeypatch.setattr(ekf, "kalman_step", counted_step)
     monkeypatch.setattr(multimodel, "run_interval", counted_interval)
     bank = BankConfig(n=7, interval_len=20, spread=6.0)
-    args = (trace, KfState(BatteryState(0.9, 0.0), np.diag([1e-4, 1e-4]),
-                           NoiseConfig(q=np.diag([1e-7, 1e-6]), r=1e-6),
+    args = (trace, KfState(BatteryState(0.9, 0.0), 1e-4, 1e-4,
+                           NoiseConfig(1e-7, 1e-6, 1e-6),
                            base_curve, cfg.capacity_ah), params)
     kwargs = {"bank_cfg": bank,
-              "bank_noise": NoiseConfig(q=np.diag([1e-11, 1e-6]), r=1e-6)}
+              "bank_noise": NoiseConfig(1e-11, 1e-6, 1e-6)}
     result = run_ammkf(*args, **kwargs)
     counts = _spans().count_ammkf(run_ammkf, args, kwargs, result)
     assert picks and len(trace) % bank.interval_len  # a bank and a tail

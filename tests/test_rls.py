@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig, Trace,
-                    build_sample, circuit_to_theta, forgetting_factor,
-                    generate_profile, identify_stream, rls, rls_step,
-                    simulate_profile, theta_to_circuit)
-from lfpsoc.rls import (LAMBDA_MIN, START_STATE, NumericalDegeneracyError,
-                        PhysicalityError)
+                    build_sample, circuit_to_theta, extract_circuit,
+                    forgetting_factor, generate_profile, identify_stream, rls,
+                    rls_step, simulate_profile)
+from lfpsoc.rls import LAMBDA_MIN, START_STATE, NumericalDegeneracyError
 
 # theta0 with no covariance, and theta 0 with P = 1e6 I (batch equivalence)
 _NO_COVARIANCE = (0.99, -0.05, 0.04, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -137,52 +136,35 @@ class TestRlsStep:
 class TestThetaCircuitMaps:
     def test_roundtrip_reference_values(self):
         p = EcmParams(r0=0.1, rp=0.05, cp=100.0)
-        back = theta_to_circuit(circuit_to_theta(p, dt=1.0), dt=1.0)
+        back = extract_circuit(*circuit_to_theta(p, dt=1.0), dt=1.0)
         assert back.r0 == pytest.approx(0.1, rel=1e-9)
         assert back.rp == pytest.approx(0.05, rel=1e-9)
         assert back.cp == pytest.approx(100.0, rel=1e-9)
 
     def test_theta_definitions(self):
-        params = theta_to_circuit(
-            np.array([np.exp(-1.0), -0.1,
-                      np.exp(-1.0) * 0.1 - (1 - np.exp(-1.0)) * 0.05]), dt=1.0)
+        params = extract_circuit(
+            np.exp(-1.0), -0.1,
+            np.exp(-1.0) * 0.1 - (1 - np.exp(-1.0)) * 0.05, dt=1.0)
         assert params.r0 == pytest.approx(0.1, rel=1e-12)
         assert params.tau == pytest.approx(1.0, rel=1e-9)
 
     def test_theta1_out_of_range(self):
-        with pytest.raises(PhysicalityError):
-            theta_to_circuit(np.array([1.2, -0.1, 0.05]), dt=1.0)
+        assert extract_circuit(1.2, -0.1, 0.05, dt=1.0) is None
 
     def test_nonphysical_result(self):
-        with pytest.raises(PhysicalityError):
-            theta_to_circuit(np.array([0.9, 0.1, 0.05]), dt=1.0)  # r0 < 0
-
-    @pytest.mark.parametrize("theta, message", [
-        ((1.2, -0.1, 0.05),
-         "theta1 1.2 outside (0, 1): no valid time constant"),
-        ((0.0, -0.1, 0.05),
-         "theta1 0.0 outside (0, 1): no valid time constant"),
-        ((0.5, -0.1, 0.05), "theta1*theta2 + theta3 == 0"),
-        ((0.5, 0.25, 0.0),
-         "non-physical parameters r0=-0.25 rp=-0.25 "
-         "cp=-5.7707801635558535"),
-    ])
-    def test_physicality_messages(self, theta, message):
-        with pytest.raises(PhysicalityError) as info:
-            theta_to_circuit(np.array(theta), dt=1.0)
-        assert str(info.value) == message
+        assert extract_circuit(0.9, 0.1, 0.05, dt=1.0) is None  # r0 < 0
 
     def test_nan_coefficient_still_reaches_ecm_params(self):
         # a NaN theta2 passes the "not positive" tests, as before
         with pytest.raises(ValueError, match="must be finite"):
-            theta_to_circuit((0.5, np.nan, 0.05), dt=1.0)
+            extract_circuit(0.5, np.nan, 0.05, dt=1.0)
 
     @given(r0=st.floats(1e-3, 1.0), rp=st.floats(1e-3, 1.0),
            tau=st.floats(0.05, 500.0))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_property(self, r0, rp, tau):
         p = EcmParams(r0=r0, rp=rp, cp=tau / rp)
-        back = theta_to_circuit(circuit_to_theta(p, dt=1.0), dt=1.0)
+        back = extract_circuit(*circuit_to_theta(p, dt=1.0), dt=1.0)
         assert back.r0 == pytest.approx(p.r0, rel=1e-9)
         assert back.rp == pytest.approx(p.rp, rel=1e-9)
         assert back.cp == pytest.approx(p.cp, rel=1e-9)
@@ -357,18 +339,17 @@ class TestStepAgainstMatrixForm:
     @pytest.mark.parametrize("theta", [(1.2, -0.1, 0.05), (0.0, -0.1, 0.05),
                                        (0.5, -0.1, 0.05), (0.9, 0.1, 0.05)])
     def test_unphysical_theta_raises_for_floats_and_arrays(self, theta):
-        # th1 outside (0, 1), th1*th2 + th3 == 0, r0 < 0
+        # th1 outside (0, 1), th1*th2 + th3 == 0, r0 < 0: no circuit
         for form in (theta, list(theta), np.array(theta)):
-            with pytest.raises(PhysicalityError):
-                theta_to_circuit(form, dt=1.0)
+            assert extract_circuit(*form, dt=1.0) is None
 
     def test_circuit_fields_are_floats_for_any_sequence(self):
+        # floats in, as from a state, give float fields; numpy scalars in
+        # give the same circuit
         theta = circuit_to_theta(EcmParams(r0=0.07, rp=0.04, cp=1000.0), 1.0)
-        for form in (theta, tuple(theta.tolist())):
-            p = theta_to_circuit(form, dt=1.0)
-            assert all(type(v) is float for v in (p.r0, p.rp, p.cp))
-        assert theta_to_circuit(theta, 1.0) == \
-            theta_to_circuit(tuple(theta.tolist()), 1.0)
+        p = extract_circuit(*theta.tolist(), dt=1.0)
+        assert all(type(v) is float for v in (p.r0, p.rp, p.cp))
+        assert extract_circuit(*theta, 1.0) == p
 
 
 def _matrix_stream(trace, soc_feedback):
@@ -387,10 +368,7 @@ def _matrix_stream(trace, soc_feedback):
         except NumericalDegeneracyError:
             degenerate = True
         if accepted >= rls.WARMUP:
-            try:
-                last = theta_to_circuit(theta, trace.dt)
-            except PhysicalityError:
-                pass
+            last = extract_circuit(*theta.tolist(), trace.dt) or last
         out.append((last, lam, degenerate))
     return out
 
