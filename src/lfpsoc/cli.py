@@ -80,7 +80,7 @@ def cmd_estimate(args, cfg: ScenarioConfig) -> int:
     if args.method == "ekf":
         outs = run_ekf(filt, params, trace)
         soc = np.array([o.soc for o in outs])
-        write_estimate_csv(_out_file(args, "estimate_ekf.csv"), trace.dt,
+        write_estimate_csv(_out_file(args, "estimate_ekf.csv"), trace.t,
                            outs)
     else:
         res = run_ammkf(trace, filt, params, cfg.bank_config(),
@@ -92,7 +92,7 @@ def cmd_estimate(args, cfg: ScenarioConfig) -> int:
                               res.diagnostics)
     truth = trace.true_soc if trace.true_soc is not None \
         else np.full(len(trace), np.nan)
-    write_soc_csv(_out_file(args, f"soc_{args.method}.csv"), trace.dt,
+    write_soc_csv(_out_file(args, f"soc_{args.method}.csv"), trace.t,
                   soc, truth)
     write_manifest(_out_file(args, "run-manifest.txt"), cfg)
     if trace.true_soc is not None:

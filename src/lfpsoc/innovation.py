@@ -3,15 +3,15 @@ test, curve-error detection and polarity inference, and convergence
 detection.
 
 An interval's innovations are Python floats. Their means are numpy's
-`np.mean` bit for bit, without an array per interval: `mean` adds them in
-numpy's pairwise order."""
+`np.mean` bit for bit: `mean` calls the reduction `np.mean` calls. Both
+sign verdicts, of the CCM and of the polarity statistic, come from one
+three-way threshold test, `_sign`."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -20,38 +20,12 @@ NEGATIVE_G = "negative-g"
 INDETERMINATE = "indeterminate"
 
 
-def _pairwise_sum(v: list) -> float:
-    """numpy's pairwise sum of a float64 vector: a plain sum below 8
-    values; up to 128, eight running sums over the whole blocks of 8,
-    combined in pairs, then the rest in order; above, the halves split at a
-    multiple of 8."""
-    n = len(v)
-    if n < 8:
-        return reduce(add, v, 0.0)
-    if n <= 128:
-        end = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = v[:8]
-        for i in range(8, end, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = v[i:i + 8]
-            r0 += a0
-            r1 += a1
-            r2 += a2
-            r3 += a3
-            r4 += a4
-            r5 += a5
-            r6 += a6
-            r7 += a7
-        return reduce(add, v[end:],
-                      ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
-
-
 def mean(v: list) -> float:
-    """`float(np.mean(v))` of a list of floats, bit for bit: numpy adds the
-    pairwise sum to its identity 0.0 (a sum of -0.0s gives 0.0) and divides
-    by the count; the mean of nothing is NaN."""
-    return (0.0 + _pairwise_sum(v)) / len(v) if v else math.nan
+    """`float(np.mean(v))` of a list of floats, bit for bit: numpy's own
+    sum over the count; the mean of nothing is NaN."""
+    if not v:
+        return math.nan
+    return float(np.add.reduce(np.array(v, dtype=float))) / len(v)
 
 
 @dataclass(frozen=True)
@@ -101,6 +75,16 @@ CCM_FLOOR = 1e-8
 CCM_ACM_FRACTION = 0.05
 
 
+def _sign(value: float, tau: float) -> str:
+    """NEGATIVE_G above `tau`, POSITIVE_G below `-tau`, else (NaN too)
+    INDETERMINATE."""
+    if value > tau:
+        return NEGATIVE_G
+    if value < -tau:
+        return POSITIVE_G
+    return INDETERMINATE
+
+
 def infer_error_sign(ccm: float, acm_emp: float) -> str:
     """Map the CCM onto the bank's slope-set sign: positive CCM gives
     NEGATIVE_G (filter curve above the actual one), negative CCM
@@ -110,12 +94,7 @@ def infer_error_sign(ccm: float, acm_emp: float) -> str:
     NEGATIVE_G sign means that an error is present, not that the filter
     curve is above the truth, and the POSITIVE_G branch fires only on
     noise. `infer_error_polarity` reads the polarity."""
-    tau = max(CCM_FLOOR, CCM_ACM_FRACTION * acm_emp)
-    if ccm > tau:
-        return NEGATIVE_G
-    if ccm < -tau:
-        return POSITIVE_G
-    return INDETERMINATE
+    return _sign(ccm, max(CCM_FLOOR, CCM_ACM_FRACTION * acm_emp))
 
 
 def interval_statistics(prev: IntervalInnovations | None,
@@ -151,13 +130,6 @@ def whiteness(v) -> tuple[int, int, float]:
     return inside, len(lags), float(band)
 
 
-@dataclass(frozen=True)
-class PolarityVerdict:
-    sign: str
-    value: float
-    threshold: float
-
-
 def curve_error_polarity(soc_gains, innovations) -> np.ndarray:
     """Curve-error polarity statistic after every step: minus the running
     sum of the SOC corrections K_soc*e that the measurement updates applied.
@@ -177,21 +149,14 @@ def curve_error_polarity(soc_gains, innovations) -> np.ndarray:
     return -np.cumsum(k * e)
 
 
-def infer_error_polarity(value: float, p0_soc: float) -> PolarityVerdict:
+def infer_error_polarity(value: float, p0_soc: float) -> str:
     """Positive polarity statistic implies the filter curve sits above the
     actual one (NEGATIVE_G), negative the reverse (POSITIVE_G). Within one
     initial SOC standard deviation, sqrt(p0_soc), the correction could be an
     initial-SOC error worked off, so the verdict is INDETERMINATE."""
     if not p0_soc >= 0:
         raise ValueError(f"p0_soc must be >= 0, got {p0_soc}")
-    tau = float(np.sqrt(p0_soc))
-    if value > tau:
-        sign = NEGATIVE_G
-    elif value < -tau:
-        sign = POSITIVE_G
-    else:
-        sign = INDETERMINATE
-    return PolarityVerdict(sign, value, tau)
+    return _sign(value, math.sqrt(p0_soc))
 
 
 # convergence: the trailing window of interval RMS values, its drop from the

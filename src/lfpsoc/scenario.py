@@ -258,19 +258,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
     return result
 
 
-def write_soc_csv(path: str, dt: float, est: np.ndarray, truth: np.ndarray):
+def write_soc_csv(path: str, t: np.ndarray, est: np.ndarray,
+                  truth: np.ndarray):
     write_lines(path, ["t", "soc", "true_soc", "error"],
-                ("%.6g,%.9f,%.9f,%.9f" % (k * dt, e, s, e - s)
-                 for k, (e, s) in enumerate(zip(est.tolist(),
-                                                truth.tolist()))))
+                ("%.6g,%.9f,%.9f,%.9f" % (tk, e, s, e - s)
+                 for tk, e, s in zip(t.tolist(), est.tolist(),
+                                     truth.tolist())))
 
 
-def write_estimate_csv(path: str, dt: float, outs: list):
-    """The baseline filter's per-step posterior, innovation and variances."""
+def write_estimate_csv(path: str, t: np.ndarray, outs: list):
+    """The baseline filter's per-step posterior, innovation and variances,
+    at the trace's timestamps `t`."""
     write_lines(path, ["t", "soc_est", "up_est", "innovation_v", "p00", "p11"],
                 ("%.6g,%.9f,%.9f,%.9e,%.9e,%.9e" % (
-                    k * dt, o.soc, o.up, o.innovation, o.p00, o.p11)
-                 for k, o in enumerate(outs)))
+                    tk, o.soc, o.up, o.innovation, o.p00, o.p11)
+                 for tk, o in zip(t.tolist(), outs)))
 
 
 def write_corrected_csv(path: str, points: list):
@@ -321,9 +323,9 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
     else:
         write_trace(result.trace, trace_csv)
         traces[key] = trace_csv
-    write_soc_csv(os.path.join(out_dir, "soc_ekf.csv"), cfg.dt,
+    write_soc_csv(os.path.join(out_dir, "soc_ekf.csv"), result.trace.t,
                   result.soc_ekf, result.trace.true_soc)
-    write_soc_csv(os.path.join(out_dir, "soc_ammkf.csv"), cfg.dt,
+    write_soc_csv(os.path.join(out_dir, "soc_ammkf.csv"), result.trace.t,
                   result.soc_ammkf, result.trace.true_soc)
     write_corrected_csv(os.path.join(out_dir, "corrected_osc.csv"),
                         result.corrected_points)

@@ -156,16 +156,16 @@ class TestErrorSignInference:
     def test_polarity_sign_convention_and_threshold(self):
         # positive: filter curve above the truth (negative gap); within one
         # initial SOC standard deviation, sqrt(1e-4), indeterminate
-        assert infer_error_polarity(0.009, p0_soc=1e-4).sign == INDETERMINATE
-        assert infer_error_polarity(-0.009, p0_soc=1e-4).sign == INDETERMINATE
-        assert infer_error_polarity(0.011, p0_soc=1e-4).sign == NEGATIVE_G
-        assert infer_error_polarity(-0.011, p0_soc=1e-4).sign == POSITIVE_G
+        assert infer_error_polarity(0.009, p0_soc=1e-4) == INDETERMINATE
+        assert infer_error_polarity(-0.009, p0_soc=1e-4) == INDETERMINATE
+        assert infer_error_polarity(0.011, p0_soc=1e-4) == NEGATIVE_G
+        assert infer_error_polarity(-0.011, p0_soc=1e-4) == POSITIVE_G
 
-    def test_polarity_verdict_carries_value_and_threshold(self):
-        v = infer_error_polarity(0.02, p0_soc=9e-4)
-        assert v.sign == INDETERMINATE
-        assert v.threshold == pytest.approx(0.03, rel=1e-12)
-        assert v.value == 0.02
+    def test_polarity_threshold_is_the_initial_soc_deviation(self):
+        # sqrt(9e-4) = 0.03: the verdict flips just past it on either side
+        assert infer_error_polarity(0.0299, p0_soc=9e-4) == INDETERMINATE
+        assert infer_error_polarity(0.0301, p0_soc=9e-4) == NEGATIVE_G
+        assert infer_error_polarity(-0.0301, p0_soc=9e-4) == POSITIVE_G
 
     def test_polarity_negative_p0_rejected(self):
         with pytest.raises(ValueError):
@@ -215,9 +215,9 @@ def _float_statistics(a, b):
 
 
 class TestFloatStatistics:
-    """The interval statistics add Python floats in numpy's pairwise order:
-    a plain sum below 8 values, 8 running sums in blocks up to 128, halves
-    above, so every length from 2 to 300 equals numpy bit for bit."""
+    """The interval statistics sum with numpy's own reduction over the
+    count, so every length from 2 to 300, across numpy's plain, blocked and
+    halved summation orders, equals numpy bit for bit."""
 
     def test_every_length_from_2_to_300(self):
         rng = np.random.default_rng(7)
@@ -410,7 +410,7 @@ class TestPipelineSignStatistics:
         assert np.mean([math.copysign(1.0, v) == expect
                         for v in values]) >= 0.9
         wrong = POSITIVE_G if filter_offset > 0 else NEGATIVE_G
-        verdicts = [infer_error_polarity(v, 1e-4).sign for v in values]
+        verdicts = [infer_error_polarity(v, 1e-4) for v in values]
         assert np.mean([v == wrong for v in verdicts]) <= 0.05
 
     def test_matched_curve_polarity_indeterminate(self, params, base_curve):
@@ -418,7 +418,7 @@ class TestPipelineSignStatistics:
         # its initial uncertainty, so no polarity verdict dominates
         _, outs = _filter_run(params, base_curve, 37, base_curve, 1e-6,
                               (1e-12, 1e-12))
-        verdicts = [infer_error_polarity(v, 1e-6).sign
+        verdicts = [infer_error_polarity(v, 1e-6)
                     for v in _pair_polarities(outs)]
         assert np.mean([v == NEGATIVE_G for v in verdicts]) <= 0.1
         assert np.mean([v == POSITIVE_G for v in verdicts]) <= 0.1

@@ -416,39 +416,41 @@ class TestTraceIo:
         assert p.read_bytes() == buf.getvalue().encode()
 
     @given(est=st.lists(st.floats(-1e300, 1e300), max_size=30),
-           dt=st.floats(1e-3, 1e3), data=st.data())
+           t0=st.floats(-1e6, 1e6), dt=st.floats(1e-3, 1e3), data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_soc_csv_matches_csv_writer(self, tmp_path_factory, est, dt,
+    def test_soc_csv_matches_csv_writer(self, tmp_path_factory, est, t0, dt,
                                         data):
         truth = data.draw(st.lists(st.one_of(st.floats(-1e300, 1e300),
                                              st.just(_NAN)),
                                    min_size=len(est), max_size=len(est)))
         est, truth = np.array(est), np.array(truth)
+        t = t0 + np.arange(len(est)) * dt
         p = tmp_path_factory.mktemp("soc") / "soc.csv"
-        write_soc_csv(p, dt, est, truth)
+        write_soc_csv(p, t, est, truth)
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["t", "soc", "true_soc", "error"])
-        for k, (e, s) in enumerate(zip(est, truth)):
-            w.writerow([f"{k * dt:.6g}", f"{e:.9f}", f"{s:.9f}",
+        for tk, e, s in zip(t, est, truth):
+            w.writerow([f"{tk:.6g}", f"{e:.9f}", f"{s:.9f}",
                         f"{e - s:.9f}"])
         assert p.read_bytes() == buf.getvalue().encode()
 
     @given(steps=st.lists(st.tuples(*[st.floats()] * 5), max_size=30),
-           dt=st.floats(1e-3, 1e3))
+           t0=st.floats(-1e6, 1e6), dt=st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
     def test_estimate_csv_matches_csv_writer(self, tmp_path_factory, steps,
-                                             dt):
+                                             t0, dt):
         outs = [StepOutput(soc, up, p00, 0.0, p11, innovation, 1.0, 0.0,
                            False, 0.0)
                 for soc, up, p00, p11, innovation in steps]
+        t = t0 + np.arange(len(outs)) * dt
         p = tmp_path_factory.mktemp("est") / "estimate_ekf.csv"
-        write_estimate_csv(p, dt, outs)
+        write_estimate_csv(p, t, outs)
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["t", "soc_est", "up_est", "innovation_v", "p00", "p11"])
-        for k, o in enumerate(outs):
-            w.writerow([f"{k * dt:.6g}", f"{o.soc:.9f}", f"{o.up:.9f}",
+        for tk, o in zip(t, outs):
+            w.writerow([f"{tk:.6g}", f"{o.soc:.9f}", f"{o.up:.9f}",
                         f"{o.innovation:.9e}", f"{o.p00:.9e}",
                         f"{o.p11:.9e}"])
         assert p.read_bytes() == buf.getvalue().encode()
@@ -1027,6 +1029,23 @@ class TestCli:
                                  "--method", method]) == 0
                 written.append((out / f"soc_{method}.csv").read_bytes())
             assert written[0] == written[1]
+
+    def test_estimate_keeps_the_traces_timestamps(self, tmp_path):
+        # a trace that starts at 1000 s is written out at 1000 s, not 0
+        cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        header, *rows = (sim / "trace.csv").read_text().splitlines()
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("\n".join([header] + [
+            "%r,%s" % (float(t) + 1000.0, rest)
+            for t, rest in (row.split(",", 1) for row in rows)]) + "\n")
+        out = tmp_path / "est"
+        assert cli_main(["--config", cfg, "--out", str(out), "estimate",
+                         "--trace", str(shifted), "--method", "ekf"]) == 0
+        for name in ("soc_ekf.csv", "estimate_ekf.csv"):
+            first = (out / name).read_text().splitlines()[1]
+            assert float(first.split(",")[0]) == 1000.0, name
 
     @pytest.mark.parametrize("online", ["false", "true"])
     def test_estimate_reproduces_the_scenario(self, tmp_path, online):

@@ -153,6 +153,9 @@ class TestThetaCircuitMaps:
 
     def test_nonphysical_result(self):
         assert extract_circuit(0.9, 0.1, 0.05, dt=1.0) is None  # r0 < 0
+        # a negative step turns a physical circuit's cp negative
+        assert extract_circuit(*circuit_to_theta(EcmParams(0.07, 0.04, 1000.0),
+                                                 1.0), dt=-1.0) is None
 
     def test_nan_coefficient_still_reaches_ecm_params(self):
         # a NaN theta2 passes the "not positive" tests, as before
