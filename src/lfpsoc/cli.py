@@ -58,8 +58,8 @@ def cmd_identify(args, cfg: ScenarioConfig) -> int:
     points = identify_stream(trace, coulomb_counted_soc(cfg, trace))
     path = _out_file(args, "identified_params.csv")
     write_lines(path, ["t", "r0_ohm", "rp_ohm", "cp_f", "lambda"],
-                ("%.6g,,,,%.6f" % (p.t, p.lam) if p.params is None
-                 else "%.6g,%.8g,%.8g,%.8g,%.6f" % (
+                ("%.15g,,,,%.6f" % (p.t, p.lam) if p.params is None
+                 else "%.15g,%.8g,%.8g,%.8g,%.6f" % (
                      p.t, p.params.r0, p.params.rp, p.params.cp, p.lam)
                  for p in points))
     write_manifest(_out_file(args, "run-manifest.txt"), cfg)

@@ -2,7 +2,7 @@
 
 A per-sample loop reads the curve through `OcvCurve.lookup()`, which keeps
 the knot segment of the previous SOC and bisects the knots only when the SOC
-leaves it, with the same arithmetic and errors as `OcvCurve.ocv_slope`."""
+leaves it, with the same arithmetic and errors as `ocv` and `slope`."""
 
 from __future__ import annotations
 
@@ -88,14 +88,10 @@ class OcvCurve:
         out = np.interp(s, self.knot_soc, self.knot_ocv)
         return float(out) if np.isscalar(soc) or np.ndim(soc) == 0 else out
 
-    def ocv_slope(self, soc: float) -> tuple[float, float]:
-        """`(ocv(soc), slope(soc))` of a scalar `soc`, from one bisection of
-        the knots when it lies in the knot domain."""
-        return self._locate(soc)[:2]
-
     def _locate(self, soc) -> tuple:
-        """`ocv_slope(soc)` and the index of the open knot segment that holds
-        `soc`, None on a knot, outside the domain or for NaN."""
+        """`(ocv(soc), slope(soc))` of a scalar `soc` (one bisection of the
+        knots inside the domain) and the index of its open knot segment,
+        None on a knot, outside the domain or for NaN."""
         knots = self._soc
         if not knots[0] <= soc <= knots[-1]:
             return self.ocv(soc), self.slope(soc), None
@@ -107,12 +103,12 @@ class OcvCurve:
         return seg[j] * (soc - knots[j]) + self._ocv[j], seg[j], j
 
     def lookup(self):
-        """A function equal to `ocv_slope` for one loop of nearby SOCs: it
-        remembers the open knot segment of the last SOC it saw and, while
-        the next SOC stays strictly inside it, computes the same expression
-        without bisecting the knots. Any other SOC (a knot, a domain end,
-        NaN, out of domain) takes `ocv_slope`'s path and its errors. The
-        curve holds no state: make one lookup per loop."""
+        """A function equal to `(ocv(soc), slope(soc))` for one loop of nearby
+        scalar SOCs: it remembers the open knot segment of the last SOC it
+        saw and, while the next SOC stays strictly inside it, computes the
+        same expression without bisecting the knots. Any other SOC (a knot,
+        a domain end, NaN, out of domain) takes `_locate`'s path and errors.
+        The curve holds no state: make one lookup per loop."""
         locate, knots, ocvs, segs = (self._locate, self._soc, self._ocv,
                                      self._seg)
         # the open segment (left, right) with its slope and left OCV; NaN

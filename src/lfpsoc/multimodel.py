@@ -5,15 +5,16 @@ model weights, optimal-filter selection, and corrected-curve output.
 interval steps the plain filter with `ekf.filter_range`, after it the bank
 with `run_interval`; the tail is one more `filter_range` call.
 `run_interval` steps every member of the bank through the interval in one
-`ekf.kalman_step` call, then weighs the members in one `interval_weights`
-pass over the log-densities of the innovations their steps return (no
-member reads the weights). A bank's steps stay plain tuples in
-`StepOutput`'s field order, the winner's too. An interval's theoretical ACM
-is its last step's innovation variance S. The slope and weight floors are
-the module constants `SLOPE_FLOOR` and `PROB_FLOOR`, read at call time.
-Every filter steps at the trace's own `dt` with the plain filter's
-capacity, and `BankConfig` has no defaults: a scenario's bank settings
-come from `ScenarioConfig` alone."""
+`ekf.kalman_step` call and weighs them in one `interval_weights` pass over
+their steps' innovation log-densities (no member reads the weights).
+`run_ammkf` alone picks the heaviest member, keeps its steps (plain tuples
+in `StepOutput`'s field order), extends the corrected curve along its slope
+and anchors the next bank interval on the last corrected point. An
+interval's theoretical ACM is its last step's innovation variance S. The
+slope and weight floors are the module constants `SLOPE_FLOOR` and
+`PROB_FLOOR`, read at call time. Every filter steps at the trace's own
+`dt` with the plain filter's capacity, and `BankConfig` has no defaults: a
+scenario's bank settings come from `ScenarioConfig` alone."""
 
 from __future__ import annotations
 
@@ -115,47 +116,22 @@ def interval_weights(log_likelihoods, floor: float) -> list[float]:
     return [p / total for p in post]
 
 
-@dataclass
-class IntervalResult:
-    """The selected filter's steps, plain tuples in `StepOutput`'s field
-    order (its last posterior carries over), its corrected-curve points,
-    and the final weights."""
-
-    optimal_index: int
-    steps: list
-    corrected_points: list
-    probabilities: list
-    final_model_ocv: float | None
-
-
 def run_interval(f: KfState, anchor: tuple, slopes, x, params,
-                 trace: Trace, start: int, length: int,
-                 index: int) -> IntervalResult:
+                 trace: Trace, start: int, length: int) -> tuple:
     """Step the member of every slope from the posterior `x` through
     `length` samples with the noise and curve of `f` and the affine models
-    through `anchor` (anchor SOC, model OCV), weigh the members (uniform at
-    the start, floored at `PROB_FLOOR`) by each step's innovation
-    log-density, then select the heaviest member (ties to the lowest
-    index). `index` numbers the interval."""
-    n = len(slopes)
+    through `anchor` (anchor SOC, model OCV), and weigh the members
+    (uniform at the start, floored at `PROB_FLOOR`) by each step's
+    innovation log-density. Returns (weights, members): the final weights
+    and each member's steps, plain tuples in `StepOutput`'s field order."""
     rows = list(ekf.samples(params, trace, f.capacity_ah, start,
                             start + length))
-    members = ekf.kalman_step(f, anchor, slopes, [x] * n, rows)
+    members = ekf.kalman_step(f, anchor, slopes, [x] * len(slopes), rows)
     # the members never read the weights: weigh them after the range, by
     # the log-density that ends each step
     weights = interval_weights([map(_LOG_LIKELIHOOD, steps)
                                 for steps in members], PROB_FLOOR)
-    opt = weights.index(max(weights))
-    best = members[opt]
-    s = slopes[opt]
-    if s is None:
-        corrected = []
-    else:
-        anchor_soc, anchor_ocv = anchor
-        corrected = [(soc, anchor_ocv + s * (soc - anchor_soc), index)
-                     for soc in map(_SOC, best)]
-    final_model_ocv = corrected[-1][1] if corrected else None
-    return IntervalResult(opt, best, corrected, weights, final_model_ocv)
+    return weights, members
 
 
 def interval_innovations(index: int, steps: list) -> IntervalInnovations:
@@ -192,12 +168,14 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     `plain` on its own curve; after that, a bank of filters with slopes
     chosen from the inferred sign of the curve error (cross-correlation of
     the previous two intervals' innovations), of which the most probable
-    carries its state forward. Either way the interval's steps are kept,
-    its innovations join the history and its last step starts the next
+    (ties to the lowest index) carries its state forward and adds its
+    corrected-curve points. Either way the interval's steps are kept, its
+    innovations join the history and its last step starts the next
     interval. The tail shorter than an interval continues `plain`. The
-    bank anchors on `plain`'s curve and steps from the carried posterior,
-    so it is `plain` with `bank_noise`. Every filter steps at the trace's
-    own sample spacing.
+    bank is `plain` with `bank_noise` and steps from the carried
+    posterior. Its anchor is that posterior's SOC with the model OCV of
+    the last corrected point, or before any, `plain`'s curve at the
+    clamped SOC. Every filter steps at the trace's own sample spacing.
     """
     L = bank_cfg.interval_len
     n_steps = len(trace)
@@ -219,35 +197,37 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     discharging = (trace.current_a[:m * L].reshape(m, L).mean(axis=1)
                    >= 0).tolist()
     x = plain.start()  # the carried posterior: a filter start, then a step
-    converged_at = anchor_ocv = None
+    converged_at = None
     for index, k in enumerate(range(0, m * L, L)):
         if converged_at is None:  # phase 1: the plain filter
             steps = ekf.filter_range(plain, x, params, trace, k, k + L)
         else:
             # the bank, stepped from the carried posterior; phase 1 has run
-            # at least two intervals, since convergence needs two. The
-            # anchor's model value chains across intervals (only the first
-            # anchors on the curve)
+            # at least two intervals, since convergence needs two
             ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
                 history[-2], history[-1])
             mode = DISCHARGE if discharging[index] else CHARGE
             soc = _SOC(x)  # a phase-1 step or a bank step
             anchor_soc = min(max(soc, lo), hi)
-            if anchor_ocv is None:
-                anchor_ocv = curve.ocv(anchor_soc)
+            # the model value chains from the last corrected point; only
+            # the first bank interval anchors on the curve
+            anchor_ocv = (corrected_points[-1][1] if corrected_points
+                          else curve.ocv(anchor_soc))
             slopes = build_slope_set(curve.slope(anchor_soc), sign, mode,
                                      bank_cfg)
-            # a one-filter bank is a plain filter on the curve itself
+            # a one-filter bank is a plain filter on the curve itself, and
+            # never reads its anchor
             slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
-            res = run_interval(bank, (soc, anchor_ocv), slopes, x, params,
-                               trace, k, L, index)
-            steps = res.steps
-            corrected_points.extend(res.corrected_points)
+            weights, members = run_interval(bank, (soc, anchor_ocv), slopes,
+                                            x, params, trace, k, L)
+            opt = weights.index(max(weights))  # ties to the lowest index
+            steps, s = members[opt], slopes[opt]
+            if s is not None:
+                corrected_points.extend(
+                    (soc_k, anchor_ocv + s * (soc_k - soc), index)
+                    for soc_k in map(_SOC, steps))
             diagnostics.append(IntervalDiagnostics(
-                index, ccm, acm_emp, acm_theo, sign, res.optimal_index,
-                max(res.probabilities), mode))
-            if res.final_model_ocv is not None:
-                anchor_ocv = res.final_model_ocv
+                index, ccm, acm_emp, acm_theo, sign, opt, weights[opt], mode))
         keep(steps, k)
         history.append(interval_innovations(index, steps))
         x = steps[-1]

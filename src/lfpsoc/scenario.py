@@ -261,7 +261,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
 def write_soc_csv(path: str, t: np.ndarray, est: np.ndarray,
                   truth: np.ndarray):
     write_lines(path, ["t", "soc", "true_soc", "error"],
-                ("%.6g,%.9f,%.9f,%.9f" % (tk, e, s, e - s)
+                ("%.15g,%.9f,%.9f,%.9f" % (tk, e, s, e - s)
                  for tk, e, s in zip(t.tolist(), est.tolist(),
                                      truth.tolist())))
 
@@ -270,7 +270,7 @@ def write_estimate_csv(path: str, t: np.ndarray, outs: list):
     """The baseline filter's per-step posterior, innovation and variances,
     at the trace's timestamps `t`."""
     write_lines(path, ["t", "soc_est", "up_est", "innovation_v", "p00", "p11"],
-                ("%.6g,%.9f,%.9f,%.9e,%.9e,%.9e" % (
+                ("%.15g,%.9f,%.9f,%.9e,%.9e,%.9e" % (
                     tk, o.soc, o.up, o.innovation, o.p00, o.p11)
                  for tk, o in zip(t.tolist(), outs)))
 

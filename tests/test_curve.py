@@ -125,8 +125,9 @@ class TestScalarPath:
                                                  curve.knot_ocv)[0])
         assert curve.ocv(soc) == curve.ocv(grid)[0]
         assert curve.slope(soc) == curve.slope(grid)[0]
-        assert curve.ocv_slope(soc) == (curve.ocv(grid)[0],
-                                        curve.slope(grid)[0])
+        # a fresh lookup takes the same path as `ocv` and `slope`
+        assert curve.lookup()(soc) == (curve.ocv(grid)[0],
+                                       curve.slope(grid)[0])
 
     @given(curve=knot_curves(), u=st.lists(st.floats(0.0, 1.0), min_size=1,
                                             max_size=20))
@@ -176,7 +177,7 @@ class TestScalarPath:
         ocv_slope = curve.lookup()
         for soc in walk:
             try:
-                expected = curve.ocv_slope(soc)
+                expected = curve.ocv(soc), curve.slope(soc)
             except CurveDomainError as exc:
                 with pytest.raises(CurveDomainError) as got:
                     ocv_slope(soc)
@@ -188,7 +189,7 @@ class TestScalarPath:
         assert math.isnan(base_curve.ocv(math.nan))
         assert base_curve.slope(math.nan) == base_curve.slope(
             np.array([math.nan]))[0]
-        ocv, slope = base_curve.ocv_slope(math.nan)
+        ocv, slope = base_curve.lookup()(math.nan)
         assert math.isnan(ocv) and slope == base_curve.slope(math.nan)
 
 

@@ -431,7 +431,7 @@ class TestTraceIo:
         w = csv.writer(buf)
         w.writerow(["t", "soc", "true_soc", "error"])
         for tk, e, s in zip(t, est, truth):
-            w.writerow([f"{tk:.6g}", f"{e:.9f}", f"{s:.9f}",
+            w.writerow([f"{tk:.15g}", f"{e:.9f}", f"{s:.9f}",
                         f"{e - s:.9f}"])
         assert p.read_bytes() == buf.getvalue().encode()
 
@@ -450,7 +450,7 @@ class TestTraceIo:
         w = csv.writer(buf)
         w.writerow(["t", "soc_est", "up_est", "innovation_v", "p00", "p11"])
         for tk, o in zip(t, outs):
-            w.writerow([f"{tk:.6g}", f"{o.soc:.9f}", f"{o.up:.9f}",
+            w.writerow([f"{tk:.15g}", f"{o.soc:.9f}", f"{o.up:.9f}",
                         f"{o.innovation:.9e}", f"{o.p00:.9e}",
                         f"{o.p11:.9e}"])
         assert p.read_bytes() == buf.getvalue().encode()
@@ -792,6 +792,29 @@ class TestCli:
                          "--trace", os.path.join(out, "trace.csv")]) == 0
         with open(os.path.join(out2, "identified_params.csv")) as fh:
             assert fh.readline().strip() == "t,r0_ohm,rp_ohm,cp_f,lambda"
+
+    def test_long_timestamps_are_written_in_full(self, tmp_path):
+        # a trace whose clock reads 1.7e9 s: every written t is its own
+        cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
+        out = str(tmp_path / "sim")
+        assert cli_main(["--config", cfg, "--out", out, "simulate"]) == 0
+        sim = ingest_trace(os.path.join(out, "trace.csv"))
+        shifted = str(tmp_path / "shifted.csv")
+        write_trace(replace(sim, t=sim.t + 1.7e9), shifted)
+        est, ident = str(tmp_path / "est"), str(tmp_path / "id")
+        assert cli_main(["--config", cfg, "--out", est, "estimate",
+                         "--trace", shifted, "--method", "ekf"]) == 0
+        assert cli_main(["--config", cfg, "--out", ident, "identify",
+                         "--trace", shifted]) == 0
+        for path, first in ((os.path.join(est, "soc_ekf.csv"), 1700000000),
+                            (os.path.join(est, "estimate_ekf.csv"),
+                             1700000000),
+                            (os.path.join(ident, "identified_params.csv"),
+                             1700000002)):
+            with open(path) as fh:
+                t = [row[0] for row in list(csv.reader(fh))[1:]]
+            assert t[:2] == [str(first), str(first + 1)]
+            assert len(set(t)) == len(t)
 
     def test_identify_ignores_ground_truth(self, tmp_path):
         # the forgetting factor follows the coulomb-counted SOC, so the

@@ -133,7 +133,7 @@ class TestLikelihood:
                     cfg.capacity_ah)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
-                         f.start(), params, trace, 21, 5, 0)
+                         f.start(), params, trace, 21, 5)
 
 
 def _model_weights(weights, log_likelihoods, floor):
@@ -272,8 +272,8 @@ def _bank(soc, up, p, noise, curve):
 
 
 class TestMakeBankAndInterval:
-    """How `run_ammkf` makes each interval's bank, and how `run_interval`
-    weighs and selects its members."""
+    """How `run_ammkf` makes each interval's bank and selects its winner,
+    and how `run_interval` weighs the members."""
 
     def _trace(self, params, curve, n=200, seed=2, start=0.6):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
@@ -285,8 +285,9 @@ class TestMakeBankAndInterval:
     _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
     def _bank_calls(self, params, base_curve, curve, monkeypatch):
-        """(f, anchor, slopes, x, result) of every `run_interval` call of a
-        3-filter `run_ammkf` on `curve` over a trace from SOC 0.9."""
+        """(f, anchor, slopes, x, (weights, members)) of every `run_interval`
+        call of a 3-filter `run_ammkf` on `curve` over a trace from SOC
+        0.9."""
         trace, cfg = self._trace(params, base_curve, start=0.9)
         calls = []
         real = multimodel.run_interval
@@ -310,21 +311,25 @@ class TestMakeBankAndInterval:
                                               monkeypatch):
         calls, trace, cfg = self._bank_calls(params, base_curve, base_curve,
                                              monkeypatch)
-        model_ocv = base_curve.ocv(calls[0][3].soc)  # the first anchors here
         carried = calls[0][3]
-        for f, anchor, slopes, x, res in calls:
+        expected = (carried.soc, base_curve.ocv(carried.soc))  # the first
+        for f, anchor, slopes, x, (weights, members) in calls:
             # every member starts from the carried posterior and anchors on
-            # it and on the previous interval's corrected model value
+            # it and on the previous interval's corrected model value: the
+            # heaviest member's line through the previous anchor
             assert x is carried
             assert f.noise is self._bank_noise and f.curve is base_curve
-            assert anchor == (x[0], model_ocv)  # a bank step is a tuple
+            assert anchor == expected  # a bank step is a tuple
             assert len(slopes) == 3 and slopes == sorted(set(slopes))
-            carried, model_ocv = res.steps[-1], res.final_model_ocv
+            opt = weights.index(max(weights))
+            carried = members[opt][-1]
+            expected = (carried[0],
+                        anchor[1] + slopes[opt] * (carried[0] - anchor[0]))
         # the weights start uniform: identical members keep them so
         f, anchor, slopes, x, _ = calls[0]
-        same = multimodel.run_interval(f, anchor, [slopes[1]] * 3, x, params,
-                                       trace, 41, 20, 2)
-        assert same.probabilities == [1 / 3] * 3
+        weights, _ = multimodel.run_interval(f, anchor, [slopes[1]] * 3, x,
+                                             params, trace, 41, 20)
+        assert weights == [1 / 3] * 3
 
     def test_first_anchor_reads_the_clamped_soc(self, params, base_curve,
                                                 monkeypatch):
@@ -343,10 +348,10 @@ class TestMakeBankAndInterval:
         soc, up = float(trace.true_soc[20]), float(trace.true_up_v[20])
         f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         slope = base_curve.slope(soc)
-        res = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
-                           f.start(), params, trace, 21, 20, 0)
-        assert res.optimal_index == 0
-        assert res.probabilities == pytest.approx([1 / 3] * 3, rel=1e-9)
+        weights, _ = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
+                                  f.start(), params, trace, 21, 20)
+        assert weights.index(max(weights)) == 0
+        assert weights == pytest.approx([1 / 3] * 3, rel=1e-9)
 
     def test_correct_slope_wins(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=200, start=0.9)
@@ -355,28 +360,37 @@ class TestMakeBankAndInterval:
         soc, up = float(trace.true_soc[k0]), float(trace.true_up_v[k0])
         f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         true_slope = base_curve.slope(soc)
-        res = run_interval(f, (soc, base_curve.ocv(soc)),
-                           [true_slope / 8, true_slope, true_slope * 8],
-                           f.start(), params, trace, k0 + 1, 40, 0)
-        assert res.optimal_index == 1
-        assert res.probabilities[1] > max(res.probabilities[0],
-                                          res.probabilities[2])
-        assert res.probabilities[1] > 0.5
+        weights, _ = run_interval(f, (soc, base_curve.ocv(soc)),
+                                  [true_slope / 8, true_slope, true_slope * 8],
+                                  f.start(), params, trace, k0 + 1, 40)
+        assert weights.index(max(weights)) == 1
+        assert weights[1] > max(weights[0], weights[2])
+        assert weights[1] > 0.5
 
-    def test_corrected_points_follow_affine_model(self, params, base_curve):
+    def test_corrected_points_follow_affine_model(self, params, base_curve,
+                                                  monkeypatch):
+        # every corrected point of a bank interval lies on its winner's
+        # slope through that interval's anchor
         trace, cfg = self._trace(params, base_curve, start=0.9)
-        noise = NoiseConfig(1e-11, 1e-6, 1e-6)
-        soc, up = float(trace.true_soc[30]), float(trace.true_up_v[30])
-        f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
-        res = run_interval(f, (soc, 3.31), [0.05, 0.1, 0.2], f.start(),
-                           params, trace, 31, 20, 2)
-        s_op = [0.05, 0.1, 0.2][res.optimal_index]
+        banks = {}  # (anchor, slopes) by interval index
+        real = multimodel.run_interval
+
+        def spy(f, anchor, slopes, x, params, trace, start, length):
+            banks[start // length] = anchor, slopes
+            return real(f, anchor, slopes, x, params, trace, start, length)
+
+        monkeypatch.setattr(multimodel, "run_interval", spy)
+        res = run_ammkf(trace, KfState(BatteryState(0.9, 0.0), 1e-6, 1e-6,
+                                       NoiseConfig(1e-10, 1e-6, 1e-6),
+                                       base_curve, cfg.capacity_ah),
+                        params, BankConfig(n=3, interval_len=20, spread=2.0),
+                        bank_noise=self._bank_noise)
+        opt = {d.interval_index: d.optimal_index for d in res.diagnostics}
+        assert len(res.corrected_points) == 20 * len(opt) > 0
         for point_soc, v, idx in res.corrected_points:
-            assert idx == 2
-            assert v == pytest.approx(3.31 + s_op * (point_soc - soc),
-                                      abs=1e-12)
-        assert res.final_model_ocv == pytest.approx(
-            res.corrected_points[-1][1])
+            (soc, model_ocv), slopes = banks[idx]
+            assert v == pytest.approx(
+                model_ocv + slopes[opt[idx]] * (point_soc - soc), abs=1e-12)
 
 
 class TestRunAmmkf:

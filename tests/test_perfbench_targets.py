@@ -67,9 +67,9 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
         return step(f, anchor, slopes, xs, rows)
 
     def counted_interval(*args):
-        res = interval(*args)
-        picks.append(res.optimal_index)
-        return res
+        weights, members = interval(*args)
+        picks.append(weights.index(max(weights)))
+        return weights, members
 
     monkeypatch.setattr(ekf, "kalman_step", counted_step)
     monkeypatch.setattr(multimodel, "run_interval", counted_interval)
