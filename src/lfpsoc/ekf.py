@@ -2,25 +2,25 @@
 
 `kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
 update, on Python floats with the 2x2 algebra written out. It steps one
-filter set over a range of samples per call: one filter (noise, curve and
-the capacity it counts charge against), one anchor and a list of slopes,
-with one posterior per slope, through the rows that `samples` gives for the
-range. Each member runs through every row before the next starts, its
-posterior in local variables; the shared inputs are read once per call.
-Members differ only in the measurement row H = [s, -1]. A slope of None
-reads the OCV and its slope s from the curve at the prior SOC, clamped into
-the knot domain, through its own `OcvCurve.lookup` for the call, which
-bisects the knots only when the SOC leaves the segment of the previous row:
-a plain filter is the one-member set `[None]` with no anchor. A bank
-member's slope s gives the affine model anchored at the interval start
-(anchor SOC, model OCV); a bank is its n slopes. Each step holds, in
-`StepOutput`'s field order, the posterior, the innovation e, its variance
-S, the SOC gain, the clamp flag and the log-density of e, which the bank's
-model weights and the interval statistics read as they are: a plain
-filter's steps are `StepOutput`s, a bank's plain tuples. `filter_range`
-steps a plain filter over a range of samples in one call. A single step is
-a one-row call. Every step is as long as the trace's own `dt`: the filter
-takes no simulator settings.
+filter set over a run of rows per call: one filter (noise, curve and the
+capacity it counts charge against), one anchor and a list of slopes, with
+one posterior per slope. The rows come from `samples`, which reads the
+whole trace once per estimator run: `run_ekf` steps them all in one call,
+and `multimodel.run_ammkf` takes them an interval at a time. Each member
+runs through every row before the next starts, its posterior in local
+variables; the shared inputs are read once per call. Members differ only in
+the measurement row H = [s, -1]. A slope of None reads the OCV and its
+slope s from the curve at the prior SOC, clamped into the knot domain,
+through its own `OcvCurve.lookup` for the call, which bisects the knots
+only when the SOC leaves the segment of the previous row: a plain filter is
+the one-member set `[None]` with no anchor. A bank member's slope s gives
+the affine model anchored at the interval start (anchor SOC, model OCV); a
+bank is its n slopes. Each step holds, in `StepOutput`'s field order, the
+posterior, the innovation e, its variance S, the SOC gain, the clamp flag
+and the log-density of e, which the bank's model weights and the interval
+statistics read as they are: a plain filter's steps are `StepOutput`s, a
+bank's plain tuples. A single step is a one-row call. Every step is as long
+as the trace's own `dt`: the filter takes no simulator settings.
 """
 
 from __future__ import annotations
@@ -116,14 +116,15 @@ def transition(params: EcmParams, dt: float, capacity_ah: float) -> tuple:
 def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
                 rows) -> list[list[tuple]]:
     """Step the member of each slope in `slopes` from its posterior in `xs`
-    through `rows`, with the noise and curve of filter `f`. Each row is
-    (k, decay, g_soc*u_prev, g_up*u_prev, y, r0*u) from `samples`: predict
-    with the previous current's terms (except on sample 0, which starts the
-    filter), then update on the measured voltage `y` with the ohmic drop
-    r0*u. Per member, one step per row in `StepOutput`'s field order: a
-    StepOutput without an anchor (a plain filter, whose caller keeps every
-    step), else a plain tuple. Each member runs through all rows before the
-    next starts, so a set of more than one member needs the rows as a list.
+    through `rows`, with the noise and curve of filter `f`. The rows are a
+    run of an estimator run's one `samples` iterator, each (k, decay,
+    g_soc*u_prev, g_up*u_prev, y, r0*u): predict with the previous
+    current's terms (except on sample 0, which starts the filter), then
+    update on the measured voltage `y` with the ohmic drop r0*u. Per
+    member, one step per row in `StepOutput`'s field order: a StepOutput
+    without an anchor (a plain filter, whose caller keeps every step), else
+    a plain tuple. Each member runs through all rows before the next
+    starts, so a set of more than one member needs the rows as a list.
 
     A slope of None reads the curve, through one `OcvCurve.lookup` per
     member and call; a slope s reads the affine model
@@ -191,53 +192,43 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
     return out
 
 
-def samples(params, trace: Trace, capacity_ah: float, start: int,
-            stop: int):
+def samples(params, trace: Trace, capacity_ah: float):
     """An iterator over the rows (k, decay, g_soc*u_prev, g_up*u_prev, y,
-    r0*u) of samples [start, stop) that `kalman_step` reads: the
+    r0*u) of every sample of the trace that `kalman_step` reads: the
     `transition` of that step's parameters over the trace's `dt` on a cell
     of `capacity_ah`, recomputed only when the parameter object changes,
     with the products of each row computed once for every member; `u_prev`
     is 0.0 on sample 0. `params` is either a single EcmParams or a per-step
-    sequence. Raises ValueError naming the first sample read whose current
-    or voltage is not finite."""
-    lo = max(start - 1, 0)
-    finite = np.isfinite(trace.current_a[lo:stop])
-    finite[start - lo:] &= np.isfinite(trace.voltage_v[start:stop])
+    sequence. Raises ValueError naming the first sample whose current or
+    voltage is not finite, before any row."""
+    finite = np.isfinite(trace.current_a) & np.isfinite(trace.voltage_v)
     if not finite.all():
-        k = lo + int(np.argmin(finite))
+        k = int(np.argmin(finite))
         raise ValueError(f"sample {k}: non-finite current or voltage "
                          f"({trace.current_a[k]}, {trace.voltage_v[k]})")
-    volts = trace.voltage_v[start:stop].tolist()
-    amps = trace.current_a[lo:stop].tolist()
-    if start == 0:
-        amps.insert(0, 0.0)
+    n = len(trace)
+    amps = trace.current_a.tolist()
+    prev = [0.0, *amps]  # u_prev of each sample
     if isinstance(params, EcmParams):
         decays, g_socs, g_ups, r0s = map(
             repeat, transition(params, trace.dt, capacity_ah))
     else:
         coefs, last = [], None
-        for k in range(start, stop):
+        for k in range(n):
             pk = params[k]
             if pk is not last:
                 coef, last = transition(pk, trace.dt, capacity_ah), pk
             coefs.append(coef)
         decays, g_socs, g_ups, r0s = zip(*coefs) if coefs else ((),) * 4
-    return zip(range(start, stop), decays, map(mul, g_socs, amps),
-               map(mul, g_ups, amps), volts, map(mul, r0s, amps[1:]))
-
-
-def filter_range(f: KfState, x, params, trace: Trace, start: int,
-                 stop: int) -> list[StepOutput]:
-    """Step filter `f` from posterior `x` (`f.start()` or a previous step)
-    over samples [start, stop)."""
-    [steps] = kalman_step(f, None, PLAIN, [x],
-                          samples(params, trace, f.capacity_ah, start, stop))
-    return steps
+    return zip(range(n), decays, map(mul, g_socs, prev),
+               map(mul, g_ups, prev), trace.voltage_v.tolist(),
+               map(mul, r0s, amps))
 
 
 def run_ekf(filt: KfState, params, trace: Trace) -> list[StepOutput]:
     """Run the filter over a measured trace at its own sample spacing; one
     StepOutput per sample. `params` is either a single EcmParams or a
     per-step sequence."""
-    return filter_range(filt, filt.start(), params, trace, 0, len(trace))
+    [steps] = kalman_step(filt, None, PLAIN, [filt.start()],
+                          samples(params, trace, filt.capacity_ah))
+    return steps

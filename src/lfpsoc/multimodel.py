@@ -1,26 +1,27 @@
 """Adaptive multi-model filter bank: per-interval slope sets, Bayesian
 model weights, optimal-filter selection, and corrected-curve output.
 
-`run_ammkf` is one loop over the whole intervals: before convergence an
-interval steps the plain filter with `ekf.filter_range`, after it the bank
-with `run_interval`; the tail is one more `filter_range` call.
-`run_interval` steps every member of the bank through the interval in one
-`ekf.kalman_step` call and weighs them in one `interval_weights` pass over
-their steps' innovation log-densities (no member reads the weights).
-`run_ammkf` alone picks the heaviest member, keeps its steps (plain tuples
-in `StepOutput`'s field order), extends the corrected curve along its slope
-and anchors the next bank interval on the last corrected point. An
-interval's theoretical ACM is its last step's innovation variance S. The
-slope and weight floors are the module constants `SLOPE_FLOOR` and
-`PROB_FLOOR`, read at call time. Every filter steps at the trace's own
-`dt` with the plain filter's capacity, and `BankConfig` has no defaults: a
-scenario's bank settings come from `ScenarioConfig` alone."""
+`run_ammkf` is one loop over the whole intervals, each taking its rows from
+the run's one `ekf.samples` iterator: before convergence an interval steps
+the plain filter, after it the bank with `run_interval`; the tail steps the
+plain filter through the rows left. `run_interval` steps every member of the
+bank through the interval in one `ekf.kalman_step` call and weighs them in
+one `interval_weights` pass over their steps' innovation log-densities (no
+member reads the weights). `run_ammkf` alone picks the heaviest member,
+keeps its steps (plain tuples in `StepOutput`'s field order), extends the
+corrected curve along its slope and anchors the next bank interval on the
+last corrected point. An interval's theoretical ACM is its last step's
+innovation variance S. The slope and weight floors are the module constants
+`SLOPE_FLOOR` and `PROB_FLOOR`, read at call time. Every filter steps at the
+trace's own `dt` with the plain filter's capacity, and `BankConfig` has no
+defaults: a scenario's bank settings come from `ScenarioConfig` alone."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -116,19 +117,17 @@ def interval_weights(log_likelihoods, floor: float) -> list[float]:
     return [p / total for p in post]
 
 
-def run_interval(f: KfState, anchor: tuple, slopes, x, params,
-                 trace: Trace, start: int, length: int) -> tuple:
-    """Step the member of every slope from the posterior `x` through
-    `length` samples with the noise and curve of `f` and the affine models
-    through `anchor` (anchor SOC, model OCV), and weigh the members
-    (uniform at the start, floored at `PROB_FLOOR`) by each step's
-    innovation log-density. Returns (weights, members): the final weights
-    and each member's steps, plain tuples in `StepOutput`'s field order."""
-    rows = list(ekf.samples(params, trace, f.capacity_ah, start,
-                            start + length))
+def run_interval(f: KfState, anchor: tuple, slopes, x, rows) -> tuple:
+    """Step the member of every slope from the posterior `x` through the
+    interval's `rows` (a list from `ekf.samples`) with the noise and curve
+    of `f` and the affine models through `anchor` (anchor SOC, model OCV),
+    and weigh the members (uniform at the start, floored at `PROB_FLOOR`)
+    by each step's innovation log-density. Returns (weights, members): the
+    final weights and each member's steps, plain tuples in `StepOutput`'s
+    field order."""
     members = ekf.kalman_step(f, anchor, slopes, [x] * len(slopes), rows)
-    # the members never read the weights: weigh them after the range, by
-    # the log-density that ends each step
+    # the members never read the weights: weigh them after the interval,
+    # by the log-density that ends each step
     weights = interval_weights([map(_LOG_LIKELIHOOD, steps)
                                 for steps in members], PROB_FLOOR)
     return weights, members
@@ -181,12 +180,8 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     n_steps = len(trace)
     if n_steps < 2 * L:
         raise ValueError(f"trace length {n_steps} < 2*interval_len {2 * L}")
-    soc_est = np.empty(n_steps)
-
-    def keep(steps: list, at: int):
-        soc_est[at:at + len(steps)] = list(map(_SOC, steps))
-
-    corrected_points, diagnostics = [], []
+    rows = ekf.samples(params, trace, plain.capacity_ah)
+    soc_est, corrected_points, diagnostics = [], [], []
     history: list[IntervalInnovations] = []
     bank = replace(plain, noise=bank_noise)
     curve = plain.curve
@@ -198,9 +193,10 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
                    >= 0).tolist()
     x = plain.start()  # the carried posterior: a filter start, then a step
     converged_at = None
-    for index, k in enumerate(range(0, m * L, L)):
+    for index in range(m):
+        interval = list(islice(rows, L))
         if converged_at is None:  # phase 1: the plain filter
-            steps = ekf.filter_range(plain, x, params, trace, k, k + L)
+            [steps] = ekf.kalman_step(plain, None, PLAIN, [x], interval)
         else:
             # the bank, stepped from the carried posterior; phase 1 has run
             # at least two intervals, since convergence needs two
@@ -219,7 +215,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
             # never reads its anchor
             slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
             weights, members = run_interval(bank, (soc, anchor_ocv), slopes,
-                                            x, params, trace, k, L)
+                                            x, interval)
             opt = weights.index(max(weights))  # ties to the lowest index
             steps, s = members[opt], slopes[opt]
             if s is not None:
@@ -228,13 +224,14 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
                     for soc_k in map(_SOC, steps))
             diagnostics.append(IntervalDiagnostics(
                 index, ccm, acm_emp, acm_theo, sign, opt, weights[opt], mode))
-        keep(steps, k)
+        soc_est.extend(map(_SOC, steps))
         history.append(interval_innovations(index, steps))
         x = steps[-1]
         if converged_at is None and innovation.detect_convergence(
                 history, noise_std=noise_std):
-            converged_at = k + L
-    # tail shorter than one interval: the plain filter continues
-    if m * L < n_steps:
-        keep(ekf.filter_range(plain, x, params, trace, m * L, n_steps), m * L)
-    return AmmkfResult(soc_est, corrected_points, diagnostics, converged_at)
+            converged_at = (index + 1) * L
+    # the rows left, fewer than one interval: the plain filter continues
+    [tail] = ekf.kalman_step(plain, None, PLAIN, [x], rows)
+    soc_est.extend(map(_SOC, tail))
+    return AmmkfResult(np.array(soc_est), corrected_points, diagnostics,
+                       converged_at)

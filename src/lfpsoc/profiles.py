@@ -9,6 +9,8 @@ class ProfileConfigError(ValueError):
     pass
 
 
+STEP_SIGMA = 0.05  # the random walk's step standard deviation, amperes
+
 # One dynamic-stress block: mixed charge/discharge pulses (relative levels)
 # with a net-discharge bias, loosely shaped like standard cycling tests.
 _DST_BLOCK = np.array([
@@ -18,8 +20,8 @@ _DST_BLOCK = np.array([
 
 
 def generate_profile(kind: str, n_steps: int, dt: float = 1.0, seed: int = 0,
-                     amp: float = 1.0, target_discharge_ah: float | None = None,
-                     step_sigma: float = 0.05) -> np.ndarray:
+                     amp: float = 1.0,
+                     target_discharge_ah: float | None = None) -> np.ndarray:
     """Build a deterministic current profile: its n_steps float64 samples.
 
     kinds: 'constant' (amp everywhere), 'pulse' (amp/rest alternation),
@@ -46,7 +48,7 @@ def generate_profile(kind: str, n_steps: int, dt: float = 1.0, seed: int = 0,
             samples = samples * (target_discharge_ah / net)
     elif kind == "random-walk":
         rng = np.random.default_rng(seed)
-        samples = np.clip(np.cumsum(rng.normal(0.0, step_sigma, n_steps)),
+        samples = np.clip(np.cumsum(rng.normal(0.0, STEP_SIGMA, n_steps)),
                           -amp, amp)
     else:
         raise ProfileConfigError(f"unknown profile kind {kind!r}")

@@ -160,7 +160,9 @@ def ingest_trace(path, strict: bool = False) -> Trace:
     if np.any(diffs <= 0):
         raise TraceFormatError(f"{path}: timestamps must be strictly increasing")
     dt = float(diffs[0])
-    uniform = np.allclose(diffs, dt, rtol=1e-9, atol=1e-9)
+    # each parsed t is off by up to half its float spacing: allow two
+    uniform = np.allclose(diffs, dt, rtol=1e-9,
+                          atol=1e-9 + 2 * np.spacing(np.abs(t).max()))
     if not uniform:
         if strict:
             raise TraceFormatError(f"{path}: non-uniform sampling under --strict")

@@ -504,10 +504,11 @@ class TestFilterSetStep:
 
 
 class TestRangeStep:
-    """One `kalman_step` call over the rows of [start, stop) equals stepping
-    the same rows one at a time, each call from the previous steps. A
-    one-row call starts with no remembered curve segment, so it is the
-    reference for the segment lookup of a longer call."""
+    """One `kalman_step` call over the rows [start, stop) of a trace's
+    `samples` equals stepping the same rows one at a time, each call from
+    the previous steps. A one-row call starts with no remembered curve
+    segment, so it is the reference for the segment lookup of a longer
+    call."""
 
     @pytest.mark.parametrize("start", [0, 7])
     @pytest.mark.parametrize("per_step", [False, True])
@@ -536,7 +537,7 @@ class TestRangeStep:
             sets = [(OcvCurve(g, base_curve.ocv(g)), PLAIN, None)
                     for g in (grid, grid[grid <= 0.551])]
             sets.insert(0, (base_curve, PLAIN, None))
-        rows = list(samples(params, trace, cfg.capacity_ah, start, start + 30))
+        rows = list(samples(params, trace, cfg.capacity_ah))[start:start + 30]
         # each row from its own parameters and the currents either side
         amps, volts = trace.current_a.tolist(), trace.voltage_v.tolist()
         assert repr(rows) == repr([

@@ -390,6 +390,32 @@ class TestTraceIo:
         with pytest.raises(TraceFormatError, match="strict"):
             ingest_trace(p, strict=True)
 
+    @staticmethod
+    def _epoch_clock(path, jitter=0.0):
+        """600 samples of a 0.1 s clock from 1.7e9 s, `t` written to 15
+        significant digits as lfpsoc writes it, `jitter` s added to one."""
+        t = 1700000000 + np.arange(600) / 10
+        t[300] += jitter
+        path.write_text("t,current_a,voltage_v\n"
+                        + "".join(f"{v:.15g},0.5,3.3\n" for v in t))
+
+    def test_epoch_clock_is_uniform_under_strict(self, tmp_path):
+        # each parsed t is off by up to half its float spacing, 1.2e-7 s
+        # here: far above a fixed 1e-9 s tolerance
+        p = tmp_path / "trace.csv"
+        self._epoch_clock(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = ingest_trace(p, strict=True)
+        assert len(back) == 600
+        assert abs(back.dt - 0.1) <= np.spacing(1.7e9)
+
+    def test_epoch_clock_with_jitter_rejected(self, tmp_path):
+        p = tmp_path / "trace.csv"
+        self._epoch_clock(p, jitter=0.05)
+        with pytest.raises(TraceFormatError, match="strict"):
+            ingest_trace(p, strict=True)
+
     @given(rows=st.lists(st.lists(st.text(st.characters(
         blacklist_characters=',"\r\n', blacklist_categories=("Cs",))),
         min_size=2, max_size=5), max_size=8))

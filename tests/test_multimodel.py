@@ -13,7 +13,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     curve_mae, default_lifepo4_curve, plateau_offset,
                     run_ammkf, run_ekf, run_scenario, simulate_profile)
 from lfpsoc.innovation import INDETERMINATE, NEGATIVE_G, POSITIVE_G
-from lfpsoc import multimodel, scenario
+from lfpsoc import ekf, multimodel, scenario
 from lfpsoc.ekf import FilterDegeneracyError
 from lfpsoc.multimodel import CHARGE, DISCHARGE, run_interval
 from lfpsoc.profiles import generate_profile
@@ -117,6 +117,12 @@ class TestBuildSlopeSet:
             assert ratios == pytest.approx(np.full(n - 1, ratios[0]), rel=1e-9)
 
 
+def _rows(params, trace, capacity_ah, start, length):
+    """The rows of samples [start, start + length), as `run_ammkf` takes
+    them from the trace's one `ekf.samples` iterator."""
+    return list(ekf.samples(params, trace, capacity_ah))[start:start + length]
+
+
 def _log_likelihood(e, s):
     return -0.5 * (e * e / s + math.log(s))
 
@@ -133,7 +139,8 @@ class TestLikelihood:
                     cfg.capacity_ah)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
-                         f.start(), params, trace, 21, 5)
+                         f.start(), _rows(params, trace, cfg.capacity_ah,
+                                          21, 5))
 
 
 def _model_weights(weights, log_likelihoods, floor):
@@ -292,9 +299,9 @@ class TestMakeBankAndInterval:
         calls = []
         real = multimodel.run_interval
 
-        def spy(f, anchor, slopes, x, *args):
+        def spy(f, anchor, slopes, x, rows):
             calls.append((f, anchor, slopes, x,
-                          real(f, anchor, slopes, x, *args)))
+                          real(f, anchor, slopes, x, rows)))
             return calls[-1][-1]
 
         monkeypatch.setattr(multimodel, "run_interval", spy)
@@ -327,8 +334,9 @@ class TestMakeBankAndInterval:
                         anchor[1] + slopes[opt] * (carried[0] - anchor[0]))
         # the weights start uniform: identical members keep them so
         f, anchor, slopes, x, _ = calls[0]
-        weights, _ = multimodel.run_interval(f, anchor, [slopes[1]] * 3, x,
-                                             params, trace, 41, 20)
+        weights, _ = multimodel.run_interval(
+            f, anchor, [slopes[1]] * 3, x,
+            _rows(params, trace, cfg.capacity_ah, 41, 20))
         assert weights == [1 / 3] * 3
 
     def test_first_anchor_reads_the_clamped_soc(self, params, base_curve,
@@ -349,7 +357,8 @@ class TestMakeBankAndInterval:
         f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         slope = base_curve.slope(soc)
         weights, _ = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
-                                  f.start(), params, trace, 21, 20)
+                                  f.start(), _rows(params, trace,
+                                                   cfg.capacity_ah, 21, 20))
         assert weights.index(max(weights)) == 0
         assert weights == pytest.approx([1 / 3] * 3, rel=1e-9)
 
@@ -362,7 +371,9 @@ class TestMakeBankAndInterval:
         true_slope = base_curve.slope(soc)
         weights, _ = run_interval(f, (soc, base_curve.ocv(soc)),
                                   [true_slope / 8, true_slope, true_slope * 8],
-                                  f.start(), params, trace, k0 + 1, 40)
+                                  f.start(), _rows(params, trace,
+                                                   cfg.capacity_ah, k0 + 1,
+                                                   40))
         assert weights.index(max(weights)) == 1
         assert weights[1] > max(weights[0], weights[2])
         assert weights[1] > 0.5
@@ -375,9 +386,9 @@ class TestMakeBankAndInterval:
         banks = {}  # (anchor, slopes) by interval index
         real = multimodel.run_interval
 
-        def spy(f, anchor, slopes, x, params, trace, start, length):
-            banks[start // length] = anchor, slopes
-            return real(f, anchor, slopes, x, params, trace, start, length)
+        def spy(f, anchor, slopes, x, rows):
+            banks[rows[0][0] // len(rows)] = anchor, slopes  # k // L
+            return real(f, anchor, slopes, x, rows)
 
         monkeypatch.setattr(multimodel, "run_interval", spy)
         res = run_ammkf(trace, KfState(BatteryState(0.9, 0.0), 1e-6, 1e-6,
@@ -422,13 +433,36 @@ class TestRunAmmkf:
         ("current_a", 700),      # a bank interval
         ("voltage_v", 1005)])    # the tail after the last whole interval
     def test_non_finite_sample_names_its_index(self, params, base_curve,
-                                               column, k):
+                                               monkeypatch, column, k):
         trace, cfg = self._trace(params, base_curve, n=1010)
         getattr(trace, column)[k] = np.nan
+        # the whole trace is checked before the first step
+        steps = []
+        monkeypatch.setattr(ekf, "kalman_step",
+                            lambda *args: steps.append(args))
         with pytest.raises(ValueError, match=f"^sample {k}: non-finite"):
             run_ammkf(trace, self._filter(base_curve), params,
                       BankConfig(n=7, interval_len=20, spread=6.0),
                       bank_noise=self._bank_noise)
+        assert steps == []
+
+    def test_one_samples_pass_per_run(self, params, base_curve, monkeypatch):
+        # phase 1, the bank intervals and the tail all read one iterator
+        trace, cfg = self._trace(params, base_curve, n=1010)
+        calls = []
+        real = ekf.samples
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ekf, "samples", spy)
+        res = run_ammkf(trace, self._filter(base_curve), params,
+                        BankConfig(n=7, interval_len=20, spread=6.0),
+                        bank_noise=self._bank_noise)
+        assert res.diagnostics and len(trace) % 20  # a bank and a tail
+        assert len(calls) == 1
+        assert len(res.soc) == len(trace)
 
     def test_single_filter_bank_equals_plain_ekf(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
@@ -517,9 +551,9 @@ class TestRunAmmkf:
         base = default_lifepo4_curve()
         inner = (base.knot_soc >= lo) & (base.knot_soc <= hi)
         partial = OcvCurve(base.knot_soc[inner], base.knot_ocv[inner])
-        if kind == "random-walk":
-            current = generate_profile(kind, 240, seed=seed, amp=amp,
-                                       step_sigma=0.2)
+        if kind == "random-walk":  # steps of 0.2 A, clipped to +-amp
+            steps = np.random.default_rng(seed).normal(0.0, 0.2, 240)
+            current = np.clip(np.cumsum(steps), -amp, amp)
         else:
             current = np.full(240, amp if kind == "discharge" else -amp)
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
