@@ -8,9 +8,8 @@ from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
                   step_state, terminal_voltage)
 from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
 from .innovation import (IntervalInnovations, curve_error_polarity,
-                         detect_convergence, empirical_acm,
-                         infer_error_polarity, infer_error_sign, interval_ccm,
-                         whiteness)
+                         detect_convergence, infer_error_polarity,
+                         infer_error_sign, interval_ccm, whiteness)
 from .metrics import Metrics, compute_metrics, curve_mae
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
 from .profiles import generate_profile

@@ -77,6 +77,8 @@ class KfState:
         for name, v in (("p00", self.p00), ("p11", self.p11)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
+            if v < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if not (math.isfinite(self.capacity_ah) and self.capacity_ah > 0):
             raise ValueError(f"capacity_ah must be finite and > 0, "
                              f"got {self.capacity_ah}")

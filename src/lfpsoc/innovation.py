@@ -21,10 +21,8 @@ INDETERMINATE = "indeterminate"
 
 
 def mean(v: list) -> float:
-    """`float(np.mean(v))` of a list of floats, bit for bit: numpy's own
-    sum over the count; the mean of nothing is NaN."""
-    if not v:
-        return math.nan
+    """`float(np.mean(v))` of a non-empty list of floats, bit for bit:
+    numpy's own sum over the count."""
     return float(np.add.reduce(np.array(v, dtype=float))) / len(v)
 
 
@@ -32,8 +30,8 @@ def mean(v: list) -> float:
 class IntervalInnovations:
     """Innovations of one interval, as floats, and its theoretical ACM: the
     innovation variance S = H P- H^T + r of the interval's last update.
-    The empirical ACM, the mean squared innovation, is computed once, when
-    built."""
+    An interval holds at least 2 innovations. The empirical ACM, the mean
+    squared innovation, is computed once, when built."""
 
     interval_index: int
     values: tuple
@@ -42,6 +40,8 @@ class IntervalInnovations:
     def __post_init__(self):
         v = tuple(map(float, self.values))
         object.__setattr__(self, "values", v)
+        if len(v) < 2:
+            raise ValueError("need at least 2 innovations")
         if not all(map(math.isfinite, v)):
             raise ValueError("innovations must be finite")
         object.__setattr__(self, "acm_emp", mean(list(map(mul, v, v))))
@@ -62,12 +62,6 @@ def interval_ccm(prev: IntervalInnovations, curr: IntervalInnovations) -> float:
         raise ValueError("interval lengths differ: "
                          f"{len(prev.values)} vs {len(curr.values)}")
     return mean(list(map(mul, prev.values, curr.values)))
-
-
-def empirical_acm(curr: IntervalInnovations) -> float:
-    if len(curr.values) < 2:
-        raise ValueError("need at least 2 innovations")
-    return curr.acm_emp
 
 
 # |CCM| at or below max(CCM_FLOOR, CCM_ACM_FRACTION * empirical ACM) is noise
@@ -104,7 +98,7 @@ def interval_statistics(prev: IntervalInnovations | None,
     The theoretical ACM is `curr.acm_theo`. Without a previous interval of
     the same length there is no CCM: it is 0.0 and the sign is
     INDETERMINATE."""
-    acm_emp = empirical_acm(curr)
+    acm_emp = curr.acm_emp
     if prev is None or len(prev.values) != len(curr.values):
         return 0.0, acm_emp, curr.acm_theo, INDETERMINATE
     ccm = interval_ccm(prev, curr)

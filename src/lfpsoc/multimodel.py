@@ -64,7 +64,7 @@ class BankConfig:
 
 
 def build_slope_set(base_slope: float, sign: str, mode: str,
-                    cfg: BankConfig) -> np.ndarray:
+                    cfg: BankConfig) -> list[float]:
     """Geometrically spaced candidate measurement slopes around the base.
 
     Discharge with a negative curve gap (`sign`) wants larger slopes, a
@@ -73,25 +73,20 @@ def build_slope_set(base_slope: float, sign: str, mode: str,
     SLOPE_FLOOR.
     """
     if cfg.n == 1:
-        return np.array([max(base_slope, SLOPE_FLOOR)])
+        return [max(base_slope, SLOPE_FLOOR)]
     if sign != INDETERMINATE and mode == CHARGE:
         sign = POSITIVE_G if sign == NEGATIVE_G else NEGATIVE_G
-    return np.maximum(base_slope * _slope_ratios(sign, cfg.n, cfg.spread),
-                      SLOPE_FLOOR)
+    return [max(base_slope * r, SLOPE_FLOOR)
+            for r in _slope_ratios(sign, cfg.n, cfg.spread)]
 
 
 @functools.lru_cache(maxsize=64)
-def _slope_ratios(sign: str, n: int, spread: float) -> np.ndarray:
-    """spread ** exponents of `build_slope_set`'s n members (read-only)."""
-    if sign == NEGATIVE_G:
-        exponents = np.linspace(0.0, 1.0, n)
-    elif sign == POSITIVE_G:
-        exponents = np.linspace(-1.0, 0.0, n)
-    else:
-        exponents = np.linspace(-1.0, 1.0, n)
-    ratios = spread ** exponents
-    ratios.flags.writeable = False
-    return ratios
+def _slope_ratios(sign: str, n: int, spread: float) -> tuple:
+    """spread ** exponents of `build_slope_set`'s n members: exponents from
+    0 to 1 for NEGATIVE_G, -1 to 0 for POSITIVE_G, else -1 to 1."""
+    lo, hi = {NEGATIVE_G: (0.0, 1.0), POSITIVE_G: (-1.0, 0.0)}.get(
+        sign, (-1.0, 1.0))
+    return tuple((spread ** np.linspace(lo, hi, n)).tolist())
 
 
 def interval_weights(log_likelihoods, floor: float) -> list[float]:
@@ -209,11 +204,10 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
             # the first bank interval anchors on the curve
             anchor_ocv = (corrected_points[-1][1] if corrected_points
                           else curve.ocv(anchor_soc))
-            slopes = build_slope_set(curve.slope(anchor_soc), sign, mode,
-                                     bank_cfg)
             # a one-filter bank is a plain filter on the curve itself, and
             # never reads its anchor
-            slopes = PLAIN if len(slopes) == 1 else slopes.tolist()
+            slopes = PLAIN if bank_cfg.n == 1 else build_slope_set(
+                curve.slope(anchor_soc), sign, mode, bank_cfg)
             weights, members = run_interval(bank, (soc, anchor_ocv), slopes,
                                             x, interval)
             opt = weights.index(max(weights))  # ties to the lowest index

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from itertools import islice
 from pathlib import Path
@@ -142,8 +143,9 @@ def _parse_rows(path) -> np.ndarray:
 
 
 def ingest_trace(path, strict: bool = False) -> Trace:
-    """Load a trace CSV. Non-uniform timestamps are zero-order-hold resampled
-    to the smallest spacing with a warning, or rejected under strict mode.
+    """Load a trace CSV. Non-uniform timestamps are rejected under strict
+    mode, or else zero-order-hold resampled, with a warning, onto the grid
+    from the first to the last t at about the smallest spacing.
     A non-finite t, current or voltage is rejected, naming its line; the
     true columns are optional and may be empty or NaN.
 
@@ -166,23 +168,25 @@ def ingest_trace(path, strict: bool = False) -> Trace:
     if not uniform:
         if strict:
             raise TraceFormatError(f"{path}: non-uniform sampling under --strict")
-        new_dt = float(np.min(diffs))
-        warnings.warn(f"resampling {path} to uniform dt={new_dt}s by zero-order hold",
+        # each sample's grid index, rounded half up: no two share one
+        idx = np.floor((t - t[0]) / np.min(diffs) + 0.5).astype(np.int64)
+        dt = float((t[-1] - t[0]) / idx[-1])
+        warnings.warn(f"resampling {path} to uniform dt={dt}s by zero-order hold",
                       stacklevel=2)
-        new_t = np.arange(t[0], t[-1] + 0.5 * new_dt, new_dt)
-        pick = np.searchsorted(t, new_t + 1e-12, side="right") - 1
+        pick = np.searchsorted(idx, np.arange(idx[-1] + 1), side="right") - 1
+        t = np.linspace(t[0], t[-1], idx[-1] + 1)  # t[0] + k * dt
         cur, volt = cur[pick], volt[pick]
         if soc is not None:
             soc, up = soc[pick], up[pick]
-        t, dt = new_t, new_dt
     return Trace(t, cur, volt, soc, up, dt=dt)
 
 
 def read_config(path) -> dict:
-    """Flat key=value config: one pair per line, '#' comments allowed."""
+    """Flat key=value config: one pair per line. A '#' that starts a line or
+    follows whitespace starts a comment; any other is part of the value."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

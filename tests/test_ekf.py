@@ -173,6 +173,21 @@ class TestNoiseConfig:
             KfState(BatteryState(0.5, 0.0), p00, p11,
                     NoiseConfig(1e-7, 1e-6, 1e-6), base_curve, 1.063)
 
+    @pytest.mark.parametrize("p00, p11, message", [
+        (-1e-6, 1e-4, "p00 must be finite and >= 0, got -1e-06"),
+        (1e-4, -1e-4, "p11 must be finite and >= 0, got -0.0001")])
+    def test_negative_start_variance_names_its_field(self, base_curve, p00,
+                                                     p11, message):
+        # p00 = -1e-6 once ran to the end with a negative first SOC gain
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KfState(BatteryState(0.5, 0.0), p00, p11,
+                    NoiseConfig(1e-7, 1e-6, 1e-6), base_curve, 1.063)
+
+    def test_zero_start_variance_allowed(self, base_curve):
+        f = KfState(BatteryState(0.5, 0.0), 0.0, 0.0,
+                    NoiseConfig(1e-7, 1e-6, 1e-6), base_curve, 1.063)
+        assert f.start() == (0.5, 0.0, 0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("soc, p00, q00, r, field", [
         (0.9, math.nan, 1e-7, 1e-6, "p00"),
         (0.9, math.inf, 1e-7, 1e-6, "p00"),
@@ -370,10 +385,10 @@ class TestUpdate:
 
     def test_non_positive_innovation_variance_names_the_step(self, params,
                                                              base_curve):
-        st8 = _state(base_curve, p=(-1.0, -1.0))
+        # a KfState refuses a negative start variance; a posterior does not
         with pytest.raises(FilterDegeneracyError, match="step 7"):
-            _step(st8, transition(params, 1.0, 1.063), 0.0, 3.3, 0.0,
-                  first=False, k=7)
+            _step(_state(base_curve), transition(params, 1.0, 1.063), 0.0,
+                  3.3, 0.0, first=False, k=7, x=(0.5, 0.0, -1.0, 0.0, -1.0))
 
 
 class TestStepAgainstMatrixForm:
@@ -480,12 +495,12 @@ class TestFilterSetStep:
     @pytest.mark.parametrize("bad", [0, 2, 4])
     def test_any_non_positive_variance_names_the_step(self, params,
                                                       base_curve, bad):
-        fs = [_state(base_curve, p=(-1.0, -1.0) if j == bad else (1e-4, 1e-4))
+        f = _state(base_curve)
+        xs = [(0.5, 0.0, -1.0, 0.0, -1.0) if j == bad else f.start()
               for j in range(5)]
         with pytest.raises(FilterDegeneracyError, match="step 9"):
-            kalman_step(fs[0], (0.5, base_curve.ocv(0.5)),
-                        [0.1 * (j + 1) for j in range(5)],
-                        [f.start() for f in fs],
+            kalman_step(f, (0.5, base_curve.ocv(0.5)),
+                        [0.1 * (j + 1) for j in range(5)], xs,
                         [_row(9, transition(params, 1.0, 1.063), 0.0, 3.3,
                               0.0)])
 
@@ -493,14 +508,14 @@ class TestFilterSetStep:
             self, params, base_curve):
         # H = [0, -1] reads p11 alone: S = p11 + r is positive at sample 4,
         # whose update then drives p11 far below -r, so S <= 0 at sample 5
-        f = _state(base_curve, p=(1e-4, -0.9e-6),
-                   noise=NoiseConfig(0.0, 0.0, 1e-6))
+        f = _state(base_curve, noise=NoiseConfig(0.0, 0.0, 1e-6))
+        x = (0.5, 0.0, 1e-4, 0.0, -0.9e-6)  # p11 < 0: a posterior, no start
         coef = transition(params, 1.0, 1.063)
         rows = [_row(k, coef, 0.0, 3.3, 0.0) for k in (4, 5, 6)]
-        [[step]] = kalman_step(f, (0.5, 3.3), [0.0], [f.start()], rows[:1])
+        [[step]] = kalman_step(f, (0.5, 3.3), [0.0], [x], rows[:1])
         assert step[6] > 0
         with pytest.raises(FilterDegeneracyError, match="step 5"):
-            kalman_step(f, (0.5, 3.3), [0.0], [f.start()], rows)
+            kalman_step(f, (0.5, 3.3), [0.0], [x], rows)
 
 
 class TestRangeStep:

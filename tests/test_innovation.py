@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     NoiseConfig, SimConfig, curve_error_polarity,
-                    detect_convergence, empirical_acm, infer_error_polarity,
+                    detect_convergence, infer_error_polarity,
                     infer_error_sign, interval_ccm, plateau_offset, run_ekf,
                     simulate_profile)
 from lfpsoc.ekf import StepOutput, kalman_step, transition
@@ -66,10 +66,10 @@ class TestCorrelationMeasures:
 
     def test_ccm_length_mismatch(self):
         with pytest.raises(ValueError):
-            interval_ccm(_iv([1.0, 2.0]), _iv([1.0]))
+            interval_ccm(_iv([1.0, 2.0, 3.0]), _iv([1.0, 2.0]))
 
     def test_acm_is_mean_square(self):
-        assert empirical_acm(_iv([3.0, 4.0])) == pytest.approx(12.5)
+        assert _iv([3.0, 4.0]).acm_emp == pytest.approx(12.5)
 
     def test_theoretical_acm_quadratic_form(self, params, base_curve):
         # an interval's theoretical ACM is H P- H^T + r of its last update:
@@ -93,6 +93,11 @@ class TestCorrelationMeasures:
         with pytest.raises(ValueError):
             _iv([1.0, np.nan])
 
+    @pytest.mark.parametrize("values", [[], [1e-3]])
+    def test_fewer_than_two_innovations_rejected(self, values):
+        with pytest.raises(ValueError, match="^need at least 2 innovations$"):
+            _iv(values)
+
     @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=30),
            st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=30),
            st.floats(-3.0, 3.0))
@@ -110,7 +115,7 @@ class TestCorrelationMeasures:
     @settings(max_examples=100, deadline=None)
     def test_ccm_self_equals_acm(self, xs):
         iv = _iv(np.array(xs))
-        assert interval_ccm(iv, iv) == pytest.approx(empirical_acm(iv), abs=1e-12)
+        assert interval_ccm(iv, iv) == pytest.approx(iv.acm_emp, abs=1e-12)
 
 
 class TestWhiteness:
@@ -185,7 +190,7 @@ class TestIntervalStatistics:
         prev, curr = _iv([1e-3, 2e-3, 1e-3]), _iv([2e-3, 1e-3, 1e-3])
         ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
         assert ccm == interval_ccm(prev, curr)
-        assert acm_emp == empirical_acm(curr)
+        assert acm_emp == curr.acm_emp
         assert acm_theo == curr.acm_theo
         assert sign == infer_error_sign(ccm, acm_emp) == NEGATIVE_G
 
@@ -194,7 +199,7 @@ class TestIntervalStatistics:
         curr = _iv([2e-3, 1e-3, 1e-3])
         ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
         assert ccm == 0.0 and sign == INDETERMINATE
-        assert acm_emp == empirical_acm(curr)
+        assert acm_emp == curr.acm_emp
         assert acm_theo == curr.acm_theo
 
 
@@ -210,7 +215,7 @@ def _float_statistics(a, b):
     prev, curr = _iv(a), _iv(b, 1)
     ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
     assert (acm_theo, sign) == (curr.acm_theo, infer_error_sign(ccm, acm_emp))
-    assert (ccm, acm_emp) == (interval_ccm(prev, curr), empirical_acm(curr))
+    assert (ccm, acm_emp) == (interval_ccm(prev, curr), curr.acm_emp)
     return ccm, acm_emp, curr.rms()
 
 
@@ -245,7 +250,7 @@ class TestFloatStatistics:
         calls = []
         monkeypatch.setattr(innovation, "mean",
                             lambda v: calls.append(v) or 0.0)
-        iv.rms(), empirical_acm(iv), interval_statistics(None, iv)
+        iv.rms(), iv.acm_emp, interval_statistics(None, iv)
         assert calls == []
 
 
@@ -366,7 +371,7 @@ class TestPipelineSignStatistics:
         verdicts = []
         for a, b in zip(ivs[10:-1], ivs[11:]):
             verdicts.append(infer_error_sign(interval_ccm(a, b),
-                                             empirical_acm(b)))
+                                             b.acm_emp))
         # per-pair verdicts fluctuate with the noise, but neither sign
         # dominates the way it does under a genuine curve mismatch
         frac_negative_g = np.mean([v == NEGATIVE_G for v in verdicts])
@@ -374,7 +379,7 @@ class TestPipelineSignStatistics:
         assert 0.2 <= frac_negative_g <= 0.8
         assert 0.2 <= frac_positive_g <= 0.8
         # and the ACM ratio stays near unity for a consistent filter
-        ratios = [empirical_acm(iv) / iv.acm_theo for iv in ivs[10:]]
+        ratios = [iv.acm_emp / iv.acm_theo for iv in ivs[10:]]
         assert np.mean(ratios) == pytest.approx(1.0, abs=0.25)
 
     def test_polarity_is_accumulated_soc_correction(self, params, base_curve):

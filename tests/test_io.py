@@ -410,6 +410,25 @@ class TestTraceIo:
         assert len(back) == 600
         assert abs(back.dt - 0.1) <= np.spacing(1.7e9)
 
+    @pytest.mark.parametrize("t0", [0, 1700000000])
+    def test_resampled_gap_keeps_the_samples_grid(self, tmp_path, t0):
+        # a 0.1 s clock missing sample 300, with current = sample index:
+        # each grid point holds the last sample at or before it, and the
+        # grid ends on the last sample's own t
+        t = t0 + np.arange(600) / 10
+        p = tmp_path / "trace.csv"
+        p.write_text("t,current_a,voltage_v\n" + "".join(
+            f"{t[k]:.15g},{k},3.3\n" for k in range(600) if k != 300))
+        with pytest.warns(UserWarning, match="resampling"):
+            back = ingest_trace(p)
+        assert len(back) == 600
+        assert back.current_a[:5].tolist() == [0, 1, 2, 3, 4]
+        assert back.current_a[298:303].tolist() == [298, 299, 299, 301, 302]
+        assert back.current_a[-3:].tolist() == [597, 598, 599]
+        assert f"{back.t[-1]:.15g}" == f"{t[-1]:.15g}"
+        assert back.t[0] == t[0]
+        assert abs(back.dt - 0.1) <= 1e-9
+
     def test_epoch_clock_with_jitter_rejected(self, tmp_path):
         p = tmp_path / "trace.csv"
         self._epoch_clock(p, jitter=0.05)
@@ -493,6 +512,28 @@ class TestTraceIo:
             read_config(p)
         p.write_text("# only\nkey = value\n")
         assert read_config(p) == {"key": "value"}
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a comment starts at a '#' that begins a line or follows whitespace
+        p = tmp_path / "cfg.txt"
+        p.write_text("  # indented\na=x#1\nb = y#2 # note\nc=z\t#tab\n")
+        assert read_config(p) == {"a": "x#1", "b": "y#2", "c": "z"}
+
+    def test_curve_path_with_hash_survives_config_and_manifest(self,
+                                                              tmp_path):
+        # such a path was cut at its '#': the run read /x/cur, not the curve
+        curve_path = tmp_path / "cur#v" / "c.csv"
+        curve_path.parent.mkdir()
+        default_lifepo4_curve().to_csv(curve_path)
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"filter_curve={curve_path} # the default curve\n")
+        cfg = load_scenario(p)
+        assert cfg.filter_curve == str(curve_path)
+        assert np.array_equal(resolve_curves(cfg)[1].knot_ocv,
+                              default_lifepo4_curve().knot_ocv)
+        manifest = tmp_path / "run-manifest.txt"
+        scenario.write_manifest(manifest, cfg)
+        assert load_scenario(manifest) == cfg
 
 
 class TestScenarioConfig:

@@ -89,7 +89,7 @@ class TestBuildSlopeSet:
 
     def test_floor_applies(self):
         cfg = BankConfig(n=5, interval_len=20, spread=10.0)
-        s = build_slope_set(1e-5, POSITIVE_G, DISCHARGE, cfg)
+        s = np.asarray(build_slope_set(1e-5, POSITIVE_G, DISCHARGE, cfg))
         assert np.all(s >= multimodel.SLOPE_FLOOR)
         assert s[0] == multimodel.SLOPE_FLOOR
 
@@ -106,7 +106,7 @@ class TestBuildSlopeSet:
     def test_base_membership_ordering_and_ratios(self, base, spread, n,
                                                  sign, mode):
         cfg = BankConfig(n=n, interval_len=20, spread=spread)
-        s = build_slope_set(base, sign, mode, cfg)
+        s = np.asarray(build_slope_set(base, sign, mode, cfg))
         assert len(s) == n
         assert np.all(np.diff(s) >= 0)  # non-decreasing (flat where floored)
         assert np.min(np.abs(s - base)) < 1e-9 * base  # base is a member
@@ -115,6 +115,28 @@ class TestBuildSlopeSet:
             assert np.all(np.diff(s) > 0)
             ratios = s[1:] / s[:-1]
             assert ratios == pytest.approx(np.full(n - 1, ratios[0]), rel=1e-9)
+
+    @given(base=st.floats(0.0, 1.0), spread=st.floats(1.01, 20.0),
+           n=st.sampled_from([1, 3, 5, 7, 9]),
+           sign=st.sampled_from([NEGATIVE_G, POSITIVE_G, INDETERMINATE]),
+           mode=st.sampled_from([DISCHARGE, CHARGE]))
+    @settings(max_examples=200, deadline=None)
+    def test_float_list_equals_the_array_formula(self, base, spread, n, sign,
+                                                 mode):
+        # the slopes, bit for bit, of the floored array product
+        # np.maximum(base * spread ** exponents, SLOPE_FLOOR); charge
+        # mirrors the verdict
+        eff = sign
+        if sign != INDETERMINATE and mode == CHARGE:
+            eff = POSITIVE_G if sign == NEGATIVE_G else NEGATIVE_G
+        lo, hi = {NEGATIVE_G: (0.0, 1.0), POSITIVE_G: (-1.0, 0.0),
+                  INDETERMINATE: (-1.0, 1.0)}[eff]
+        ratios = spread ** np.linspace(lo, hi, n) if n > 1 else np.ones(1)
+        oracle = np.maximum(base * ratios, multimodel.SLOPE_FLOOR).tolist()
+        s = build_slope_set(base, sign, mode,
+                            BankConfig(n=n, interval_len=20, spread=spread))
+        assert type(s) is list and all(type(v) is float for v in s)
+        assert [v.hex() for v in s] == [v.hex() for v in oracle]
 
 
 def _rows(params, trace, capacity_ah, start, length):
@@ -134,13 +156,14 @@ class TestLikelihood:
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
                                  np.full(40, 0.5), cfg)
-        f = KfState(BatteryState(0.6, 0.0), -1.0, -1.0,
+        f = KfState(BatteryState(0.6, 0.0), 0.0, 0.0,
                     NoiseConfig(1e-10, 1e-6, 1e-6), base_curve,
                     cfg.capacity_ah)
+        # a KfState refuses a negative start variance: the posterior does not
+        x = (0.6, 0.0, -1.0, 0.0, -1.0)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
-                         f.start(), _rows(params, trace, cfg.capacity_ah,
-                                          21, 5))
+                         x, _rows(params, trace, cfg.capacity_ah, 21, 5))
 
 
 def _model_weights(weights, log_likelihoods, floor):
@@ -473,6 +496,18 @@ class TestRunAmmkf:
         ekf_soc = np.array([o.soc for o in run_ekf(filt, params, trace)])
         assert np.array_equal(res.soc, ekf_soc)
         assert res.corrected_points == []
+
+    def test_single_filter_bank_builds_no_slope_set(self, params, base_curve,
+                                                    monkeypatch):
+        trace, cfg = self._trace(params, base_curve, n=1000)
+        calls = []
+        monkeypatch.setattr(multimodel, "build_slope_set",
+                            lambda *args: calls.append(args))
+        res = run_ammkf(trace, self._filter(base_curve), params,
+                        BankConfig(n=1, interval_len=20, spread=2.0),
+                        self._noise)
+        assert res.diagnostics  # bank intervals ran
+        assert calls == []
 
     def test_true_curve_matches_single_filter_closely(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=2000)
