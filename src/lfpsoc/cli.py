@@ -20,11 +20,11 @@ from .metrics import compute_metrics, curve_mae
 from .multimodel import interval_innovations, run_ammkf
 from .profiles import generate_profile
 from .rls import identify_stream
-from .scenario import (ScenarioConfig, ScenarioConfigError, config_value,
-                       coulomb_counted_soc, estimator_inputs, load_scenario,
-                       resolve_curves, run_scenario, run_sweep,
-                       write_corrected_csv, write_diagnostics_csv,
-                       write_estimate_csv, write_manifest, write_soc_csv)
+from .scenario import (ScenarioConfig, config_value, coulomb_counted_soc,
+                       estimator_inputs, load_scenario, resolve_curves,
+                       run_scenario, run_sweep, write_corrected_csv,
+                       write_diagnostics_csv, write_estimate_csv,
+                       write_manifest, write_soc_csv)
 from .traceio import TraceFormatError, ingest_trace, write_lines, write_trace
 
 
@@ -216,31 +216,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reject non-uniform input instead of resampling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("simulate", help="generate a synthetic ground-truth trace")
+    p = sub.add_parser("simulate", help="generate a synthetic ground-truth trace")
+    p.set_defaults(run=cmd_simulate)
     p = sub.add_parser("identify", help="RLS circuit-parameter identification")
+    p.set_defaults(run=cmd_identify)
     p.add_argument("--trace", required=True, help="input trace CSV")
     p = sub.add_parser("estimate", help="run an SOC estimator over a trace")
+    p.set_defaults(run=cmd_estimate)
     p.add_argument("--trace", required=True, help="input trace CSV")
     p.add_argument("--method", choices=["ekf", "ammkf"], default="ammkf")
     p = sub.add_parser("analyze", help="innovation statistics of a trace")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--trace", required=True, help="input trace CSV")
-    sub.add_parser("scenario", help="run one full scenario (both estimators)")
+    p = sub.add_parser("scenario", help="run one full scenario (both estimators)")
+    p.set_defaults(run=cmd_scenario)
     p = sub.add_parser("sweep", help="run a scenario per swept config value")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--key", required=True, help="config field to sweep")
     p.add_argument("--values", required=True,
                    help="comma-separated values; write --values=-0.05,0.05 "
                         "when the first value is negative")
     return parser
-
-
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "identify": cmd_identify,
-    "estimate": cmd_estimate,
-    "analyze": cmd_analyze,
-    "scenario": cmd_scenario,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
@@ -249,8 +245,8 @@ def main(argv=None) -> int:
         cfg = load_scenario(args.config) if args.config else ScenarioConfig()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        return _COMMANDS[args.command](args, cfg)
-    except (ScenarioConfigError, ValueError, OSError) as exc:
+        return args.run(args, cfg)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

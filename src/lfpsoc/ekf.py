@@ -2,26 +2,18 @@
 
 `kalman_step` is the whole filter on state (SOC, Up): predict, linearize,
 update, on Python floats with the 2x2 algebra written out. It steps one
-filter set over a run of rows per call: one filter (noise, curve and the
-capacity it counts charge against), one anchor and a list of slopes, with
-one posterior per slope. The rows come from `samples`, which reads the
-whole trace once per estimator run: `run_ekf` steps them all in one call,
-and `multimodel.run_ammkf` takes them an interval at a time. Each member
-runs through every row before the next starts, its posterior in local
-variables; the shared inputs are read once per call. Members differ only in
-the measurement row H = [s, -1]. A slope of None reads the OCV and its
-slope s from the curve at the prior SOC, clamped into the knot domain,
-through its own `OcvCurve.lookup` for the call, which bisects the knots
-only when the SOC leaves the segment of the previous row: a plain filter is
-the one-member set `[None]` with no anchor. A bank member's slope s gives
-the affine model anchored at the interval start (anchor SOC, model OCV); a
-bank is its n slopes. Each step holds, in `StepOutput`'s field order, the
-posterior, the innovation e, its variance S, the SOC gain, the clamp flag
-and the log-density of e, which the bank's model weights and the interval
-statistics read as they are: a plain filter's steps are `StepOutput`s, a
-bank's plain tuples. A single step is a one-row call. Every step is as long
-as the trace's own `dt`: the filter takes no simulator settings.
-"""
+filter set through a run of rows per call: one filter (noise, curve and the
+capacity it counts charge against), one anchor, one start and its slopes;
+every step a plain tuple in `StepOutput`'s field order, which `run_ekf`
+names. The rows come from `samples`, which reads the whole trace once per
+estimator run: `run_ekf` steps them all in one call, and
+`multimodel.run_ammkf` takes them an interval at a time. Members differ
+only in the measurement row H = [s, -1]. A slope of None reads the curve at
+the prior SOC, clamped into its knot domain, through an `OcvCurve.lookup`
+that bisects the knots only when the SOC leaves the previous row's segment:
+a plain filter is the one-member set `[None]` with no anchor. A bank
+member's slope s gives the affine model through the interval start (anchor
+SOC, model OCV). Every step is as long as the trace's own `dt`."""
 
 from __future__ import annotations
 
@@ -115,36 +107,29 @@ def transition(params: EcmParams, dt: float, capacity_ah: float) -> tuple:
             params.r0)
 
 
-def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
+def kalman_step(f: KfState, anchor: tuple | None, slopes, x,
                 rows) -> list[list[tuple]]:
-    """Step the member of each slope in `slopes` from its posterior in `xs`
-    through `rows`, with the noise and curve of filter `f`. The rows are a
-    run of an estimator run's one `samples` iterator, each (k, decay,
-    g_soc*u_prev, g_up*u_prev, y, r0*u): predict with the previous
-    current's terms (except on sample 0, which starts the filter), then
-    update on the measured voltage `y` with the ohmic drop r0*u. Per
-    member, one step per row in `StepOutput`'s field order: a StepOutput
-    without an anchor (a plain filter, whose caller keeps every step), else
-    a plain tuple. Each member runs through all rows before the next
-    starts, so a set of more than one member needs the rows as a list.
-
-    A slope of None reads the curve, through one `OcvCurve.lookup` per
-    member and call; a slope s reads the affine model
-    through `anchor`, (anchor SOC, model OCV), which only such members need.
-    Each posterior is (soc, up, p00, p01, p11, ...): a filter start or a
-    previous step. Raises FilterDegeneracyError naming sample k when a
-    member's innovation variance is not positive.
+    """Step the member of each slope in `slopes` from the one posterior `x`,
+    (soc, up, p00, p01, p11, ...): a filter start or a previous step,
+    through `rows` with the noise and curve of filter `f`; per member, one
+    step per row, a plain tuple in `StepOutput`'s field order. Each row,
+    from an estimator run's one `samples` iterator, is (k, decay,
+    g_soc*u_prev, g_up*u_prev, y, r0*u): predict with the previous current's
+    terms (except on sample 0, which starts the filter), then update on the
+    measured voltage `y` with the ohmic drop r0*u. Each member runs through
+    all rows before the next starts, so a set of more than one member needs
+    the rows as a list. A slope of None reads the curve, through one
+    `OcvCurve.lookup` per member and call; a slope s reads the affine model
+    through `anchor`, (anchor SOC, model OCV). Raises FilterDegeneracyError
+    naming sample k when a member's innovation variance is not positive.
     """
     q00, q11, r = f.noise.q00, f.noise.q11, f.noise.r
     curve = f.curve
     lo, hi = curve.soc_min, curve.soc_max
     anchor_soc, anchor_ocv = anchor or (None, None)
-    # a plain filter's caller keeps every step: build each once, as a
-    # StepOutput; a bank keeps one member's, so its steps stay plain
-    kept, new = anchor is None, tuple.__new__
     log = math.log
     out = []
-    for slope, x in zip(slopes, xs):
+    for slope in slopes:
         ocv_slope = curve.lookup() if slope is None else None
         soc, up, p00, p01, p11 = x[0], x[1], x[2], x[3], x[4]
         steps = []
@@ -187,9 +172,8 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, xs,
             up = up + k1 * e
             p00, p01, p11 = (a00 * p00 + k0 * p01, 0.5 * (b01 + b10),
                              m * p01 + a11 * p11)
-            step = (soc, up, p00, p01, p11, e, s_var, k0, clamped,
-                    -0.5 * (e * e / s_var + log(s_var)))
-            steps.append(new(StepOutput, step) if kept else step)
+            steps.append((soc, up, p00, p01, p11, e, s_var, k0, clamped,
+                          -0.5 * (e * e / s_var + log(s_var))))
         out.append(steps)
     return out
 
@@ -229,8 +213,11 @@ def samples(params, trace: Trace, capacity_ah: float):
 
 def run_ekf(filt: KfState, params, trace: Trace) -> list[StepOutput]:
     """Run the filter over a measured trace at its own sample spacing; one
-    StepOutput per sample. `params` is either a single EcmParams or a
-    per-step sequence."""
-    [steps] = kalman_step(filt, None, PLAIN, [filt.start()],
+    StepOutput per sample, the only place a step is named. `params` is
+    either a single EcmParams or a per-step sequence."""
+    [steps] = kalman_step(filt, None, PLAIN, filt.start(),
                           samples(params, trace, filt.capacity_ah))
+    # named in place: each plain tuple is freed as its StepOutput replaces it
+    for i, step in enumerate(steps):
+        steps[i] = tuple.__new__(StepOutput, step)
     return steps

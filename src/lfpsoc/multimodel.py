@@ -4,17 +4,20 @@ model weights, optimal-filter selection, and corrected-curve output.
 `run_ammkf` is one loop over the whole intervals, each taking its rows from
 the run's one `ekf.samples` iterator: before convergence an interval steps
 the plain filter, after it the bank with `run_interval`; the tail steps the
-plain filter through the rows left. `run_interval` steps every member of the
-bank through the interval in one `ekf.kalman_step` call and weighs them in
-one `interval_weights` pass over their steps' innovation log-densities (no
-member reads the weights). `run_ammkf` alone picks the heaviest member,
-keeps its steps (plain tuples in `StepOutput`'s field order), extends the
-corrected curve along its slope and anchors the next bank interval on the
-last corrected point. An interval's theoretical ACM is its last step's
-innovation variance S. The slope and weight floors are the module constants
-`SLOPE_FLOOR` and `PROB_FLOOR`, read at call time. Every filter steps at the
-trace's own `dt` with the plain filter's capacity, and `BankConfig` has no
-defaults: a scenario's bank settings come from `ScenarioConfig` alone."""
+plain filter through the rows left. Every `ekf.kalman_step` call is one
+filter, one anchor, one start and its slopes, and every step a plain tuple
+in `StepOutput`'s field order (`ekf.run_ekf` names them; nothing here does).
+`run_interval` steps every member of the bank from the carried posterior
+through the interval in one call and weighs them in one `interval_weights`
+pass over their steps' innovation log-densities (no member reads the
+weights). `run_ammkf` alone picks the heaviest member, keeps its steps,
+extends the corrected curve along its slope and anchors the next bank
+interval on the last corrected point. An interval's theoretical ACM is its
+last step's innovation variance S. The slope and weight floors are the
+module constants `SLOPE_FLOOR` and `PROB_FLOOR`, read at call time. Every
+filter steps at the trace's own `dt` with the plain filter's capacity, and
+`BankConfig` has no defaults: a scenario's bank settings come from
+`ScenarioConfig` alone."""
 
 from __future__ import annotations
 
@@ -120,7 +123,7 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, rows) -> tuple:
     by each step's innovation log-density. Returns (weights, members): the
     final weights and each member's steps, plain tuples in `StepOutput`'s
     field order."""
-    members = ekf.kalman_step(f, anchor, slopes, [x] * len(slopes), rows)
+    members = ekf.kalman_step(f, anchor, slopes, x, rows)
     # the members never read the weights: weigh them after the interval,
     # by the log-density that ends each step
     weights = interval_weights([map(_LOG_LIKELIHOOD, steps)
@@ -191,7 +194,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     for index in range(m):
         interval = list(islice(rows, L))
         if converged_at is None:  # phase 1: the plain filter
-            [steps] = ekf.kalman_step(plain, None, PLAIN, [x], interval)
+            [steps] = ekf.kalman_step(plain, None, PLAIN, x, interval)
         else:
             # the bank, stepped from the carried posterior; phase 1 has run
             # at least two intervals, since convergence needs two
@@ -225,7 +228,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
                 history, noise_std=noise_std):
             converged_at = (index + 1) * L
     # the rows left, fewer than one interval: the plain filter continues
-    [tail] = ekf.kalman_step(plain, None, PLAIN, [x], rows)
+    [tail] = ekf.kalman_step(plain, None, PLAIN, x, rows)
     soc_est.extend(map(_SOC, tail))
     return AmmkfResult(np.array(soc_est), corrected_points, diagnostics,
                        converged_at)

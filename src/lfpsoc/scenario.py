@@ -19,8 +19,8 @@ from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
 from .profiles import generate_profile
 from .rls import identify_stream
-from .traceio import (read_config, trace_key, write_config, write_lines,
-                      write_trace)
+from .traceio import (parse_config, read_config, trace_key, write_config,
+                      write_lines, write_trace)
 
 
 class ScenarioConfigError(ValueError):
@@ -72,6 +72,13 @@ class ScenarioConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScenarioConfigError(f"{key}: not a finite number: "
                                           f"{value!r}")
+            try:  # a text value must load back from the manifest as it is
+                held = not isinstance(value, str) or parse_config(
+                    f"{key}={value}") == {key: value}
+            except ValueError:
+                held = False
+            if not held:
+                raise ScenarioConfigError(f"{key}: a config file cannot hold {value!r}")
         # a negative variance is no covariance, a negative sigma no noise
         # and a negative seed no generator; r, dt, the step count and the
         # capacity must be positive and the true start a SOC: checked here,

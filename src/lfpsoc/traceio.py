@@ -171,8 +171,8 @@ def ingest_trace(path, strict: bool = False) -> Trace:
         # each sample's grid index, rounded half up: no two share one
         idx = np.floor((t - t[0]) / np.min(diffs) + 0.5).astype(np.int64)
         dt = float((t[-1] - t[0]) / idx[-1])
-        warnings.warn(f"resampling {path} to uniform dt={dt}s by zero-order hold",
-                      stacklevel=2)
+        warnings.warn(f"resampling {path} to uniform dt={dt}s by zero-order "
+                      f"hold: {idx[-1] + 1} samples from {len(t)}", stacklevel=2)
         pick = np.searchsorted(idx, np.arange(idx[-1] + 1), side="right") - 1
         t = np.linspace(t[0], t[-1], idx[-1] + 1)  # t[0] + k * dt
         cur, volt = cur[pick], volt[pick]
@@ -182,10 +182,17 @@ def ingest_trace(path, strict: bool = False) -> Trace:
 
 
 def read_config(path) -> dict:
-    """Flat key=value config: one pair per line. A '#' that starts a line or
-    follows whitespace starts a comment; any other is part of the value."""
+    """The pairs of the flat key=value config file `path` (`parse_config`)."""
+    return parse_config(Path(path).read_text(), path)
+
+
+def parse_config(text: str, path="") -> dict:
+    """Flat key=value config: one pair per line, each side stripped. A '#'
+    that starts a line or follows whitespace starts a comment; any other is
+    part of the value. Any other line without '=' raises ValueError naming
+    `path` and its line."""
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not line:
             continue

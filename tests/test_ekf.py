@@ -43,7 +43,7 @@ def _step(f, coef, u_prev, y, u, first, k=None, slope=None, anchor=None,
     if k is None:
         k = 0 if first else 1
     assert (k == 0) == first
-    [[out]] = kalman_step(f, anchor, [slope], [x or f.start()],
+    [[out]] = kalman_step(f, anchor, [slope], x or f.start(),
                           [_row(k, coef, u_prev, y, u)])
     return StepOutput._make(out)
 
@@ -441,49 +441,48 @@ class TestStepAgainstMatrixForm:
 
 
 
-_member = st.tuples(st.floats(0.0, 1.0), st.floats(-0.05, 0.05),
-                    st.floats(1e-10, 1e-1), st.floats(1e-10, 1e-2),
-                    st.floats(-0.9, 0.9), st.floats(1e-4, 60.0))
+_start = st.tuples(st.floats(0.0, 1.0), st.floats(-0.05, 0.05),
+                   st.floats(1e-10, 1e-1), st.floats(1e-10, 1e-2),
+                   st.floats(-0.9, 0.9))
 
 
 class TestFilterSetStep:
-    """One `kalman_step` call over a filter set steps each member exactly as
-    a call over that member alone, and as the matrix-form reference."""
+    """One `kalman_step` call over a filter set steps each member from the
+    one start exactly as a call over that member alone, and as the
+    matrix-form reference."""
 
-    @given(members=st.lists(_member, min_size=1, max_size=9),
+    @given(start=_start, slopes=st.lists(st.floats(1e-4, 60.0), min_size=1,
+                                         max_size=9),
            plain=st.booleans(), anchor_soc=st.floats(0.0, 1.0),
            anchor_ocv=st.floats(3.0, 3.5), q00=st.floats(0.0, 1e-6),
            q11=st.floats(0.0, 1e-6), r=st.floats(1e-8, 1e-2),
            u_prev=st.floats(-3.0, 3.0), u=st.floats(-3.0, 3.0),
            innov=st.floats(-0.5, 0.5), first=st.booleans())
-    @example(members=[(-0.0, 0.0, 1e-4, 1e-2, 0.9, 1e-4)], plain=False,
+    @example(start=(-0.0, 0.0, 1e-4, 1e-2, 0.9), slopes=[1e-4], plain=False,
              anchor_soc=0.0, anchor_ocv=3.3, q00=0.0, q11=0.0, r=1e-6,
              u_prev=0.0, u=0.0, innov=0.0, first=True)
     @settings(max_examples=200, deadline=None)
-    def test_each_member_as_if_alone(self, members, plain, anchor_soc,
+    def test_each_member_as_if_alone(self, start, slopes, plain, anchor_soc,
                                      anchor_ocv, q00, q11, r, u_prev, u,
                                      innov, first):
         params = EcmParams(0.07, 0.04, 1000.0)
         cfg = SimConfig(capacity_ah=1.063, dt=1.0)
-        noise = NoiseConfig(q00, q11, r)
-        # each member's start as a filter of its own, with a correlated
-        # start posterior; the set step reads only the shared noise and
-        # curve from the first
+        # one filter and one correlated start posterior for every member
         curve, anchor = default_lifepo4_curve(), (anchor_soc, anchor_ocv)
-        fs, slopes, xs = [], [], []
-        for soc, up, p00, p11, rho, slope in members:
-            fs.append(_state(curve, soc=soc, up=up, p=(p00, p11),
-                             noise=noise))
-            slopes.append(None if plain else slope)
-            xs.append((soc, up, p00, rho * math.sqrt(p00 * p11), p11))
+        soc, up, p00, p11, rho = start
+        f = _state(curve, soc=soc, up=up, p=(p00, p11),
+                   noise=NoiseConfig(q00, q11, r))
+        x = (soc, up, p00, rho * math.sqrt(p00 * p11), p11)
+        if plain:
+            slopes = [None] * len(slopes)
         row = _row(0 if first else 5,
                    transition(params, cfg.dt, cfg.capacity_ah), u_prev,
                    3.3 + innov, u)
         steps = [member for [member] in
-                 kalman_step(fs[0], anchor, slopes, xs, [row])]
-        assert len(steps) == len(fs)
-        for f, s, x, step in zip(fs, slopes, xs, steps):
-            [[alone]] = kalman_step(f, anchor, [s], [x], [row])
+                 kalman_step(f, anchor, slopes, x, [row])]
+        assert len(steps) == len(slopes)
+        for s, step in zip(slopes, steps):
+            [[alone]] = kalman_step(f, anchor, [s], x, [row])
             assert repr(step) == repr(alone)  # bit for bit, -0.0 and NaN too
             _assert_matches_reference(
                 StepOutput._make(step),
@@ -495,14 +494,16 @@ class TestFilterSetStep:
     @pytest.mark.parametrize("bad", [0, 2, 4])
     def test_any_non_positive_variance_names_the_step(self, params,
                                                       base_curve, bad):
-        f = _state(base_curve)
-        xs = [(0.5, 0.0, -1.0, 0.0, -1.0) if j == bad else f.start()
-              for j in range(5)]
+        # one posterior with p00 < 0: a member of slope s has
+        # S = s^2 p00 + p11 + r, so the slope-0 members stay positive and
+        # only the slope-1 member at `bad` is degenerate
+        f, anchor = _state(base_curve), (0.5, base_curve.ocv(0.5))
+        x = (0.5, 0.0, -1.0, 0.0, 1e-4)
+        rows = [_row(9, transition(params, 1.0, 1.063), 0.0, 3.3, 0.0)]
+        assert len(kalman_step(f, anchor, [0.0] * 5, x, rows)) == 5
         with pytest.raises(FilterDegeneracyError, match="step 9"):
-            kalman_step(f, (0.5, base_curve.ocv(0.5)),
-                        [0.1 * (j + 1) for j in range(5)], xs,
-                        [_row(9, transition(params, 1.0, 1.063), 0.0, 3.3,
-                              0.0)])
+            kalman_step(f, anchor, [1.0 if j == bad else 0.0
+                                    for j in range(5)], x, rows)
 
     def test_non_positive_variance_inside_a_range_names_its_sample(
             self, params, base_curve):
@@ -512,10 +513,10 @@ class TestFilterSetStep:
         x = (0.5, 0.0, 1e-4, 0.0, -0.9e-6)  # p11 < 0: a posterior, no start
         coef = transition(params, 1.0, 1.063)
         rows = [_row(k, coef, 0.0, 3.3, 0.0) for k in (4, 5, 6)]
-        [[step]] = kalman_step(f, (0.5, 3.3), [0.0], [x], rows[:1])
+        [[step]] = kalman_step(f, (0.5, 3.3), [0.0], x, rows[:1])
         assert step[6] > 0
         with pytest.raises(FilterDegeneracyError, match="step 5"):
-            kalman_step(f, (0.5, 3.3), [0.0], [x], rows)
+            kalman_step(f, (0.5, 3.3), [0.0], x, rows)
 
 
 class TestRangeStep:
@@ -564,19 +565,17 @@ class TestRangeStep:
         for curve, slopes, anchor in sets:
             f = _state(curve, soc=0.55, up=0.01,
                        noise=NoiseConfig(1e-7, 1e-6, 1e-6))
-            xs = [f.start()] * len(slopes)
-            whole = kalman_step(f, anchor, slopes, xs, rows)
-            alone = [[] for _ in slopes]
-            for row in rows:
-                xs = [step for [step] in kalman_step(f, anchor, slopes, xs,
-                                                     [row])]
-                for member, x in zip(alone, xs):
+            whole = kalman_step(f, anchor, slopes, f.start(), rows)
+            alone = []  # each member's chain of one-row calls
+            for slope in slopes:
+                x, member = f.start(), []
+                for row in rows:
+                    [[x]] = kalman_step(f, anchor, [slope], x, [row])
                     member.append(x)
+                alone.append(member)
             assert repr(whole) == repr(alone)  # bit for bit
-            # a plain filter's steps are kept as StepOutputs, a bank's are
-            # plain
-            kind = tuple if bank else StepOutput
-            assert all(type(step) is kind for steps in whole
+            # every step is a plain tuple, a plain filter's and a bank's
+            assert all(type(step) is tuple for steps in whole
                        for step in steps)
             socs.append([step[0] for step in whole[0]])
         if not bank:  # the ranges do what the comment above says
@@ -587,6 +586,31 @@ class TestRangeStep:
 
 
 class TestRunEkf:
+    def _walk(self, params, base_curve):
+        cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.002,
+                        rng_seed=4)
+        prof = generate_profile("dst-like", 120, seed=4,
+                                target_discharge_ah=0.02)
+        trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
+                                 prof, cfg)
+        return _state(base_curve, soc=0.65), trace
+
+    def test_plain_filter_steps_are_plain_tuples(self, params, base_curve):
+        f, trace = self._walk(params, base_curve)
+        [steps] = kalman_step(f, None, PLAIN, f.start(),
+                              samples(params, trace, f.capacity_ah))
+        assert len(steps) == len(trace)
+        assert all(type(step) is tuple for step in steps)
+
+    def test_names_the_steps_of_one_call(self, params, base_curve):
+        f, trace = self._walk(params, base_curve)
+        outs = run_ekf(f, params, trace)
+        [steps] = kalman_step(f, None, PLAIN, f.start(),
+                              samples(params, trace, f.capacity_ah))
+        assert all(type(o) is StepOutput for o in outs)
+        assert repr([tuple(o) for o in outs]) == repr(steps)
+        assert [o.soc_clamped for o in outs] == [s[8] for s in steps]
+
     def test_exact_init_zero_noise_tracks_truth(self, params, base_curve):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
         prof = generate_profile("dst-like", 1500, seed=3, amp=1.0,

@@ -78,7 +78,7 @@ class TestCorrelationMeasures:
                     NoiseConfig(0.0, 0.0, 1e-6), base_curve, 1.063)
         # the start posterior, correlated: (soc, up, p00, p01, p11)
         [[step]] = kalman_step(f, (0.5, base_curve.ocv(0.5)), [0.5],
-                               [(0.5, 0.0, 4e-4, 1e-5, 1e-4)],
+                               (0.5, 0.0, 4e-4, 1e-5, 1e-4),
                                # sample 0 at rest, 3.3 V: (k, decay,
                                # g_soc*u_prev, g_up*u_prev, y, r0*u)
                                [(0, transition(params, 1.0, 1.063)[0], 0.0,

@@ -376,7 +376,8 @@ class TestTraceIo:
         p = tmp_path / "trace.csv"
         p.write_text("t,current_a,voltage_v\n"
                      "0,1.0,3.30\n1,2.0,3.29\n6,3.0,3.28\n")
-        with pytest.warns(UserWarning, match="resampling"):
+        with pytest.warns(UserWarning,
+                          match="^resampling .*: 7 samples from 3$"):
             back = ingest_trace(p)
         assert back.dt == 1.0
         assert len(back) == 7
@@ -545,6 +546,16 @@ class TestScenarioConfig:
         assert cfg.sigma_v == 0.003
         assert cfg.identify_online is True
         assert cfg.true_curve == "default"
+
+    @pytest.mark.parametrize("value", [
+        "c #1/curve.csv", " lead.csv", "tab\t#x.csv", "a\nb.csv"])
+    def test_value_a_config_file_cannot_hold_names_its_key(self, value):
+        # its manifest would load back as another value, or not at all
+        with pytest.raises(ScenarioConfigError, match=re.escape(
+                f"filter_curve: a config file cannot hold {value!r}")):
+            ScenarioConfig(filter_curve=value)
+        assert ScenarioConfig(filter_curve="c#1/curve.csv").filter_curve \
+            == "c#1/curve.csv"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioConfigError, match="unknown"):
@@ -1404,6 +1415,21 @@ class TestCli:
                              "--key", key, "--values", values]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
+
+    def test_sweep_of_a_value_a_config_file_cannot_hold_exits_2(
+            self, tmp_path, capsys):
+        # the curve exists, but the run's manifest would read back "c"
+        curve = tmp_path / "c #1" / "curve.csv"
+        curve.parent.mkdir()
+        default_lifepo4_curve().to_csv(curve)
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=200,
+                         profile_target_ah=0.02)
+        out = tmp_path / "sw"
+        assert cli_main(["--config", cfg, "--out", str(out), "sweep",
+                         "--key", "filter_curve", f"--values={curve}"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: filter_curve: a config file cannot hold {str(curve)!r}\n"
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default",

@@ -342,7 +342,7 @@ class TestMakeBankAndInterval:
         calls, trace, cfg = self._bank_calls(params, base_curve, base_curve,
                                              monkeypatch)
         carried = calls[0][3]
-        expected = (carried.soc, base_curve.ocv(carried.soc))  # the first
+        expected = (carried[0], base_curve.ocv(carried[0]))  # the first
         for f, anchor, slopes, x, (weights, members) in calls:
             # every member starts from the carried posterior and anchors on
             # it and on the previous interval's corrected model value: the
@@ -370,8 +370,8 @@ class TestMakeBankAndInterval:
         curve = OcvCurve(base_curve.knot_soc[inner], base_curve.knot_ocv[inner])
         calls, _, _ = self._bank_calls(params, base_curve, curve, monkeypatch)
         _, anchor, _, x, _ = calls[0]
-        assert x.soc > curve.soc_max
-        assert anchor == (x.soc, curve.ocv(curve.soc_max))
+        assert x[0] > curve.soc_max  # the carried SOC
+        assert anchor == (x[0], curve.ocv(curve.soc_max))
 
     def test_identical_filters_tie_to_lowest_index(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve)
@@ -486,6 +486,33 @@ class TestRunAmmkf:
         assert res.diagnostics and len(trace) % 20  # a bank and a tail
         assert len(calls) == 1
         assert len(res.soc) == len(trace)
+
+    def test_every_step_starts_from_one_posterior_tuple(self, params,
+                                                        base_curve,
+                                                        monkeypatch):
+        # phase 1, each bank interval and the tail each step every member
+        # from one carried posterior, and keep only plain tuples
+        trace, cfg = self._trace(params, base_curve, n=1010)
+        starts, kinds = [], set()
+        real = ekf.kalman_step
+
+        def spy(f, anchor, slopes, x, rows):
+            starts.append(x)
+            members = real(f, anchor, slopes, x, rows)
+            kinds.update(type(step) for steps in members for step in steps)
+            return members
+
+        monkeypatch.setattr(ekf, "kalman_step", spy)
+        res = run_ammkf(trace, self._filter(base_curve), params,
+                        BankConfig(n=7, interval_len=20, spread=6.0),
+                        bank_noise=self._bank_noise)
+        assert res.diagnostics and len(trace) % 20  # a bank and a tail
+        assert len(starts) == len(trace) // 20 + 1
+        assert starts[0] == self._filter(base_curve).start()
+        assert all(type(x) is tuple and len(x) in (5, 10)
+                   and all(type(v) in (float, bool) for v in x)
+                   for x in starts)
+        assert kinds == {tuple}
 
     def test_single_filter_bank_equals_plain_ekf(self, params, base_curve):
         trace, cfg = self._trace(params, base_curve, n=1000)
@@ -608,7 +635,7 @@ class TestRunAmmkf:
                                     partial, cfg.capacity_ah),
                             params, bank, bank_noise=self._bank_noise)
         for call in spy.call_args_list:
-            x = call.args[3]  # a phase-1 StepOutput or a bank step's tuple
+            x = call.args[3]  # a phase-1 or a bank step, a plain tuple
             assert all(map(math.isfinite, x[2:5]))  # (p00, p01, p11)
         assert np.all(np.isfinite(res.soc))
         assert np.all((res.soc >= 0.0) & (res.soc <= 1.0))

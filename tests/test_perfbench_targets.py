@@ -61,10 +61,10 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
     steps, picks = [], []
     step, interval = ekf.kalman_step, multimodel.run_interval
 
-    def counted_step(f, anchor, slopes, xs, rows):
+    def counted_step(f, anchor, slopes, x, rows):
         rows = list(rows)  # a plain filter's rows may be an iterator
-        steps.extend(x for x in xs for _ in rows)  # per member, per row
-        return step(f, anchor, slopes, xs, rows)
+        steps.extend(s for s in slopes for _ in rows)  # per member, per row
+        return step(f, anchor, slopes, x, rows)
 
     def counted_interval(*args):
         weights, members = interval(*args)
