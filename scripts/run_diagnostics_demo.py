@@ -17,28 +17,24 @@ import sys
 
 import numpy as np
 
-from lfpsoc import (BatteryState, EcmParams, KfState, NoiseConfig, SimConfig,
-                    curve_error_polarity, default_lifepo4_curve,
-                    generate_profile, interval_ccm, plateau_offset, run_ekf,
-                    simulate_profile, whiteness)
+from lfpsoc import (ScenarioConfig, curve_error_polarity, interval_statistics,
+                    run_ekf, run_scenario, whiteness)
 from lfpsoc.multimodel import interval_innovations
+from lfpsoc.scenario import estimator_inputs
 
-PARAMS = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
-BASE = default_lifepo4_curve()
 L = 20  # interval length
 
 
 def run_filter(offset_v, sigma, q):
-    cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=sigma,
-                    rng_seed=42)
-    profile = generate_profile("dst-like", 7200, seed=42, amp=1.0,
-                               target_discharge_ah=1.0)
-    actual = plateau_offset(BASE, offset_v, ramp=0.15) if offset_v else BASE
-    trace = simulate_profile(BatteryState(0.95, 0.0), PARAMS, actual,
-                             profile, cfg)
-    noise = NoiseConfig(*q, r=sigma ** 2)
-    return run_ekf(KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4, noise, BASE,
-                           cfg.capacity_ah), PARAMS, trace)
+    """The baseline filter's steps over the default scenario's trace, its
+    actual curve offset by `offset_v` volts on the plateau, at voltage
+    noise `sigma` and process noise `q`."""
+    cfg = ScenarioConfig(
+        true_curve=f"offset:{offset_v}:0.2:0.8:0.15" if offset_v else "default",
+        sigma_v=sigma, q00=q[0], q11=q[1], r=sigma ** 2)
+    res = run_scenario(cfg)
+    filt, params = estimator_inputs(cfg, res.trace, res.filter_curve)
+    return run_ekf(filt, params, res.trace)
 
 
 def main() -> int:
@@ -52,9 +48,9 @@ def main() -> int:
 
     for off in (+0.02, -0.02):
         outs = run_filter(off, sigma=0.003, q=(1e-10, 1e-9))
-        ivs = [interval_innovations(m, outs[m * L:(m + 1) * L])
+        ivs = [interval_innovations(outs[m * L:(m + 1) * L])
                for m in range(len(outs) // L)]
-        ccms = np.array([interval_ccm(prev, curr)
+        ccms = np.array([interval_statistics(prev, curr)[0]
                          for prev, curr in zip(ivs, ivs[1:])])[10:]
         polarity = curve_error_polarity([o.k_soc for o in outs],
                                         [o.innovation for o in outs])

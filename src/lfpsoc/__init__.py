@@ -9,7 +9,7 @@ from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
 from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
 from .innovation import (IntervalInnovations, curve_error_polarity,
                          detect_convergence, infer_error_polarity,
-                         infer_error_sign, interval_ccm, whiteness)
+                         infer_error_sign, interval_statistics, whiteness)
 from .metrics import Metrics, compute_metrics, curve_mae
 from .multimodel import AmmkfResult, BankConfig, build_slope_set, run_ammkf
 from .profiles import generate_profile

@@ -104,10 +104,11 @@ def cmd_estimate(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
-    """Intervals of an innovation log (`interval,step,innovation_v`). It
-    carries no covariance, so each interval's theoretical auto-correlation
-    is the measurement variance `r`. A row that is short, not numeric or
+def _logged_intervals(path: str, r: float) -> dict:
+    """Intervals of an innovation log (`interval,step,innovation_v`), by
+    their interval number, in ascending order. The log carries no
+    covariance, so each interval's theoretical auto-correlation is the
+    measurement variance `r`. A row that is short, not numeric or
     not finite is rejected, naming its line, and so is the only row of an
     interval, which needs at least 2 innovations."""
     groups: dict[int, list[float]] = {}
@@ -133,7 +134,7 @@ def _logged_intervals(path: str, r: float) -> list[IntervalInnovations]:
             raise TraceFormatError(
                 f"{path}:{lineno}: malformed row {row}: the only row of "
                 f"interval {m}, which needs at least 2 innovations")
-    return [IntervalInnovations(m, groups[m], r) for m in sorted(groups)]
+    return {m: IntervalInnovations(groups[m], r) for m in sorted(groups)}
 
 
 def _whiteness(v: np.ndarray) -> str:
@@ -161,18 +162,18 @@ def cmd_analyze(args, cfg: ScenarioConfig) -> int:
         filt, params = estimator_inputs(cfg, trace, filter_curve)
         outs = run_ekf(filt, params, trace)
         label = "interval"
-        intervals = [interval_innovations(m, outs[m * L:(m + 1) * L])
-                     for m in range(len(outs) // L)]
+        intervals = {m: interval_innovations(outs[m * L:(m + 1) * L])
+                     for m in range(len(outs) // L)}
         note = "; second-half whiteness: " + _whiteness(
             np.array([o.innovation for o in outs[len(outs) // 2:]]))
     path = _out_file(args, "analysis.csv")
 
     def lines():
-        for prev, iv in zip([None, *intervals], intervals):
-            ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
-                prev, iv)
-            yield "%s,%.9e,%.9e,%.9e,%s" % (iv.interval_index, ccm, acm_emp,
-                                             acm_theo, sign)
+        ivs = list(intervals.values())
+        for (m, iv), prev in zip(intervals.items(), [None, *ivs]):
+            ccm, sign = innovation.interval_statistics(prev, iv)
+            yield "%s,%.9e,%.9e,%.9e,%s" % (m, ccm, iv.acm_emp, iv.acm_theo,
+                                             sign)
 
     write_lines(path, [label, "ccm", "acm_emp", "acm_theo", "verdict"],
                 lines())

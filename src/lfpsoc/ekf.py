@@ -29,8 +29,8 @@ from .curve import OcvCurve
 from .ecm import BatteryState, EcmParams, Trace
 
 
-class FilterDegeneracyError(RuntimeError):
-    pass
+class FilterDegeneracyError(ValueError):
+    """A step's innovation variance is not finite and positive."""
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,14 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, x,
     the rows as a list. A slope of None reads the curve, through one
     `OcvCurve.lookup` per member and call; a slope s reads the affine model
     through `anchor`, (anchor SOC, model OCV). Raises FilterDegeneracyError
-    naming sample k when a member's innovation variance is not positive.
+    naming sample k when a member's innovation variance is not in
+    (0, inf): not positive, overflowed or NaN.
     """
     q00, q11, r = f.noise.q00, f.noise.q11, f.noise.r
     curve = f.curve
     lo, hi = curve.soc_min, curve.soc_max
     anchor_soc, anchor_ocv = anchor or (None, None)
-    log = math.log
+    log, inf = math.log, math.inf
     out = []
     for slope in slopes:
         ocv_slope = curve.lookup() if slope is None else None
@@ -152,9 +153,10 @@ def kalman_step(f: KfState, anchor: tuple | None, slopes, x,
             ph0 = p00 * s - p01
             ph1 = p01 * s - p11
             s_var = s * ph0 - ph1 + r
-            if s_var <= 0:
+            if not 0.0 < s_var < inf:  # NaN fails too
                 raise FilterDegeneracyError(
-                    f"step {k}: innovation variance {s_var} <= 0")
+                    f"step {k}: innovation variance {s_var} is not in "
+                    "(0, inf)")
             k0 = ph0 / s_var
             k1 = ph1 / s_var
             # (I - K H) P-, symmetrized

@@ -33,7 +33,6 @@ class IntervalInnovations:
     An interval holds at least 2 innovations. The empirical ACM, the mean
     squared innovation, is computed once, when built."""
 
-    interval_index: int
     values: tuple
     acm_theo: float
 
@@ -48,20 +47,6 @@ class IntervalInnovations:
 
     def rms(self) -> float:
         return math.sqrt(self.acm_emp)
-
-
-def interval_ccm(prev: IntervalInnovations, curr: IntervalInnovations) -> float:
-    """Mean product of matching-offset innovations of two adjacent intervals,
-    estimating the lag-L cross-correlation at the interval ends.
-
-    A curve error biases both intervals' innovations the same way, so the
-    product is positive for either polarity: a large positive CCM says a
-    curve error is present, not which side of the truth the filter's curve
-    is on (see `curve_error_polarity` for that)."""
-    if len(prev.values) != len(curr.values):
-        raise ValueError("interval lengths differ: "
-                         f"{len(prev.values)} vs {len(curr.values)}")
-    return mean(list(map(mul, prev.values, curr.values)))
 
 
 # |CCM| at or below max(CCM_FLOOR, CCM_ACM_FRACTION * empirical ACM) is noise
@@ -93,16 +78,20 @@ def infer_error_sign(ccm: float, acm_emp: float) -> str:
 
 def interval_statistics(prev: IntervalInnovations | None,
                         curr: IntervalInnovations) -> tuple:
-    """(ccm, acm_emp, acm_theo, sign) of interval `curr` after `prev`.
+    """(ccm, sign) of interval `curr` after `prev`. The CCM is the mean
+    product of the two intervals' matching-offset innovations, estimating
+    the lag-L cross-correlation at the interval ends; without a previous
+    interval of the same length it is 0.0, which `infer_error_sign` reads
+    as INDETERMINATE. The sign reads the CCM against `curr.acm_emp`.
 
-    The theoretical ACM is `curr.acm_theo`. Without a previous interval of
-    the same length there is no CCM: it is 0.0 and the sign is
-    INDETERMINATE."""
-    acm_emp = curr.acm_emp
-    if prev is None or len(prev.values) != len(curr.values):
-        return 0.0, acm_emp, curr.acm_theo, INDETERMINATE
-    ccm = interval_ccm(prev, curr)
-    return ccm, acm_emp, curr.acm_theo, infer_error_sign(ccm, acm_emp)
+    A curve error biases both intervals' innovations the same way, so the
+    product is positive for either polarity: a large positive CCM says a
+    curve error is present, not which side of the truth the filter's curve
+    is on (see `curve_error_polarity` for that)."""
+    ccm = (mean(list(map(mul, prev.values, curr.values)))
+           if prev is not None and len(prev.values) == len(curr.values)
+           else 0.0)
+    return ccm, infer_error_sign(ccm, curr.acm_emp)
 
 
 def whiteness(v) -> tuple[int, int, float]:

@@ -131,10 +131,10 @@ def run_interval(f: KfState, anchor: tuple, slopes, x, rows) -> tuple:
     return weights, members
 
 
-def interval_innovations(index: int, steps: list) -> IntervalInnovations:
+def interval_innovations(steps: list) -> IntervalInnovations:
     """One interval's innovations from its filter steps; the theoretical ACM
     is the last step's innovation variance."""
-    return IntervalInnovations(index, map(_INNOVATION, steps),
+    return IntervalInnovations(map(_INNOVATION, steps),
                                _INNOVATION_VARIANCE(steps[-1]))
 
 
@@ -198,8 +198,8 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
         else:
             # the bank, stepped from the carried posterior; phase 1 has run
             # at least two intervals, since convergence needs two
-            ccm, acm_emp, acm_theo, sign = innovation.interval_statistics(
-                history[-2], history[-1])
+            prev, curr = history[-2:]
+            ccm, sign = innovation.interval_statistics(prev, curr)
             mode = DISCHARGE if discharging[index] else CHARGE
             soc = _SOC(x)  # a phase-1 step or a bank step
             anchor_soc = min(max(soc, lo), hi)
@@ -220,9 +220,10 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
                     (soc_k, anchor_ocv + s * (soc_k - soc), index)
                     for soc_k in map(_SOC, steps))
             diagnostics.append(IntervalDiagnostics(
-                index, ccm, acm_emp, acm_theo, sign, opt, weights[opt], mode))
+                index, ccm, curr.acm_emp, curr.acm_theo, sign, opt,
+                weights[opt], mode))
         soc_est.extend(map(_SOC, steps))
-        history.append(interval_innovations(index, steps))
+        history.append(interval_innovations(steps))
         x = steps[-1]
         if converged_at is None and innovation.detect_convergence(
                 history, noise_std=noise_std):

@@ -347,13 +347,16 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
               out_dir: str | None = None) -> list[ScenarioResult]:
     """Run one scenario per override mapping, in override order, each
-    simulated and estimated on its own. With `out_dir`, once every run has
-    returned, each writes its artifacts to its own directory, `run-000`,
-    `run-001`, ..., so a run that raises leaves nothing written; a
-    trace.csv whose columns have the bytes of one already written in this
-    call, as every run of a sweep over an estimator-only key has, is copied
-    from that file instead of formatted again."""
-    results = [run_scenario(replace(base_cfg, **ov)) for ov in overrides]
+    simulated and estimated on its own. Every run's config is built before
+    the first run starts, so a value the config refuses runs no scenario.
+    With `out_dir`, once every run has returned, each writes its artifacts
+    to its own directory, `run-000`, `run-001`, ..., so a run that raises
+    leaves nothing written; a trace.csv whose columns have the bytes of one
+    already written in this call, as every run of a sweep over an
+    estimator-only key has, is copied from that file instead of formatted
+    again."""
+    configs = [replace(base_cfg, **ov) for ov in overrides]
+    results = [run_scenario(cfg) for cfg in configs]
     if out_dir:
         traces = {}
         for i, result in enumerate(results):

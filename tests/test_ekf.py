@@ -390,6 +390,20 @@ class TestUpdate:
             _step(_state(base_curve), transition(params, 1.0, 1.063), 0.0,
                   3.3, 0.0, first=False, k=7, x=(0.5, 0.0, -1.0, 0.0, -1.0))
 
+    @pytest.mark.parametrize("noise, p, first, step", [
+        (NoiseConfig(1e308, 1e-6, 1e-6), (1e-4, 1e-4), False, "step 1"),
+        (None, (1e308, 1e-4), True, "step 0")])
+    def test_overflowed_innovation_variance_names_the_step(
+            self, params, base_curve, noise, p, first, step):
+        # a finite process or start variance of 1e308 times the slope 2.0
+        # of the curve at SOC 0.95 squared overflows S to inf; its gain
+        # would be inf/inf = nan and the clamp would read SOC 0.0
+        f = _state(base_curve, soc=0.95, p=p, noise=noise)
+        with pytest.raises(FilterDegeneracyError, match=f"^{step}: "
+                           r"innovation variance inf is not in \(0, inf\)$"):
+            _step(f, transition(params, 1.0, 1.063), 0.0, 3.3, 0.0,
+                  first=first)
+
 
 class TestStepAgainstMatrixForm:
     """The closed-form step equals the matrix-form reference."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
                     NoiseConfig, SimConfig, curve_error_polarity,
                     detect_convergence, infer_error_polarity,
-                    infer_error_sign, interval_ccm, plateau_offset, run_ekf,
+                    infer_error_sign, plateau_offset, run_ekf,
                     simulate_profile)
 from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (CONVERGENCE_WINDOW, FLAT_TOL, INDETERMINATE,
@@ -21,9 +21,9 @@ from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
 
 
-def _iv(values, idx=0):
+def _iv(values):
     # theoretical ACM of H = [0.1, -1], P- = 1e-4 I, r = 1e-6
-    return IntervalInnovations(idx, np.asarray(values, dtype=float), 1.02e-4)
+    return IntervalInnovations(np.asarray(values, dtype=float), 1.02e-4)
 
 
 def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
@@ -45,8 +45,8 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
 def _intervals(outs, length=20):
     """Whole intervals of the filter's innovations, as the bank records
     them."""
-    return [interval_innovations(m, outs[k:k + length])
-            for m, k in enumerate(range(0, len(outs) - length + 1, length))]
+    return [interval_innovations(outs[k:k + length])
+            for k in range(0, len(outs) - length + 1, length)]
 
 
 def _pair_polarities(outs, length=20):
@@ -61,12 +61,9 @@ def _pair_polarities(outs, length=20):
 class TestCorrelationMeasures:
     def test_ccm_arithmetic(self):
         a = _iv([1.0, 2.0, 3.0])
-        b = _iv([1.0, -1.0, 2.0], idx=1)
-        assert interval_ccm(a, b) == pytest.approx((1 - 2 + 6) / 3, abs=1e-12)
-
-    def test_ccm_length_mismatch(self):
-        with pytest.raises(ValueError):
-            interval_ccm(_iv([1.0, 2.0, 3.0]), _iv([1.0, 2.0]))
+        b = _iv([1.0, -1.0, 2.0])
+        assert interval_statistics(a, b)[0] == pytest.approx(
+            (1 - 2 + 6) / 3, abs=1e-12)
 
     def test_acm_is_mean_square(self):
         assert _iv([3.0, 4.0]).acm_emp == pytest.approx(12.5)
@@ -85,8 +82,7 @@ class TestCorrelationMeasures:
                                  0.0, 3.3, 0.0)])
         step = StepOutput._make(step)
         expect = 0.25 * 4e-4 - 2 * 0.5 * 1e-5 + 1e-4 + 1e-6
-        _, _, acm_theo, _ = interval_statistics(
-            None, interval_innovations(0, [step, step]))
+        acm_theo = interval_innovations([step, step]).acm_theo
         assert acm_theo == pytest.approx(expect, rel=1e-12)
 
     def test_non_finite_rejected(self):
@@ -105,17 +101,19 @@ class TestCorrelationMeasures:
     def test_ccm_bilinear_and_symmetric(self, xs, ys, c):
         n = min(len(xs), len(ys))
         x, y = np.array(xs[:n]), np.array(ys[:n])
-        a, b = _iv(x), _iv(y, idx=1)
-        assert interval_ccm(a, b) == pytest.approx(interval_ccm(b, a), abs=1e-12)
+        a, b = _iv(x), _iv(y)
+        assert interval_statistics(a, b)[0] == pytest.approx(
+            interval_statistics(b, a)[0], abs=1e-12)
         scaled = _iv(c * x)
-        assert interval_ccm(scaled, b) == pytest.approx(
-            c * interval_ccm(a, b), abs=1e-9)
+        assert interval_statistics(scaled, b)[0] == pytest.approx(
+            c * interval_statistics(a, b)[0], abs=1e-9)
 
     @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_ccm_self_equals_acm(self, xs):
         iv = _iv(np.array(xs))
-        assert interval_ccm(iv, iv) == pytest.approx(iv.acm_emp, abs=1e-12)
+        assert interval_statistics(iv, iv)[0] == pytest.approx(iv.acm_emp,
+                                                               abs=1e-12)
 
 
 class TestWhiteness:
@@ -188,19 +186,15 @@ class TestErrorSignInference:
 class TestIntervalStatistics:
     def test_adjacent_intervals(self):
         prev, curr = _iv([1e-3, 2e-3, 1e-3]), _iv([2e-3, 1e-3, 1e-3])
-        ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
-        assert ccm == interval_ccm(prev, curr)
-        assert acm_emp == curr.acm_emp
-        assert acm_theo == curr.acm_theo
-        assert sign == infer_error_sign(ccm, acm_emp) == NEGATIVE_G
+        ccm, sign = interval_statistics(prev, curr)
+        assert ccm == interval_statistics(prev, curr)[0]
+        assert sign == infer_error_sign(ccm, curr.acm_emp) == NEGATIVE_G
 
     @pytest.mark.parametrize("prev", [None, _iv([1e-3, 2e-3])])
     def test_no_ccm_without_a_matching_previous_interval(self, prev):
         curr = _iv([2e-3, 1e-3, 1e-3])
-        ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
+        ccm, sign = interval_statistics(prev, curr)
         assert ccm == 0.0 and sign == INDETERMINATE
-        assert acm_emp == curr.acm_emp
-        assert acm_theo == curr.acm_theo
 
 
 def _numpy_statistics(a, b):
@@ -212,11 +206,11 @@ def _numpy_statistics(a, b):
 
 
 def _float_statistics(a, b):
-    prev, curr = _iv(a), _iv(b, 1)
-    ccm, acm_emp, acm_theo, sign = interval_statistics(prev, curr)
-    assert (acm_theo, sign) == (curr.acm_theo, infer_error_sign(ccm, acm_emp))
-    assert (ccm, acm_emp) == (interval_ccm(prev, curr), curr.acm_emp)
-    return ccm, acm_emp, curr.rms()
+    prev, curr = _iv(a), _iv(b)
+    ccm, sign = interval_statistics(prev, curr)
+    assert sign == infer_error_sign(ccm, curr.acm_emp)
+    assert ccm == interval_statistics(prev, curr)[0]
+    return ccm, curr.acm_emp, curr.rms()
 
 
 class TestFloatStatistics:
@@ -259,29 +253,28 @@ class TestDetectConvergence:
         assert not detect_convergence([_iv([1.0, 1.0])], 0.0)
 
     def test_decay_then_flat_converges(self):
-        hist = [_iv(np.full(10, 1.0 * 0.5 ** min(k, 4)), idx=k)
+        hist = [_iv(np.full(10, 1.0 * 0.5 ** min(k, 4)))
                 for k in range(8)]
         assert detect_convergence(hist, 0.0)
 
     def test_constant_large_never_converges(self):
-        hist = [_iv(np.full(10, 0.5), idx=k) for k in range(50)]
+        hist = [_iv(np.full(10, 0.5)) for _ in range(50)]
         assert not detect_convergence(hist, 0.0)
 
     def test_flat_but_above_ratio_not_converged(self):
         hist = [_iv(np.full(10, 1.0))] + \
-               [_iv(np.full(10, 0.5), idx=k + 1) for k in range(5)]
+               [_iv(np.full(10, 0.5)) for _ in range(5)]
         assert not detect_convergence(hist, 0.0)  # 0.5 >= 0.2 * 1.0
 
     def test_noise_floor_branch(self):
         # an exactly-initialized run never drops relative to its start, but
         # sitting at the measurement noise floor still counts as converged
-        hist = [_iv(np.full(10, 0.0031), idx=k) for k in range(4)]
+        hist = [_iv(np.full(10, 0.0031)) for _ in range(4)]
         assert not detect_convergence(hist, 0.0)
         assert detect_convergence(hist, noise_std=0.003)
 
     def test_all_zero_history(self):
-        hist = [_iv(np.zeros(10)), _iv(np.zeros(10), idx=1),
-                _iv(np.zeros(10), idx=2)]
+        hist = [_iv(np.zeros(10)) for _ in range(3)]
         assert detect_convergence(hist, 0.0)
 
     def test_exact_init_pipeline_converges_quickly(self, params, base_curve):
@@ -359,7 +352,8 @@ class TestPipelineSignStatistics:
         _, outs = _filter_run(params, base_curve, 31, filt_curve, 1e-4,
                               (1e-10, 1e-9))
         ivs = _intervals(outs)
-        ccms = [interval_ccm(a, b) for a, b in zip(ivs[10:-1], ivs[11:])]
+        ccms = [interval_statistics(a, b)[0]
+                for a, b in zip(ivs[10:-1], ivs[11:])]
         frac_positive = np.mean([c > 0 for c in ccms])
         assert frac_positive >= 0.9
 
@@ -370,7 +364,7 @@ class TestPipelineSignStatistics:
         ivs = _intervals(outs)
         verdicts = []
         for a, b in zip(ivs[10:-1], ivs[11:]):
-            verdicts.append(infer_error_sign(interval_ccm(a, b),
+            verdicts.append(infer_error_sign(interval_statistics(a, b)[0],
                                              b.acm_emp))
         # per-pair verdicts fluctuate with the noise, but neither sign
         # dominates the way it does under a genuine curve mismatch

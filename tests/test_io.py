@@ -1286,6 +1286,47 @@ class TestCli:
             "error: n: filter count must be odd and > 0: 4\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, step", [("q00", 1), ("p0_soc", 0)])
+    def test_overflowed_filter_variance_exits_2(self, tmp_path, capsys, key,
+                                                step):
+        # finite, so the config takes it, but the innovation variance
+        # overflows to inf: its gain inf/inf would make the SOC NaN, which
+        # the clamp reads as 0.0 at every later step
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        capsys.readouterr()
+        bad = _write_cfg(tmp_path / "bad.txt", profile_steps=400,
+                         profile_target_ah=0.06, **{key: 1e308})
+        out = tmp_path / "est"
+        assert cli_main(["--config", bad, "--out", str(out), "estimate",
+                         "--method", "ekf", "--trace",
+                         str(sim / "trace.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: step {step}: innovation variance inf is not in "
+            "(0, inf)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, values, message", [
+        ("n", "3,4", "n: filter count must be odd and > 0: 4"),
+        ("filter_curve", "default,c #1/curve.csv",
+         "filter_curve: a config file cannot hold 'c #1/curve.csv'")])
+    def test_sweep_refusing_a_later_value_runs_no_scenario(
+            self, tmp_path, capsys, monkeypatch, key, values, message):
+        # every run's config is built before the first scenario runs
+        ran = []
+        monkeypatch.setattr(scenario, "run_scenario",
+                            lambda cfg, *a: ran.append(cfg))
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        out = tmp_path / "sw"
+        assert cli_main(["--config", cfg, "--out", str(out), "sweep",
+                         "--key", key, f"--values={values}"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert ran == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["estimate", "--method", "ekf"], ["estimate", "--method", "ammkf"],
         ["analyze"], ["identify"], ["simulate"], ["scenario"],

@@ -654,6 +654,30 @@ class TestRunAmmkf:
             assert 1 / 7 - 1e-9 <= d.prob_max <= 1.0
             assert d.mode in (DISCHARGE, CHARGE)
 
+    def test_diagnostics_row_reads_the_two_intervals_before_it(
+            self, params, base_curve, monkeypatch):
+        # row `interval=i` holds the statistics the bank read to pick
+        # interval i's slopes: the CCM of intervals i-2 and i-1 and the
+        # ACMs of interval i-1
+        history, record = [], multimodel.interval_innovations
+
+        def spy(steps):
+            history.append(record(steps))
+            return history[-1]
+
+        monkeypatch.setattr(multimodel, "interval_innovations", spy)
+        trace, _ = self._trace(params, plateau_offset(base_curve, 0.02),
+                               n=1200)
+        res = run_ammkf(trace, self._filter(base_curve), params,
+                        BankConfig(n=7, interval_len=20, spread=6.0),
+                        bank_noise=self._bank_noise)
+        assert len(res.diagnostics) > 2 and len(history) == 1200 // 20
+        for d in res.diagnostics:
+            prev, curr = history[d.interval_index - 2:d.interval_index]
+            ccm = float(np.mean(np.multiply(prev.values, curr.values)))
+            assert repr((d.ccm, d.acm_emp, d.acm_theo)) == repr(
+                (ccm, float(np.mean(np.square(curr.values))), curr.acm_theo))
+
 
 class TestIntervalLoop:
     """The edges of `run_ammkf`'s interval loop, on scenario configs."""
