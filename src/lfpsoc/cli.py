@@ -104,7 +104,7 @@ def cmd_estimate(args, cfg: ScenarioConfig) -> int:
     return 0
 
 
-def _logged_intervals(path: str, r: float) -> dict:
+def _logged_intervals(path: str, r: float) -> dict[int, IntervalInnovations]:
     """Intervals of an innovation log (`interval,step,innovation_v`), by
     their interval number, in ascending order. The log carries no
     covariance, so each interval's theoretical auto-correlation is the
