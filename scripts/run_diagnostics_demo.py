@@ -17,28 +17,34 @@ import sys
 
 import numpy as np
 
-from lfpsoc import (ScenarioConfig, curve_error_polarity, interval_statistics,
-                    run_ekf, run_scenario, whiteness)
+from lfpsoc import (BatteryState, ScenarioConfig, curve_error_polarity,
+                    generate_profile, interval_statistics, resolve_curves,
+                    run_ekf, simulate_profile, whiteness)
 from lfpsoc.multimodel import interval_innovations
 from lfpsoc.scenario import estimator_inputs
-
-L = 20  # interval length
 
 
 def run_filter(offset_v, sigma, q):
     """The baseline filter's steps over the default scenario's trace, its
     actual curve offset by `offset_v` volts on the plateau, at voltage
-    noise `sigma` and process noise `q`."""
+    noise `sigma` and process noise `q`, and the scenario's interval
+    length."""
     cfg = ScenarioConfig(
         true_curve=f"offset:{offset_v}:0.2:0.8:0.15" if offset_v else "default",
         sigma_v=sigma, q00=q[0], q11=q[1], r=sigma ** 2)
-    res = run_scenario(cfg)
-    filt, params = estimator_inputs(cfg, res.trace, res.filter_curve)
-    return run_ekf(filt, params, res.trace)
+    true_curve, filter_curve = resolve_curves(cfg)
+    profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
+                               seed=cfg.seed, amp=cfg.profile_amp,
+                               target_discharge_ah=cfg.profile_target_ah)
+    trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
+                             cfg.ecm_params(), true_curve, profile,
+                             cfg.sim_config())
+    filt, params = estimator_inputs(cfg, trace, filter_curve)
+    return run_ekf(filt, params, trace), cfg.interval_len
 
 
 def main() -> int:
-    outs = run_filter(0.0, sigma=0.003, q=(1e-12, 1e-12))[1000:]
+    outs = run_filter(0.0, sigma=0.003, q=(1e-12, 1e-12))[0][1000:]
     innov = np.array([o.innovation for o in outs])
     inside, lags, _ = whiteness(innov)
     ratio = np.mean(innov ** 2) / np.mean(
@@ -47,7 +53,7 @@ def main() -> int:
           f"variance ratio {ratio:.3f}")
 
     for off in (+0.02, -0.02):
-        outs = run_filter(off, sigma=0.003, q=(1e-10, 1e-9))
+        outs, L = run_filter(off, sigma=0.003, q=(1e-10, 1e-9))
         ivs = [interval_innovations(outs[m * L:(m + 1) * L])
                for m in range(len(outs) // L)]
         ccms = np.array([interval_statistics(prev, curr)[0]

@@ -96,9 +96,13 @@ def cmd_estimate(args, cfg: ScenarioConfig) -> int:
                   soc, truth)
     write_manifest(_out_file(args, "run-manifest.txt"), cfg)
     if trace.true_soc is not None:
-        m = compute_metrics(soc, trace.true_soc, trace.dt)
+        # a trace's truth cells may be empty: score the samples that have one
+        known = np.isfinite(trace.true_soc)
+        m = compute_metrics(soc[known], trace.true_soc[known], trace.dt)
+        part = "" if known.all() else (f" over the {known.sum()} of "
+                                       f"{len(known)} samples with a true SOC")
         print(f"{args.method}: rmse={m.rmse:.4f} mae={m.mae:.4f} "
-              f"max={m.max_abs_error:.4f}")
+              f"max={m.max_abs_error:.4f}{part}")
     else:
         print(f"{args.method}: {len(soc)} estimates (no ground truth in trace)")
     return 0

@@ -1,8 +1,9 @@
 """OCV-SOC curve representation: evaluation, slopes, and error injection.
 
-A per-sample loop reads the curve through `OcvCurve.lookup()`, which keeps
-the knot segment of the previous SOC and bisects the knots only when the SOC
-leaves it, with the same arithmetic and errors as `ocv` and `slope`."""
+A loop reads the curve through `OcvCurve.lookup()`, the one scalar path: it
+keeps the knot segment of the previous SOC and bisects the knots only when
+the SOC leaves it, with the same arithmetic and errors as `ocv` and `slope`.
+Anything else, arrays included, takes their numpy path."""
 
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ class InvalidTransformError(ValueError):
 @dataclass(frozen=True)
 class OcvCurve:
     """Piecewise-linear OCV(SOC) interpolant over strictly increasing knots.
-    A float inside the knot domain bisects knot lists cached at construction
-    (`np.interp`'s arithmetic); anything else takes the numpy path. A loop
-    over nearby SOCs reads `lookup()`, which bisects only when the SOC
-    leaves the knot segment of the previous one."""
+    A loop over scalar SOCs reads `lookup()`, which bisects knot lists
+    cached at construction (`np.interp`'s arithmetic) only when the SOC
+    leaves the knot segment of the previous one; `ocv` and `slope` take any
+    query, arrays included, through numpy."""
 
     knot_soc: np.ndarray
     knot_ocv: np.ndarray
@@ -81,36 +82,21 @@ class OcvCurve:
 
     def ocv(self, soc):
         """Interpolated OCV at `soc` (scalar or array). No extrapolation."""
-        if isinstance(soc, (int, float)) and \
-                self._soc[0] <= soc <= self._soc[-1]:
-            return self._locate(soc)[0]
         s = self._check_domain(soc)
         out = np.interp(s, self.knot_soc, self.knot_ocv)
         return float(out) if np.isscalar(soc) or np.ndim(soc) == 0 else out
 
-    def _locate(self, soc) -> tuple:
-        """`(ocv(soc), slope(soc))` of a scalar `soc` (one bisection of the
-        knots inside the domain) and the index of its open knot segment,
-        None on a knot, outside the domain or for NaN."""
-        knots = self._soc
-        if not knots[0] <= soc <= knots[-1]:
-            return self.ocv(soc), self.slope(soc), None
-        seg = self._seg
-        j = bisect_right(knots, soc) - 1
-        if knots[j] == soc:
-            return self._ocv[j], 0.5 * (seg[max(j - 1, 0)]
-                                        + seg[min(j, len(seg) - 1)]), None
-        return seg[j] * (soc - knots[j]) + self._ocv[j], seg[j], j
-
     def lookup(self):
-        """A function equal to `(ocv(soc), slope(soc))` for one loop of nearby
-        scalar SOCs: it remembers the open knot segment of the last SOC it
-        saw and, while the next SOC stays strictly inside it, computes the
-        same expression without bisecting the knots. Any other SOC (a knot,
-        a domain end, NaN, out of domain) takes `_locate`'s path and errors.
-        The curve holds no state: make one lookup per loop."""
-        locate, knots, ocvs, segs = (self._locate, self._soc, self._ocv,
-                                     self._seg)
+        """A function equal to `(ocv(soc), slope(soc))` for one loop of
+        scalar SOCs. Inside the knot domain it bisects the cached knots, a
+        knot taking the mean of its two segment slopes, and remembers the
+        open knot segment of the last SOC: while the next SOC stays strictly
+        inside it, the same expression is computed without bisecting.
+        Outside the domain or for NaN it calls `ocv` and `slope`, which
+        raise the same errors. The curve holds no state: make one lookup
+        per loop."""
+        knots, ocvs, segs = self._soc, self._ocv, self._seg
+        first, last = knots[0], knots[-1]
         # the open segment (left, right) with its slope and left OCV; NaN
         # ends until the first SOC inside one, so every comparison fails
         left = right = math.nan
@@ -120,11 +106,14 @@ class OcvCurve:
             nonlocal left, right, slope, ocv
             if left < soc < right:
                 return slope * (soc - left) + ocv, slope
-            at, s, j = locate(soc)
-            if j is not None:
-                left, right = knots[j], knots[j + 1]
-                slope, ocv = segs[j], ocvs[j]
-            return at, s
+            if not first <= soc <= last:
+                return self.ocv(soc), self.slope(soc)
+            j = bisect_right(knots, soc) - 1
+            if knots[j] == soc:
+                return ocvs[j], 0.5 * (segs[max(j - 1, 0)]
+                                       + segs[min(j, len(segs) - 1)])
+            left, right, slope, ocv = knots[j], knots[j + 1], segs[j], ocvs[j]
+            return segs[j] * (soc - knots[j]) + ocvs[j], segs[j]
 
         return ocv_slope
 
@@ -134,9 +123,6 @@ class OcvCurve:
     def slope(self, soc):
         """dOCV/dSOC: segment slope inside segments, mean of the two adjacent
         segment slopes at interior knots, one-sided at boundary knots."""
-        if isinstance(soc, (int, float)) and \
-                self._soc[0] <= soc <= self._soc[-1]:
-            return self._locate(soc)[1]
         s = self._check_domain(soc)
         seg = self.segment_slopes()
         scalar = np.isscalar(soc) or np.ndim(soc) == 0

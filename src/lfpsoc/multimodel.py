@@ -183,6 +183,7 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
     history: list[IntervalInnovations] = []
     bank = replace(plain, noise=bank_noise)
     curve = plain.curve
+    at = curve.lookup()  # the bank anchors' one read of the curve
     noise_std = math.sqrt(plain.noise.r)
     lo, hi = curve.soc_min, curve.soc_max
     # every interval starts at a multiple of L: its mean current's sign
@@ -202,15 +203,15 @@ def run_ammkf(trace: Trace, plain: KfState, params, bank_cfg: BankConfig,
             ccm, sign = innovation.interval_statistics(prev, curr)
             mode = DISCHARGE if discharging[index] else CHARGE
             soc = _SOC(x)  # a phase-1 step or a bank step
-            anchor_soc = min(max(soc, lo), hi)
+            curve_ocv, base_slope = at(min(max(soc, lo), hi))
             # the model value chains from the last corrected point; only
             # the first bank interval anchors on the curve
             anchor_ocv = (corrected_points[-1][1] if corrected_points
-                          else curve.ocv(anchor_soc))
+                          else curve_ocv)
             # a one-filter bank is a plain filter on the curve itself, and
             # never reads its anchor
             slopes = PLAIN if bank_cfg.n == 1 else build_slope_set(
-                curve.slope(anchor_soc), sign, mode, bank_cfg)
+                base_slope, sign, mode, bank_cfg)
             weights, members = run_interval(bank, (soc, anchor_ocv), slopes,
                                             x, interval)
             opt = weights.index(max(weights))  # ties to the lowest index

@@ -10,6 +10,7 @@ class ProfileConfigError(ValueError):
 
 
 STEP_SIGMA = 0.05  # the random walk's step standard deviation, amperes
+PROFILE_KINDS = ("constant", "pulse", "dst-like", "random-walk")
 
 # One dynamic-stress block: mixed charge/discharge pulses (relative levels)
 # with a net-discharge bias, loosely shaped like standard cycling tests.

@@ -17,7 +17,7 @@ from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
 from .ekf import KfState, NoiseConfig, run_ekf
 from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
-from .profiles import generate_profile
+from .profiles import PROFILE_KINDS, generate_profile
 from .rls import identify_stream
 from .traceio import (parse_config, read_config, trace_key, write_config,
                       write_lines, write_trace)
@@ -80,20 +80,31 @@ class ScenarioConfig:
             if not held:
                 raise ScenarioConfigError(f"{key}: a config file cannot hold {value!r}")
         # a negative variance is no covariance, a negative sigma no noise
-        # and a negative seed no generator; r, dt, the step count and the
-        # capacity must be positive and the true start a SOC: checked here,
-        # the error names the key rather than the noise matrix, the
-        # simulator, the filter, the profile or the coulomb count
+        # and a negative seed no generator; r, dt, the step count, the
+        # capacity and the circuit must be positive, the true start a SOC,
+        # the profile a known kind and at most one curve a transform:
+        # checked here, the error names the key rather than the noise
+        # matrix, the simulator, the filter, the profile or the coulomb
+        # count, and a sweep refuses a later value before its first run
         for key in ("p0_soc", "p0_up", "q00", "q11", "bank_q00", "bank_q11",
                     "sigma_v", "sigma_i", "seed"):
             if (value := getattr(self, key)) < 0:
                 raise ScenarioConfigError(f"{key}: must be >= 0: {value!r}")
-        for key in ("r", "dt", "profile_steps", "capacity_ah"):
+        for key in ("r", "dt", "profile_steps", "capacity_ah", "r0", "rp",
+                    "cp"):
             if (value := getattr(self, key)) <= 0:
                 raise ScenarioConfigError(f"{key}: must be > 0: {value!r}")
         if not 0 <= self.initial_soc_true <= 1:
             raise ScenarioConfigError(f"initial_soc_true: must be in [0, 1]: "
                                       f"{self.initial_soc_true!r}")
+        if self.profile_kind not in PROFILE_KINDS:
+            raise ScenarioConfigError(
+                f"profile_kind: must be one of {', '.join(PROFILE_KINDS)}: "
+                f"{self.profile_kind!r}")
+        if is_transform(self.true_curve) and is_transform(self.filter_curve):
+            raise ScenarioConfigError(
+                "true_curve and filter_curve cannot both be transforms: "
+                f"{self.true_curve!r}, {self.filter_curve!r}")
         # the bank keys, checked before anything is simulated or written
         self.bank_config()
 
@@ -162,13 +173,10 @@ def _load_curve(spec: str) -> OcvCurve:
 
 
 def resolve_curves(cfg: ScenarioConfig) -> tuple[OcvCurve, OcvCurve]:
-    """Return (true_curve, filter_curve); at most one side may be a
-    transform spec (`curve.apply_transform`), applied to the other side."""
+    """Return (true_curve, filter_curve); at most one side is a transform
+    spec (`curve.apply_transform`, checked by the config), applied to the
+    other side."""
     true_spec, filt_spec = cfg.true_curve, cfg.filter_curve
-    if is_transform(true_spec) and is_transform(filt_spec):
-        raise ScenarioConfigError(
-            "true_curve and filter_curve cannot both be transforms: "
-            f"{true_spec!r}, {filt_spec!r}")
     try:
         if is_transform(true_spec):
             filt_c = _load_curve(filt_spec)
@@ -347,8 +355,9 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
               out_dir: str | None = None) -> list[ScenarioResult]:
     """Run one scenario per override mapping, in override order, each
-    simulated and estimated on its own. Every run's config is built before
-    the first run starts, so a value the config refuses runs no scenario.
+    simulated and estimated on its own. Every run's config is built and its
+    curves read before the first run starts, so a value the config refuses,
+    or a curve file that cannot be read, runs no scenario.
     With `out_dir`, once every run has returned, each writes its artifacts
     to its own directory, `run-000`, `run-001`, ..., so a run that raises
     leaves nothing written; a trace.csv whose columns have the bytes of one
@@ -356,6 +365,8 @@ def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
     estimator-only key has, is copied from that file instead of formatted
     again."""
     configs = [replace(base_cfg, **ov) for ov in overrides]
+    for cfg in configs:
+        resolve_curves(cfg)
     results = [run_scenario(cfg) for cfg in configs]
     if out_dir:
         traces = {}

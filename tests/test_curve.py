@@ -115,8 +115,9 @@ class TestSlope:
 
 
 class TestScalarPath:
-    """Float queries bisect cached knot lists; they must equal the numpy
-    path bit for bit and raise the same domain errors."""
+    """A scalar SOC read through `lookup()`, which bisects cached knot lists,
+    and a plain `ocv`/`slope` call must equal the numpy path on an array bit
+    for bit and raise the same domain errors."""
 
     @staticmethod
     def _same(curve, soc):

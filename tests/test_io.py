@@ -639,9 +639,10 @@ class TestScenarioConfig:
         assert filt_c.ocv(0.5) - true_c.ocv(0.5) == pytest.approx(0.02)
 
     def test_both_offsets_rejected(self):
-        cfg = ScenarioConfig(true_curve="offset:0.02",
-                             filter_curve="offset:-0.02")
+        # the config refuses them when built, before any curve is resolved
         with pytest.raises(ScenarioConfigError):
+            cfg = ScenarioConfig(true_curve="offset:0.02",
+                                 filter_curve="offset:-0.02")
             resolve_curves(cfg)
 
     def test_curve_from_csv_path(self, tmp_path, base_curve):
@@ -848,6 +849,40 @@ class TestCli:
             assert fh.readline().strip() == \
                 "t,soc_est,up_est,innovation_v,p00,p11"
         assert os.path.exists(os.path.join(out2, "soc_ekf.csv"))
+
+    @pytest.mark.parametrize("method", ["ekf", "ammkf"])
+    def test_estimate_scores_the_samples_with_a_true_soc(self, tmp_path,
+                                                         capsys, method):
+        # truth cells may be empty: one blank row once made every metric NaN
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        with open(sim / "trace.csv") as fh:
+            rows = list(csv.reader(fh))
+        truth = np.array([float(r[3]) for r in rows[1:]])
+        rows[101][3:5] = ["", ""]  # sample 100
+        with open(tmp_path / "partial.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        printed = []
+        for i, trace in enumerate([sim / "trace.csv",
+                                   tmp_path / "partial.csv"]):
+            out = tmp_path / f"est{i}"
+            assert cli_main(["--config", cfg, "--out", str(out), "estimate",
+                             "--trace", str(trace), "--method", method]) == 0
+            printed.append(capsys.readouterr().out)
+        with open(out / f"soc_{method}.csv") as fh:
+            soc = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
+        known = np.arange(400) != 100
+        m = compute_metrics(soc[known], truth[known])
+        assert printed[1] == (
+            f"{method}: rmse={m.rmse:.4f} mae={m.mae:.4f} "
+            f"max={m.max_abs_error:.4f} over the 399 of 400 samples with a "
+            "true SOC\n")
+        # a complete trace's line has no suffix
+        assert printed[0].startswith(f"{method}: rmse=")
+        assert "over the" not in printed[0] and "nan" not in printed[0]
 
     def test_estimate_ammkf_emits_correction_artifacts(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt")
@@ -1221,14 +1256,20 @@ class TestCli:
         ("sigma_i", -0.1, "sigma_i: must be >= 0: -0.1"),
         ("profile_steps", 0, "profile_steps: must be > 0: 0"),
         ("seed", -1, "seed: must be >= 0: -1"),
-        ("n", 4, "n: filter count must be odd and > 0: 4")])
+        ("n", 4, "n: filter count must be odd and > 0: 4"),
+        ("r0", 0, "r0: must be > 0: 0.0"),
+        ("rp", -1, "rp: must be > 0: -1.0"),
+        ("cp", 0, "cp: must be > 0: 0.0"),
+        ("profile_kind", "bogus", "profile_kind: must be one of constant, "
+         "pulse, dst-like, random-walk: 'bogus'")])
     def test_bad_noise_or_step_names_the_key(self, tmp_path, capsys, key,
                                              value, message):
         # these once exited with "q must be positive semidefinite", "r must
         # be > 0", "profile has no net discharge to scale", "soc outside
         # [0, 1]", "noise sigmas must be >= 0", "n_steps must be > 0",
-        # numpy's "expected non-negative integer" or "filter count must be
-        # odd", none naming the key
+        # numpy's "expected non-negative integer", "filter count must be
+        # odd", "r0 must be finite and > 0" or "unknown profile kind",
+        # none naming the key or raised before the run
         kv = dict(profile_steps=400, profile_target_ah=0.06)
         kv[key] = value
         bad = _write_cfg(tmp_path / "bad.txt", **kv)
@@ -1311,10 +1352,20 @@ class TestCli:
     @pytest.mark.parametrize("key, values, message", [
         ("n", "3,4", "n: filter count must be odd and > 0: 4"),
         ("filter_curve", "default,c #1/curve.csv",
-         "filter_curve: a config file cannot hold 'c #1/curve.csv'")])
+         "filter_curve: a config file cannot hold 'c #1/curve.csv'"),
+        ("r0", "0.07,0", "r0: must be > 0: 0.0"),
+        ("profile_kind", "dst-like,bogus",
+         "profile_kind: must be one of constant, pulse, dst-like, "
+         "random-walk: 'bogus'"),
+        ("filter_curve", "default,volts:0.01",
+         "true_curve and filter_curve cannot both be transforms: "
+         "'offset:0.02:0.2:0.8:0.15', 'volts:0.01'"),
+        ("true_curve", "default,no/such/curve.csv",
+         "[Errno 2] No such file or directory: 'no/such/curve.csv'")])
     def test_sweep_refusing_a_later_value_runs_no_scenario(
             self, tmp_path, capsys, monkeypatch, key, values, message):
-        # every run's config is built before the first scenario runs
+        # every run's config is built, and its curves read, before the
+        # first scenario runs
         ran = []
         monkeypatch.setattr(scenario, "run_scenario",
                             lambda cfg, *a: ran.append(cfg))
@@ -1347,6 +1398,20 @@ class TestCli:
         assert cli_main(["--config", bad, "--out", str(out), *command]) == 2
         assert capsys.readouterr().err == \
             "error: capacity_ah: must be > 0: 0.0\n"
+        assert not out.exists()
+
+    def test_nonpositive_r0_exits_2_on_identify(self, tmp_path, capsys):
+        # identify never builds EcmParams: the config refuses r0 when read
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        capsys.readouterr()
+        bad = _write_cfg(tmp_path / "bad.txt", r0=0)
+        out = tmp_path / "id"
+        assert cli_main(["--config", bad, "--out", str(out), "identify",
+                         "--trace", str(sim / "trace.csv")]) == 2
+        assert capsys.readouterr().err == "error: r0: must be > 0: 0.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

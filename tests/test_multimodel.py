@@ -487,6 +487,29 @@ class TestRunAmmkf:
         assert len(calls) == 1
         assert len(res.soc) == len(trace)
 
+    def test_bank_reads_the_curve_through_one_lookup(self, params,
+                                                     base_curve, monkeypatch):
+        # the bank intervals' anchors read the run's one `lookup()`, never
+        # the plain `ocv` or `slope`
+        trace, cfg = self._trace(params, base_curve, n=1010)
+        calls = []
+
+        def spy(name):
+            real = getattr(OcvCurve, name)
+
+            def call(self, soc):
+                calls.append(name)
+                return real(self, soc)
+            return call
+
+        for name in ("ocv", "slope"):
+            monkeypatch.setattr(OcvCurve, name, spy(name))
+        res = run_ammkf(trace, self._filter(base_curve), params,
+                        BankConfig(n=7, interval_len=20, spread=6.0),
+                        bank_noise=self._bank_noise)
+        assert len(res.diagnostics) > 1  # bank intervals ran
+        assert calls == []
+
     def test_every_step_starts_from_one_posterior_tuple(self, params,
                                                         base_curve,
                                                         monkeypatch):
