@@ -17,11 +17,10 @@ import sys
 
 import numpy as np
 
-from lfpsoc import (BatteryState, ScenarioConfig, curve_error_polarity,
-                    generate_profile, interval_statistics, resolve_curves,
-                    run_ekf, simulate_profile, whiteness)
+from lfpsoc import (ScenarioConfig, curve_error_polarity, interval_statistics,
+                    run_ekf, whiteness)
 from lfpsoc.multimodel import interval_innovations
-from lfpsoc.scenario import estimator_inputs
+from lfpsoc.scenario import estimator_inputs, simulate
 
 
 def run_filter(offset_v, sigma, q):
@@ -32,13 +31,7 @@ def run_filter(offset_v, sigma, q):
     cfg = ScenarioConfig(
         true_curve=f"offset:{offset_v}:0.2:0.8:0.15" if offset_v else "default",
         sigma_v=sigma, q00=q[0], q11=q[1], r=sigma ** 2)
-    true_curve, filter_curve = resolve_curves(cfg)
-    profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
-                               seed=cfg.seed, amp=cfg.profile_amp,
-                               target_discharge_ah=cfg.profile_target_ah)
-    trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
-                             cfg.ecm_params(), true_curve, profile,
-                             cfg.sim_config())
+    trace, _, filter_curve, _ = simulate(cfg)
     filt, params = estimator_inputs(cfg, trace, filter_curve)
     return run_ekf(filt, params, trace), cfg.interval_len
 

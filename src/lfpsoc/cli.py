@@ -13,19 +13,20 @@ from dataclasses import replace
 import numpy as np
 
 from . import innovation
-from .ecm import BatteryState, simulate_profile
 from .ekf import run_ekf
 from .innovation import IntervalInnovations
 from .metrics import compute_metrics, curve_mae
 from .multimodel import interval_innovations, run_ammkf
-from .profiles import generate_profile
 from .rls import identify_stream
 from .scenario import (ScenarioConfig, config_value, coulomb_counted_soc,
                        estimator_inputs, load_scenario, resolve_curves,
-                       run_scenario, run_sweep, write_corrected_csv,
+                       run_scenario, run_sweep, simulate, write_corrected_csv,
                        write_diagnostics_csv, write_estimate_csv,
                        write_manifest, write_soc_csv)
 from .traceio import TraceFormatError, ingest_trace, write_lines, write_trace
+# called only through scenario.simulate; perfbench/spans.py traces them here
+from .ecm import simulate_profile  # noqa: F401
+from .profiles import generate_profile  # noqa: F401
 
 
 def _out_file(args, name: str) -> str:
@@ -38,13 +39,7 @@ def _out_file(args, name: str) -> str:
 
 
 def cmd_simulate(args, cfg: ScenarioConfig) -> int:
-    true_curve, _ = resolve_curves(cfg)
-    profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
-                               seed=cfg.seed, amp=cfg.profile_amp,
-                               target_discharge_ah=cfg.profile_target_ah)
-    trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
-                             cfg.ecm_params(), true_curve, profile,
-                             cfg.sim_config())
+    trace, true_curve, _, _ = simulate(cfg)
     path = _out_file(args, "trace.csv")
     write_trace(trace, path)
     true_curve.to_csv(_out_file(args, "true_curve.csv"))

@@ -101,6 +101,11 @@ class ScenarioConfig:
             raise ScenarioConfigError(
                 f"profile_kind: must be one of {', '.join(PROFILE_KINDS)}: "
                 f"{self.profile_kind!r}")
+        # a dst-like block nets a discharge only when its amplitude is
+        # positive: the profile is scaled to profile_target_ah by that net
+        if self.profile_kind == "dst-like" and self.profile_amp <= 0:
+            raise ScenarioConfigError(f"profile_amp: must be > 0 for a "
+                                      f"dst-like profile: {self.profile_amp!r}")
         if is_transform(self.true_curve) and is_transform(self.filter_curve):
             raise ScenarioConfigError(
                 "true_curve and filter_curve cannot both be transforms: "
@@ -232,24 +237,29 @@ def estimator_inputs(cfg: ScenarioConfig, trace: Trace,
     return filt, seq
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
-    """Simulate truth, run the baseline filter and the multi-model filter
-    against the (possibly wrong) filter curve, and collect metrics."""
+def simulate(cfg: ScenarioConfig) -> tuple:
+    """The config's truth: (trace, true_curve, filter_curve, profile)."""
     true_curve, filter_curve = resolve_curves(cfg)
     profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
                                seed=cfg.seed, amp=cfg.profile_amp,
                                target_discharge_ah=cfg.profile_target_ah)
-    truth0 = BatteryState(cfg.initial_soc_true, 0.0)
-    trace = simulate_profile(truth0, cfg.ecm_params(), true_curve, profile,
+    trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
+                             cfg.ecm_params(), true_curve, profile,
                              cfg.sim_config())
+    return trace, true_curve, filter_curve, profile
+
+
+def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
+    """Simulate truth, run the baseline filter and the multi-model filter
+    against the (possibly wrong) filter curve, and collect metrics."""
+    trace, true_curve, filter_curve, profile = simulate(cfg)
     stop = trace.cutoff_index
     if stop is not None and len(trace) < 2 * cfg.interval_len:
         sim = cfg.sim_config()
         v = terminal_voltage(
             BatteryState(trace.true_soc[stop], trace.true_up_v[stop]),
             cfg.ecm_params(), profile[stop], true_curve)
-        crossed = (f"cutoff_low_v {sim.cutoff_low_v}"
-                   if v < sim.cutoff_low_v
+        crossed = (f"cutoff_low_v {sim.cutoff_low_v}" if v < sim.cutoff_low_v
                    else f"cutoff_high_v {sim.cutoff_high_v}")
         raise ScenarioConfigError(
             f"the simulated trace stops at the voltage cutoff: at "

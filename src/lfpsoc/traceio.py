@@ -108,25 +108,22 @@ def _parse_columns(path) -> np.ndarray | None:
 
 def _parse_rows(path) -> np.ndarray:
     """The samples, row by row: the definition of what a trace CSV may
-    hold. Truth cells that are short or empty read as NaN; every rejected
-    row is named by its line."""
+    hold. A truth pair with a cell that is short or empty reads as
+    (NaN, NaN); every rejected row is named by its line."""
     rows, linenos = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         idx = _columns(path, reader)
-        has_truth = "true_soc" in idx and "true_up_v" in idx
+        truth_at = [idx[c] for c in TRACE_HEADER[3:] if c in idx]
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
                 vals = [float(row[idx["t"]]), float(row[idx["current_a"]]),
                         float(row[idx["voltage_v"]])]
-                if has_truth and len(row) > max(idx["true_soc"], idx["true_up_v"]) \
-                        and row[idx["true_soc"]] != "":
-                    vals += [float(row[idx["true_soc"]]),
-                             float(row[idx["true_up_v"]])]
-                else:
-                    vals += [np.nan, np.nan]
+                truth = [row[i] for i in truth_at if i < len(row)]
+                whole = len(truth) == 2 and "" not in truth
+                vals += [float(c) for c in truth] if whole else [np.nan, np.nan]
             except (ValueError, IndexError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: malformed row {row}") from exc
             rows.append(vals)
@@ -147,7 +144,8 @@ def ingest_trace(path, strict: bool = False) -> Trace:
     mode, or else zero-order-hold resampled, with a warning, onto the grid
     from the first to the last t at about the smallest spacing.
     A non-finite t, current or voltage is rejected, naming its line; the
-    true columns are optional and may be empty or NaN.
+    true columns are optional and may be empty or NaN, and the trace has a
+    truth only when some true_soc cell is finite.
 
     A well-formed file is parsed by whole columns; any other goes through
     the row loop, which gives the same arrays or names the bad line."""
@@ -155,7 +153,7 @@ def ingest_trace(path, strict: bool = False) -> Trace:
     if data is None:
         data = _parse_rows(path)
     t, cur, volt = data[:, 0], data[:, 1], data[:, 2]
-    has_truth = data.shape[1] > 3 and not np.all(np.isnan(data[:, 3]))
+    has_truth = data.shape[1] > 3 and np.isfinite(data[:, 3]).any()
     soc = data[:, 3] if has_truth else None
     up = data[:, 4] if soc is not None else None
     diffs = np.diff(t)

@@ -186,8 +186,17 @@ INGEST_CASES = {
                          ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0],
                           [3.3, 3.29, 3.28], [0.5, _NAN, _NAN],
                           [0.01, _NAN, _NAN])),
+    "empty-up-cell": (f"{_HT}\n0,1.0,3.3,0.5,0.01\n1,1.0,3.29,0.49,\n"
+                      "2,1.0,3.28,0.48,0.03\n",
+                      ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0],
+                       [3.3, 3.29, 3.28], [0.5, _NAN, 0.48],
+                       [0.01, _NAN, 0.03])),
     "all-nan-truth": (f"{_HT}\n0,1.0,3.3,nan,nan\n1,1.0,3.29,nan,0.1\n",
                       ([0.0, 1.0], [1.0, 1.0], [3.3, 3.29], None, None)),
+    "all-inf-truth": (f"{_HT}\n0,1.0,3.3,inf,0.01\n1,1.0,3.29,-inf,0.02\n"
+                      "2,1.0,3.28,nan,0.03\n",
+                      ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [3.3, 3.29, 3.28],
+                       None, None)),
     "reordered-extra-columns": (
         "voltage_v,note,t,true_up_v,current_a,true_soc,extra\n"
         "3.3,7,0,0.01,1.0,0.5,x\n3.29,8,1,0.02,-1.5,0.49,y\n",
@@ -720,6 +729,53 @@ class TestRunScenario:
         else:
             assert params == cfg.ecm_params()
 
+    @pytest.mark.parametrize("curves", [
+        {}, {"true_curve": "default", "filter_curve": "volts:0.01"}],
+        ids=["default", "filter-transform"])
+    def test_simulate_gives_run_scenarios_trace(self, curves):
+        # scenario.simulate is the one place a config becomes a trace
+        cfg = ScenarioConfig(**curves)
+        trace, true_curve, filter_curve, profile = scenario.simulate(cfg)
+        ran = run_scenario(cfg).trace
+        for name in ("t", "current_a", "voltage_v", "true_soc", "true_up_v"):
+            assert _bits(getattr(trace, name)) == _bits(getattr(ran, name))
+        assert (trace.dt, trace.cutoff_index, trace.clamp_steps) == \
+            (ran.dt, ran.cutoff_index, ran.clamp_steps)
+        for got, want in zip((true_curve, filter_curve), resolve_curves(cfg)):
+            assert _bits(got.knot_soc) == _bits(want.knot_soc)
+            assert _bits(got.knot_ocv) == _bits(want.knot_ocv)
+        # without current noise the measured current is the clean profile
+        assert _bits(profile) == _bits(trace.current_a)
+
+    def test_each_caller_simulates_once(self, tmp_path, monkeypatch):
+        calls, profiles = [], []
+        simulate, generate = scenario.simulate, scenario.generate_profile
+
+        def spy(cfg):
+            calls.append(cfg)
+            return simulate(cfg)
+
+        def counted(*args, **kwargs):
+            profiles.append(args)
+            return generate(*args, **kwargs)
+
+        for module in (scenario, cli):
+            monkeypatch.setattr(module, "simulate", spy)
+        monkeypatch.setattr(scenario, "generate_profile", counted)
+        path = _write_cfg(tmp_path / "cfg.txt", profile_steps=200,
+                          profile_target_ah=0.02)
+        cfg = load_scenario(path)
+        assert cli_main(["--config", path, "--out", str(tmp_path / "sim"),
+                         "simulate"]) == 0
+        assert (calls, len(profiles)) == ([cfg], 1)
+        run_scenario(cfg)
+        assert (calls, len(profiles)) == ([cfg, cfg], 2)
+        # the cutoff refusal reads the clean current simulate returned
+        cut = replace(cfg, profile_steps=30, profile_target_ah=1.0)
+        with pytest.raises(ScenarioConfigError, match="cutoff_low_v 2.0 V"):
+            run_scenario(cut)
+        assert (calls, len(profiles)) == ([cfg, cfg, cut], 3)
+
     def test_artifacts_written(self, tmp_path):
         cfg = ScenarioConfig(**_FAST)
         out = tmp_path / "run"
@@ -883,6 +939,33 @@ class TestCli:
         # a complete trace's line has no suffix
         assert printed[0].startswith(f"{method}: rmse=")
         assert "over the" not in printed[0] and "nan" not in printed[0]
+
+    def test_estimate_on_a_trace_without_a_finite_true_soc(self, tmp_path,
+                                                          capsys):
+        # every true_soc cell inf once passed ingest's all-NaN test: the
+        # metrics then warned and exited 2 on an empty reduction, after
+        # the CSVs and the manifest were written
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
+                         profile_target_ah=0.06)
+        sim = tmp_path / "sim"
+        assert cli_main(["--config", cfg, "--out", str(sim), "simulate"]) == 0
+        with open(sim / "trace.csv") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[3] = "inf"
+        with open(tmp_path / "inf.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        out = tmp_path / "est"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["--config", cfg, "--out", str(out), "estimate",
+                             "--trace", str(tmp_path / "inf.csv"),
+                             "--method", "ekf"]) == 0
+        assert capsys.readouterr() == (
+            "ekf: 400 estimates (no ground truth in trace)\n", "")
+        with open(out / "soc_ekf.csv") as fh:
+            assert {r[2] for r in list(csv.reader(fh))[1:]} == {"nan"}
 
     def test_estimate_ammkf_emits_correction_artifacts(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt")
@@ -1260,6 +1343,8 @@ class TestCli:
         ("r0", 0, "r0: must be > 0: 0.0"),
         ("rp", -1, "rp: must be > 0: -1.0"),
         ("cp", 0, "cp: must be > 0: 0.0"),
+        ("profile_amp", 0, "profile_amp: must be > 0 for a dst-like "
+         "profile: 0.0"),
         ("profile_kind", "bogus", "profile_kind: must be one of constant, "
          "pulse, dst-like, random-walk: 'bogus'")])
     def test_bad_noise_or_step_names_the_key(self, tmp_path, capsys, key,
@@ -1361,7 +1446,9 @@ class TestCli:
          "true_curve and filter_curve cannot both be transforms: "
          "'offset:0.02:0.2:0.8:0.15', 'volts:0.01'"),
         ("true_curve", "default,no/such/curve.csv",
-         "[Errno 2] No such file or directory: 'no/such/curve.csv'")])
+         "[Errno 2] No such file or directory: 'no/such/curve.csv'"),
+        ("profile_amp", "1,0",
+         "profile_amp: must be > 0 for a dst-like profile: 0.0")])
     def test_sweep_refusing_a_later_value_runs_no_scenario(
             self, tmp_path, capsys, monkeypatch, key, values, message):
         # every run's config is built, and its curves read, before the
