@@ -31,7 +31,7 @@ def run_filter(offset_v, sigma, q):
     cfg = ScenarioConfig(
         true_curve=f"offset:{offset_v}:0.2:0.8:0.15" if offset_v else "default",
         sigma_v=sigma, q00=q[0], q11=q[1], r=sigma ** 2)
-    trace, _, filter_curve, _ = simulate(cfg)
+    trace, _, filter_curve = simulate(cfg)
     filt, params = estimator_inputs(cfg, trace, filter_curve)
     return run_ekf(filt, params, trace), cfg.interval_len
 

@@ -39,7 +39,7 @@ def _out_file(args, name: str) -> str:
 
 
 def cmd_simulate(args, cfg: ScenarioConfig) -> int:
-    trace, true_curve, _, _ = simulate(cfg)
+    trace, true_curve, _ = simulate(cfg)
     path = _out_file(args, "trace.csv")
     write_trace(trace, path)
     true_curve.to_csv(_out_file(args, "true_curve.csv"))
@@ -168,8 +168,8 @@ def cmd_analyze(args, cfg: ScenarioConfig) -> int:
     path = _out_file(args, "analysis.csv")
 
     def lines():
-        ivs = list(intervals.values())
-        for (m, iv), prev in zip(intervals.items(), [None, *ivs]):
+        for m, iv in intervals.items():  # a CCM pairs only m - 1 with m
+            prev = intervals.get(m - 1)
             ccm, sign = innovation.interval_statistics(prev, iv)
             yield "%s,%.9e,%.9e,%.9e,%s" % (m, ccm, iv.acm_emp, iv.acm_theo,
                                              sign)

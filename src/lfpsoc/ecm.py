@@ -17,6 +17,10 @@ import numpy as np
 from .curve import OcvCurve
 
 
+CUTOFF_LOW_V = 2.0
+CUTOFF_HIGH_V = 3.6
+
+
 class InvalidInputError(ValueError):
     pass
 
@@ -55,8 +59,6 @@ class SimConfig:
     voltage_noise_sigma: float = 0.0
     current_noise_sigma: float = 0.0
     rng_seed: int = 0
-    cutoff_low_v: float = 2.0
-    cutoff_high_v: float = 3.6
 
     def __post_init__(self):
         for name in ("capacity_ah", "dt"):
@@ -84,6 +86,7 @@ class Trace:
     true_up_v: np.ndarray | None = None
     dt: float = 1.0
     cutoff_index: int | None = None
+    cutoff_v: float | None = None  # the clean voltage at cutoff_index
     clamp_steps: list = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -113,8 +116,9 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
     """Iterate the ECM over a current profile, recording noisy measurements.
 
     States evolve noise-free; Gaussian noise is added to the recorded voltage
-    and current only. Stops early (marking cutoff_index) if the clean terminal
-    voltage crosses either cutoff. Deterministic for a given rng_seed.
+    and current only. Stops early, marking cutoff_index and cutoff_v, where
+    the clean terminal voltage leaves [CUTOFF_LOW_V, CUTOFF_HIGH_V], read at
+    call time. Deterministic for a given rng_seed.
     """
     profile = np.asarray(profile, dtype=float)
     if profile.size == 0:
@@ -136,9 +140,9 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
     up_gain = (1.0 - decay) * params.rp
     dt, capacity_as, r0 = cfg.dt, cfg.capacity_as, params.r0
     ocv_slope = curve.lookup()
-    low_v, high_v = cfg.cutoff_low_v, cfg.cutoff_high_v
+    low_v, high_v = CUTOFF_LOW_V, CUTOFF_HIGH_V
     v_meas, i_meas, socs, ups, clamp_steps = [], [], [], [], []
-    cutoff_index = None
+    cutoff_index = cutoff_v = None
     soc, up = initial.soc, initial.up
     for k, i_k in enumerate(profile.tolist()):
         v_clean = ocv_slope(soc)[0] - up - r0 * i_k
@@ -147,7 +151,7 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
         v_meas.append(v_clean + v_noise[k])
         i_meas.append(i_k + i_noise[k])
         if v_clean < low_v or v_clean > high_v:
-            cutoff_index = k
+            cutoff_index, cutoff_v = k, v_clean
             break
         if not (math.isfinite(soc) and math.isfinite(up)):
             raise InvalidInputError("non-finite state or current")
@@ -158,5 +162,5 @@ def simulate_profile(initial: BatteryState, params: EcmParams, curve: OcvCurve,
             clamp_steps.append(k + 1)
     return Trace(np.arange(len(socs)) * cfg.dt, np.array(i_meas, dtype=float),
                  np.array(v_meas, dtype=float), np.array(socs, dtype=float),
-                 np.array(ups, dtype=float), dt=cfg.dt,
+                 np.array(ups, dtype=float), dt=cfg.dt, cutoff_v=cutoff_v,
                  cutoff_index=cutoff_index, clamp_steps=clamp_steps)

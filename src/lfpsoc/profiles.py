@@ -28,7 +28,7 @@ def generate_profile(kind: str, n_steps: int, dt: float = 1.0, seed: int = 0,
     kinds: 'constant' (amp everywhere), 'pulse' (amp/rest alternation),
     'dst-like' (repeating mixed charge/discharge blocks, optionally scaled so
     the net discharge over the profile equals target_discharge_ah),
-    'random-walk' (seeded, clipped to +-amp).
+    'random-walk' (seeded, clipped to +-amp, amp >= 0).
     """
     if n_steps <= 0:
         raise ProfileConfigError("n_steps must be > 0")
@@ -48,6 +48,8 @@ def generate_profile(kind: str, n_steps: int, dt: float = 1.0, seed: int = 0,
                 raise ProfileConfigError("profile has no net discharge to scale")
             samples = samples * (target_discharge_ah / net)
     elif kind == "random-walk":
+        if amp < 0:  # np.clip would give amp everywhere
+            raise ProfileConfigError(f"random-walk amp must be >= 0: {amp!r}")
         rng = np.random.default_rng(seed)
         samples = np.clip(np.cumsum(rng.normal(0.0, STEP_SIGMA, n_steps)),
                           -amp, amp)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .curve import (InvalidTransformError, OcvCurve, apply_transform,
                     default_lifepo4_curve, is_transform)
-from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
-                  terminal_voltage)
+from . import ecm
+from .ecm import BatteryState, EcmParams, SimConfig, Trace, simulate_profile
 from .ekf import KfState, NoiseConfig, run_ekf
 from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
@@ -102,10 +102,15 @@ class ScenarioConfig:
                 f"profile_kind: must be one of {', '.join(PROFILE_KINDS)}: "
                 f"{self.profile_kind!r}")
         # a dst-like block nets a discharge only when its amplitude is
-        # positive: the profile is scaled to profile_target_ah by that net
+        # positive: the profile is scaled to profile_target_ah by that net;
+        # a random walk is clipped to +-profile_amp, no range below 0
         if self.profile_kind == "dst-like" and self.profile_amp <= 0:
             raise ScenarioConfigError(f"profile_amp: must be > 0 for a "
                                       f"dst-like profile: {self.profile_amp!r}")
+        if self.profile_kind == "random-walk" and self.profile_amp < 0:
+            raise ScenarioConfigError(
+                f"profile_amp: must be >= 0 for a random-walk profile: "
+                f"{self.profile_amp!r}")
         if is_transform(self.true_curve) and is_transform(self.filter_curve):
             raise ScenarioConfigError(
                 "true_curve and filter_curve cannot both be transforms: "
@@ -238,7 +243,7 @@ def estimator_inputs(cfg: ScenarioConfig, trace: Trace,
 
 
 def simulate(cfg: ScenarioConfig) -> tuple:
-    """The config's truth: (trace, true_curve, filter_curve, profile)."""
+    """The config's truth: (trace, true_curve, filter_curve)."""
     true_curve, filter_curve = resolve_curves(cfg)
     profile = generate_profile(cfg.profile_kind, cfg.profile_steps, dt=cfg.dt,
                                seed=cfg.seed, amp=cfg.profile_amp,
@@ -246,21 +251,17 @@ def simulate(cfg: ScenarioConfig) -> tuple:
     trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
                              cfg.ecm_params(), true_curve, profile,
                              cfg.sim_config())
-    return trace, true_curve, filter_curve, profile
+    return trace, true_curve, filter_curve
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
     """Simulate truth, run the baseline filter and the multi-model filter
     against the (possibly wrong) filter curve, and collect metrics."""
-    trace, true_curve, filter_curve, profile = simulate(cfg)
-    stop = trace.cutoff_index
+    trace, true_curve, filter_curve = simulate(cfg)
+    stop, v = trace.cutoff_index, trace.cutoff_v
     if stop is not None and len(trace) < 2 * cfg.interval_len:
-        sim = cfg.sim_config()
-        v = terminal_voltage(
-            BatteryState(trace.true_soc[stop], trace.true_up_v[stop]),
-            cfg.ecm_params(), profile[stop], true_curve)
-        crossed = (f"cutoff_low_v {sim.cutoff_low_v}" if v < sim.cutoff_low_v
-                   else f"cutoff_high_v {sim.cutoff_high_v}")
+        crossed = (f"cutoff_low_v {ecm.CUTOFF_LOW_V}" if v < ecm.CUTOFF_LOW_V
+                   else f"cutoff_high_v {ecm.CUTOFF_HIGH_V}")
         raise ScenarioConfigError(
             f"the simulated trace stops at the voltage cutoff: at "
             f"Trace.cutoff_index {stop} the terminal voltage {v:.4g} V "

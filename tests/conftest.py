@@ -14,6 +14,19 @@ def pytest_terminal_summary(terminalreporter):
 
 from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig,
                     default_lifepo4_curve)
+from lfpsoc import ecm
+
+
+@pytest.fixture
+def no_low_cutoff(monkeypatch):
+    """The simulator runs down to 0 V: its low cutoff moved to 0."""
+    monkeypatch.setattr(ecm, "CUTOFF_LOW_V", 0.0)
+
+
+@pytest.fixture
+def wide_cutoffs(no_low_cutoff, monkeypatch):
+    """The simulator's cutoffs moved out to 0 V and 10 V."""
+    monkeypatch.setattr(ecm, "CUTOFF_HIGH_V", 10.0)
 
 
 @pytest.fixture

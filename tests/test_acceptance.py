@@ -138,13 +138,13 @@ class TestAcceptance:
                 f"corrected {mae_corr * 1e3:.2f} mV vs injected "
                 f"{mae_orig * 1e3:.2f} mV")
 
-    def test_criterion_7_identification(self):
+    def test_criterion_7_identification(self, no_low_cutoff):
         params = EcmParams(0.07, 0.04, 1000.0)
         # recovery on a noise-free trace confined to an exactly flat plateau
         # (the validity region of the voltage-difference regression)
         flat = OcvCurve(np.array([0.0, 0.05, 0.15, 0.2, 0.8, 0.9, 1.0]),
                         np.array([2.0, 2.9, 3.2, 3.28, 3.28, 3.35, 3.6]))
-        sim = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        sim = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 3000, seed=5, amp=1.0,
                                 target_discharge_ah=0.3)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, flat,

@@ -23,7 +23,7 @@ def _reference_simulate(initial, params, curve, profile, cfg) -> Trace:
     t = np.arange(n) * cfg.dt
     v_meas, i_meas, soc, up = (np.empty(n) for _ in range(4))
     clamp_steps = []
-    cutoff_index = None
+    cutoff_index = cutoff_v = None
     state = initial
     count = 0
     for k in range(n):
@@ -36,15 +36,16 @@ def _reference_simulate(initial, params, curve, profile, cfg) -> Trace:
         i_meas[k] = i_k + (rng.normal(0.0, cfg.current_noise_sigma)
                           if cfg.current_noise_sigma > 0 else 0.0)
         count = k + 1
-        if v_clean < cfg.cutoff_low_v or v_clean > cfg.cutoff_high_v:
-            cutoff_index = k
+        if v_clean < ecm.CUTOFF_LOW_V or v_clean > ecm.CUTOFF_HIGH_V:
+            cutoff_index, cutoff_v = k, v_clean
             break
         state, clamped = step_state(state, params, i_k, cfg)
         if clamped:
             clamp_steps.append(k + 1)
     c = count
     return Trace(t[:c], i_meas[:c], v_meas[:c], soc[:c], up[:c], dt=cfg.dt,
-                 cutoff_index=cutoff_index, clamp_steps=clamp_steps)
+                 cutoff_index=cutoff_index, cutoff_v=cutoff_v,
+                 clamp_steps=clamp_steps)
 
 
 class TestEcmParams:
@@ -165,7 +166,7 @@ class TestTerminalVoltage:
 
     def test_low_voltage_cutoff_flagged(self, params, base_curve):
         # drive a discharge to the 2.0 V cutoff; the trace records the index
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=2.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.06, 0.0), params, base_curve,
                                  np.full(4000, 2.0), cfg)
         assert trace.cutoff_index is not None
@@ -190,10 +191,10 @@ class TestSimulateProfile:
         assert np.array_equal(t1.voltage_v, t2.voltage_v)
         assert np.array_equal(t1.current_a, t2.current_a)
 
-    def test_full_discharge_matches_coulomb_integral(self, params, base_curve):
+    def test_full_discharge_matches_coulomb_integral(self, params, base_curve,
+                                                     wide_cutoffs):
         # oracle: the Coulomb integral of the profile equals the capacity
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
-                        cutoff_high_v=10.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         n = 7200
         current = np.full(n, 1.063 * 3600.0 / n)
         trace = simulate_profile(BatteryState(1.0, 0.0), params, base_curve,
@@ -218,21 +219,24 @@ class TestSimulateProfile:
             simulate_profile(BatteryState(0.5, 0.0), params, base_curve,
                              [], sim_cfg)
 
-    @pytest.mark.parametrize("soc0, current, kw", [
-        (0.6, "sine", dict(voltage_noise_sigma=0.001)),
+    @pytest.mark.parametrize("soc0, current, kw, cutoffs", [
+        (0.6, "sine", dict(voltage_noise_sigma=0.001), {}),
         (0.6, "sine", dict(voltage_noise_sigma=0.001,
-                           current_noise_sigma=0.01)),
-        (0.6, "sine", dict(current_noise_sigma=0.01)),
-        (0.6, "sine", {}),
+                           current_noise_sigma=0.01), {}),
+        (0.6, "sine", dict(current_noise_sigma=0.01), {}),
+        (0.6, "sine", {}, {}),
         (0.06, 2.0, dict(voltage_noise_sigma=0.001,
-                         current_noise_sigma=0.01)),
-        (0.002, 2.0, dict(voltage_noise_sigma=0.001, cutoff_low_v=0.0,
-                          cutoff_high_v=10.0)),
+                         current_noise_sigma=0.01), {}),
+        (0.002, 2.0, dict(voltage_noise_sigma=0.001),
+         dict(CUTOFF_LOW_V=0.0, CUTOFF_HIGH_V=10.0)),
     ], ids=["voltage-noise", "both-noises", "current-noise", "no-noise",
             "cutoff", "soc-clamp"])
     def test_matches_the_per_sample_loop(self, params, base_curve, soc0,
-                                         current, kw):
-        # bit for bit: every array, the cutoff index and the clamp steps
+                                         current, kw, cutoffs, monkeypatch):
+        # bit for bit: every array, the cutoff index and voltage and the
+        # clamp steps
+        for name, value in cutoffs.items():
+            monkeypatch.setattr(ecm, name, value)
         prof = np.sin(np.linspace(0, 10, 500)) if current == "sine" \
             else np.full(4000, current)
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, rng_seed=7, **kw)
@@ -243,8 +247,8 @@ class TestSimulateProfile:
         for name in ("t", "current_a", "voltage_v", "true_soc", "true_up_v"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (got.dt, got.cutoff_index, got.clamp_steps) == \
-            (ref.dt, ref.cutoff_index, ref.clamp_steps)
+        assert (got.dt, got.cutoff_index, got.cutoff_v, got.clamp_steps) == \
+            (ref.dt, ref.cutoff_index, ref.cutoff_v, ref.clamp_steps)
         if current != "sine":  # the cases are what their ids say
             assert (got.cutoff_index is not None) == (soc0 == 0.06)
             assert bool(got.clamp_steps) == (soc0 == 0.002)
@@ -270,8 +274,8 @@ class TestSimulateProfile:
             assert getattr(got, name).tobytes() == \
                 getattr(ref, name).tobytes(), name
 
-    @pytest.mark.parametrize("cutoffs", [{}, dict(cutoff_low_v=-math.inf,
-                                                  cutoff_high_v=math.inf)])
+    @pytest.mark.parametrize("cutoffs", [{}, dict(CUTOFF_LOW_V=-math.inf,
+                                                  CUTOFF_HIGH_V=math.inf)])
     @pytest.mark.parametrize("start, params", [
         (BatteryState(0.5, math.nan), EcmParams(0.07, 0.04, 1000.0)),
         (BatteryState(math.inf, 0.0), EcmParams(0.07, 0.04, 1000.0)),
@@ -279,11 +283,14 @@ class TestSimulateProfile:
         (BatteryState(0.5, 0.0), EcmParams(0.07, 1e300, 1e-290)),
     ], ids=["nan-up", "inf-soc", "up-overflow"])
     def test_non_finite_state_as_the_per_sample_loop(self, base_curve, start,
-                                                     params, cutoffs):
+                                                     params, cutoffs,
+                                                     monkeypatch):
         # step_state rejects a non-finite state and the curve an SOC past
         # its domain; a cutoff crossed first ends the trace instead
+        for name, value in cutoffs.items():
+            monkeypatch.setattr(ecm, name, value)
         prof = np.full(5, 1e20)
-        cfg = SimConfig(**cutoffs)
+        cfg = SimConfig()
 
         def outcome(simulate):
             try:
@@ -296,9 +303,8 @@ class TestSimulateProfile:
 
         assert outcome(simulate_profile) == outcome(_reference_simulate)
 
-    def test_clamp_annotated(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
-                        cutoff_high_v=10.0)
+    def test_clamp_annotated(self, params, base_curve, wide_cutoffs):
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.002, 0.0), params, base_curve,
                                  np.full(200, 2.0), cfg)
         assert trace.clamp_steps  # discharge past empty is reported

@@ -197,10 +197,11 @@ class TestNoiseConfig:
         (0.9, 1e-4, 1e-7, math.inf, "r")])
     def test_non_finite_start_or_noise_names_its_field(self, params,
                                                        base_curve, soc, p00,
-                                                       q00, r, field):
+                                                       q00, r, field,
+                                                       no_low_cutoff):
         # each once ran without error: the filter gave SOC 0.0 at every
         # step without a clamp flag, or weighed by -inf log-densities
-        cfg = SimConfig(cutoff_low_v=0.0)
+        cfg = SimConfig()
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
                                  np.full(100, 0.5), cfg)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
@@ -220,8 +221,9 @@ class TestNoiseConfig:
             KfState(BatteryState(0.5, 0.0), 1e-4, 1e-4,
                     NoiseConfig(1e-7, 1e-6, 1e-6), base_curve, capacity)
 
-    def test_run_ammkf_rejects_a_non_finite_start(self, params, base_curve):
-        cfg = SimConfig(cutoff_low_v=0.0)
+    def test_run_ammkf_rejects_a_non_finite_start(self, params, base_curve,
+                                                  no_low_cutoff):
+        cfg = SimConfig()
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
                                  np.full(100, 0.5), cfg)
         # the filter is checked where it is built, before run_ammkf
@@ -544,10 +546,10 @@ class TestRangeStep:
     @pytest.mark.parametrize("per_step", [False, True])
     @pytest.mark.parametrize("bank", [False, True])
     def test_one_call_equals_one_row_at_a_time(self, base_curve, bank,
-                                               per_step, start):
+                                               per_step, start, no_low_cutoff):
         a, b = EcmParams(0.07, 0.04, 1000.0), EcmParams(0.08, 0.05, 900.0)
-        cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.002,
-                        current_noise_sigma=0.01, rng_seed=5)
+        cfg = SimConfig(voltage_noise_sigma=0.002, current_noise_sigma=0.01,
+                        rng_seed=5)
         prof = generate_profile("dst-like", 60, seed=5,
                                 target_discharge_ah=0.01)
         trace = simulate_profile(BatteryState(0.6, 0.0), a, base_curve,
@@ -599,10 +601,10 @@ class TestRangeStep:
             assert min(socs[2]) < 0.551 < max(socs[2])
 
 
+@pytest.mark.usefixtures("no_low_cutoff")
 class TestRunEkf:
     def _walk(self, params, base_curve):
-        cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.002,
-                        rng_seed=4)
+        cfg = SimConfig(voltage_noise_sigma=0.002, rng_seed=4)
         prof = generate_profile("dst-like", 120, seed=4,
                                 target_discharge_ah=0.02)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
@@ -626,7 +628,7 @@ class TestRunEkf:
         assert [o.soc_clamped for o in outs] == [s[8] for s in steps]
 
     def test_exact_init_zero_noise_tracks_truth(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 1500, seed=3, amp=1.0,
                                 target_discharge_ah=0.3)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
@@ -638,7 +640,7 @@ class TestRunEkf:
         assert np.max(np.abs(errs)) < 1e-6
 
     def test_initial_error_decays(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 3000, seed=4, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
@@ -652,7 +654,7 @@ class TestRunEkf:
     def test_voltage_offset_biases_soc_upward(self, params, base_curve):
         # a curve reading consistently 20 mV high makes the filter report a
         # higher state of charge than the truth
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 3000, seed=6, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
@@ -667,7 +669,7 @@ class TestRunEkf:
         assert np.mean(errs[500:]) > 0.02
 
     def test_per_step_parameter_sequence(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
                                 target_discharge_ah=0.1)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
@@ -689,7 +691,7 @@ class TestRunEkf:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_names_the_first(self, params, base_curve, bad,
                                                first, value):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
                                 target_discharge_ah=0.1)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
@@ -703,7 +705,7 @@ class TestRunEkf:
         # with the true model and matched noise, the normalized innovation
         # sequence should look like unit-variance white noise
         sigma = 0.003
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0,
                         voltage_noise_sigma=sigma, rng_seed=13)
         prof = generate_profile("dst-like", 4000, seed=13, amp=1.0,
                                 target_discharge_ah=0.5)

@@ -16,7 +16,7 @@ from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (CONVERGENCE_WINDOW, FLAT_TOL, INDETERMINATE,
                                NEGATIVE_G, NOISE_FLOOR_MULT, POSITIVE_G,
                                RMS_RATIO, interval_statistics, whiteness)
-from lfpsoc import innovation
+from lfpsoc import ecm, innovation
 from lfpsoc.multimodel import interval_innovations
 from lfpsoc.profiles import generate_profile
 
@@ -31,12 +31,14 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
     """Baseline filter over a noisy dst-like trace simulated on `base_curve`
     from SOC 0.9; returns the trace and the step outputs."""
     sigma = 0.003
-    cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
-                    voltage_noise_sigma=sigma, rng_seed=seed)
+    cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=sigma,
+                    rng_seed=seed)
     prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                             target_discharge_ah=discharge_ah)
-    trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                             prof, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ecm, "CUTOFF_LOW_V", 0.0)
+        trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
+                                 prof, cfg)
     init = KfState(BatteryState(0.9, 0.0), p0, p0, NoiseConfig(*q, sigma**2),
                    filter_curve, cfg.capacity_ah)
     return trace, run_ekf(init, params, trace)

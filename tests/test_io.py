@@ -73,6 +73,12 @@ class TestProfiles:
         with pytest.raises(ProfileConfigError):
             generate_profile("unknown-kind", 10)
 
+    def test_random_walk_negative_amp_rejected(self):
+        # np.clip to [1, -1] would give -1.0 everywhere, a constant charge
+        with pytest.raises(ProfileConfigError,
+                           match=r"^random-walk amp must be >= 0: -1\.0$"):
+            generate_profile("random-walk", 10, amp=-1.0)
+
     @pytest.mark.parametrize("kind", ["constant", "pulse", "dst-like",
                                       "random-walk"])
     def test_samples_are_a_float_array(self, kind):
@@ -735,16 +741,21 @@ class TestRunScenario:
     def test_simulate_gives_run_scenarios_trace(self, curves):
         # scenario.simulate is the one place a config becomes a trace
         cfg = ScenarioConfig(**curves)
-        trace, true_curve, filter_curve, profile = scenario.simulate(cfg)
+        trace, true_curve, filter_curve = scenario.simulate(cfg)
         ran = run_scenario(cfg).trace
         for name in ("t", "current_a", "voltage_v", "true_soc", "true_up_v"):
             assert _bits(getattr(trace, name)) == _bits(getattr(ran, name))
-        assert (trace.dt, trace.cutoff_index, trace.clamp_steps) == \
-            (ran.dt, ran.cutoff_index, ran.clamp_steps)
+        assert (trace.dt, trace.cutoff_index, trace.cutoff_v,
+                trace.clamp_steps) == \
+            (ran.dt, ran.cutoff_index, ran.cutoff_v, ran.clamp_steps)
         for got, want in zip((true_curve, filter_curve), resolve_curves(cfg)):
             assert _bits(got.knot_soc) == _bits(want.knot_soc)
             assert _bits(got.knot_ocv) == _bits(want.knot_ocv)
         # without current noise the measured current is the clean profile
+        profile = generate_profile(cfg.profile_kind, cfg.profile_steps,
+                                   dt=cfg.dt, seed=cfg.seed,
+                                   amp=cfg.profile_amp,
+                                   target_discharge_ah=cfg.profile_target_ah)
         assert _bits(profile) == _bits(trace.current_a)
 
     def test_each_caller_simulates_once(self, tmp_path, monkeypatch):
@@ -770,7 +781,7 @@ class TestRunScenario:
         assert (calls, len(profiles)) == ([cfg], 1)
         run_scenario(cfg)
         assert (calls, len(profiles)) == ([cfg, cfg], 2)
-        # the cutoff refusal reads the clean current simulate returned
+        # the cutoff refusal reads the voltage the simulator kept
         cut = replace(cfg, profile_steps=30, profile_target_ah=1.0)
         with pytest.raises(ScenarioConfigError, match="cutoff_low_v 2.0 V"):
             run_scenario(cut)
@@ -890,6 +901,21 @@ class TestCli:
         assert "Trace.cutoff_index 0" in err
         assert "crossed cutoff_low_v 2.0 V" in err
         assert "leaving 1 samples where the bank needs 40" in err
+
+    def test_scenario_stopped_at_high_cutoff_names_it(self, tmp_path, capsys):
+        # a 1 A charge from a full cell: 3.6 V at SOC 1 plus R0*1 A is
+        # above the 3.6 V cutoff at the first sample
+        cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=100,
+                         profile_kind="constant", profile_amp=-1,
+                         initial_soc_true=1.0)
+        assert cli_main(["--config", cfg, "--out", str(tmp_path / "scen"),
+                         "scenario"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the simulated trace stops at the voltage cutoff: at "
+            "Trace.cutoff_index 0 the terminal voltage 3.67 V crossed "
+            "cutoff_high_v 3.6 V, leaving 1 samples where the bank needs 40 "
+            "(2*interval_len)\n")
+        assert not (tmp_path / "scen").exists()
 
     def test_simulate_then_estimate_ekf(self, tmp_path):
         cfg = _write_cfg(tmp_path / "cfg.txt", true_curve="default")
@@ -1099,6 +1125,18 @@ class TestCli:
             expected.append(f"{m},{ccm:.9e},{acm:.9e},{r:.9e},{sign}")
         with open(os.path.join(out, "analysis.csv")) as fh:
             assert fh.read().splitlines() == expected
+
+    def test_analyze_innovation_log_with_a_gap_pairs_no_ccm(self, tmp_path):
+        # intervals 0 and 2 are not adjacent: interval 2's row reads no
+        # CCM, as after an interval of another length
+        log = tmp_path / "innov.csv"
+        log.write_text("interval,step,innovation_v\n0,0,1e-3\n0,1,-2e-3\n"
+                       "0,2,5e-4\n2,3,2e-3\n2,4,1e-3\n2,5,-1e-3\n")
+        out = tmp_path / "an"
+        assert cli_main(["--out", str(out), "analyze", "--trace",
+                         str(log)]) == 0
+        assert (out / "analysis.csv").read_text().splitlines()[2] == \
+            "2,0.000000000e+00,2.000000000e-06,1.000000000e-06,indeterminate"
 
     @pytest.mark.parametrize("samples, note", [
         (2, "not computable (needs 2 innovations, has 1)"),
@@ -1345,6 +1383,8 @@ class TestCli:
         ("cp", 0, "cp: must be > 0: 0.0"),
         ("profile_amp", 0, "profile_amp: must be > 0 for a dst-like "
          "profile: 0.0"),
+        ("profile_amp", dict(profile_kind="random-walk", profile_amp=-0.5),
+         "profile_amp: must be >= 0 for a random-walk profile: -0.5"),
         ("profile_kind", "bogus", "profile_kind: must be one of constant, "
          "pulse, dst-like, random-walk: 'bogus'")])
     def test_bad_noise_or_step_names_the_key(self, tmp_path, capsys, key,
@@ -1356,7 +1396,7 @@ class TestCli:
         # odd", "r0 must be finite and > 0" or "unknown profile kind",
         # none naming the key or raised before the run
         kv = dict(profile_steps=400, profile_target_ah=0.06)
-        kv[key] = value
+        kv.update(value if isinstance(value, dict) else {key: value})
         bad = _write_cfg(tmp_path / "bad.txt", **kv)
         assert cli_main(["--config", bad, "--out", str(tmp_path / "scen"),
                          "scenario"]) == 2
@@ -1448,16 +1488,20 @@ class TestCli:
         ("true_curve", "default,no/such/curve.csv",
          "[Errno 2] No such file or directory: 'no/such/curve.csv'"),
         ("profile_amp", "1,0",
-         "profile_amp: must be > 0 for a dst-like profile: 0.0")])
+         "profile_amp: must be > 0 for a dst-like profile: 0.0"),
+        # the values, and the base config's other keys
+        ("profile_amp", ("1,-1", dict(profile_kind="random-walk")),
+         "profile_amp: must be >= 0 for a random-walk profile: -1.0")])
     def test_sweep_refusing_a_later_value_runs_no_scenario(
             self, tmp_path, capsys, monkeypatch, key, values, message):
         # every run's config is built, and its curves read, before the
         # first scenario runs
+        values, base = values if isinstance(values, tuple) else (values, {})
         ran = []
         monkeypatch.setattr(scenario, "run_scenario",
                             lambda cfg, *a: ran.append(cfg))
         cfg = _write_cfg(tmp_path / "cfg.txt", profile_steps=400,
-                         profile_target_ah=0.06)
+                         profile_target_ah=0.06, **base)
         out = tmp_path / "sw"
         assert cli_main(["--config", cfg, "--out", str(out), "sweep",
                          "--key", key, f"--values={values}"]) == 2

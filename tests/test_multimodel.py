@@ -13,7 +13,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     curve_mae, default_lifepo4_curve, plateau_offset,
                     run_ammkf, run_ekf, run_scenario, simulate_profile)
 from lfpsoc.innovation import INDETERMINATE, NEGATIVE_G, POSITIVE_G
-from lfpsoc import ekf, multimodel, scenario
+from lfpsoc import ecm, ekf, multimodel, scenario
 from lfpsoc.ekf import FilterDegeneracyError
 from lfpsoc.multimodel import CHARGE, DISCHARGE, run_interval
 from lfpsoc.profiles import generate_profile
@@ -150,10 +150,11 @@ def _log_likelihood(e, s):
 
 
 class TestLikelihood:
-    def test_nonpositive_variance_rejected(self, params, base_curve):
+    def test_nonpositive_variance_rejected(self, params, base_curve,
+                                           no_low_cutoff):
         # a member whose innovation variance is not positive stops the
         # interval at that step, before any weight is computed
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
                                  np.full(40, 0.5), cfg)
         f = KfState(BatteryState(0.6, 0.0), 0.0, 0.0,
@@ -306,11 +307,12 @@ class TestMakeBankAndInterval:
     and how `run_interval` weighs the members."""
 
     def _trace(self, params, curve, n=200, seed=2, start=0.6):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                 target_discharge_ah=0.02)
-        return simulate_profile(BatteryState(start, 0.0), params, curve,
-                                prof, cfg), cfg
+        with mock.patch.object(ecm, "CUTOFF_LOW_V", 0.0):
+            return simulate_profile(BatteryState(start, 0.0), params, curve,
+                                    prof, cfg), cfg
 
     _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
@@ -432,12 +434,13 @@ class TestRunAmmkf:
     _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
     def _trace(self, params, curve, n=3000, seed=11, start=0.95, sigma=0.001):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
-                        voltage_noise_sigma=sigma, rng_seed=seed)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=sigma,
+                        rng_seed=seed)
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                 target_discharge_ah=0.45)
-        return simulate_profile(BatteryState(start, 0.0), params, curve,
-                                prof, cfg), cfg
+        with mock.patch.object(ecm, "CUTOFF_LOW_V", 0.0):
+            return simulate_profile(BatteryState(start, 0.0), params, curve,
+                                    prof, cfg), cfg
 
     def _filter(self, curve):
         """The plain filter every run here starts: SOC 0.95, P0 1e-4."""
@@ -641,11 +644,11 @@ class TestRunAmmkf:
             current = np.clip(np.cumsum(steps), -amp, amp)
         else:
             current = np.full(240, amp if kind == "discharge" else -amp)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0,
-                        cutoff_high_v=10.0, voltage_noise_sigma=0.001,
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001,
                         rng_seed=seed)
-        trace = simulate_profile(BatteryState(start, 0.0), params, base,
-                                 current, cfg)
+        with mock.patch.multiple(ecm, CUTOFF_LOW_V=0.0, CUTOFF_HIGH_V=10.0):
+            trace = simulate_profile(BatteryState(start, 0.0), params, base,
+                                     current, cfg)
         bank = BankConfig(n=7, interval_len=20, spread=6.0)
         # every interval starts from the carried posterior x: its covariance
         # must stay finite

@@ -38,22 +38,23 @@ def test_every_target_resolves():
     assert absent == []
 
 
-def test_rls_counter_reads_identify_stream_points(base_curve):
+def test_rls_counter_reads_identify_stream_points(base_curve, no_low_cutoff):
     trace = simulate_profile(BatteryState(0.5, 0.0),
                              EcmParams(r0=0.07, rp=0.04, cp=1000.0),
                              base_curve, np.full(200, 0.5),
-                             SimConfig(cutoff_low_v=0.0))
+                             SimConfig())
     points = identify_stream(trace, soc_feedback=np.full(len(trace), 0.005))
     counts = _spans().count_rls(identify_stream, (trace,), {}, points)
     assert counts == {"samples": 198, "degenerate": 198,
                       "unidentified": sum(p.params is None for p in points)}
 
 
-def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch):
+def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch,
+                                             no_low_cutoff):
     # the counts must equal what the run did: every filter step, every
     # bank interval and every pick at an end of the slope grid
     params = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
-    cfg = SimConfig(cutoff_low_v=0.0, voltage_noise_sigma=0.001, rng_seed=3)
+    cfg = SimConfig(voltage_noise_sigma=0.001, rng_seed=3)
     current = generate_profile("dst-like", 410, seed=3,
                                target_discharge_ah=0.05)
     trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,

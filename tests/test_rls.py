@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig, Trace,
-                    build_sample, circuit_to_theta, extract_circuit,
+                    build_sample, circuit_to_theta, ecm, extract_circuit,
                     forgetting_factor, generate_profile, identify_stream, rls,
                     rls_step, simulate_profile)
 from lfpsoc.rls import LAMBDA_MIN, START_STATE, NumericalDegeneracyError
@@ -37,12 +37,13 @@ class TestBuildSample:
         assert s[3] == pytest.approx(3.30 - 3.29, abs=1e-12)
         assert s[:3] == pytest.approx([3.29 - 3.28, 0.0 - 1.0, 1.0 - 1.0])
 
-    def test_noise_free_flat_region_satisfies_difference_model(self):
+    def test_noise_free_flat_region_satisfies_difference_model(
+            self, no_low_cutoff):
         # oracle: the simulator on a flat curve segment; differences must
         # satisfy y = a_row . theta_true exactly
         flat = OcvCurve(np.array([0.0, 1.0]), np.array([3.3, 3.3]))
         params = EcmParams(r0=0.1, rp=0.05, cp=200.0)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         rng = np.random.default_rng(3)
         profile = rng.uniform(-1.0, 1.0, 400)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, flat,
@@ -179,13 +180,14 @@ def _flat_plateau_trace(params, n=3000, seed=5):
     change over one step must be negligible)."""
     flat = OcvCurve(np.array([0.0, 0.05, 0.15, 0.2, 0.8, 0.9, 1.0]),
                     np.array([2.0, 2.9, 3.2, 3.28, 3.28, 3.35, 3.6]))
-    cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+    cfg = SimConfig(capacity_ah=1.063, dt=1.0)
     profile = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                target_discharge_ah=0.3)
     return simulate_profile(BatteryState(0.7, 0.0), params, flat,
                             profile, cfg), cfg
 
 
+@pytest.mark.usefixtures("no_low_cutoff")
 class TestIdentifyStream:
     def test_recovers_constant_parameters(self, params):
         trace, _ = _flat_plateau_trace(params)
@@ -197,7 +199,7 @@ class TestIdentifyStream:
         assert abs(final.cp - params.cp) / params.cp < 0.15
 
     def test_zero_excitation_unidentifiable(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
                                  np.full(600, 0.5), cfg)
         state = START_STATE
@@ -218,7 +220,7 @@ class TestIdentifyStream:
     def test_step_change_tracked_faster_with_smaller_lambda(self):
         p1 = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
         p2 = EcmParams(r0=0.14, rp=0.04, cp=1000.0)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 4000, seed=9, amp=1.0,
                                 target_discharge_ah=0.4)
         from lfpsoc import default_lifepo4_curve
@@ -251,7 +253,7 @@ class TestIdentifyStream:
         assert fast < 3000  # and the new value is actually reached
 
     def test_stream_never_aborts_on_degenerate_rows(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, cutoff_low_v=0.0)
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
                                  np.zeros(300), cfg)
         points = identify_stream(trace, np.full(len(trace), 0.7))
@@ -384,12 +386,14 @@ class TestStreamAgainstMatrixForm:
         from lfpsoc import ScenarioConfig, default_lifepo4_curve
         from lfpsoc.scenario import coulomb_counted_soc
         cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001,
-                        rng_seed=4, cutoff_low_v=0.0)
+                        rng_seed=4)
         prof = generate_profile("dst-like", 3000, seed=8, amp=1.0,
                                 target_discharge_ah=0.42)
-        trace = simulate_profile(BatteryState(0.35, 0.0),
-                                 EcmParams(r0=0.07, rp=0.04, cp=1000.0),
-                                 default_lifepo4_curve(), prof, cfg)
+        with pytest.MonkeyPatch.context() as mp:  # class-scoped fixture
+            mp.setattr(ecm, "CUTOFF_LOW_V", 0.0)
+            trace = simulate_profile(BatteryState(0.35, 0.0),
+                                     EcmParams(r0=0.07, rp=0.04, cp=1000.0),
+                                     default_lifepo4_curve(), prof, cfg)
         feedback = coulomb_counted_soc(
             ScenarioConfig(initial_soc_true=0.35, initial_soc_error=0.05),
             trace)
@@ -418,12 +422,12 @@ class TestStreamAgainstMatrixForm:
         assert any(p.degenerate for p in points)  # SOC reaches EPS_SOC
 
     def test_degenerate_gain_rows_flagged(self, params, base_curve,
-                                          monkeypatch):
+                                          monkeypatch, no_low_cutoff):
         # zero current on a rested cell makes every regressor row zero, and a
         # forgetting factor clamped to 1e-16 leaves the gain denominator
         # below 1e-15: each step is skipped and flagged
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 np.zeros(50), SimConfig(cutoff_low_v=0.0))
+                                 np.zeros(50), SimConfig())
         monkeypatch.setattr(rls, "FORGETTING_GAIN", 10.0)
         monkeypatch.setattr(rls, "LAMBDA_MIN", 1e-16)
         soc = np.full(len(trace), 0.9)
