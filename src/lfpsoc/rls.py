@@ -22,6 +22,11 @@ clamped below at LAMBDA_MIN; a feedback SOC at or below EPS_SOC gives
 LAMBDA_MIN and flags the row. Parameters are emitted after WARMUP accepted
 samples. These are module constants, read at call time.
 
+`forgetting_factor` and `build_sample` work elementwise, so
+`identify_stream` computes every row's forgetting factor and regressor
+sample once per stream, on whole columns, and its loop only steps the
+state, extracts the circuit and records the point.
+
 The circuit (R0, Rp, Cp) comes from theta through `extract_circuit`, which
 returns None rather than raising when theta is not physical: on a recorded
 trace most points are not, and `identify_stream` holds its last physical
@@ -58,17 +63,23 @@ START_STATE = (0.99, -0.05, 0.04, 1e3, 0.0, 0.0, 1e3, 0.0, 1e3)
 def build_sample(ut_k, ut_km1, ut_km2, il_k, il_km1, il_km2) -> tuple:
     """One difference-equation sample (a1, a2, a3, y) from three consecutive
     uniformly spaced measurements: the regressor row (dUt(k-1), dIl(k),
-    dIl(k-1)) and the target dUt(k)."""
+    dIl(k-1)) and the target dUt(k). Equal-length arrays give one column
+    per entry."""
     return (ut_km1 - ut_km2, il_k - il_km1, il_km1 - il_km2, ut_k - ut_km1)
 
 
-def forgetting_factor(soc_km1: float, soc_km2: float) -> tuple[float, bool]:
+def forgetting_factor(soc_km1, soc_km2) -> tuple[np.ndarray, np.ndarray]:
     """lambda = 1 - a*|soc(k-1) - 1/2|*soc(k-1)/soc(k-2), clamped to
-    [LAMBDA_MIN, 1]. Returns (lambda, degenerate-denominator flag)."""
-    if soc_km2 <= EPS_SOC:
-        return LAMBDA_MIN, True
-    lam = 1.0 - FORGETTING_GAIN * abs(soc_km1 - 0.5) * (soc_km1 / soc_km2)
-    return min(1.0, max(LAMBDA_MIN, lam)), False
+    [LAMBDA_MIN, 1], elementwise. Returns (lambda, degenerate-denominator
+    flag) as arrays; a NaN lambda clamps to LAMBDA_MIN."""
+    soc_km1 = np.asarray(soc_km1, dtype=float)
+    soc_km2 = np.asarray(soc_km2, dtype=float)
+    flag = soc_km2 <= EPS_SOC
+    with np.errstate(all="ignore"):  # a flagged element is replaced below
+        lam = (1.0 - FORGETTING_GAIN * np.abs(soc_km1 - 0.5)
+               * (soc_km1 / soc_km2))
+    return (np.where(flag, LAMBDA_MIN,
+                     np.minimum(1.0, np.fmax(LAMBDA_MIN, lam))), flag)
 
 
 def rls_step(state: tuple, sample, lam: float) -> tuple:
@@ -136,23 +147,30 @@ def identify_stream(trace: Trace, soc_feedback) -> list[IdentifiedPoint]:
     """Run the adaptive RLS over a trace.
 
     `soc_feedback` is the per-step SOC sequence driving the forgetting
-    factor. Parameters are emitted only after WARMUP accepted samples,
-    holding the last physical value when extraction preconditions fail.
+    factor; it needs at least one value per sample (ValueError otherwise),
+    and values past the trace are ignored. Parameters are emitted only after
+    WARMUP accepted samples, holding the last physical value when
+    extraction preconditions fail.
     """
+    n = len(trace)
+    fb = np.asarray(soc_feedback, dtype=float)
+    if len(fb) < n:
+        raise ValueError(f"soc_feedback has {len(fb)} values for a trace of "
+                         f"{n} samples")
+    fb, ut, il = fb[:n], trace.voltage_v, trace.current_a
+    lams, flags = forgetting_factor(fb[1:-1], fb[:-2])
+    samples = zip(*(c.tolist() for c in build_sample(
+        ut[2:], ut[1:-1], ut[:-2], il[2:], il[1:-1], il[:-2])))
     state = START_STATE
     out: list[IdentifiedPoint] = []
     last_params: EcmParams | None = None
     accepted = 0
-    ut, il, t = (trace.voltage_v.tolist(), trace.current_a.tolist(),
-                 trace.t.tolist())
-    fb = np.asarray(soc_feedback, dtype=float).tolist()
     warmup = WARMUP
     dt = trace.dt
-    for k in range(2, len(trace)):
-        lam, degenerate = forgetting_factor(fb[k - 1], fb[k - 2])
+    for tk, sample, lam, degenerate in zip(trace.t[2:].tolist(), samples,
+                                           lams.tolist(), flags.tolist()):
         try:
-            state = rls_step(state, build_sample(
-                ut[k], ut[k - 1], ut[k - 2], il[k], il[k - 1], il[k - 2]), lam)
+            state = rls_step(state, sample, lam)
             accepted += 1
         except NumericalDegeneracyError:
             degenerate = True
@@ -160,5 +178,5 @@ def identify_stream(trace: Trace, soc_feedback) -> list[IdentifiedPoint]:
             circuit = extract_circuit(state[0], state[1], state[2], dt)
             if circuit is not None:
                 last_params = circuit  # else hold the previous estimate
-        out.append(IdentifiedPoint(t[k], last_params, lam, degenerate))
+        out.append(IdentifiedPoint(tk, last_params, lam, degenerate))
     return out

@@ -260,8 +260,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
     trace, true_curve, filter_curve = simulate(cfg)
     stop, v = trace.cutoff_index, trace.cutoff_v
     if stop is not None and len(trace) < 2 * cfg.interval_len:
-        crossed = (f"cutoff_low_v {ecm.CUTOFF_LOW_V}" if v < ecm.CUTOFF_LOW_V
-                   else f"cutoff_high_v {ecm.CUTOFF_HIGH_V}")
+        crossed = (f"ecm.CUTOFF_LOW_V {ecm.CUTOFF_LOW_V}"
+                   if v < ecm.CUTOFF_LOW_V
+                   else f"ecm.CUTOFF_HIGH_V {ecm.CUTOFF_HIGH_V}")
         raise ScenarioConfigError(
             f"the simulated trace stops at the voltage cutoff: at "
             f"Trace.cutoff_index {stop} the terminal voltage {v:.4g} V "

@@ -783,7 +783,8 @@ class TestRunScenario:
         assert (calls, len(profiles)) == ([cfg, cfg], 2)
         # the cutoff refusal reads the voltage the simulator kept
         cut = replace(cfg, profile_steps=30, profile_target_ah=1.0)
-        with pytest.raises(ScenarioConfigError, match="cutoff_low_v 2.0 V"):
+        with pytest.raises(ScenarioConfigError,
+                           match=r"crossed ecm\.CUTOFF_LOW_V 2\.0 V"):
             run_scenario(cut)
         assert (calls, len(profiles)) == ([cfg, cfg, cut], 3)
 
@@ -899,7 +900,7 @@ class TestCli:
                          "scenario"]) == 2
         err = capsys.readouterr().err
         assert "Trace.cutoff_index 0" in err
-        assert "crossed cutoff_low_v 2.0 V" in err
+        assert "crossed ecm.CUTOFF_LOW_V 2.0 V" in err
         assert "leaving 1 samples where the bank needs 40" in err
 
     def test_scenario_stopped_at_high_cutoff_names_it(self, tmp_path, capsys):
@@ -913,8 +914,8 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: the simulated trace stops at the voltage cutoff: at "
             "Trace.cutoff_index 0 the terminal voltage 3.67 V crossed "
-            "cutoff_high_v 3.6 V, leaving 1 samples where the bank needs 40 "
-            "(2*interval_len)\n")
+            "ecm.CUTOFF_HIGH_V 3.6 V, leaving 1 samples where the bank needs "
+            "40 (2*interval_len)\n")
         assert not (tmp_path / "scen").exists()
 
     def test_simulate_then_estimate_ekf(self, tmp_path):
@@ -1645,7 +1646,7 @@ class TestCli:
                 ("initial_soc_true", "0.95,0.0",
                  "the simulated trace stops at the voltage cutoff: at "
                  "Trace.cutoff_index 0 the terminal voltage 1.978 V crossed "
-                 "cutoff_low_v 2.0 V, leaving 1 samples where the bank "
+                 "ecm.CUTOFF_LOW_V 2.0 V, leaving 1 samples where the bank "
                  "needs 40 (2*interval_len)")):
             out = tmp_path / key
             assert cli_main(["--config", cfg, "--out", str(out), "sweep",

@@ -80,6 +80,27 @@ class TestForgettingFactor:
         lam, degen = forgetting_factor(0.5, 0.005)
         assert degen and lam == LAMBDA_MIN
 
+    @pytest.mark.parametrize("gain", [0.1, 3.0])
+    def test_hard_feedback_values_elementwise(self, gain):
+        # every pair of hard values, each value in both positions, in one
+        # call; the rule restated on Python floats, where max(LAMBDA_MIN,
+        # nan) is LAMBDA_MIN
+        hard = [np.nan, np.inf, -np.inf, 0.0, -0.0, -0.3, rls.EPS_SOC, 0.5,
+                1.7]
+        pairs = [(s1, s2) for s1 in hard for s2 in hard]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rls, "FORGETTING_GAIN", gain)
+            lams, flags = forgetting_factor(np.array([p[0] for p in pairs]),
+                                            np.array([p[1] for p in pairs]))
+        assert lams.shape == flags.shape == (len(pairs),)
+        for (s1, s2), lam, flag in zip(pairs, lams.tolist(), flags.tolist()):
+            if s2 <= rls.EPS_SOC:
+                expected = (LAMBDA_MIN, True)
+            else:
+                raw = 1.0 - gain * abs(s1 - 0.5) * (s1 / s2)
+                expected = (min(1.0, max(LAMBDA_MIN, raw)), False)
+            assert (lam, flag) == expected, (s1, s2)
+
     @given(s1=st.floats(0.02, 1.0), s2=st.floats(0.02, 1.0),
            a=st.floats(0.0, 5.0))
     @settings(max_examples=200, deadline=None)
@@ -252,12 +273,33 @@ class TestIdentifyStream:
         assert fast < slow  # forgetting speeds re-convergence
         assert fast < 3000  # and the new value is actually reached
 
-    def test_stream_never_aborts_on_degenerate_rows(self, params, base_curve):
+    @pytest.mark.parametrize("n", [1, 2, 3, 300])
+    def test_stream_never_aborts_on_degenerate_rows(self, params, base_curve,
+                                                    n):
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
+        trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
+                                 np.zeros(n), cfg)
+        assert len(trace) == n
+        points = identify_stream(trace, np.full(len(trace), 0.7))
+        assert len(points) == max(n - 2, 0)
+
+    @pytest.mark.parametrize("short", [1, 2])
+    def test_short_feedback_refused(self, params, base_curve, short):
         cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
                                  np.zeros(300), cfg)
-        points = identify_stream(trace, np.full(len(trace), 0.7))
-        assert len(points) == len(trace) - 2
+        with pytest.raises(ValueError, match=(
+                f"soc_feedback has {300 - short} values for a trace of "
+                f"300 samples")):
+            identify_stream(trace, np.full(300 - short, 0.7))
+
+    def test_longer_feedback_ignores_its_tail(self, params, base_curve):
+        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
+        trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
+                                 np.sin(np.arange(300) / 7.0), cfg)
+        fb = np.linspace(0.9, 0.2, 300)
+        longer = np.concatenate([fb, [np.nan, 0.0, 5.0]])
+        assert identify_stream(trace, longer) == identify_stream(trace, fb)
 
 
 def _matrix_step(theta, p, sample, lam):
@@ -481,5 +523,6 @@ class TestCovarianceOverflow:
         assert len(points) == len(trace) - 2
         assert all(np.isfinite(s[:3]).all() for s in states)
         flags = [p.degenerate for p in points]
+        assert len(states) == flags.count(False)  # every accepted step
         assert any(flags)  # P overflowed: the rest of the rows are flagged
         assert all(flags[flags.index(True):])
