@@ -4,7 +4,7 @@ baseline, innovation diagnostics, and a multi-model filter bank."""
 
 from .curve import (OcvCurve, apply_transform, default_lifepo4_curve,
                     plateau_offset)
-from .ecm import (BatteryState, EcmParams, SimConfig, Trace, simulate_profile,
+from .ecm import (BatteryState, EcmParams, Trace, measure, simulate_profile,
                   step_state, terminal_voltage)
 from .ekf import KfState, NoiseConfig, StepOutput, run_ekf
 from .innovation import (IntervalInnovations, curve_error_polarity,

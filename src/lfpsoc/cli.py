@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import innovation
+from .curve import is_transform
 from .ekf import run_ekf
 from .innovation import IntervalInnovations
 from .metrics import compute_metrics, curve_mae
@@ -36,6 +37,14 @@ def _out_file(args, name: str) -> str:
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
+
+
+def _filter_curve(cfg: ScenarioConfig):
+    """The filter curve of `cfg`; the true curve is read only when the
+    filter curve is a transform of it."""
+    if not is_transform(cfg.filter_curve):
+        cfg = replace(cfg, true_curve="default")
+    return resolve_curves(cfg)[1]
 
 
 def cmd_simulate(args, cfg: ScenarioConfig) -> int:
@@ -70,8 +79,7 @@ def cmd_identify(args, cfg: ScenarioConfig) -> int:
 
 def cmd_estimate(args, cfg: ScenarioConfig) -> int:
     trace = ingest_trace(args.trace, strict=args.strict)
-    _, filter_curve = resolve_curves(cfg)
-    filt, params = estimator_inputs(cfg, trace, filter_curve)
+    filt, params = estimator_inputs(cfg, trace, _filter_curve(cfg))
     if args.method == "ekf":
         outs = run_ekf(filt, params, trace)
         soc = np.array([o.soc for o in outs])
@@ -157,8 +165,7 @@ def cmd_analyze(args, cfg: ScenarioConfig) -> int:
     else:
         L = cfg.interval_len
         trace = ingest_trace(args.trace, strict=args.strict)
-        _, filter_curve = resolve_curves(cfg)
-        filt, params = estimator_inputs(cfg, trace, filter_curve)
+        filt, params = estimator_inputs(cfg, trace, _filter_curve(cfg))
         outs = run_ekf(filt, params, trace)
         label = "interval"
         intervals = {m: interval_innovations(outs[m * L:(m + 1) * L])

@@ -13,7 +13,7 @@ import numpy as np
 from .curve import (InvalidTransformError, OcvCurve, apply_transform,
                     default_lifepo4_curve, is_transform)
 from . import ecm
-from .ecm import BatteryState, EcmParams, SimConfig, Trace, simulate_profile
+from .ecm import BatteryState, EcmParams, Trace, measure, simulate_profile
 from .ekf import KfState, NoiseConfig, run_ekf
 from .metrics import compute_metrics
 from .multimodel import BankConfig, run_ammkf
@@ -120,12 +120,6 @@ class ScenarioConfig:
 
     def ecm_params(self) -> EcmParams:
         return EcmParams(r0=self.r0, rp=self.rp, cp=self.cp)
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(capacity_ah=self.capacity_ah, dt=self.dt,
-                         voltage_noise_sigma=self.sigma_v,
-                         current_noise_sigma=self.sigma_i,
-                         rng_seed=self.seed)
 
     def filter_noise(self) -> NoiseConfig:
         return NoiseConfig(self.q00, self.q11, self.r)
@@ -249,9 +243,17 @@ def simulate(cfg: ScenarioConfig) -> tuple:
                                seed=cfg.seed, amp=cfg.profile_amp,
                                target_discharge_ah=cfg.profile_target_ah)
     trace = simulate_profile(BatteryState(cfg.initial_soc_true, 0.0),
-                             cfg.ecm_params(), true_curve, profile,
-                             cfg.sim_config())
-    return trace, true_curve, filter_curve
+                             cfg.ecm_params(), true_curve, profile, cfg.dt,
+                             cfg.capacity_ah)
+    return (measure(trace, cfg.sigma_v, cfg.sigma_i, cfg.seed), true_curve,
+            filter_curve)
+
+
+def _refuse_short_profile(cfg: ScenarioConfig):
+    if cfg.profile_steps < 2 * cfg.interval_len:
+        raise ScenarioConfigError(
+            f"profile_steps: {cfg.profile_steps} is below the bank's two "
+            f"intervals, 2*interval_len {2 * cfg.interval_len}")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioResult:
@@ -259,7 +261,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None) -> ScenarioRes
     against the (possibly wrong) filter curve, and collect metrics."""
     trace, true_curve, filter_curve = simulate(cfg)
     stop, v = trace.cutoff_index, trace.cutoff_v
-    if stop is not None and len(trace) < 2 * cfg.interval_len:
+    if stop is None:
+        _refuse_short_profile(cfg)
+    elif len(trace) < 2 * cfg.interval_len:
         crossed = (f"ecm.CUTOFF_LOW_V {ecm.CUTOFF_LOW_V}"
                    if v < ecm.CUTOFF_LOW_V
                    else f"ecm.CUTOFF_HIGH_V {ecm.CUTOFF_HIGH_V}")
@@ -367,9 +371,9 @@ def write_artifacts(result: ScenarioResult, out_dir: str,
 def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
               out_dir: str | None = None) -> list[ScenarioResult]:
     """Run one scenario per override mapping, in override order, each
-    simulated and estimated on its own. Every run's config is built and its
-    curves read before the first run starts, so a value the config refuses,
-    or a curve file that cannot be read, runs no scenario.
+    simulated and estimated on its own. Every run's config is built, its
+    curves read and its length checked before the first run starts, so a
+    refused value, an unreadable curve or too short a profile runs none.
     With `out_dir`, once every run has returned, each writes its artifacts
     to its own directory, `run-000`, `run-001`, ..., so a run that raises
     leaves nothing written; a trace.csv whose columns have the bytes of one
@@ -379,6 +383,7 @@ def run_sweep(base_cfg: ScenarioConfig, overrides: list[dict],
     configs = [replace(base_cfg, **ov) for ov in overrides]
     for cfg in configs:
         resolve_curves(cfg)
+        _refuse_short_profile(cfg)
     results = [run_scenario(cfg) for cfg in configs]
     if out_dir:
         traces = {}

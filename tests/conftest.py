@@ -12,8 +12,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
 
-from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig,
-                    default_lifepo4_curve)
+from lfpsoc import BatteryState, EcmParams, OcvCurve, default_lifepo4_curve
 from lfpsoc import ecm
 
 
@@ -42,17 +41,6 @@ def base_curve():
 @pytest.fixture
 def two_knot_curve():
     return OcvCurve(np.array([0.2, 0.4]), np.array([3.20, 3.30]))
-
-
-@pytest.fixture
-def sim_cfg():
-    return SimConfig(capacity_ah=1.063, dt=1.0, rng_seed=42)
-
-
-@pytest.fixture
-def noisy_cfg():
-    return SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.003,
-                     rng_seed=42)
 
 
 @pytest.fixture

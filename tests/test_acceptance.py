@@ -15,8 +15,7 @@ from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
                     curve_error_polarity, default_lifepo4_curve,
                     extract_circuit, generate_profile, plateau_offset,
                     run_ammkf, run_ekf, run_scenario, run_sweep,
-                    simulate_profile)
-from lfpsoc.ecm import SimConfig
+                    measure, simulate_profile)
 from lfpsoc.innovation import whiteness
 from lfpsoc.metrics import curve_mae
 from lfpsoc.rls import identify_stream, rls_step
@@ -51,15 +50,14 @@ class TestAcceptance:
         sigma = 0.003
         params = EcmParams(0.07, 0.04, 1000.0)
         curve = default_lifepo4_curve()
-        sim = SimConfig(capacity_ah=1.063, dt=1.0,
-                        voltage_noise_sigma=sigma, rng_seed=42)
         prof = generate_profile("dst-like", 7200, seed=42, amp=1.0,
                                 target_discharge_ah=1.0)
-        trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
-                                 prof, sim)
+        trace = measure(simulate_profile(BatteryState(0.95, 0.0), params,
+                                         curve, prof, 1.0, 1.063),
+                        sigma, 0.0, 42)
         init = KfState(BatteryState(0.95, 0.0), 1e-6, 1e-6,
                        NoiseConfig(1e-12, 1e-12, sigma**2),
-                       curve, sim.capacity_ah)
+                       curve, 1.063)
         outs = run_ekf(init, params, trace)
         v = np.array([o.innovation for o in outs[200:]])
         theo = np.mean([o.innovation_variance for o in outs[200:]])
@@ -73,12 +71,11 @@ class TestAcceptance:
         sigma = 0.003
         params = EcmParams(0.07, 0.04, 1000.0)
         curve = default_lifepo4_curve()
-        sim = SimConfig(capacity_ah=1.063, dt=1.0,
-                        voltage_noise_sigma=sigma, rng_seed=42)
         prof = generate_profile("dst-like", 7200, seed=42, amp=1.0,
                                 target_discharge_ah=1.0)
-        trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
-                                 prof, sim)
+        trace = measure(simulate_profile(BatteryState(0.95, 0.0), params,
+                                         curve, prof, 1.0, 1.063),
+                        sigma, 0.0, 42)
         L = 20
 
         def sign_fraction(gap_sign: int) -> float:
@@ -89,7 +86,7 @@ class TestAcceptance:
                                   lo=0.2, hi=0.8, ramp=0.15)
             init = KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4,
                            NoiseConfig(1e-10, 1e-9, sigma**2),
-                           filt, sim.capacity_ah)
+                           filt, 1.063)
             outs = run_ekf(init, params, trace)
             polarity = curve_error_polarity([o.k_soc for o in outs],
                                             [o.innovation for o in outs])
@@ -144,11 +141,10 @@ class TestAcceptance:
         # (the validity region of the voltage-difference regression)
         flat = OcvCurve(np.array([0.0, 0.05, 0.15, 0.2, 0.8, 0.9, 1.0]),
                         np.array([2.0, 2.9, 3.2, 3.28, 3.28, 3.35, 3.6]))
-        sim = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 3000, seed=5, amp=1.0,
                                 target_discharge_ah=0.3)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, flat,
-                                 prof, sim)
+                                 prof, 1.0, 1.063)
         final = identify_stream(trace, soc_feedback=trace.true_soc)[-1].params
         rec_ok = (final is not None
                   and abs(final.r0 - params.r0) / params.r0 < 0.05
@@ -182,16 +178,15 @@ class TestAcceptance:
     def test_criterion_8_structural_reductions(self, monkeypatch):
         params = EcmParams(0.07, 0.04, 1000.0)
         curve = default_lifepo4_curve()
-        sim = SimConfig(capacity_ah=1.063, dt=1.0,
-                        voltage_noise_sigma=0.001, rng_seed=42)
         prof = generate_profile("dst-like", 1500, seed=42, amp=1.0,
                                 target_discharge_ah=0.2)
-        trace = simulate_profile(BatteryState(0.95, 0.0), params, curve,
-                                 prof, sim)
+        trace = measure(simulate_profile(BatteryState(0.95, 0.0), params,
+                                         curve, prof, 1.0, 1.063),
+                        0.001, 0.0, 42)
         noise = NoiseConfig(1e-7, 1e-6, 1e-6)
         bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
         filt = KfState(BatteryState(0.95, 0.0), 1e-4, 1e-4, noise,
-                       curve, sim.capacity_ah)
+                       curve, 1.063)
         # (a) single-filter bank reduces exactly to the plain filter
         single = run_ammkf(trace, filt, params,
                            BankConfig(n=1, interval_len=20, spread=2.0), noise)

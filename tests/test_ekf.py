@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
-                    OcvCurve, ScenarioConfig, SimConfig, default_lifepo4_curve,
+                    OcvCurve, ScenarioConfig, default_lifepo4_curve, measure,
                     run_ammkf, run_ekf, run_scenario, simulate_profile,
                     step_state)
 from lfpsoc.ekf import (PLAIN, FilterDegeneracyError, StepOutput,
@@ -59,7 +59,7 @@ def _predicted(f, params, current=0.0, **member):
     return -_update(f, 0.0, current, params, **member).innovation
 
 
-def _prior(f, params, current, cfg, x=None):
+def _prior(f, params, current, x=None):
     """The prior (soc, up) and covariance of a full step from posterior `x`
     (`f`'s start unless given), read from the steps of two bank members
     with slopes 0 and 1 anchored at
@@ -68,7 +68,7 @@ def _prior(f, params, current, cfg, x=None):
     S = p00 - 2 p01 + p11 + r."""
     e, s_var, k = [], [], []
     for slope in (0.0, 1.0):
-        out = _step(f, transition(params, cfg.dt, cfg.capacity_ah), current,
+        out = _step(f, transition(params, 1.0, 1.063), current,
                     3.3, 0.0, first=False, slope=slope, anchor=(0.0, 3.3),
                     x=x)
         e.append(out.innovation)
@@ -90,15 +90,16 @@ def _posterior_p(o):
     return np.array([[o.p00, o.p01], [o.p01, o.p11]])
 
 
-def _reference_step(f, x, slope, anchor, params, cfg, u_prev, y, u, first):
+def _reference_step(f, x, slope, anchor, params, dt, capacity_ah, u_prev, y,
+                    u, first):
     """Matrix-form step of filter `f` from posterior `x`, written from the
     numpy predict/update this module replaced: F P F^T + Q with
     Q = diag(q00, q11), H = [s, -1], (I - K H) P symmetrized. A `slope` of
     None reads the curve; a slope reads the affine model through `anchor`,
     (anchor SOC, model OCV)."""
-    decay = np.exp(-cfg.dt / params.tau)
+    decay = np.exp(-dt / params.tau)
     fm = np.array([[1.0, 0.0], [0.0, decay]])
-    g = np.array([-cfg.dt / cfg.capacity_as, params.rp * (1.0 - decay)])
+    g = np.array([-dt / (3600.0 * capacity_ah), params.rp * (1.0 - decay)])
     soc, up, p00, p01, p11 = x[:5]
     x, p = np.array([soc, up]), np.array([[p00, p01], [p01, p11]])
     if not first:
@@ -201,13 +202,11 @@ class TestNoiseConfig:
                                                        no_low_cutoff):
         # each once ran without error: the filter gave SOC 0.0 at every
         # step without a clamp flag, or weighed by -inf log-densities
-        cfg = SimConfig()
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 np.full(100, 0.5), cfg)
+                                 np.full(100, 0.5), 1.0, 1.063)
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             run_ekf(KfState(BatteryState(soc, 0.0), p00, 1e-4,
-                            NoiseConfig(q00, 1e-6, r), base_curve,
-                            cfg.capacity_ah),
+                            NoiseConfig(q00, 1e-6, r), base_curve, 1.063),
                     params, trace)
 
     @pytest.mark.parametrize("capacity", [0.0, -1.0, math.nan, math.inf])
@@ -223,15 +222,13 @@ class TestNoiseConfig:
 
     def test_run_ammkf_rejects_a_non_finite_start(self, params, base_curve,
                                                   no_low_cutoff):
-        cfg = SimConfig()
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 np.full(100, 0.5), cfg)
+                                 np.full(100, 0.5), 1.0, 1.063)
         # the filter is checked where it is built, before run_ammkf
         # could step it
         with pytest.raises(ValueError, match="^p00 must be finite"):
             filt = KfState(BatteryState(0.9, 0.0), math.inf, 1e-4,
-                           NoiseConfig(1e-10, 1e-6, 1e-6), base_curve,
-                           cfg.capacity_ah)
+                           NoiseConfig(1e-10, 1e-6, 1e-6), base_curve, 1.063)
             run_ammkf(trace, filt, params, BankConfig(7, 20, 2.0),
                       filt.noise)
 
@@ -243,40 +240,38 @@ class TestNoiseConfig:
 
 
 class TestTransitionMatrices:
-    def test_reference_values(self, params, sim_cfg):
-        decay, g_soc, g_up, r0 = transition(params, sim_cfg.dt,
-                                            sim_cfg.capacity_ah)
+    def test_reference_values(self, params):
+        decay, g_soc, g_up, r0 = transition(params, 1.0, 1.063)
         expect = math.exp(-1.0 / 40.0)  # tau = rp*cp = 40 s, dt = 1 s
         assert decay == pytest.approx(expect, abs=1e-15)
         assert g_soc == pytest.approx(-1.0 / (3600.0 * 1.063), rel=1e-12)
         assert g_up == pytest.approx(0.04 * (1.0 - expect), rel=1e-12)
         assert r0 == params.r0
 
-    def test_prediction_matches_simulator(self, params, base_curve, sim_cfg):
+    def test_prediction_matches_simulator(self, params, base_curve):
         # oracle: the noise-free plant step is the same affine map
         st8 = _state(base_curve, soc=0.6, up=0.02)
         for current in (-1.0, 0.0, 0.5, 2.0):
-            soc, up, _ = _prior(st8, params, current, sim_cfg)
+            soc, up, _ = _prior(st8, params, current)
             plant, _ = step_state(BatteryState(0.6, 0.02), params, current,
-                                  sim_cfg)
+                                  1.0, 1.063)
             assert soc == pytest.approx(plant.soc, abs=1e-15)
             assert up == pytest.approx(plant.up, abs=1e-15)
 
-    def test_covariance_propagation_with_zero_q(self, params, base_curve,
-                                                sim_cfg):
+    def test_covariance_propagation_with_zero_q(self, params, base_curve):
         noise = NoiseConfig(0.0, 0.0, 1e-6)
         p0 = np.array([[2e-4, 1e-5], [1e-5, 3e-4]])
         st8 = _state(base_curve, p=(2e-4, 3e-4), noise=noise)
-        _, _, p_minus = _prior(st8, params, 0.0, sim_cfg,
+        _, _, p_minus = _prior(st8, params, 0.0,
                                x=(0.5, 0.0, 2e-4, 1e-5, 3e-4))
-        decay = transition(params, sim_cfg.dt, sim_cfg.capacity_ah)[0]
+        decay = transition(params, 1.0, 1.063)[0]
         f = np.diag([1.0, decay])
         assert np.allclose(p_minus, f @ p0 @ f.T, atol=1e-18)
 
-    def test_q_added_once_per_predict(self, params, base_curve, sim_cfg):
+    def test_q_added_once_per_predict(self, params, base_curve):
         st8 = _state(base_curve, p=(0.0, 0.0),
                      noise=NoiseConfig(1e-7, 1e-6, 1e-6))
-        _, _, p_minus = _prior(st8, params, 0.0, sim_cfg)
+        _, _, p_minus = _prior(st8, params, 0.0)
         assert np.allclose(p_minus, np.diag([1e-7, 1e-6]), atol=1e-18)
 
 
@@ -431,7 +426,6 @@ class TestStepAgainstMatrixForm:
     def test_matches_reference(self, soc, up, p00, p11, rho, q00, q11, r,
                                slope, u_prev, u, innov, first):
         params = EcmParams(0.07, 0.04, 1000.0)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         # a correlated start is a posterior, not a filter setting
         x = (soc, up, p00, rho * math.sqrt(p00 * p11), p11)
         curve = default_lifepo4_curve()
@@ -440,10 +434,10 @@ class TestStepAgainstMatrixForm:
                    noise=NoiseConfig(q00, q11, r))
         y = 3.3 + innov
         _assert_matches_reference(
-            _step(f, transition(params, cfg.dt, cfg.capacity_ah), u_prev, y,
+            _step(f, transition(params, 1.0, 1.063), u_prev, y,
                   u, first, slope=slope, anchor=anchor, x=x),
-            _reference_step(f, x, slope, anchor, params, cfg, u_prev, y, u,
-                            first))
+            _reference_step(f, x, slope, anchor, params, 1.0, 1.063, u_prev,
+                            y, u, first))
 
     def test_clamp_flag_on_both_sides(self, params):
         # the first two examples above: posteriors past 1 and below 0
@@ -482,7 +476,6 @@ class TestFilterSetStep:
                                      anchor_ocv, q00, q11, r, u_prev, u,
                                      innov, first):
         params = EcmParams(0.07, 0.04, 1000.0)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         # one filter and one correlated start posterior for every member
         curve, anchor = default_lifepo4_curve(), (anchor_soc, anchor_ocv)
         soc, up, p00, p11, rho = start
@@ -492,7 +485,7 @@ class TestFilterSetStep:
         if plain:
             slopes = [None] * len(slopes)
         row = _row(0 if first else 5,
-                   transition(params, cfg.dt, cfg.capacity_ah), u_prev,
+                   transition(params, 1.0, 1.063), u_prev,
                    3.3 + innov, u)
         steps = [member for [member] in
                  kalman_step(f, anchor, slopes, x, [row])]
@@ -502,8 +495,8 @@ class TestFilterSetStep:
             assert repr(step) == repr(alone)  # bit for bit, -0.0 and NaN too
             _assert_matches_reference(
                 StepOutput._make(step),
-                _reference_step(f, x, s, anchor, params, cfg, u_prev,
-                                row[4], u, first))
+                _reference_step(f, x, s, anchor, params, 1.0, 1.063,
+                                u_prev, row[4], u, first))
         # min(1, max(0, soc)) turns a -0.0 posterior SOC into 0.0
         assert all(math.copysign(1.0, step[0]) == 1.0 for step in steps)
 
@@ -548,12 +541,10 @@ class TestRangeStep:
     def test_one_call_equals_one_row_at_a_time(self, base_curve, bank,
                                                per_step, start, no_low_cutoff):
         a, b = EcmParams(0.07, 0.04, 1000.0), EcmParams(0.08, 0.05, 900.0)
-        cfg = SimConfig(voltage_noise_sigma=0.002, current_noise_sigma=0.01,
-                        rng_seed=5)
         prof = generate_profile("dst-like", 60, seed=5,
                                 target_discharge_ah=0.01)
-        trace = simulate_profile(BatteryState(0.6, 0.0), a, base_curve,
-                                 prof, cfg)
+        trace = measure(simulate_profile(BatteryState(0.6, 0.0), a, base_curve,
+                                         prof, 1.0, 1.063), 0.002, 0.01, 5)
         # per-step params change every third sample
         params = ([a if (k // 3) % 2 else b for k in range(len(trace))]
                   if per_step else a)
@@ -569,12 +560,12 @@ class TestRangeStep:
             sets = [(OcvCurve(g, base_curve.ocv(g)), PLAIN, None)
                     for g in (grid, grid[grid <= 0.551])]
             sets.insert(0, (base_curve, PLAIN, None))
-        rows = list(samples(params, trace, cfg.capacity_ah))[start:start + 30]
+        rows = list(samples(params, trace, 1.063))[start:start + 30]
         # each row from its own parameters and the currents either side
         amps, volts = trace.current_a.tolist(), trace.voltage_v.tolist()
         assert repr(rows) == repr([
-            _row(k, transition(params[k] if per_step else params, cfg.dt,
-                               cfg.capacity_ah),
+            _row(k, transition(params[k] if per_step else params, 1.0,
+                               1.063),
                  amps[k - 1] if k else 0.0, volts[k], amps[k])
             for k in range(start, start + 30)])
         socs = []
@@ -604,11 +595,11 @@ class TestRangeStep:
 @pytest.mark.usefixtures("no_low_cutoff")
 class TestRunEkf:
     def _walk(self, params, base_curve):
-        cfg = SimConfig(voltage_noise_sigma=0.002, rng_seed=4)
         prof = generate_profile("dst-like", 120, seed=4,
                                 target_discharge_ah=0.02)
-        trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 prof, cfg)
+        trace = measure(simulate_profile(BatteryState(0.7, 0.0), params,
+                                         base_curve, prof, 1.0, 1.063),
+                        0.002, 0.0, 4)
         return _state(base_curve, soc=0.65), trace
 
     def test_plain_filter_steps_are_plain_tuples(self, params, base_curve):
@@ -628,11 +619,10 @@ class TestRunEkf:
         assert [o.soc_clamped for o in outs] == [s[8] for s in steps]
 
     def test_exact_init_zero_noise_tracks_truth(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 1500, seed=3, amp=1.0,
                                 target_discharge_ah=0.3)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
-                                 prof, cfg)
+                                 prof, 1.0, 1.063)
         init = _state(base_curve, soc=0.8, up=0.0, p=(1e-6, 1e-6),
                       noise=NoiseConfig(1e-12, 1e-12, 1e-6))
         outs = run_ekf(init, params, trace)
@@ -640,11 +630,10 @@ class TestRunEkf:
         assert np.max(np.abs(errs)) < 1e-6
 
     def test_initial_error_decays(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 3000, seed=4, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof, cfg)
+                                 prof, 1.0, 1.063)
         init = _state(base_curve, soc=0.7, up=0.0, p=(1e-2, 1e-4),
                       noise=NoiseConfig(1e-7, 1e-6, 1e-6))
         outs = run_ekf(init, params, trace)
@@ -654,11 +643,10 @@ class TestRunEkf:
     def test_voltage_offset_biases_soc_upward(self, params, base_curve):
         # a curve reading consistently 20 mV high makes the filter report a
         # higher state of charge than the truth
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 3000, seed=6, amp=1.0,
                                 target_discharge_ah=0.5)
         trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof, cfg)
+                                 prof, 1.0, 1.063)
         import dataclasses
         biased = dataclasses.replace(trace,
                                      voltage_v=trace.voltage_v + 0.020)
@@ -669,11 +657,10 @@ class TestRunEkf:
         assert np.mean(errs[500:]) > 0.02
 
     def test_per_step_parameter_sequence(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
                                 target_discharge_ah=0.1)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
-                                 prof, cfg)
+                                 prof, 1.0, 1.063)
         init = _state(base_curve, soc=0.8, up=0.0,
                       noise=NoiseConfig(1e-12, 1e-12, 1e-6))
         seq = [params] * len(trace)
@@ -691,11 +678,10 @@ class TestRunEkf:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_names_the_first(self, params, base_curve, bad,
                                                first, value):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 400, seed=8, amp=1.0,
                                 target_discharge_ah=0.1)
         trace = simulate_profile(BatteryState(0.8, 0.0), params, base_curve,
-                                 prof, cfg)
+                                 prof, 1.0, 1.063)
         for column, ks in bad.items():
             getattr(trace, column)[ks] = value
         with pytest.raises(ValueError, match=f"^sample {first}: non-finite"):
@@ -705,12 +691,11 @@ class TestRunEkf:
         # with the true model and matched noise, the normalized innovation
         # sequence should look like unit-variance white noise
         sigma = 0.003
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0,
-                        voltage_noise_sigma=sigma, rng_seed=13)
         prof = generate_profile("dst-like", 4000, seed=13, amp=1.0,
                                 target_discharge_ah=0.5)
-        trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof, cfg)
+        trace = measure(simulate_profile(BatteryState(0.9, 0.0), params,
+                                         base_curve, prof, 1.0, 1.063),
+                        sigma, 0.0, 13)
         init = _state(base_curve, soc=0.9, up=0.0, p=(1e-6, 1e-6),
                       noise=NoiseConfig(1e-12, 1e-12, sigma**2))
         outs = run_ekf(init, params, trace)
@@ -722,9 +707,9 @@ class TestRunEkf:
 
 
 class TestStepFirstFlag:
-    def test_first_step_skips_prediction(self, params, base_curve, sim_cfg):
+    def test_first_step_skips_prediction(self, params, base_curve):
         st8 = _state(base_curve, soc=0.5, up=0.03)
-        out = _step(st8, transition(params, sim_cfg.dt, sim_cfg.capacity_ah),
+        out = _step(st8, transition(params, 1.0, 1.063),
                     u_prev=2.0, y=_predicted(st8, params), u=0.0, first=True)
         # no prediction and a zero innovation: the posterior is the start
         assert out.innovation == 0.0
@@ -750,15 +735,15 @@ class TestDeepDischarge:
                            base_curve.knot_ocv[inner])
         assert (partial.soc_min, partial.soc_max) == (0.01, 0.99)
         noise = NoiseConfig(1e-7, 1e-6, 1e-6)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001)
         # low end: the truth discharges to the cut-off below 1% SOC
         prof = generate_profile("dst-like", 2000, seed=3, amp=1.0,
                                 target_discharge_ah=0.25)
-        trace = simulate_profile(BatteryState(0.2, 0.0), params, base_curve,
-                                 prof, cfg)
+        trace = measure(simulate_profile(BatteryState(0.2, 0.0), params,
+                                         base_curve, prof, 1.0, 1.063),
+                        0.001, 0.0, 0)
         assert trace.true_soc[-1] < 0.01
         filt = KfState(BatteryState(0.2, 0.0), 1e-4, 1e-4, noise, partial,
-                       cfg.capacity_ah)
+                       1.063)
         soc = np.array([o.soc for o in run_ekf(filt, params, trace)])
         am = run_ammkf(trace, filt, params,
                        BankConfig(n=7, interval_len=20, spread=6.0), noise)
@@ -766,10 +751,11 @@ class TestDeepDischarge:
             assert np.all(np.isfinite(est))
             assert np.all((est >= 0.0) & (est <= 1.0))
         # high end: a full battery starts above the last knot
-        short = simulate_profile(BatteryState(1.0, 0.0), params, base_curve,
-                                 prof[:200], cfg)
+        short = measure(simulate_profile(BatteryState(1.0, 0.0), params,
+                                         base_curve, prof[:200], 1.0, 1.063),
+                        0.001, 0.0, 0)
         full = KfState(BatteryState(1.0, 0.0), 1e-4, 1e-4, noise, partial,
-                       cfg.capacity_ah)
+                       1.063)
         outs = run_ekf(full, params, short)
         assert len(outs) == len(short)
         assert _slope(outs[0], full) == pytest.approx(partial.slope(0.99),

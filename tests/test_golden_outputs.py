@@ -13,7 +13,13 @@ identify writes both empty and physical rows; its digests are those of the
 line-per-write writers with an exception per unphysical RLS point. The
 400-step config with `identify_online` is run through `scenario`, which
 pins the RLS identifier feeding both estimators its per-step parameters;
-its digests are those of the identifier with a settable configuration. A
+its digests are those of the identifier with a settable configuration.
+Two more `simulate` runs pin the sensor noise that `ecm.measure` adds to a
+clean trace: a noisy constant discharge that the low voltage cutoff stops
+after 185 of its 3000 samples, so the noise is drawn for the samples kept
+only, and a constant -0.0 A profile without current noise, whose current is
+written as 0.0; their digests are those of the simulator that drew its own
+noise. A
 change to how a CSV is read or written that moves a single byte fails here
 by file name. A change that means to alter an output must say why and
 update the digest.
@@ -30,6 +36,10 @@ CONFIG = "profile_steps=400\nprofile_target_ah=0.06\nseed=42\n"
 CURRENT_NOISE_CONFIG = CONFIG + "sigma_i=0.01\n"
 IDENTIFY_ONLINE_CONFIG = CONFIG + "identify_online=true\n"
 LONG_CONFIG = "profile_steps=2600\nprofile_target_ah=0.39\nseed=42\n"
+CUTOFF_CONFIG = ("profile_kind=constant\nprofile_amp=2\ninitial_soc_true=0.1\n"
+                 "profile_steps=3000\nsigma_i=0.01\n")
+NEGATIVE_ZERO_CONFIG = ("profile_kind=constant\nprofile_amp=-0.0\n"
+                        "profile_steps=100\nsigma_i=0\n")
 
 GOLDEN = {
     "sim/trace.csv":
@@ -125,6 +135,20 @@ GOLDEN_LONG = {
         "39c1d234beb7493c446e496fa8b12b382c30816dc3697ff9e25acdcf1355383d",
 }
 
+GOLDEN_CUTOFF = {
+    "sim/trace.csv":
+        "c26750f9d17cf90df4ea2b80b2b095a2ca00d027244165da200a16871ba5ea88",
+    "sim/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+}
+
+GOLDEN_NEGATIVE_ZERO = {
+    "sim/trace.csv":
+        "330bd18c78b25520a99c939a518ce2c307925370514f7d4a9db3fd84ed2ba878",
+    "sim/true_curve.csv":
+        "d153c5b159d7fccf2138e3db229e95201ac162140ea423f6ab42bd354a9bb40c",
+}
+
 
 def run_commands(root, config=CONFIG, names=None) -> dict:
     """Run every CSV-writing command (or those whose output directory is in
@@ -173,12 +197,35 @@ def long_run(tmp_path_factory):
     return root, run_commands(root, LONG_CONFIG, ("sim", "id", "ekf", "an"))
 
 
+@pytest.fixture(scope="module")
+def cutoff_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-cutoff")
+    return root, run_commands(root, CUTOFF_CONFIG, ("sim",))
+
+
+@pytest.fixture(scope="module")
+def negative_zero_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden-negative-zero")
+    return root, run_commands(root, NEGATIVE_ZERO_CONFIG, ("sim",))
+
+
 def test_every_csv_is_covered(digests, current_noise_digests,
-                              identify_online_digests, long_run):
+                              identify_online_digests, long_run, cutoff_run,
+                              negative_zero_run):
     assert sorted(digests) == sorted(GOLDEN)
     assert sorted(current_noise_digests) == sorted(GOLDEN_CURRENT_NOISE)
     assert sorted(identify_online_digests) == sorted(GOLDEN_IDENTIFY_ONLINE)
     assert sorted(long_run[1]) == sorted(GOLDEN_LONG)
+    assert sorted(cutoff_run[1]) == sorted(GOLDEN_CUTOFF)
+    assert sorted(negative_zero_run[1]) == sorted(GOLDEN_NEGATIVE_ZERO)
+
+
+def test_noise_runs_are_what_their_names_say(cutoff_run, negative_zero_run):
+    rows = (cutoff_run[0] / "sim/trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 185  # the cutoff stops 3000 samples at 185
+    rows = (negative_zero_run[0] / "sim/trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 100
+    assert {row.split(",")[1] for row in rows} == {"0.0"}
 
 
 def test_long_trace_spans_chunks_and_both_identify_rows(long_run):
@@ -211,3 +258,13 @@ def test_csv_bytes_unchanged_with_identify_online(identify_online_digests,
 @pytest.mark.parametrize("name", sorted(GOLDEN_LONG))
 def test_long_trace_csv_bytes_unchanged(long_run, name):
     assert long_run[1].get(name) == GOLDEN_LONG[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CUTOFF))
+def test_cutoff_trace_csv_bytes_unchanged(cutoff_run, name):
+    assert cutoff_run[1].get(name) == GOLDEN_CUTOFF[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NEGATIVE_ZERO))
+def test_negative_zero_current_csv_bytes_unchanged(negative_zero_run, name):
+    assert negative_zero_run[1].get(name) == GOLDEN_NEGATIVE_ZERO[name]

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfpsoc import (BatteryState, EcmParams, IntervalInnovations, KfState,
-                    NoiseConfig, SimConfig, curve_error_polarity,
-                    detect_convergence, infer_error_polarity,
-                    infer_error_sign, plateau_offset, run_ekf,
-                    simulate_profile)
+                    NoiseConfig, curve_error_polarity, detect_convergence,
+                    infer_error_polarity, infer_error_sign, measure,
+                    plateau_offset, run_ekf, simulate_profile)
 from lfpsoc.ekf import StepOutput, kalman_step, transition
 from lfpsoc.innovation import (CONVERGENCE_WINDOW, FLAT_TOL, INDETERMINATE,
                                NEGATIVE_G, NOISE_FLOOR_MULT, POSITIVE_G,
@@ -31,16 +30,15 @@ def _filter_run(params, base_curve, seed, filter_curve, p0, q, n=6000,
     """Baseline filter over a noisy dst-like trace simulated on `base_curve`
     from SOC 0.9; returns the trace and the step outputs."""
     sigma = 0.003
-    cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=sigma,
-                    rng_seed=seed)
     prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                             target_discharge_ah=discharge_ah)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ecm, "CUTOFF_LOW_V", 0.0)
-        trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                                 prof, cfg)
+        trace = measure(simulate_profile(BatteryState(0.9, 0.0), params,
+                                         base_curve, prof, 1.0, 1.063),
+                        sigma, 0.0, seed)
     init = KfState(BatteryState(0.9, 0.0), p0, p0, NoiseConfig(*q, sigma**2),
-                   filter_curve, cfg.capacity_ah)
+                   filter_curve, 1.063)
     return trace, run_ekf(init, params, trace)
 
 

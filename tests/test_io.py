@@ -15,13 +15,13 @@ from hypothesis import given, settings, strategies as st
 from lfpsoc import (BatteryState, KfState, NoiseConfig, OcvCurve,
                     ScenarioConfig, compute_metrics, curve_mae,
                     default_lifepo4_curve, generate_profile, load_scenario,
-                    resolve_curves, run_ekf, run_scenario, run_sweep,
-                    simulate_profile)
+                    measure, resolve_curves, run_ekf, run_scenario,
+                    run_sweep, simulate_profile)
 from lfpsoc.ekf import StepOutput, transition
 from lfpsoc import cli
 from lfpsoc.cli import main as cli_main
 from lfpsoc.innovation import infer_error_sign
-from lfpsoc.ecm import SimConfig, Trace
+from lfpsoc.ecm import Trace
 from lfpsoc.metrics import CONVERGENCE_THRESHOLD
 from lfpsoc.profiles import ProfileConfigError
 from lfpsoc import scenario
@@ -164,11 +164,9 @@ class TestCurveMae:
 
 
 def _small_trace(params, curve, n=120, sigma=0.0):
-    cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=sigma,
-                    rng_seed=1)
     prof = generate_profile("dst-like", n, seed=1, target_discharge_ah=0.01)
-    return simulate_profile(BatteryState(0.6, 0.0), params, curve,
-                            prof, cfg)
+    return measure(simulate_profile(BatteryState(0.6, 0.0), params, curve,
+                                    prof, 1.0, 1.063), sigma, 0.0, 1)
 
 
 _H = "t,current_a,voltage_v"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
-                    OcvCurve, ScenarioConfig, SimConfig, build_slope_set,
-                    curve_mae, default_lifepo4_curve, plateau_offset,
+                    OcvCurve, ScenarioConfig, build_slope_set, curve_mae,
+                    default_lifepo4_curve, measure, plateau_offset,
                     run_ammkf, run_ekf, run_scenario, simulate_profile)
 from lfpsoc.innovation import INDETERMINATE, NEGATIVE_G, POSITIVE_G
 from lfpsoc import ecm, ekf, multimodel, scenario
@@ -154,17 +154,15 @@ class TestLikelihood:
                                            no_low_cutoff):
         # a member whose innovation variance is not positive stops the
         # interval at that step, before any weight is computed
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, base_curve,
-                                 np.full(40, 0.5), cfg)
+                                 np.full(40, 0.5), 1.0, 1.063)
         f = KfState(BatteryState(0.6, 0.0), 0.0, 0.0,
-                    NoiseConfig(1e-10, 1e-6, 1e-6), base_curve,
-                    cfg.capacity_ah)
+                    NoiseConfig(1e-10, 1e-6, 1e-6), base_curve, 1.063)
         # a KfState refuses a negative start variance: the posterior does not
         x = (0.6, 0.0, -1.0, 0.0, -1.0)
         with pytest.raises(FilterDegeneracyError, match="step 21"):
             run_interval(f, (0.6, base_curve.ocv(0.6)), [0.05, 0.1, 0.2],
-                         x, _rows(params, trace, cfg.capacity_ah, 21, 5))
+                         x, _rows(params, trace, 1.063, 21, 5))
 
 
 def _model_weights(weights, log_likelihoods, floor):
@@ -307,12 +305,11 @@ class TestMakeBankAndInterval:
     and how `run_interval` weighs the members."""
 
     def _trace(self, params, curve, n=200, seed=2, start=0.6):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                 target_discharge_ah=0.02)
         with mock.patch.object(ecm, "CUTOFF_LOW_V", 0.0):
             return simulate_profile(BatteryState(start, 0.0), params, curve,
-                                    prof, cfg), cfg
+                                    prof, 1.0, 1.063)
 
     _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
@@ -320,7 +317,7 @@ class TestMakeBankAndInterval:
         """(f, anchor, slopes, x, (weights, members)) of every `run_interval`
         call of a 3-filter `run_ammkf` on `curve` over a trace from SOC
         0.9."""
-        trace, cfg = self._trace(params, base_curve, start=0.9)
+        trace = self._trace(params, base_curve, start=0.9)
         calls = []
         real = multimodel.run_interval
 
@@ -333,16 +330,16 @@ class TestMakeBankAndInterval:
         run_ammkf(trace, KfState(BatteryState(0.9, 0.0),
                                  1e-6, 1e-6,
                                  NoiseConfig(1e-10, 1e-6, 1e-6),
-                                 curve, cfg.capacity_ah),
+                                 curve, 1.063),
                   params, BankConfig(n=3, interval_len=20, spread=2.0),
                   bank_noise=self._bank_noise)
         assert len(calls) >= 2
-        return calls, trace, cfg
+        return calls, trace
 
     def test_bank_shares_anchor_uniform_prior(self, params, base_curve,
                                               monkeypatch):
-        calls, trace, cfg = self._bank_calls(params, base_curve, base_curve,
-                                             monkeypatch)
+        calls, trace = self._bank_calls(params, base_curve, base_curve,
+                                       monkeypatch)
         carried = calls[0][3]
         expected = (carried[0], base_curve.ocv(carried[0]))  # the first
         for f, anchor, slopes, x, (weights, members) in calls:
@@ -361,7 +358,7 @@ class TestMakeBankAndInterval:
         f, anchor, slopes, x, _ = calls[0]
         weights, _ = multimodel.run_interval(
             f, anchor, [slopes[1]] * 3, x,
-            _rows(params, trace, cfg.capacity_ah, 41, 20))
+            _rows(params, trace, 1.063, 41, 20))
         assert weights == [1 / 3] * 3
 
     def test_first_anchor_reads_the_clamped_soc(self, params, base_curve,
@@ -370,25 +367,25 @@ class TestMakeBankAndInterval:
         # curve's at the clamped SOC, while the anchor SOC is the posterior's
         inner = base_curve.knot_soc <= 0.85
         curve = OcvCurve(base_curve.knot_soc[inner], base_curve.knot_ocv[inner])
-        calls, _, _ = self._bank_calls(params, base_curve, curve, monkeypatch)
+        calls, _ = self._bank_calls(params, base_curve, curve, monkeypatch)
         _, anchor, _, x, _ = calls[0]
         assert x[0] > curve.soc_max  # the carried SOC
         assert anchor == (x[0], curve.ocv(curve.soc_max))
 
     def test_identical_filters_tie_to_lowest_index(self, params, base_curve):
-        trace, cfg = self._trace(params, base_curve)
+        trace = self._trace(params, base_curve)
         noise = NoiseConfig(1e-11, 1e-6, 1e-6)
         soc, up = float(trace.true_soc[20]), float(trace.true_up_v[20])
         f = _bank(soc, up, (1e-6, 1e-6), noise, base_curve)
         slope = base_curve.slope(soc)
         weights, _ = run_interval(f, (soc, base_curve.ocv(soc)), [slope] * 3,
                                   f.start(), _rows(params, trace,
-                                                   cfg.capacity_ah, 21, 20))
+                                                   1.063, 21, 20))
         assert weights.index(max(weights)) == 0
         assert weights == pytest.approx([1 / 3] * 3, rel=1e-9)
 
     def test_correct_slope_wins(self, params, base_curve):
-        trace, cfg = self._trace(params, base_curve, n=200, start=0.9)
+        trace = self._trace(params, base_curve, n=200, start=0.9)
         noise = NoiseConfig(1e-11, 1e-6, 1e-6)
         k0 = 40
         soc, up = float(trace.true_soc[k0]), float(trace.true_up_v[k0])
@@ -397,7 +394,7 @@ class TestMakeBankAndInterval:
         weights, _ = run_interval(f, (soc, base_curve.ocv(soc)),
                                   [true_slope / 8, true_slope, true_slope * 8],
                                   f.start(), _rows(params, trace,
-                                                   cfg.capacity_ah, k0 + 1,
+                                                   1.063, k0 + 1,
                                                    40))
         assert weights.index(max(weights)) == 1
         assert weights[1] > max(weights[0], weights[2])
@@ -407,7 +404,7 @@ class TestMakeBankAndInterval:
                                                   monkeypatch):
         # every corrected point of a bank interval lies on its winner's
         # slope through that interval's anchor
-        trace, cfg = self._trace(params, base_curve, start=0.9)
+        trace = self._trace(params, base_curve, start=0.9)
         banks = {}  # (anchor, slopes) by interval index
         real = multimodel.run_interval
 
@@ -418,7 +415,7 @@ class TestMakeBankAndInterval:
         monkeypatch.setattr(multimodel, "run_interval", spy)
         res = run_ammkf(trace, KfState(BatteryState(0.9, 0.0), 1e-6, 1e-6,
                                        NoiseConfig(1e-10, 1e-6, 1e-6),
-                                       base_curve, cfg.capacity_ah),
+                                       base_curve, 1.063),
                         params, BankConfig(n=3, interval_len=20, spread=2.0),
                         bank_noise=self._bank_noise)
         opt = {d.interval_index: d.optimal_index for d in res.diagnostics}
@@ -434,13 +431,12 @@ class TestRunAmmkf:
     _bank_noise = NoiseConfig(1e-11, 1e-6, 1e-6)
 
     def _trace(self, params, curve, n=3000, seed=11, start=0.95, sigma=0.001):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=sigma,
-                        rng_seed=seed)
         prof = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                 target_discharge_ah=0.45)
         with mock.patch.object(ecm, "CUTOFF_LOW_V", 0.0):
-            return simulate_profile(BatteryState(start, 0.0), params, curve,
-                                    prof, cfg), cfg
+            return measure(simulate_profile(BatteryState(start, 0.0), params,
+                                            curve, prof, 1.0, 1.063),
+                           sigma, 0.0, seed)
 
     def _filter(self, curve):
         """The plain filter every run here starts: SOC 0.95, P0 1e-4."""
@@ -448,7 +444,7 @@ class TestRunAmmkf:
                        self._noise, curve, 1.063)
 
     def test_trace_too_short_rejected(self, params, base_curve):
-        trace, cfg = self._trace(params, base_curve, n=30)
+        trace = self._trace(params, base_curve, n=30)
         with pytest.raises(ValueError):
             run_ammkf(trace, self._filter(base_curve), params,
                       BankConfig(n=7, interval_len=20, spread=2.0),
@@ -460,7 +456,7 @@ class TestRunAmmkf:
         ("voltage_v", 1005)])    # the tail after the last whole interval
     def test_non_finite_sample_names_its_index(self, params, base_curve,
                                                monkeypatch, column, k):
-        trace, cfg = self._trace(params, base_curve, n=1010)
+        trace = self._trace(params, base_curve, n=1010)
         getattr(trace, column)[k] = np.nan
         # the whole trace is checked before the first step
         steps = []
@@ -474,7 +470,7 @@ class TestRunAmmkf:
 
     def test_one_samples_pass_per_run(self, params, base_curve, monkeypatch):
         # phase 1, the bank intervals and the tail all read one iterator
-        trace, cfg = self._trace(params, base_curve, n=1010)
+        trace = self._trace(params, base_curve, n=1010)
         calls = []
         real = ekf.samples
 
@@ -494,7 +490,7 @@ class TestRunAmmkf:
                                                      base_curve, monkeypatch):
         # the bank intervals' anchors read the run's one `lookup()`, never
         # the plain `ocv` or `slope`
-        trace, cfg = self._trace(params, base_curve, n=1010)
+        trace = self._trace(params, base_curve, n=1010)
         calls = []
 
         def spy(name):
@@ -518,7 +514,7 @@ class TestRunAmmkf:
                                                         monkeypatch):
         # phase 1, each bank interval and the tail each step every member
         # from one carried posterior, and keep only plain tuples
-        trace, cfg = self._trace(params, base_curve, n=1010)
+        trace = self._trace(params, base_curve, n=1010)
         starts, kinds = [], set()
         real = ekf.kalman_step
 
@@ -541,7 +537,7 @@ class TestRunAmmkf:
         assert kinds == {tuple}
 
     def test_single_filter_bank_equals_plain_ekf(self, params, base_curve):
-        trace, cfg = self._trace(params, base_curve, n=1000)
+        trace = self._trace(params, base_curve, n=1000)
         filt = self._filter(base_curve)
         res = run_ammkf(trace, filt, params,
                         BankConfig(n=1, interval_len=20, spread=2.0),
@@ -552,7 +548,7 @@ class TestRunAmmkf:
 
     def test_single_filter_bank_builds_no_slope_set(self, params, base_curve,
                                                     monkeypatch):
-        trace, cfg = self._trace(params, base_curve, n=1000)
+        trace = self._trace(params, base_curve, n=1000)
         calls = []
         monkeypatch.setattr(multimodel, "build_slope_set",
                             lambda *args: calls.append(args))
@@ -563,7 +559,7 @@ class TestRunAmmkf:
         assert calls == []
 
     def test_true_curve_matches_single_filter_closely(self, params, base_curve):
-        trace, cfg = self._trace(params, base_curve, n=2000)
+        trace = self._trace(params, base_curve, n=2000)
         filt = self._filter(base_curve)
         full = run_ammkf(trace, filt, params,
                          BankConfig(n=7, interval_len=20, spread=6.0),
@@ -579,7 +575,7 @@ class TestRunAmmkf:
         # single filter on the wrong curve is badly biased
         true_curve = plateau_offset(base_curve, -0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
-        trace, cfg = self._trace(params, true_curve, n=4000, seed=17)
+        trace = self._trace(params, true_curve, n=4000, seed=17)
         filt = self._filter(base_curve)
         res = run_ammkf(trace, filt, params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
@@ -598,7 +594,7 @@ class TestRunAmmkf:
     def test_corrected_cloud_tracks_actual_curve(self, params, base_curve):
         true_curve = plateau_offset(base_curve, -0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
-        trace, cfg = self._trace(params, true_curve, n=4000, seed=17)
+        trace = self._trace(params, true_curve, n=4000, seed=17)
         res = run_ammkf(trace, self._filter(base_curve), params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
@@ -610,7 +606,7 @@ class TestRunAmmkf:
                                                  monkeypatch):
         true_curve = plateau_offset(base_curve, 0.020, lo=0.2, hi=0.8,
                                     ramp=0.15)
-        trace, cfg = self._trace(params, true_curve, n=1500, seed=19)
+        trace = self._trace(params, true_curve, n=1500, seed=19)
         args = (trace, self._filter(base_curve), params,
                 BankConfig(n=5, interval_len=20, spread=6.0))
         a = run_ammkf(*args, bank_noise=self._bank_noise)
@@ -644,11 +640,10 @@ class TestRunAmmkf:
             current = np.clip(np.cumsum(steps), -amp, amp)
         else:
             current = np.full(240, amp if kind == "discharge" else -amp)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001,
-                        rng_seed=seed)
         with mock.patch.multiple(ecm, CUTOFF_LOW_V=0.0, CUTOFF_HIGH_V=10.0):
-            trace = simulate_profile(BatteryState(start, 0.0), params, base,
-                                     current, cfg)
+            trace = measure(simulate_profile(BatteryState(start, 0.0), params,
+                                             base, current, 1.0, 1.063),
+                            0.001, 0.0, seed)
         bank = BankConfig(n=7, interval_len=20, spread=6.0)
         # every interval starts from the carried posterior x: its covariance
         # must stay finite
@@ -658,7 +653,7 @@ class TestRunAmmkf:
                             KfState(BatteryState(min(max(start + error, 0.0),
                                                      1.0), 0.0),
                                     1e-2, 1e-4, self._noise,
-                                    partial, cfg.capacity_ah),
+                                    partial, 1.063),
                             params, bank, bank_noise=self._bank_noise)
         for call in spy.call_args_list:
             x = call.args[3]  # a phase-1 or a bank step, a plain tuple
@@ -669,7 +664,7 @@ class TestRunAmmkf:
             assert 1 / bank.n - 1e-12 <= d.prob_max <= 1.0
 
     def test_diagnostics_cover_phase_two_intervals(self, params, base_curve):
-        trace, cfg = self._trace(params, base_curve, n=1000)
+        trace = self._trace(params, base_curve, n=1000)
         res = run_ammkf(trace, self._filter(base_curve), params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)
@@ -692,8 +687,7 @@ class TestRunAmmkf:
             return history[-1]
 
         monkeypatch.setattr(multimodel, "interval_innovations", spy)
-        trace, _ = self._trace(params, plateau_offset(base_curve, 0.02),
-                               n=1200)
+        trace = self._trace(params, plateau_offset(base_curve, 0.02), n=1200)
         res = run_ammkf(trace, self._filter(base_curve), params,
                         BankConfig(n=7, interval_len=20, spread=6.0),
                         bank_noise=self._bank_noise)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from lfpsoc import (BankConfig, BatteryState, EcmParams, KfState, NoiseConfig,
-                    SimConfig, ekf, multimodel, run_ammkf, simulate_profile)
+                    ekf, measure, multimodel, run_ammkf, simulate_profile)
 from lfpsoc.profiles import generate_profile
 from lfpsoc.rls import identify_stream
 
@@ -41,8 +41,7 @@ def test_every_target_resolves():
 def test_rls_counter_reads_identify_stream_points(base_curve, no_low_cutoff):
     trace = simulate_profile(BatteryState(0.5, 0.0),
                              EcmParams(r0=0.07, rp=0.04, cp=1000.0),
-                             base_curve, np.full(200, 0.5),
-                             SimConfig())
+                             base_curve, np.full(200, 0.5), 1.0, 1.063)
     points = identify_stream(trace, soc_feedback=np.full(len(trace), 0.005))
     counts = _spans().count_rls(identify_stream, (trace,), {}, points)
     assert counts == {"samples": 198, "degenerate": 198,
@@ -54,11 +53,11 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch,
     # the counts must equal what the run did: every filter step, every
     # bank interval and every pick at an end of the slope grid
     params = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
-    cfg = SimConfig(voltage_noise_sigma=0.001, rng_seed=3)
     current = generate_profile("dst-like", 410, seed=3,
                                target_discharge_ah=0.05)
-    trace = simulate_profile(BatteryState(0.9, 0.0), params, base_curve,
-                             current, cfg)
+    trace = measure(simulate_profile(BatteryState(0.9, 0.0), params,
+                                     base_curve, current, 1.0, 1.063),
+                    0.001, 0.0, 3)
     steps, picks = [], []
     step, interval = ekf.kalman_step, multimodel.run_interval
 
@@ -77,7 +76,7 @@ def test_ammkf_counter_reads_run_ammkf_result(base_curve, monkeypatch,
     bank = BankConfig(n=7, interval_len=20, spread=6.0)
     args = (trace, KfState(BatteryState(0.9, 0.0), 1e-4, 1e-4,
                            NoiseConfig(1e-7, 1e-6, 1e-6),
-                           base_curve, cfg.capacity_ah), params)
+                           base_curve, 1.063), params)
     kwargs = {"bank_cfg": bank,
               "bank_noise": NoiseConfig(1e-11, 1e-6, 1e-6)}
     result = run_ammkf(*args, **kwargs)

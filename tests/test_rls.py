@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lfpsoc import (BatteryState, EcmParams, OcvCurve, SimConfig, Trace,
-                    build_sample, circuit_to_theta, ecm, extract_circuit,
-                    forgetting_factor, generate_profile, identify_stream, rls,
-                    rls_step, simulate_profile)
+from lfpsoc import (BatteryState, EcmParams, OcvCurve, Trace, build_sample,
+                    circuit_to_theta, ecm, extract_circuit, forgetting_factor,
+                    generate_profile, identify_stream, measure, rls, rls_step,
+                    simulate_profile)
 from lfpsoc.rls import LAMBDA_MIN, START_STATE, NumericalDegeneracyError
 
 # theta0 with no covariance, and theta 0 with P = 1e6 I (batch equivalence)
@@ -43,12 +43,11 @@ class TestBuildSample:
         # satisfy y = a_row . theta_true exactly
         flat = OcvCurve(np.array([0.0, 1.0]), np.array([3.3, 3.3]))
         params = EcmParams(r0=0.1, rp=0.05, cp=200.0)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         rng = np.random.default_rng(3)
         profile = rng.uniform(-1.0, 1.0, 400)
         trace = simulate_profile(BatteryState(0.6, 0.0), params, flat,
-                                 profile, cfg)
-        theta = circuit_to_theta(params, cfg.dt)
+                                 profile, 1.0, 1.063)
+        theta = circuit_to_theta(params, 1.0)
         for k in range(2, len(trace)):
             s = build_sample(trace.voltage_v[k], trace.voltage_v[k - 1],
                              trace.voltage_v[k - 2], trace.current_a[k],
@@ -201,17 +200,16 @@ def _flat_plateau_trace(params, n=3000, seed=5):
     change over one step must be negligible)."""
     flat = OcvCurve(np.array([0.0, 0.05, 0.15, 0.2, 0.8, 0.9, 1.0]),
                     np.array([2.0, 2.9, 3.2, 3.28, 3.28, 3.35, 3.6]))
-    cfg = SimConfig(capacity_ah=1.063, dt=1.0)
     profile = generate_profile("dst-like", n, seed=seed, amp=1.0,
                                target_discharge_ah=0.3)
     return simulate_profile(BatteryState(0.7, 0.0), params, flat,
-                            profile, cfg), cfg
+                            profile, 1.0, 1.063)
 
 
 @pytest.mark.usefixtures("no_low_cutoff")
 class TestIdentifyStream:
     def test_recovers_constant_parameters(self, params):
-        trace, _ = _flat_plateau_trace(params)
+        trace = _flat_plateau_trace(params)
         points = identify_stream(trace, soc_feedback=trace.true_soc)
         final = points[-1].params
         assert final is not None
@@ -220,9 +218,8 @@ class TestIdentifyStream:
         assert abs(final.cp - params.cp) / params.cp < 0.15
 
     def test_zero_excitation_unidentifiable(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 np.full(600, 0.5), cfg)
+                                 np.full(600, 0.5), 1.0, 1.063)
         state = START_STATE
         traces_p = []
         for k in range(2, len(trace)):
@@ -241,16 +238,15 @@ class TestIdentifyStream:
     def test_step_change_tracked_faster_with_smaller_lambda(self):
         p1 = EcmParams(r0=0.07, rp=0.04, cp=1000.0)
         p2 = EcmParams(r0=0.14, rp=0.04, cp=1000.0)
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         prof = generate_profile("dst-like", 4000, seed=9, amp=1.0,
                                 target_discharge_ah=0.4)
         from lfpsoc import default_lifepo4_curve
         curve = default_lifepo4_curve()
         t1 = simulate_profile(BatteryState(0.75, 0.0), p1, curve,
-                              prof[:2000], cfg)
+                              prof[:2000], 1.0, 1.063)
         t2 = simulate_profile(BatteryState(float(t1.true_soc[-1]),
                                            float(t1.true_up_v[-1])),
-                              p2, curve, prof[2000:], cfg)
+                              p2, curve, prof[2000:], 1.0, 1.063)
         from lfpsoc.ecm import Trace
         joined = Trace(np.arange(len(t1) + len(t2)) * 1.0,
                        np.concatenate([t1.current_a, t2.current_a]),
@@ -276,27 +272,24 @@ class TestIdentifyStream:
     @pytest.mark.parametrize("n", [1, 2, 3, 300])
     def test_stream_never_aborts_on_degenerate_rows(self, params, base_curve,
                                                     n):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 np.zeros(n), cfg)
+                                 np.zeros(n), 1.0, 1.063)
         assert len(trace) == n
         points = identify_stream(trace, np.full(len(trace), 0.7))
         assert len(points) == max(n - 2, 0)
 
     @pytest.mark.parametrize("short", [1, 2])
     def test_short_feedback_refused(self, params, base_curve, short):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 np.zeros(300), cfg)
+                                 np.zeros(300), 1.0, 1.063)
         with pytest.raises(ValueError, match=(
                 f"soc_feedback has {300 - short} values for a trace of "
                 f"300 samples")):
             identify_stream(trace, np.full(300 - short, 0.7))
 
     def test_longer_feedback_ignores_its_tail(self, params, base_curve):
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0)
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 np.sin(np.arange(300) / 7.0), cfg)
+                                 np.sin(np.arange(300) / 7.0), 1.0, 1.063)
         fb = np.linspace(0.9, 0.2, 300)
         longer = np.concatenate([fb, [np.nan, 0.0, 5.0]])
         assert identify_stream(trace, longer) == identify_stream(trace, fb)
@@ -427,15 +420,13 @@ class TestStreamAgainstMatrixForm:
         steep low tail and a coulomb-counted SOC that reaches zero."""
         from lfpsoc import ScenarioConfig, default_lifepo4_curve
         from lfpsoc.scenario import coulomb_counted_soc
-        cfg = SimConfig(capacity_ah=1.063, dt=1.0, voltage_noise_sigma=0.001,
-                        rng_seed=4)
         prof = generate_profile("dst-like", 3000, seed=8, amp=1.0,
                                 target_discharge_ah=0.42)
         with pytest.MonkeyPatch.context() as mp:  # class-scoped fixture
             mp.setattr(ecm, "CUTOFF_LOW_V", 0.0)
-            trace = simulate_profile(BatteryState(0.35, 0.0),
-                                     EcmParams(r0=0.07, rp=0.04, cp=1000.0),
-                                     default_lifepo4_curve(), prof, cfg)
+            trace = measure(simulate_profile(
+                BatteryState(0.35, 0.0), EcmParams(r0=0.07, rp=0.04, cp=1000.0),
+                default_lifepo4_curve(), prof, 1.0, 1.063), 0.001, 0.0, 4)
         feedback = coulomb_counted_soc(
             ScenarioConfig(initial_soc_true=0.35, initial_soc_error=0.05),
             trace)
@@ -469,7 +460,7 @@ class TestStreamAgainstMatrixForm:
         # forgetting factor clamped to 1e-16 leaves the gain denominator
         # below 1e-15: each step is skipped and flagged
         trace = simulate_profile(BatteryState(0.7, 0.0), params, base_curve,
-                                 np.zeros(50), SimConfig())
+                                 np.zeros(50), 1.0, 1.063)
         monkeypatch.setattr(rls, "FORGETTING_GAIN", 10.0)
         monkeypatch.setattr(rls, "LAMBDA_MIN", 1e-16)
         soc = np.full(len(trace), 0.9)
@@ -509,9 +500,10 @@ class TestCovarianceOverflow:
         true_curve, _ = resolve_curves(cfg)
         profile = generate_profile("constant", 30000, dt=cfg.dt,
                                    seed=cfg.seed, amp=0.05)
-        trace = simulate_profile(BatteryState(0.97, 0.0), cfg.ecm_params(),
-                                 true_curve, profile,
-                                 cfg.sim_config())
+        trace = measure(simulate_profile(BatteryState(0.97, 0.0),
+                                         cfg.ecm_params(), true_curve, profile,
+                                         cfg.dt, cfg.capacity_ah),
+                        cfg.sigma_v, cfg.sigma_i, cfg.seed)
         states = []
 
         def recording_step(state, sample, lam):
