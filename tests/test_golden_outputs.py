@@ -15,13 +15,13 @@ line-per-write writers with an exception per unphysical RLS point. The
 pins the RLS identifier feeding both estimators its per-step parameters;
 its digests are those of the identifier with a settable configuration.
 Two more `simulate` runs pin the sensor noise that `ecm.measure` adds to a
-clean trace: a noisy constant discharge that the low voltage cutoff stops
-after 185 of its 3000 samples, so the noise is drawn for the samples kept
-only, and a constant -0.0 A profile without current noise, whose current is
-written as 0.0; their digests are those of the simulator that drew its own
-noise. A
-change to how a CSV is read or written that moves a single byte fails here
-by file name. A change that means to alter an output must say why and
+clean trace: a constant discharge with current noise that the low voltage
+cutoff stops after 185 of its 3000 samples, whose noise `measure` draws
+for the 185 samples kept, and a constant -0.0 A profile without current
+noise, whose current is written as 0.0; their digests are those of the
+simulator that drew its own noise, one row per profile sample. A change
+to how a CSV is read or written that moves a single byte fails here by
+file name. A change that means to alter an output must say why and
 update the digest.
 """
 
